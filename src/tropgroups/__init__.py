@@ -81,11 +81,13 @@ from .permgroups import (
     two_closure,
 )
 from .stabilizer import (
+    Analysis,
     Factor,
     GroupDescription,
     NotFullRank,
     NotIdempotent,
     StabilizerElement,
+    analyze_matrix,
     classification_conditions,
     commuting_units,
     group_description,

@@ -15,7 +15,6 @@ import sys
 import time
 from typing import Optional
 
-from .components import class_partition, _restrict_unchecked
 from .constructors import (
     construct_from_bipartite,
     construct_idempotent,
@@ -24,7 +23,7 @@ from .constructors import (
 )
 from .errors import OrderCapExceeded, SearchBudgetExceeded
 from .matrix import TropMatrix, is_idempotent, monomial_eigenvalue, parse_matrix
-from .pairsearch import DEFAULT_MAX_NODES, NotConnected
+from .pairsearch import DEFAULT_MAX_NODES
 from .permgroups import (
     PairedPermGroup,
     Perm,
@@ -35,13 +34,14 @@ from .permgroups import (
     two_closure,
 )
 from .semiring import Value, format_scalar
-from .spaces import h_related, has_full_rank, reduce_full_rank
+from .spaces import h_related, has_full_rank
 from .stabilizer import (
+    analyze_matrix,
     classification_conditions,
     commuting_units,
     group_description,
     maximal_subgroup,
-    normalize_eigenvectors,
+    require_idempotent,
     _connected_sigma,
 )
 
@@ -97,11 +97,9 @@ def cmd_analyze(args) -> int:
     a, digest = _read_matrix(args.path)
     t0 = time.perf_counter()
     if args.assume_idempotent:
-        desc = maximal_subgroup(a, max_nodes=args.max_nodes)
-    else:
-        desc = group_description(a, max_nodes=args.max_nodes)
-    z, rows_kept, cols_kept = reduce_full_rank(a)
-    part = class_partition(z, max_nodes=args.max_nodes)
+        require_idempotent(a)
+    an = analyze_matrix(a, max_nodes=args.max_nodes)
+    desc, z, part = an.description, an.reduced, an.partition
     conditions_ok = classification_conditions(desc, a.nrows, a.ncols)
     elapsed = time.perf_counter() - t0
     report = {
@@ -114,8 +112,8 @@ def cmd_analyze(args) -> int:
         },
         "assume_idempotent": bool(args.assume_idempotent),
         "reduction": {
-            "kept_rows": [i + 1 for i in rows_kept],
-            "kept_cols": [j + 1 for j in cols_kept],
+            "kept_rows": [i + 1 for i in an.kept_rows],
+            "kept_cols": [j + 1 for j in an.kept_cols],
             "row_rank": z.nrows,
             "col_rank": z.ncols,
         },
@@ -202,11 +200,11 @@ def cmd_construct(args) -> int:
     t0 = time.perf_counter()
     if kind == "bipartite":
         matrix = construct_from_bipartite(obj)
-        desc = group_description(matrix)
+        desc = group_description(matrix, max_nodes=args.max_nodes)
         target = coloured_bipartite_automorphisms(obj.completed()).left_group()
     else:
         matrix = construct_idempotent(obj)
-        desc = maximal_subgroup(matrix)
+        desc = maximal_subgroup(matrix, max_nodes=args.max_nodes)
         target = obj if not isinstance(obj, ColouredDigraph) else coloured_automorphisms(obj)
     matches = len(desc.factors) == 1 and groups_isomorphic(
         desc.factors[0].finite_part, target
@@ -250,29 +248,43 @@ def cmd_approximate(args) -> int:
 
 
 def verify_flags(a: TropMatrix, max_nodes: int = DEFAULT_MAX_NODES) -> dict:
-    """The full invariant suite on one matrix; every flag must be true."""
+    """The full invariant suite on one matrix; every flag must be true.
+
+    Every stage is read from one ``Analysis``.  ``h_related(P @ A, A)`` and
+    the eigenvector normal form are checked on the generators of each Sigma
+    only.  That is exact: P is a unit, so P @ A has the row space of A, and
+    the pair equation P @ A = A @ Q, checked on every element, gives
+    C(P @ A) = C(A) because Q is a unit too.
+    """
     flags: dict[str, bool] = {}
     flags["format_round_trip"] = parse_matrix(a.to_text()) == a
-    z, _, _ = reduce_full_rank(a)
-    flags["reduction_full_rank"] = has_full_rank(z)
-    part = class_partition(z, max_nodes=max_nodes)
-    restrs = [_restrict_unchecked(z, c) for c in part.components]
-    flags["restrictions_full_rank"] = all(has_full_rank(r) for r in restrs)
+    an = analyze_matrix(a, max_nodes=max_nodes)
+    flags["reduction_full_rank"] = has_full_rank(an.reduced)
+    flags["restrictions_full_rank"] = all(has_full_rank(r) for r in an.restrictions)
 
     pair_ok = eigen_ok = closure_ok = agree_ok = h_ok = norm_ok = True
     zero = Value(0)
-    for cls in part.classes:
-        rep = restrs[cls.representative]
-        elements = _connected_sigma(rep, max_nodes)
+    for cls, elements, b, factor in zip(
+        an.partition.classes, an.sigmas, an.normal_forms, an.description.factors
+    ):
+        rep = an.restrictions[cls.representative]
+        gens = {g for g, _ in factor.paired.generators}
         ps = {el.P for el in elements}
         for el in elements:
             pair_ok &= el.P.left_apply(rep) == el.Q.right_apply(rep)
-            h_ok &= h_related(el.P.left_apply(rep), rep)
             try:
                 eigen_ok &= monomial_eigenvalue(el.P) == zero
                 eigen_ok &= monomial_eigenvalue(el.Q) == zero
             except Exception:
                 eigen_ok = False
+            if Perm(el.P.sigma) in gens:
+                h_ok &= h_related(el.P.left_apply(rep), rep)
+                # in normal form the pair acts on B by plain permutations
+                s, t = el.P.sigma, el.Q.sigma
+                norm_ok &= all(
+                    tuple(b.entries[s[i]][t[k]] for k in range(b.ncols)) == row
+                    for i, row in enumerate(b.entries)
+                )
         for x in ps:
             closure_ok &= x.invert() in ps
             for y in ps:
@@ -280,32 +292,25 @@ def verify_flags(a: TropMatrix, max_nodes: int = DEFAULT_MAX_NODES) -> dict:
                 for i in range(x.degree):
                     if x.sigma[i] == y.sigma[i]:
                         agree_ok &= x.scalings[i] == y.scalings[i]
-        try:
-            normalize_eigenvectors(rep, elements)
-        except Exception:
-            norm_ok = False
     flags["pair_equations"] = pair_ok
     flags["single_eigenvalue"] = eigen_ok
     flags["sigma_closure"] = closure_ok
     flags["position_agreement"] = agree_ok
     flags["h_related"] = h_ok
     flags["eigenvector_normalisation"] = norm_ok
-
-    desc = group_description(a, max_nodes=max_nodes)
     flags["classification_conditions"] = classification_conditions(
-        desc, a.nrows, a.ncols
+        an.description, a.nrows, a.ncols
     )
 
     if a.is_square() and is_idempotent(a):
         idem_ok = True
-        for r in restrs:
-            idem_ok &= is_idempotent(r)
-            try:
+        for cls, sigma in zip(an.partition.classes, an.sigmas):
+            rep = an.restrictions[cls.representative]
+            for r in (an.restrictions[idx] for idx in cls.members):
+                idem_ok &= is_idempotent(r)
                 comm = commuting_units(r, max_nodes=max_nodes)
-                sigma = _connected_sigma(r, max_nodes)
-                idem_ok &= {el.P for el in comm} == {el.P for el in sigma}
-            except NotConnected:
-                pass
+                own = sigma if r == rep else _connected_sigma(r, max_nodes)
+                idem_ok &= {el.P for el in comm} == {el.P for el in own}
         flags["idempotent_restrictions"] = idem_ok
     return flags
 
@@ -336,12 +341,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="tropgroups",
         description="Exact stabilizer groups of max-plus matrices",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="reserved; computation is sequential and deterministic",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="group description of a matrix file")
@@ -349,7 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assume-idempotent", action="store_true")
     p.add_argument("--json", action="store_true")
     p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
-    p.add_argument("--max-order", type=int, default=10**6)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("closure", help="2-closure of a permutation group")

@@ -369,8 +369,19 @@ def parse_matrix_text(text: str) -> TropMatrix:
 
 def parse_matrix_json(data) -> TropMatrix:
     if isinstance(data, str):
-        data = json.loads(data)
+        try:
+            data = json.loads(data)
+        except RecursionError:
+            raise ValueError("JSON matrix is nested too deeply") from None
+    if not isinstance(data, dict) or "entries" not in data:
+        raise ValueError("a JSON matrix is an object with an 'entries' list")
     entries = data["entries"]
+    if not isinstance(entries, list) or not all(
+        isinstance(row, list)
+        and all(isinstance(x, (str, int)) and not isinstance(x, bool) for x in row)
+        for row in entries
+    ):
+        raise ValueError("'entries' must be a list of rows of strings or integers")
     m = TropMatrix.from_rows(entries)
     if m.nrows != data.get("rows", m.nrows) or m.ncols != data.get("cols", m.ncols):
         raise ValueError("declared shape does not match entries")

@@ -312,6 +312,13 @@ def free_basis_check(vals: Sequence[Value]) -> bool:
 _TERM = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)?e(\d+)|(\d+(?:/\d+)?))")
 
 
+def _rational(token: str, text: str) -> Fraction:
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {text!r}") from None
+
+
 def parse_scalar(text: str) -> TropScalar:
     """Parse the scalar grammar: ``-inf`` | signed rational and e-terms."""
     s = text.strip()
@@ -334,11 +341,11 @@ def parse_scalar(text: str) -> TropScalar:
             raise ValueError(f"missing sign between terms in scalar {text!r}")
         sgn = -1 if sign == "-" else 1
         if etag is not None:
-            c = Fraction(ecoeff) if ecoeff else Fraction(1)
+            c = _rational(ecoeff, text) if ecoeff else Fraction(1)
             tag = int(etag)
             coeffs[tag] = coeffs.get(tag, Fraction(0)) + sgn * c
         else:
-            std += sgn * Fraction(rat)
+            std += sgn * _rational(rat, text)
         pos = m.end()
         first = False
     return Value(std, coeffs)

@@ -364,6 +364,65 @@ class GroupDescription:
         }
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """Every stage of the analysis of one matrix, each computed once.
+
+    ``reduced`` is the full-rank core on ``kept_rows`` x ``kept_cols``;
+    ``restrictions`` holds one block of it per component of ``partition``;
+    ``sigmas``, ``normal_forms`` and ``description.factors`` hold one entry
+    per class: the Sigma of the class representative, the matrix
+    ``normalize_eigenvectors`` brings the representative to, and the
+    wreath-type factor.
+    """
+
+    reduced: TropMatrix
+    kept_rows: tuple[int, ...]
+    kept_cols: tuple[int, ...]
+    partition: ComponentPartition
+    restrictions: tuple[TropMatrix, ...]
+    sigmas: tuple[tuple[StabilizerElement, ...], ...]
+    normal_forms: tuple[TropMatrix, ...]
+    description: GroupDescription
+
+
+def analyze_matrix(
+    a: TropMatrix,
+    *,
+    max_nodes: int = DEFAULT_MAX_NODES,
+) -> Analysis:
+    """Reduce to full rank, split into component classes, compute the
+    Sigma of each class representative, normalise its eigenvectors, and
+    describe one finite factor per class."""
+    z, rows, cols = reduce_full_rank(a)
+    part = class_partition(z, max_nodes=max_nodes)
+    restrictions = tuple(_restrict_unchecked(z, c) for c in part.components)
+    sigmas, normal_forms, factors = [], [], []
+    for cls in part.classes:
+        rep = restrictions[cls.representative]
+        elements = tuple(_connected_sigma(rep, max_nodes))
+        _u, _v, b = normalize_eigenvectors(rep, elements)
+        pairs = sorted(
+            (Perm(el.P.sigma), Perm(el.Q.sigma)) for el in elements
+        )
+        gens = _reduced_pair_generators(pairs, rep.shape)
+        paired = PairedPermGroup(rep.shape, gens, known_order=len(elements))
+        comp = part.components[cls.representative]
+        factors.append(make_factor(paired, len(cls.members), comp))
+        sigmas.append(elements)
+        normal_forms.append(b)
+    return Analysis(
+        reduced=z,
+        kept_rows=tuple(rows),
+        kept_cols=tuple(cols),
+        partition=part,
+        restrictions=restrictions,
+        sigmas=tuple(sigmas),
+        normal_forms=tuple(normal_forms),
+        description=GroupDescription(tuple(factors)),
+    )
+
+
 def group_description(
     a: TropMatrix,
     *,
@@ -371,21 +430,7 @@ def group_description(
 ) -> GroupDescription:
     """Reduce to full rank, split into component classes, and compute one
     finite factor per class from the Sigma of its representative."""
-    z, _rows, _cols = reduce_full_rank(a)
-    part = class_partition(z, max_nodes=max_nodes)
-    factors = []
-    for cls in part.classes:
-        comp = part.components[cls.representative]
-        rep = _restrict_unchecked(z, comp)
-        elements = _connected_sigma(rep, max_nodes)
-        normalize_eigenvectors(rep, elements)  # verifies the permutation form
-        pairs = sorted(
-            (Perm(el.P.sigma), Perm(el.Q.sigma)) for el in elements
-        )
-        gens = _reduced_pair_generators(pairs, rep.shape)
-        paired = PairedPermGroup(rep.shape, gens, known_order=len(elements))
-        factors.append(make_factor(paired, len(cls.members), comp))
-    return GroupDescription(tuple(factors))
+    return analyze_matrix(a, max_nodes=max_nodes).description
 
 
 def _reduced_pair_generators(
@@ -404,9 +449,14 @@ def maximal_subgroup(
     e: TropMatrix, *, max_nodes: int = DEFAULT_MAX_NODES
 ) -> GroupDescription:
     """The structure of the maximal subgroup attached to an idempotent."""
+    require_idempotent(e)
+    return group_description(e, max_nodes=max_nodes)
+
+
+def require_idempotent(e: TropMatrix) -> None:
+    """Raise NotIdempotent unless the matrix is a square idempotent."""
     if not e.is_square() or not is_idempotent(e):
         raise NotIdempotent("maximal subgroups are attached to idempotents")
-    return group_description(e, max_nodes=max_nodes)
 
 
 def classification_conditions(desc: GroupDescription, n: int, m: int) -> bool:

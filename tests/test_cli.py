@@ -2,9 +2,15 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from helpers import SECTION4, matrix_e, matrix_f
+from tropgroups import components, pairsearch, spaces
 from tropgroups.cli import main, verify_flags
+from tropgroups.components import connected_components
+from tropgroups.constructors import construct_idempotent
 from tropgroups.matrix import TropMatrix, parse_matrix
+from tropgroups.permgroups import PermGroup
 
 
 def run_cli(args, capsys):
@@ -52,6 +58,42 @@ def test_analyze_parse_error(tmp_path, capsys):
     assert code == 2
     code, _ = run_cli(["analyze", str(tmp_path / "missing.txt")], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"rows":2,"cols":2,"entries":5}',
+        "0 1/0\n",
+        '{"rows":2,"cols":2,"entries":[[1,2],[3,{}]]}',
+        '{"entries":' + "[" * 100_000,
+    ],
+    ids=["entries-not-rows", "zero-denominator", "object-entry", "deep-nesting"],
+)
+def test_bad_matrix_input_exits_2_without_traceback(tmp_path, text):
+    path = write(tmp_path, "bad.txt", text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropgroups", "analyze", path],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+def test_removed_flags_are_rejected(tmp_path, capsys):
+    path = write(tmp_path, "f.txt", matrix_f().to_text() + "\n")
+    for argv in (
+        ["--threads", "2", "analyze", path],
+        ["analyze", path, "--max-order", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    code, _ = run_cli(
+        ["closure", "--degree", "4", "(1,2,3,4)", "(1,2)", "--max-order", "1"], capsys
+    )
+    assert code == 3
 
 
 def test_budget_exceeded_exit_code(tmp_path, capsys):
@@ -134,3 +176,39 @@ def test_reports_are_byte_identical(tmp_path):
         )
         outs.add(proc.stdout)
     assert len(outs) == 1
+
+
+def test_each_stage_runs_once_per_command(tmp_path, monkeypatch, capsys):
+    """Within one command no stage is called twice with the same arguments."""
+    calls = []
+
+    def counting(name, orig):
+        def counted(*args, **kwargs):
+            calls.append((name, args, tuple(sorted(kwargs.items()))))
+            return orig(*args, **kwargs)
+
+        return counted
+
+    for module, name in (
+        (spaces, "reduce_full_rank"),
+        (components, "class_partition"),
+        (pairsearch, "pair_solutions"),
+    ):
+        orig = getattr(module, name)
+        wrapper = counting(name, orig)
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "tropgroups":
+                for key, value in list(vars(mod).items()):
+                    if value is orig:
+                        monkeypatch.setattr(mod, key, wrapper)
+
+    constructed = construct_idempotent(PermGroup.from_cycles(3, ["(1,2,3)"]))
+    assert len(connected_components(constructed)) == 1
+    f_path = write(tmp_path, "f.txt", matrix_f().to_text() + "\n")
+    c_path = write(tmp_path, "c.txt", constructed.to_text() + "\n")
+    for argv in (["analyze", f_path], ["verify", c_path], ["verify", f_path]):
+        calls.clear()
+        code, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert {name for name, _, _ in calls} >= {"reduce_full_rank", "pair_solutions"}
+        assert len(set(calls)) == len(calls), argv
