@@ -20,7 +20,6 @@ from .semiring import (
     trop_add,
     trop_mul,
     val,
-    value_div_int,
 )
 from .matrix import (
     MonomialMatrix,
@@ -32,7 +31,6 @@ from .matrix import (
     is_idempotent,
     mat_mul,
     monomial_eigenvalue,
-    monomial_invert,
     parse_matrix,
 )
 from .spaces import (
@@ -68,7 +66,6 @@ from .permgroups import (
     coloured_automorphisms,
     coloured_bipartite_automorphisms,
     format_cycles,
-    group_order,
     groups_isomorphic,
     identify_group,
     is_irreducible,

@@ -152,26 +152,28 @@ def _parse_gen_args(args) -> tuple:
 def cmd_closure(args) -> int:
     group, paired = _parse_gen_args(args)
     t0 = time.perf_counter()
+    # the order first, so that --max-order applies before anything caches it
+    order = group.order(args.max_order)
     if paired:
         closure = paired_two_closure(group)
-        closed = group.order(args.max_order) == closure.order(args.max_order)
         gens = [
             f"{format_cycles(g)}|{format_cycles(h)}" for g, h in closure.generators
         ]
         degrees = list(group.degrees)
     else:
         closure = two_closure(group)
-        closed = group.order(args.max_order) == closure.order(args.max_order)
         gens = [format_cycles(g) for g in closure.generators]
         degrees = [group.degree]
+    closure_order = closure.order(args.max_order)
+    closed = order == closure_order
     elapsed = time.perf_counter() - t0
     report = {
         "command": "closure",
         "paired": paired,
         "degrees": degrees,
         "input_generators": list(args.generators),
-        "group_order": group.order(args.max_order),
-        "closure_order": closure.order(args.max_order),
+        "group_order": order,
+        "closure_order": closure_order,
         "closure_generators": gens,
         "is_closed": closed,
     }
@@ -259,8 +261,10 @@ def verify_flags(a: TropMatrix, max_nodes: int = DEFAULT_MAX_NODES) -> dict:
     flags: dict[str, bool] = {}
     flags["format_round_trip"] = parse_matrix(a.to_text()) == a
     an = analyze_matrix(a, max_nodes=max_nodes)
-    flags["reduction_full_rank"] = has_full_rank(an.reduced)
-    flags["restrictions_full_rank"] = all(has_full_rank(r) for r in an.restrictions)
+    flags["reduction_full_rank"] = reduced_ok = has_full_rank(an.reduced)
+    flags["restrictions_full_rank"] = all(
+        reduced_ok if r == an.reduced else has_full_rank(r) for r in an.restrictions
+    )
 
     pair_ok = eigen_ok = closure_ok = agree_ok = h_ok = norm_ok = True
     zero = Value(0)

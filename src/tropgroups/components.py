@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import ColouredBipartiteGraph
+from .graphs import ColouredBipartiteGraph, support_components
 from .matrix import MonomialMatrix, TropMatrix
 from .pairsearch import pair_solutions
 from .semiring import NEG_INF, is_finite
@@ -62,42 +62,15 @@ def connected_components(a: TropMatrix) -> list[Component]:
     """Components of the underlying undirected graph, ordered by their
     smallest row index."""
     _check_non_degenerate(a)
-    n, m = a.shape
-    seen_r, seen_c = [False] * n, [False] * m
-    comps = []
-    for start in range(n):
-        if seen_r[start]:
-            continue
-        rows, cols = [], []
-        stack = [("r", start)]
-        seen_r[start] = True
-        while stack:
-            kind, v = stack.pop()
-            if kind == "r":
-                rows.append(v)
-                for j in range(m):
-                    if is_finite(a.entries[v][j]) and not seen_c[j]:
-                        seen_c[j] = True
-                        stack.append(("c", j))
-            else:
-                cols.append(v)
-                for i in range(n):
-                    if is_finite(a.entries[i][v]) and not seen_r[i]:
-                        seen_r[i] = True
-                        stack.append(("r", i))
-        comps.append(Component(tuple(sorted(rows)), tuple(sorted(cols))))
-    comps.sort(key=lambda c: c.rows[0])
-    return comps
+    support = [[is_finite(x) for x in row] for row in a.entries]
+    return [Component(tuple(r), tuple(c)) for r, c in support_components(support)]
 
 
 def restrict(a: TropMatrix, component: Component) -> TropMatrix:
     """The submatrix on the component's rows and columns (in index order)."""
-    comps = connected_components(a)
-    if component not in comps:
+    if component not in connected_components(a):
         raise NotAComponent(f"{component} is not a component of the matrix")
-    return TropMatrix(
-        [[a.entries[i][j] for j in component.cols] for i in component.rows]
-    )
+    return _restrict_unchecked(a, component)
 
 
 def _restrict_unchecked(a: TropMatrix, component: Component) -> TropMatrix:

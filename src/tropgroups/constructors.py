@@ -25,19 +25,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .graphs import ColouredBipartiteGraph, ColouredDigraph
+from .graphs import ColouredBipartiteGraph, ColouredDigraph, components
 from .matrix import TropMatrix, idempotent_power, is_idempotent
 from .permgroups import (
     PairedPermGroup,
     Perm,
     PermGroup,
+    _closure,
     coloured_automorphisms,
     coloured_bipartite_automorphisms,
     is_irreducible,
     is_two_closed,
     pair_orbit_colouring,
+    paired_orbit_colouring,
     parse_cycles,
 )
 from .semiring import NEG_INF, Value, eps, is_finite, free_basis_check, trop_sum
@@ -98,24 +100,7 @@ class _TagAllocator:
 
 
 def _orbits(n: int, perms: Sequence[Perm]) -> list[list[int]]:
-    seen = [False] * n
-    out = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        orb = [s]
-        seen[s] = True
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for p in perms:
-                y = p(x)
-                if not seen[y]:
-                    seen[y] = True
-                    orb.append(y)
-                    stack.append(y)
-        out.append(sorted(orb))
-    return out
+    return [sorted(o) for o in components(range(n), lambda x: [p(x) for p in perms])]
 
 
 def _subdivide(lo: Fraction, hi: Fraction, count: int) -> list[Fraction]:
@@ -382,16 +367,8 @@ def construct_idempotent(
     def refined(i: int, j: int):
         return (digraph.colours[(i, j)], orbit_of[i], orbit_of[j])
 
-    colours: list = []
-    seen = set()
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            c = refined(i, j)
-            if c not in seen:
-                seen.add(c)
-                colours.append(c)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    colours = list(dict.fromkeys(refined(i, j) for i, j in pairs))
     tags = _TagAllocator(tag_start)
     lo, hi = Fraction(-11, 10), Fraction(-9, 10)
     stds = _subdivide(lo, hi, len(colours))
@@ -448,22 +425,8 @@ ALT4_GENERATORS = ("(1,2,3)", "(1,2)(3,4)")
 def alt4_elements() -> list[Perm]:
     """The 12 even permutations of 4 points, in breadth-first product
     order from the generators (1,2,3) and (1,2)(3,4)."""
-    gens = [parse_cycles(g, 4) for g in ALT4_GENERATORS]
-    ident = Perm.identity(4)
-    out = [ident]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in seen:
-                    seen.add(y)
-                    out.append(y)
-                    nxt.append(y)
-        frontier = nxt
-    return out
+    gens = [parse_cycles(g, 4).images for g in ALT4_GENERATORS]
+    return [Perm(x) for x in _closure(gens, tuple(range(4)))]
 
 
 def alt4_column_matrix(a: Value, b: Value, c: Value, d: Value) -> TropMatrix:
@@ -521,6 +484,37 @@ def finite_approximant(e: TropMatrix, m: int) -> TropMatrix:
 # -- construction specs (JSON) --
 
 
+def _spec_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, not {type(value).__name__}")
+    return value
+
+
+def _spec_list(value, what: str, length: Optional[int] = None) -> list:
+    if not isinstance(value, list) or length not in (None, len(value)):
+        shape = "a list" if length is None else f"a list of {length} items"
+        raise ValueError(f"{what} must be {shape}, not {value!r:.40}")
+    return value
+
+
+def _spec_edges(data: dict) -> dict:
+    edges = {}
+    for item in _spec_list(data.get("edges", []), "edges"):
+        i, j, colour = _spec_list(item, "an edge", 3)
+        if isinstance(colour, (list, dict)):
+            raise ValueError("an edge colour must be a string, number, boolean or null")
+        i, j = (_spec_int(x, "an edge end") - 1 for x in (i, j))
+        edges[(i, j)] = colour
+    return edges
+
+
+def _spec_cycles(value, degree: int) -> Perm:
+    if not isinstance(value, str):
+        kind = type(value).__name__
+        raise ValueError(f"a generator must be a cycle string, not {kind}")
+    return parse_cycles(value, degree)
+
+
 def parse_construction_spec(data: dict):
     """Decode a construction request.
 
@@ -531,31 +525,27 @@ def parse_construction_spec(data: dict):
       {"bidegree": [n, m], "generators": [["(1,2)", "(1,2)"], ...]}
 
     Returns ("bipartite", graph) or ("idempotent", group-or-digraph).
+    Raises ValueError on anything else, including wrong types and colours
+    that are JSON lists or objects.
     """
+    if not isinstance(data, dict):
+        raise ValueError("a construction spec must be a JSON object")
+    gens = _spec_list(data.get("generators", []), "generators")
     if "omega" in data:
-        n, m = int(data["omega"]), int(data["theta"])
-        edges = {
-            (int(i) - 1, int(j) - 1): colour for i, j, colour in data["edges"]
-        }
-        return "bipartite", ColouredBipartiteGraph(n, m, edges)
+        n, m = _spec_int(data["omega"], "omega"), _spec_int(data.get("theta"), "theta")
+        return "bipartite", ColouredBipartiteGraph(n, m, _spec_edges(data))
     if "vertices" in data:
-        n = int(data["vertices"])
-        colours = {
-            (int(i) - 1, int(j) - 1): colour
-            for i, j, colour in data.get("edges", [])
-        }
-        return "idempotent", ColouredDigraph.from_partial(n, colours)
+        n = _spec_int(data["vertices"], "vertices")
+        return "idempotent", ColouredDigraph.from_partial(n, _spec_edges(data))
     if "bidegree" in data:
-        n, m = (int(x) for x in data["bidegree"])
-        gens = [
-            (parse_cycles(g, n), parse_cycles(h, m))
-            for g, h in data["generators"]
-        ]
-        paired = PairedPermGroup((n, m), gens)
-        from .permgroups import paired_orbit_colouring
-
+        degrees = _spec_list(data["bidegree"], "bidegree", 2)
+        n, m = (_spec_int(x, "bidegree") for x in degrees)
+        pairs = [_spec_list(pair, "a paired generator", 2) for pair in gens]
+        paired = PairedPermGroup(
+            (n, m), [(_spec_cycles(g, n), _spec_cycles(h, m)) for g, h in pairs]
+        )
         return "bipartite", paired_orbit_colouring(paired)
     if "degree" in data:
-        n = int(data["degree"])
-        return "idempotent", PermGroup.from_cycles(n, data.get("generators", []))
+        n = _spec_int(data["degree"], "degree")
+        return "idempotent", PermGroup(n, [_spec_cycles(g, n) for g in gens])
     raise ValueError("unrecognised construction spec")

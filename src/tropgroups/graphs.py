@@ -1,11 +1,53 @@
-"""Coloured graph containers shared by the component and group machinery.
+"""Coloured graph containers shared by the component and group machinery,
+and the one graph traversal behind every orbit and connectivity check.
 
 Vertices are 0-indexed here; all text/JSON I/O is 1-indexed.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
+
+
+def components(
+    vertices: Iterable[Hashable], neighbours: Callable[[Hashable], Iterable[Hashable]]
+) -> list[list]:
+    """The vertex sets reachable from each vertex not yet reached, in the
+    order of ``vertices``; each list starts at that vertex and goes on in
+    breadth-first order.  For an undirected graph these are its connected
+    components; for the action of a finite group's generators, its orbits.
+    """
+    seen: set = set()
+    out = []
+    for start in vertices:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        for v in comp:
+            for w in neighbours(v):
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        out.append(comp)
+    return out
+
+
+def support_components(support: Sequence[Sequence[bool]]) -> list[tuple[list, list]]:
+    """Connected components of the bipartite graph joining row i to column
+    j wherever ``support[i][j]`` holds, as sorted (rows, columns) pairs in
+    order of their least row (a component without rows comes last)."""
+    n, m = len(support), len(support[0])
+
+    def neighbours(v: int) -> list[int]:
+        if v < n:
+            return [n + j for j in range(m) if support[v][j]]
+        return [i for i in range(n) if support[i][v - n]]
+
+    return [
+        (sorted(v for v in comp if v < n), sorted(v - n for v in comp if v >= n))
+        for comp in components(range(n + m), neighbours)
+    ]
 
 
 class ColouredBipartiteGraph:

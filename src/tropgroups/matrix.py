@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Sequence
 
+from .graphs import components
 from .semiring import (
     NEG_INF,
     TropScalar,
@@ -24,7 +25,6 @@ from .semiring import (
     is_finite,
     trop_add,
     trop_mul,
-    value_div_int,
 )
 
 
@@ -300,30 +300,14 @@ class MonomialMatrix:
         return f"MonomialMatrix({body})"
 
 
-def monomial_invert(p: MonomialMatrix) -> MonomialMatrix:
-    return p.invert()
-
-
 def monomial_eigenvalue(p: MonomialMatrix) -> Value:
     """The common cycle mean of the weighted cycles of a unit.
 
     Raises MultipleEigenvalues when the cycle means differ.
     """
-    n = p.degree
-    seen = [False] * n
     mean = None
-    for start in range(n):
-        if seen[start]:
-            continue
-        total = Value(0)
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            total = total + p.scalings[i]
-            length += 1
-            i = p.sigma[i]
-        this = value_div_int(total, length)
+    for cycle in components(range(p.degree), lambda i: (p.sigma[i],)):
+        this = sum((p.scalings[i] for i in cycle), Value(0)).div_int(len(cycle))
         if mean is None:
             mean = this
         elif mean != this:

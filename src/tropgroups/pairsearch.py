@@ -25,6 +25,7 @@ signature.
 from __future__ import annotations
 
 from .errors import SearchBudgetExceeded
+from .graphs import components, support_components
 from .matrix import TropMatrix
 from .semiring import NEG_INF, Value
 
@@ -80,26 +81,6 @@ def _signatures(prof, degs, k):
     return sigs
 
 
-def _connected(supp, n, m):
-    """Is the bipartite support graph connected (rows+cols as vertices)?"""
-    seen_r, seen_c = [False] * n, [False] * m
-    stack = [("r", 0)]
-    seen_r[0] = True
-    while stack:
-        kind, v = stack.pop()
-        if kind == "r":
-            for j in range(m):
-                if supp[v][j] and not seen_c[j]:
-                    seen_c[j] = True
-                    stack.append(("c", j))
-        else:
-            for i in range(n):
-                if supp[i][v] and not seen_r[i]:
-                    seen_r[i] = True
-                    stack.append(("r", i))
-    return all(seen_r) and all(seen_c)
-
-
 class NotConnected(ValueError):
     """The finite-entry graph of the matrix is not connected."""
 
@@ -153,7 +134,7 @@ class _PairSearch:
         self.n, self.m = target.shape
         self.suppA = _support(self.A)
         self.suppB = _support(self.B)
-        if not _connected(self.suppA, self.n, self.m):
+        if len(support_components(self.suppA)) != 1:
             raise NotConnected("target support graph is disconnected")
         self.max_nodes = max_nodes
         self.nodes = 0
@@ -343,16 +324,7 @@ def commuting_solutions(e: TropMatrix, *, max_nodes: int = DEFAULT_MAX_NODES):
     adj = [
         [i != j and (supp[i][j] or supp[j][i]) for j in range(n)] for i in range(n)
     ]
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for w in range(n):
-            if adj[v][w] and not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    if not all(seen):
+    if len(components(range(n), lambda v: [w for w in range(n) if adj[v][w]])) != 1:
         raise NotConnected("finite-entry graph of the matrix is disconnected")
 
     rows = [e.row(i) for i in range(n)]

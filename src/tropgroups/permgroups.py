@@ -3,6 +3,12 @@
 Permutations are 0-indexed internally and 1-indexed in all text I/O
 (cycle notation like ``(1,3,2)(5,10,7)``; the identity is ``()``).
 
+Every element list comes from one breadth-first closure, ``_closure``,
+which works on image tuples and builds ``Perm`` objects only where a
+caller wants them.  A paired group is closed as one permutation group on
+the n + m disjoint points of its two sides.  Orbits of points and of pairs
+come from the one traversal in ``graphs.components``.
+
 A group is 2-closed when it already contains every permutation preserving
 its orbits of ordered pairs, i.e. when it is the full automorphism group of
 the coloured complete digraph whose colours are those orbits.  The paired
@@ -11,15 +17,21 @@ product of the two symmetric groups.  Automorphism groups of coloured
 graphs are computed by backtracking over a colour-refined partition, one
 base point at a time, so only generators and the order are produced (the
 group itself is never listed).
+
+Two small groups G and H are isomorphic exactly when some list of images
+of a generating sequence of G makes the subgroup of G x H generated by the
+pairs (generator, image) the graph of a bijection: of order |G|, with no
+element that is the identity on one side only.
 """
 
 from __future__ import annotations
 
 import re
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import OrderCapExceeded, SearchBudgetExceeded
-from .graphs import ColouredBipartiteGraph, ColouredDigraph
+from .graphs import ColouredBipartiteGraph, ColouredDigraph, components
 
 DEFAULT_ORDER_CAP = 10**6
 AUT_DEGREE_BOUND = 20
@@ -47,6 +59,13 @@ class Perm:
     def identity(cls, n: int) -> "Perm":
         return cls(range(n))
 
+    @classmethod
+    def _of(cls, images: tuple[int, ...]) -> "Perm":
+        """A Perm from an image tuple already known to be a permutation."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -71,31 +90,13 @@ class Perm:
         return all(i == x for i, x in enumerate(self.images))
 
     def order(self) -> int:
-        from math import lcm
-
-        out = 1
-        for c in self.cycles():
-            out = lcm(out, len(c))
-        return out
+        return lcm(*map(len, self.cycles()))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each rotated to start at its least point,
         sorted by that point."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            x = self.images[start]
-            while x != start:
-                seen[x] = True
-                cyc.append(x)
-                x = self.images[x]
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return out
+        orbits = components(range(self.degree), lambda i: (self.images[i],))
+        return [tuple(c) for c in orbits if len(c) > 1]
 
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images
@@ -142,6 +143,47 @@ def format_cycles(p: Perm) -> str:
     return "".join("(" + ",".join(str(x + 1) for x in cyc) + ")" for cyc in cycles)
 
 
+def _closure(
+    generators: Sequence[tuple[int, ...]],
+    identity: tuple[int, ...],
+    cap: int = DEFAULT_ORDER_CAP,
+) -> list[tuple[int, ...]]:
+    """Breadth-first closure of image tuples under right multiplication by
+    the generators, in the order the elements are first reached (the
+    identity first).  Raises OrderCapExceeded past ``cap`` elements."""
+    seen = {identity}
+    out = [identity]
+    for x in out:
+        for g in generators:
+            y = tuple(map(g.__getitem__, x))  # x first, then g
+            if y not in seen:
+                if len(out) >= cap:
+                    raise OrderCapExceeded(f"group order exceeds the cap {cap}")
+                seen.add(y)
+                out.append(y)
+    return out
+
+
+def _paired_closure(
+    degrees: tuple[int, int],
+    pairs: Iterable[tuple[Perm, Perm]],
+    cap: int = DEFAULT_ORDER_CAP,
+) -> list[tuple[int, ...]]:
+    """The closure of (left, right) pairs acting on n + m disjoint points,
+    the right side shifted by n.  Raises NotFaithful if some element is
+    the identity on exactly one side."""
+    n, m = degrees
+    ident = tuple(range(n + m))
+    gens = [g.images + tuple(n + y for y in h.images) for g, h in pairs]
+    elements = _closure(gens, ident, cap)
+    for x in elements:
+        if (x[:n] == ident[:n]) != (x[n:] == ident[n:]):
+            raise NotFaithful(
+                "one-sided kernel element: the paired action is not faithful"
+            )
+    return elements
+
+
 class PermGroup:
     """A finite permutation group given by generators."""
 
@@ -174,34 +216,22 @@ class PermGroup:
     def from_cycles(cls, degree: int, gens: Iterable[str]) -> "PermGroup":
         return cls(degree, [parse_cycles(g, degree) for g in gens])
 
+    def _close(self, cap: int) -> list[tuple[int, ...]]:
+        gens = [g.images for g in self.generators]
+        return _closure(gens, tuple(range(self.degree)), cap)
+
     def elements(self, cap: int = DEFAULT_ORDER_CAP) -> frozenset[Perm]:
         """Breadth-first product closure of the generators."""
-        if self._elements[0] is not None:
-            return self._elements[0]
-        ident = Perm.identity(self.degree)
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in self.generators:
-                    y = x * g
-                    if y not in seen:
-                        if len(seen) >= cap:
-                            raise OrderCapExceeded(
-                                f"group order exceeds the cap {cap}"
-                            )
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        out = frozenset(seen)
-        self._elements[0] = out
-        self._order[0] = len(out)
-        return out
+        if self._elements[0] is None:
+            out = frozenset(map(Perm._of, self._close(cap)))
+            self._elements[0] = out
+            self._order[0] = len(out)
+        return self._elements[0]
 
     def order(self, cap: int = DEFAULT_ORDER_CAP) -> int:
+        """The group order, counted without building the elements."""
         if self._order[0] is None:
-            self.elements(cap)
+            self._order[0] = len(self._close(cap))
         return self._order[0]
 
     def contains(self, p: Perm, cap: int = DEFAULT_ORDER_CAP) -> bool:
@@ -247,54 +277,36 @@ class PairedPermGroup:
         raise AttributeError("PairedPermGroup is immutable")
 
     def elements(self, cap: int = DEFAULT_ORDER_CAP) -> frozenset[tuple[Perm, Perm]]:
-        if self._elements[0] is not None:
-            return self._elements[0]
-        ident = (Perm.identity(self.degrees[0]), Perm.identity(self.degrees[1]))
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in self.generators:
-                    y = (x[0] * g[0], x[1] * g[1])
-                    if y not in seen:
-                        if len(seen) >= cap:
-                            raise OrderCapExceeded(
-                                f"group order exceeds the cap {cap}"
-                            )
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        for g, h in seen:
-            if g.is_identity() != h.is_identity():
-                raise NotFaithful(
-                    "one-sided kernel element: the paired action is not faithful"
-                )
-        out = frozenset(seen)
-        self._elements[0] = out
-        self._order[0] = len(out)
-        return out
+        if self._elements[0] is None:
+            n = self.degrees[0]
+            out = frozenset(
+                (Perm._of(x[:n]), Perm._of(tuple(y - n for y in x[n:])))
+                for x in _paired_closure(self.degrees, self.generators, cap)
+            )
+            self._elements[0] = out
+            self._order[0] = len(out)
+        return self._elements[0]
 
     def order(self, cap: int = DEFAULT_ORDER_CAP) -> int:
+        """The group order, counted without building the elements."""
         if self._order[0] is None:
-            self.elements(cap)
+            self._order[0] = len(_paired_closure(self.degrees, self.generators, cap))
         return self._order[0]
 
     def left_group(self) -> PermGroup:
         return PermGroup(self.degrees[0], [g for g, _ in self.generators])
 
-    def right_group(self) -> PermGroup:
-        return PermGroup(self.degrees[1], [h for _, h in self.generators])
-
     def __repr__(self):
         return f"PairedPermGroup(degrees={self.degrees}, ngens={len(self.generators)})"
 
 
-def group_order(g: PermGroup, cap: int = DEFAULT_ORDER_CAP) -> int:
-    return g.order(cap)
-
-
 # -- orbit colourings --
+
+
+def _orbit_ids(points, act) -> dict:
+    """Orbit id of every point, numbered by the first point of each orbit
+    in the order given."""
+    return {x: k for k, orbit in enumerate(components(points, act)) for x in orbit}
 
 
 def pair_orbit_colouring(g: PermGroup) -> ColouredDigraph:
@@ -302,45 +314,21 @@ def pair_orbit_colouring(g: PermGroup) -> ColouredDigraph:
     diagonal action.  Orbit ids are numbered by the least pair they
     contain, in lexicographic order."""
     n = g.degree
-    colour = {}
-    next_id = 0
-    for i in range(n):
-        for j in range(n):
-            if i == j or (i, j) in colour:
-                continue
-            stack = [(i, j)]
-            colour[(i, j)] = next_id
-            while stack:
-                a, b = stack.pop()
-                for p in g.generators:
-                    img = (p(a), p(b))
-                    if img not in colour:
-                        colour[img] = next_id
-                        stack.append(img)
-            next_id += 1
-    return ColouredDigraph(n, colour)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    gens = [p.images for p in g.generators]
+    return ColouredDigraph(
+        n, _orbit_ids(pairs, lambda ab: [(p[ab[0]], p[ab[1]]) for p in gens])
+    )
 
 
 def paired_orbit_colouring(g: PairedPermGroup) -> ColouredBipartiteGraph:
     """Orbit colouring of the full product of the two vertex sets."""
     n, m = g.degrees
-    colour = {}
-    next_id = 0
-    for i in range(n):
-        for j in range(m):
-            if (i, j) in colour:
-                continue
-            stack = [(i, j)]
-            colour[(i, j)] = next_id
-            while stack:
-                a, b = stack.pop()
-                for p, q in g.generators:
-                    img = (p(a), q(b))
-                    if img not in colour:
-                        colour[img] = next_id
-                        stack.append(img)
-            next_id += 1
-    return ColouredBipartiteGraph(n, m, colour)
+    pairs = [(i, j) for i in range(n) for j in range(m)]
+    gens = [(p.images, q.images) for p, q in g.generators]
+    return ColouredBipartiteGraph(
+        n, m, _orbit_ids(pairs, lambda ab: [(p[ab[0]], q[ab[1]]) for p, q in gens])
+    )
 
 
 # -- coloured-graph automorphisms --
@@ -556,123 +544,74 @@ def is_irreducible(g: ColouredBipartiteGraph) -> bool:
 ISO_ORDER_CAP = 10**4
 
 
-def _element_list(g: PermGroup, cap: int) -> list[Perm]:
-    return sorted(g.elements(cap))
-
-
 def _generating_sequence(elements: list[Perm], degree: int) -> list[Perm]:
     """A short generating sequence, grown greedily in canonical order."""
-    have = {Perm.identity(degree)}
+    ident = tuple(range(degree))
+    have = {ident}
     gens: list[Perm] = []
     for x in elements:
-        if x in have:
-            continue
-        gens.append(x)
-        frontier = list(have)
-        have.add(x)
-        queue = [x]
-        while queue:
-            a = queue.pop()
-            for b in list(have):
-                for c in (a * b, b * a):
-                    if c not in have:
-                        have.add(c)
-                        queue.append(c)
         if len(have) == len(elements):
             break
+        if x.images not in have:
+            gens.append(x)
+            have = set(_closure([s.images for s in gens], ident))
     return gens
+
+
+def _is_abelian(g: PermGroup) -> bool:
+    return all(a * b == b * a for a in g.generators for b in g.generators)
 
 
 def groups_isomorphic(
     g: PermGroup, h: PermGroup, cap: int = ISO_ORDER_CAP
 ) -> bool:
-    """Exact abstract-group isomorphism for orders up to the cap."""
-    ge = _element_list(g, cap)
-    he = _element_list(h, cap)
+    """Exact abstract-group isomorphism for orders up to the cap.
+
+    After the order, the element orders and commutativity agree, images in
+    H are chosen for a generating sequence of G one at a time, each prefix
+    spanning a subgroup of H as large as the matching prefix spans in G.
+    A full choice is an isomorphism iff the pairs (generator, image)
+    generate the graph of a bijection in G x H (see the module docstring).
+    """
+    ge = sorted(g.elements(cap))
+    he = sorted(h.elements(cap))
     if len(ge) != len(he):
         return False
     if sorted(x.order() for x in ge) != sorted(x.order() for x in he):
         return False
-
-    def abelian(elems):
-        return all(a * b == b * a for a in elems for b in elems)
-
-    if abelian(ge) != abelian(he):
+    if _is_abelian(g) != _is_abelian(h):
         return False
     if len(ge) == 1:
         return True
 
     gens = _generating_sequence(ge, g.degree)
+    g_ident, h_ident = tuple(range(g.degree)), tuple(range(h.degree))
+    prefix_sizes = [
+        len(_closure([s.images for s in gens[: k + 1]], g_ident))
+        for k in range(len(gens))
+    ]
     h_by_order: dict[int, list[Perm]] = {}
     for x in he:
         h_by_order.setdefault(x.order(), []).append(x)
 
-    # words expressing every element of G over the generating sequence
-    ident = Perm.identity(g.degree)
-    word: dict[Perm, tuple] = {ident: ()}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for k, s in enumerate(gens):
-                b = a * s
-                if b not in word:
-                    word[b] = word[a] + (k,)
-                    nxt.append(b)
-        frontier = nxt
-    assert len(word) == len(ge)
-
-    def evaluate(images: Sequence[Perm], w: tuple) -> Perm:
-        out = Perm.identity(h.degree)
-        for k in w:
-            out = out * images[k]
-        return out
-
-    def check(images: Sequence[Perm]) -> bool:
-        phi = {a: evaluate(images, w) for a, w in word.items()}
-        if len(set(phi.values())) != len(phi):
-            return False
-        for a in ge:
-            pa = phi[a]
-            for k, s in enumerate(gens):
-                if phi[a * s] != pa * images[k]:
-                    return False
-        return True
-
-    def closure(base: set[Perm], extra: Perm) -> set[Perm]:
-        out = set(base)
-        out.add(extra)
-        queue = [extra]
-        while queue:
-            a = queue.pop()
-            for b in list(out):
-                for c in (a * b, b * a):
-                    if c not in out:
-                        out.add(c)
-                        queue.append(c)
-        return out
-
-    prefix_sizes = []
-    g_span: set[Perm] = {Perm.identity(g.degree)}
-    for s in gens:
-        g_span = closure(g_span, s)
-        prefix_sizes.append(len(g_span))
-
-    def assign(k: int, images: list[Perm], span: set[Perm]) -> bool:
+    def assign(k: int, images: list[Perm], span: set) -> bool:
         if k == len(gens):
-            return check(images)
-        target_order = gens[k].order()
-        for cand in h_by_order.get(target_order, ()):
-            if cand in span:
+            try:
+                _paired_closure((g.degree, h.degree), zip(gens, images), len(ge))
+            except (NotFaithful, OrderCapExceeded):
+                return False
+            return True
+        for cand in h_by_order.get(gens[k].order(), ()):
+            if cand.images in span:
                 continue
-            new_span = closure(span, cand)
-            if len(new_span) != prefix_sizes[k]:
-                continue
-            if assign(k + 1, images + [cand], new_span):
-                return True
+            chosen = images + [cand]
+            new_span = _closure([x.images for x in chosen], h_ident)
+            if len(new_span) == prefix_sizes[k]:
+                if assign(k + 1, chosen, set(new_span)):
+                    return True
         return False
 
-    return assign(0, [], {Perm.identity(h.degree)})
+    return assign(0, [], {h_ident})
 
 
 # -- a small catalogue of recognisable groups --

@@ -262,11 +262,6 @@ def trop_sum(items: Iterable[TropScalar]) -> TropScalar:
     return acc
 
 
-def value_div_int(a: Value, k: int) -> Value:
-    """The exact scalar v with k*v = a (the value group is divisible)."""
-    return a.div_int(k)
-
-
 def free_basis_check(vals: Sequence[Value]) -> bool:
     """True iff no nontrivial integer combination of the scalars vanishes.
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import factorial
 from typing import Optional
 
 from .components import (
@@ -150,7 +151,7 @@ def _assembled_sigma(
         sigma = _connected_sigma(rep, max_nodes)
         per_class_sigma.append(sigma)
         h = len(cls.members)
-        total *= len(sigma) ** h * _factorial(h)
+        total *= len(sigma) ** h * factorial(h)
     if total > max_elements:
         raise SearchBudgetExceeded(
             f"assembled stabilizer has {total} elements, above the cap {max_elements}"
@@ -187,13 +188,6 @@ def _assembled_sigma(
         q = right_mate(a, p)
         elements.append(StabilizerElement(p, q, monomial_eigenvalue(p)))
     return _sorted_elements(elements)
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def commuting_units(
@@ -323,7 +317,7 @@ class GroupDescription:
     def finite_order(self) -> int:
         total = 1
         for f in self.factors:
-            total *= f.order ** f.multiplicity * _factorial(f.multiplicity)
+            total *= f.order ** f.multiplicity * factorial(f.multiplicity)
         return total
 
     def formula(self) -> str:

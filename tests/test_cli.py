@@ -81,6 +81,27 @@ def test_bad_matrix_input_exits_2_without_traceback(tmp_path, text):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"vertices": 2, "edges": 5},
+        {"degree": 3, "generators": 7},
+        {"degree": 3, "generators": [5]},
+        {"vertices": 2, "edges": [[1, 2, [0]]]},
+    ],
+    ids=["edges-not-list", "gens-not-list", "gen-not-string", "list-colour"],
+)
+def test_bad_construction_spec_exits_2_without_traceback(tmp_path, spec):
+    path = write(tmp_path, "spec.json", json.dumps(spec))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropgroups", "construct", path],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
 def test_removed_flags_are_rejected(tmp_path, capsys):
     path = write(tmp_path, "f.txt", matrix_f().to_text() + "\n")
     for argv in (
@@ -100,6 +121,13 @@ def test_budget_exceeded_exit_code(tmp_path, capsys):
     path = write(tmp_path, "f.txt", matrix_f().to_text() + "\n")
     code, _ = run_cli(["analyze", path, "--max-nodes", "1"], capsys)
     assert code == 3
+    # --max-order caps the group order of plain and paired closures alike
+    for gens in (
+        ["--degree", "4", "(1,2,3,4)"],
+        ["--bidegree", "4", "4", "(1,2,3,4)|(1,2,3,4)"],
+    ):
+        code, _ = run_cli(["closure", *gens, "--max-order", "2"], capsys)
+        assert code == 3, gens
 
 
 def test_closure_cli(capsys):
@@ -212,3 +240,23 @@ def test_each_stage_runs_once_per_command(tmp_path, monkeypatch, capsys):
         assert code == 0
         assert {name for name, _, _ in calls} >= {"reduce_full_rank", "pair_solutions"}
         assert len(set(calls)) == len(calls), argv
+
+
+def test_verify_checks_full_rank_once_per_matrix_besides_commuting_units(monkeypatch):
+    """On a connected matrix the one restriction is the reduction itself,
+    so only the reduction and the input guard of commuting_units call
+    has_full_rank."""
+    from tropgroups import cli, stabilizer
+
+    calls = []
+    orig = spaces.has_full_rank
+
+    def counted(a):
+        calls.append(a)
+        return orig(a)
+
+    for mod in (cli, stabilizer):
+        monkeypatch.setattr(mod, "has_full_rank", counted)
+    flags = verify_flags(matrix_f())
+    assert all(flags.values())
+    assert calls == [matrix_f(), matrix_f()]

@@ -1,0 +1,271 @@
+"""The one group closure against sympy's permutation groups.
+
+sympy is a test-only oracle here: group orders of plain groups, of paired
+groups (closed as one group on the disjoint union of the two sides), and
+the element lists of the brute-force isomorphism oracle.  (sympy's own
+``is_isomorphic`` is not used: it calls C12 and C3 x C4 non-isomorphic.)
+"""
+
+import itertools
+
+import pytest
+from sympy.combinatorics import Permutation, PermutationGroup
+
+from tropgroups.permgroups import (
+    PairedPermGroup,
+    Perm,
+    PermGroup,
+    groups_isomorphic,
+    parse_cycles,
+)
+
+
+def cyc(n):
+    return Perm([(i + 1) % n for i in range(n)])
+
+
+def on(degree, p):
+    """p extended by fixed points to the given degree."""
+    return Perm(list(p.images) + list(range(p.degree, degree)))
+
+
+def refl(n):
+    return Perm([(-i) % n for i in range(n)])
+
+
+def symmetric(n):
+    return [cyc(n), Perm([1, 0] + list(range(2, n)))]
+
+
+def alternating(n):
+    three = Perm([1, 2, 0] + list(range(3, n)))
+    rest = cyc(n) if n % 2 else Perm([0] + [1 + (i + 1) % (n - 1) for i in range(n - 1)])
+    return [three, rest]
+
+
+def wreath(base, base_degree, top):
+    """Imprimitive action of base wr top on len(top images) blocks."""
+    k = top[0].degree
+    degree = base_degree * k
+    gens = [on(degree, g) for g in base]
+    for t in top:
+        gens.append(Perm([t(p // base_degree) * base_degree + p % base_degree for p in range(degree)]))
+    return degree, gens
+
+
+def direct(*groups):
+    """Direct product acting on the disjoint union of the points."""
+    degree = sum(d for d, _ in groups)
+    gens, shift = [], 0
+    for d, gs in groups:
+        for g in gs:
+            images = list(range(degree))
+            for i in range(d):
+                images[shift + i] = shift + g(i)
+            gens.append(Perm(images))
+        shift += d
+    return degree, gens
+
+
+def regular(elements, mul, gens):
+    """The right regular action of a group given by a multiplication."""
+    index = {e: k for k, e in enumerate(elements)}
+    return len(elements), [Perm([index[mul(x, g)] for x in elements]) for g in gens]
+
+
+def quaternion_mul(x, y):
+    # units 0..3 are 1, i, j, k; elements are (sign, unit)
+    table = {
+        (1, 2): (1, 3), (2, 3): (1, 1), (3, 1): (1, 2),
+        (2, 1): (-1, 3), (3, 2): (-1, 1), (1, 3): (-1, 2),
+    }
+    (s, a), (t, b) = x, y
+    if a == 0 or b == 0:
+        return (s * t, a + b)
+    if a == b:
+        return (-s * t, 0)
+    sign, unit = table[(a, b)]
+    return (s * t * sign, unit)
+
+
+Q8 = regular(
+    [(s, u) for s in (1, -1) for u in range(4)], quaternion_mul, [(1, 1), (1, 2)]
+)
+C4_SEMI_C4 = regular(
+    [(i, j) for i in range(4) for j in range(4)],
+    lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % 4, (x[1] + y[1]) % 4),
+    [(1, 0), (0, 1)],
+)
+DIC3 = regular(
+    [(i, j) for i in range(3) for j in range(4)],
+    lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % 3, (x[1] + y[1]) % 4),
+    [(1, 0), (0, 1)],
+)
+ALT4_10PT = (
+    10,
+    [
+        parse_cycles(c, 10)
+        for c in ("(1,3,2)(5,10,7)(6,8,9)", "(1,4)(2,3)(6,10)(7,8)", "(1,3)(2,4)(5,9)(6,10)")
+    ],
+)
+
+CATALOGUE = {
+    "C5": (5, [cyc(5)]),
+    "C7": (7, [cyc(7)]),
+    "C12": (12, [cyc(12)]),
+    "D5": (5, [cyc(5), refl(5)]),
+    "D6": (6, [cyc(6), refl(6)]),
+    "D8": (8, [cyc(8), refl(8)]),
+    "S4": (4, symmetric(4)),
+    "S5": (5, symmetric(5)),
+    "S6": (6, symmetric(6)),
+    "A4": (4, alternating(4)),
+    "A5": (5, alternating(5)),
+    "A6": (6, alternating(6)),
+    "S2wrS3": wreath([cyc(2)], 2, symmetric(3)),
+    "S3wrS2": wreath(symmetric(3), 3, [cyc(2)]),
+    "C3wrC2": wreath([cyc(3)], 3, [cyc(2)]),
+    "S2wrS4": wreath([cyc(2)], 2, symmetric(4)),
+    "S4wrS2": wreath(symmetric(4), 4, [cyc(2)]),
+    "S3xS3": direct((3, symmetric(3)), (3, symmetric(3))),
+    "C3xC4": direct((3, [cyc(3)]), (4, [cyc(4)])),
+    "A4xC3": direct((4, alternating(4)), (3, [cyc(3)])),
+    "D4xS2": direct((4, [cyc(4), refl(4)]), (2, [cyc(2)])),
+    "A4xA4": direct((4, alternating(4)), (4, alternating(4))),
+    "A4on10": ALT4_10PT,
+    "Q8": Q8,
+    "Q8xC2": direct(Q8, (2, [cyc(2)])),
+    "C4:C4": C4_SEMI_C4,
+    "Dic3": DIC3,
+}
+
+
+def sympy_group(degree, gens):
+    if not gens:
+        return PermutationGroup([Permutation(list(range(degree)))])
+    return PermutationGroup([Permutation(list(g.images)) for g in gens])
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE))
+def test_group_order_matches_sympy(name):
+    degree, gens = CATALOGUE[name]
+    assert PermGroup(degree, gens).order() == sympy_group(degree, gens).order()
+
+
+def pairs_action(n, g):
+    """The action of g on the 2-subsets of n points, listed in order."""
+    subsets = list(itertools.combinations(range(n), 2))
+    index = {s: k for k, s in enumerate(subsets)}
+    return Perm([index[tuple(sorted((g(a), g(b))))] for a, b in subsets])
+
+
+PAIRED = {
+    "diagC4": (4, 4, [(cyc(4), cyc(4))]),
+    "diagD4": (4, 4, [(g, g) for g in (cyc(4), refl(4))]),
+    "diagC5": (5, 5, [(cyc(5), cyc(5))]),
+    "S3regular": (3, 6, list(zip(symmetric(3), regular(
+        list(itertools.permutations(range(3))),
+        lambda x, y: tuple(y[i] for i in x),
+        [tuple(g.images) for g in symmetric(3)],
+    )[1]))),
+    "A4pairs": (4, 6, [(g, pairs_action(4, g)) for g in alternating(4)]),
+    "S4pairs": (4, 6, [(g, pairs_action(4, g)) for g in symmetric(4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIRED))
+def test_paired_group_order_matches_sympy_on_the_disjoint_union(name):
+    n, m, pairs = PAIRED[name]
+    union = [Perm(list(g.images) + [n + y for y in h.images]) for g, h in pairs]
+    paired = PairedPermGroup((n, m), pairs)
+    assert paired.order() == sympy_group(n + m, union).order()
+    assert len(paired.elements()) == paired.order()
+
+
+def relabelled(degree, gens, shift):
+    """The same group with its points renamed by i -> i * shift mod degree
+    (shift prime to degree) and then reversed."""
+    rename = [(degree - 1 - (i * shift) % degree) for i in range(degree)]
+    inverse = [0] * degree
+    for i, x in enumerate(rename):
+        inverse[x] = i
+    return [Perm([rename[g(inverse[x])] for x in range(degree)]) for g in gens]
+
+
+def test_q8xc2_is_not_c4_semidirect_c4():
+    """Same order, same element orders, both non-abelian: only the
+    graph-of-a-bijection test can tell the two apart."""
+    g, h = PermGroup(*CATALOGUE["Q8xC2"]), PermGroup(*CATALOGUE["C4:C4"])
+    assert g.order() == h.order() == 16
+    assert sorted(x.order() for x in g.elements()) == sorted(x.order() for x in h.elements())
+    assert not sympy_group(*CATALOGUE["Q8xC2"]).is_abelian
+    assert not sympy_group(*CATALOGUE["C4:C4"]).is_abelian
+    assert not groups_isomorphic(g, h)
+    assert not groups_isomorphic(h, g)
+
+
+@pytest.mark.parametrize("name", ["Q8xC2", "C4:C4", "A4xA4", "S4", "Dic3", "D8", "A4on10"])
+def test_each_group_is_isomorphic_to_a_relabelled_copy(name):
+    degree, gens = CATALOGUE[name]
+    shift = next(s for s in (5, 7, 11, 13) if degree % s)
+    copy = PermGroup(degree, relabelled(degree, gens, shift))
+    assert groups_isomorphic(PermGroup(degree, gens), copy)
+    assert groups_isomorphic(copy, PermGroup(degree, gens))
+
+
+def brute_force_isomorphic(g, h):
+    """Oracle: try every image of G's generators among elements of H of the
+    same order (as sympy lists them), extend along G's Cayley graph and
+    keep the first map that is a consistent bijection."""
+    (g_degree, g_gens), (h_degree, h_gens) = g, h
+    G, H = sympy_group(g_degree, g_gens), sympy_group(h_degree, h_gens)
+    if G.order() != H.order():
+        return False
+    gens = [tuple(x.images) for x in g_gens]
+    h_elements = [tuple(x.array_form) for x in H.elements]
+
+    def mul(x, y):  # x first, then y
+        return tuple(y[i] for i in x)
+
+    def order(x):
+        k, y = 1, x
+        while y != tuple(range(len(x))):
+            k, y = k + 1, mul(y, x)
+        return k
+
+    choices = [[y for y in h_elements if order(y) == order(s)] for s in gens]
+    for images in itertools.product(*choices):
+        phi = {tuple(range(g_degree)): tuple(range(h_degree))}
+        queue = list(phi)
+        consistent = True
+        for x in queue:
+            for s, t in zip(gens, images):
+                y, v = mul(x, s), mul(phi[x], t)
+                if y not in phi:
+                    phi[y] = v
+                    queue.append(y)
+                elif phi[y] != v:
+                    consistent = False
+            if not consistent:
+                break
+        if consistent and len(set(phi.values())) == len(phi) == G.order():
+            return True
+    return False
+
+
+SMALL = ["C12", "D6", "A4", "Dic3", "Q8", "D4xS2", "Q8xC2", "C4:C4", "C3xC4", "D8"]
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (a, b)
+        for a, b in itertools.combinations(SMALL, 2)
+        if PermGroup(*CATALOGUE[a]).order() == PermGroup(*CATALOGUE[b]).order()
+    ],
+)
+def test_isomorphism_matches_a_brute_force_oracle(first, second):
+    g, h = CATALOGUE[first], CATALOGUE[second]
+    expected = brute_force_isomorphic(g, h)
+    assert groups_isomorphic(PermGroup(*g), PermGroup(*h)) == expected
+    assert brute_force_isomorphic(g, g)

@@ -19,6 +19,7 @@ from tropgroups.permgroups import (
     PairedPermGroup,
     PermGroup,
     coloured_bipartite_automorphisms,
+    format_cycles,
     groups_isomorphic,
     paired_orbit_colouring,
     parse_cycles,
@@ -276,6 +277,12 @@ def test_alt4_elements_order():
     assert len(set(elems)) == 12
     assert all(e.order() in (1, 2, 3) for e in elems)
     assert elems[0].is_identity()
+    # breadth-first order from the generators, which the column order of
+    # alt4_column_matrix follows
+    assert [format_cycles(p) for p in elems] == [
+        "()", "(1,2,3)", "(1,2)(3,4)", "(1,3,2)", "(2,4,3)", "(1,3,4)",
+        "(1,4,3)", "(1,2,4)", "(2,3,4)", "(1,4,2)", "(1,4)(2,3)", "(1,3)(2,4)",
+    ]
 
 
 def test_alt4_column_matrix():

@@ -12,7 +12,6 @@ from tropgroups.permgroups import (
     coloured_automorphisms,
     coloured_bipartite_automorphisms,
     format_cycles,
-    group_order,
     groups_isomorphic,
     identify_group,
     is_irreducible,
@@ -70,11 +69,20 @@ def test_perm_mul_matches_matrix_convention():
 
 
 def test_group_order_examples():
-    assert group_order(PermGroup.trivial(5)) == 1
-    assert group_order(PermGroup.from_cycles(10, ALT4_10PT)) == 12
-    assert group_order(PermGroup.from_cycles(3, ["(1,2,3)"])) == 3
+    assert PermGroup.trivial(5).order() == 1
+    assert PermGroup.from_cycles(10, ALT4_10PT).order() == 12
+    assert PermGroup.from_cycles(3, ["(1,2,3)"]).order() == 3
     with pytest.raises(OrderCapExceeded):
         PermGroup.from_cycles(8, ["(1,2,3,4,5,6,7,8)", "(1,2)"]).order(cap=1000)
+    # the cap is the largest order allowed, for plain and paired groups
+    s4 = ["(1,2,3,4)", "(1,2)"]
+    assert PermGroup.from_cycles(4, s4).order(cap=24) == 24
+    with pytest.raises(OrderCapExceeded):
+        PermGroup.from_cycles(4, s4).order(cap=23)
+    diag = [(g, g) for g in PermGroup.from_cycles(4, s4).generators]
+    assert PairedPermGroup((4, 4), diag).order(cap=24) == 24
+    with pytest.raises(OrderCapExceeded):
+        PairedPermGroup((4, 4), diag).order(cap=23)
 
 
 def test_pair_orbit_colouring_examples():
@@ -184,6 +192,19 @@ def test_not_faithful_detected():
     g = PairedPermGroup((2, 2), [(parse_cycles("(1,2)", 2), Perm.identity(2))])
     with pytest.raises(NotFaithful):
         g.elements()
+    c3, s2 = parse_cycles("(1,2,3)", 3), parse_cycles("(1,2)", 2)
+    for pairs in (
+        [(Perm.identity(3), s2)],
+        # (c, s) and (c, 1) together hold (1, s)
+        [(c3, s2), (c3, Perm.identity(2))],
+    ):
+        with pytest.raises(NotFaithful):
+            PairedPermGroup((3, 2), pairs).elements()
+        with pytest.raises(NotFaithful):
+            PairedPermGroup((3, 2), pairs).order()
+    # the cap is met before the kernel is looked at
+    with pytest.raises(OrderCapExceeded):
+        PairedPermGroup((3, 2), [(c3, Perm.identity(2))]).elements(cap=2)
 
 
 def test_groups_isomorphic_examples():
@@ -209,6 +230,9 @@ def test_groups_isomorphic_examples():
 
 def test_identify_group():
     assert identify_group(PermGroup.trivial(3)) == "1"
+    # S8 has order 40320, above the cap of the isomorphism test
+    s8 = PermGroup.from_cycles(8, ["(1,2,3,4,5,6,7,8)", "(1,2)"])
+    assert identify_group(s8) is None
     assert identify_group(PermGroup.from_cycles(2, ["(1,2)"])) == "S2"
     assert identify_group(PermGroup.from_cycles(4, ["(1,2,3,4)", "(1,3)"])) == "D4"
     assert identify_group(PermGroup.from_cycles(4, ["(1,2,3)", "(1,2)(3,4)"])) == "A4"

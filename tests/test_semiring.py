@@ -16,7 +16,6 @@ from tropgroups.semiring import (
     trop_add,
     trop_mul,
     val,
-    value_div_int,
 )
 
 
@@ -93,14 +92,14 @@ def test_free_basis_agrees_with_integer_relation_oracle():
 
 
 def test_value_div_int_examples():
-    assert value_div_int(val(6), 2) == val(3)
+    assert val(6).div_int(2) == val(3)
     a = val(-1) + eps(1)
     b = val(-1) + eps(2)
-    half = value_div_int(a + b, 2)
+    half = (a + b).div_int(2)
     assert half == val(-1) + eps(1, Fraction(1, 2)) + eps(2, Fraction(1, 2))
-    assert value_div_int(val(0), 5) == val(0)
+    assert val(0).div_int(5) == val(0)
     with pytest.raises(ValueError):
-        value_div_int(val(1), 0)
+        val(1).div_int(0)
 
 
 def test_order_lexicographic():

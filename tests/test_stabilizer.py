@@ -7,7 +7,7 @@ from helpers import A_VAL, B_VAL, SECTION4, matrix_e, matrix_f, unit_p, unit_q
 from tropgroups.matrix import MonomialMatrix, TropMatrix, monomial_eigenvalue
 from tropgroups.pairsearch import NotConnected
 from tropgroups.permgroups import PermGroup, groups_isomorphic
-from tropgroups.semiring import NEG_INF, Value, val, value_div_int
+from tropgroups.semiring import NEG_INF, Value, val
 from tropgroups.spaces import h_related, has_full_rank
 from tropgroups.stabilizer import (
     GroupDescription,
@@ -91,7 +91,7 @@ def test_stabilizer_erratum_e():
     e = matrix_e()
     sigma = stabilizer_pairs(e)
     assert len(sigma) == 2
-    half = value_div_int(A_VAL - B_VAL, 2)
+    half = (A_VAL - B_VAL).div_int(2)
     expected = MonomialMatrix((1, 0), (half, -half))
     nontrivial = next(el for el in sigma if el.P.sigma == (1, 0))
     assert nontrivial.P == expected
@@ -218,7 +218,7 @@ def test_commuting_units_examples():
 def test_normalize_eigenvectors_erratum_e():
     e = matrix_e()
     u, v, b = normalize_eigenvectors(e)
-    mean = value_div_int(A_VAL + B_VAL, 2)
+    mean = (A_VAL + B_VAL).div_int(2)
     assert b == TropMatrix.from_rows([[Value(0), mean], [mean, Value(0)]])
     sigma_b = stabilizer_pairs(b)
     zero = Value(0)
