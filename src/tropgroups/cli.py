@@ -22,7 +22,13 @@ from .constructors import (
     parse_construction_spec,
 )
 from .errors import OrderCapExceeded, SearchBudgetExceeded
-from .matrix import TropMatrix, is_idempotent, monomial_eigenvalue, parse_matrix
+from .matrix import (
+    MonomialMatrix,
+    TropMatrix,
+    is_idempotent,
+    monomial_eigenvalue,
+    parse_matrix,
+)
 from .pairsearch import DEFAULT_MAX_NODES
 from .permgroups import (
     PairedPermGroup,
@@ -43,6 +49,7 @@ from .stabilizer import (
     maximal_subgroup,
     require_idempotent,
     _connected_sigma,
+    _sigma_elements,
 )
 
 PARSE_ERROR = 2
@@ -252,11 +259,15 @@ def cmd_approximate(args) -> int:
 def verify_flags(a: TropMatrix, max_nodes: int = DEFAULT_MAX_NODES) -> dict:
     """The full invariant suite on one matrix; every flag must be true.
 
-    Every stage is read from one ``Analysis``.  ``h_related(P @ A, A)`` and
-    the eigenvector normal form are checked on the generators of each Sigma
-    only.  That is exact: P is a unit, so P @ A has the row space of A, and
-    the pair equation P @ A = A @ Q, checked on every element, gives
-    C(P @ A) = C(A) because Q is a unit too.
+    Every stage is read from one ``Analysis``, and each Sigma is rebuilt
+    from its generators there.  ``h_related(P @ A, A)`` and the eigenvector
+    normal form are checked on the generators of each factor only.  That is
+    exact: P is a unit, so P @ A has the row space of A, and the pair
+    equation P @ A = A @ Q, checked on every element, gives C(P @ A) = C(A)
+    because Q is a unit too.  Closure is checked as generator times element,
+    inverses and the order; position agreement, that two elements with the
+    same image of a point scale it alike, as a zero scaling at every fixed
+    point, which is the same once closure holds (x^-1 @ y runs over Sigma).
     """
     flags: dict[str, bool] = {}
     flags["format_round_trip"] = parse_matrix(a.to_text()) == a
@@ -268,12 +279,21 @@ def verify_flags(a: TropMatrix, max_nodes: int = DEFAULT_MAX_NODES) -> dict:
 
     pair_ok = eigen_ok = closure_ok = agree_ok = h_ok = norm_ok = True
     zero = Value(0)
-    for cls, elements, b, factor in zip(
-        an.partition.classes, an.sigmas, an.normal_forms, an.description.factors
+    sigmas = []
+    for cls, sigma_gens, (u, v, b), factor in zip(
+        an.partition.classes,
+        an.sigma_generators,
+        an.normalisations,
+        an.description.factors,
     ):
         rep = an.restrictions[cls.representative]
-        gens = {g for g, _ in factor.paired.generators}
+        elements = _sigma_elements(sigma_gens, u, v)
+        sigmas.append(elements)
+        gens = {g.images for g, _ in factor.paired.generators}
+        gen_ps = [el.P for el in elements if el.P.sigma in gens]
         ps = {el.P for el in elements}
+        closure_ok &= MonomialMatrix.identity(rep.nrows) in ps
+        closure_ok &= len(ps) == len(elements) == factor.order
         for el in elements:
             pair_ok &= el.P.left_apply(rep) == el.Q.right_apply(rep)
             try:
@@ -281,7 +301,12 @@ def verify_flags(a: TropMatrix, max_nodes: int = DEFAULT_MAX_NODES) -> dict:
                 eigen_ok &= monomial_eigenvalue(el.Q) == zero
             except Exception:
                 eigen_ok = False
-            if Perm(el.P.sigma) in gens:
+            closure_ok &= el.P.invert() in ps
+            closure_ok &= all(g @ el.P in ps for g in gen_ps)
+            agree_ok &= all(
+                x == zero for i, x in enumerate(el.P.scalings) if el.P.sigma[i] == i
+            )
+            if el.P.sigma in gens:
                 h_ok &= h_related(el.P.left_apply(rep), rep)
                 # in normal form the pair acts on B by plain permutations
                 s, t = el.P.sigma, el.Q.sigma
@@ -289,13 +314,6 @@ def verify_flags(a: TropMatrix, max_nodes: int = DEFAULT_MAX_NODES) -> dict:
                     tuple(b.entries[s[i]][t[k]] for k in range(b.ncols)) == row
                     for i, row in enumerate(b.entries)
                 )
-        for x in ps:
-            closure_ok &= x.invert() in ps
-            for y in ps:
-                closure_ok &= (x @ y) in ps
-                for i in range(x.degree):
-                    if x.sigma[i] == y.sigma[i]:
-                        agree_ok &= x.scalings[i] == y.scalings[i]
     flags["pair_equations"] = pair_ok
     flags["single_eigenvalue"] = eigen_ok
     flags["sigma_closure"] = closure_ok
@@ -308,7 +326,7 @@ def verify_flags(a: TropMatrix, max_nodes: int = DEFAULT_MAX_NODES) -> dict:
 
     if a.is_square() and is_idempotent(a):
         idem_ok = True
-        for cls, sigma in zip(an.partition.classes, an.sigmas):
+        for cls, sigma in zip(an.partition.classes, sigmas):
             rep = an.restrictions[cls.representative]
             for r in (an.restrictions[idx] for idx in cls.members):
                 idem_ok &= is_idempotent(r)

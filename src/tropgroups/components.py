@@ -113,41 +113,27 @@ def col_space_isomorphic(
         (len(c.rows), len(c.cols)) for c in comps_b
     ):
         return None
-    restr_a = [_restrict_unchecked(a, c) for c in comps_a]
     restr_b = [_restrict_unchecked(b, c) for c in comps_b]
-    k = len(comps_a)
-    cache: dict[tuple[int, int], Optional[MonomialMatrix]] = {}
-
-    def witness(i: int, j: int) -> Optional[MonomialMatrix]:
-        if (i, j) not in cache:
-            cache[(i, j)] = _first_pair_solution(restr_a[i], restr_b[j], max_nodes)
-        return cache[(i, j)]
-
-    assignment = [-1] * k
-    used = [False] * k
-
-    def match(i: int) -> bool:
-        if i == k:
-            return True
-        for j in range(k):
-            if not used[j] and witness(i, j) is not None:
-                assignment[i] = j
-                used[j] = True
-                if match(i + 1):
-                    return True
-                used[j] = False
-                assignment[i] = -1
-        return False
-
-    if not match(0):
-        return None
+    # unit equivalence of blocks is an equivalence relation, so the first
+    # unused equivalent block always extends to a full matching
+    unused = list(range(len(comps_b)))
+    matching = []
+    for ca in comps_a:
+        restr = _restrict_unchecked(a, ca)
+        for j in unused:
+            local = _first_pair_solution(restr, restr_b[j], max_nodes)
+            if local is not None:
+                unused.remove(j)
+                matching.append((ca, comps_b[j], local))
+                break
+        else:
+            return None
     n = a.nrows
     sigma = [-1] * n
     scalings: list = [None] * n
-    for i, j in enumerate(assignment):
-        local = witness(i, j)
-        for li, ga in enumerate(comps_a[i].rows):
-            sigma[ga] = comps_b[j].rows[local.sigma[li]]
+    for ca, cb, local in matching:
+        for li, ga in enumerate(ca.rows):
+            sigma[ga] = cb.rows[local.sigma[li]]
             scalings[ga] = local.scalings[li]
     u = MonomialMatrix(sigma, scalings)
     if not col_space_equal(u.left_apply(b), a):
@@ -182,17 +168,21 @@ def class_partition(a: TropMatrix, *, max_nodes: int = 2_000_000) -> ComponentPa
     """Group the components by column-space isomorphism of restrictions.
 
     Requires a full-rank matrix (restrictions are then full rank and their
-    finite-entry graphs connected)."""
+    finite-entry graphs connected).  A block equal to an earlier one reuses
+    the searches made for it."""
     comps = connected_components(a)
     restrs = [_restrict_unchecked(a, c) for c in comps]
     classes: list[tuple[list[int], list[MonomialMatrix]]] = []
+    searched: dict[tuple[int, TropMatrix], Optional[MonomialMatrix]] = {}
     for idx, restr in enumerate(restrs):
         placed = False
         for members, witnesses in classes:
             rep = restrs[members[0]]
             if rep.shape != restr.shape:
                 continue
-            w = _first_pair_solution(rep, restr, max_nodes)
+            if (members[0], restr) not in searched:
+                searched[members[0], restr] = _first_pair_solution(rep, restr, max_nodes)
+            w = searched[members[0], restr]
             if w is not None:
                 members.append(idx)
                 witnesses.append(w)

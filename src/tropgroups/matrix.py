@@ -120,14 +120,6 @@ class TropMatrix:
     def all_neg_inf(self) -> bool:
         return all(x is NEG_INF for row in self.entries for x in row)
 
-    def finite_positions(self) -> list[tuple[int, int]]:
-        return [
-            (i, j)
-            for i in range(self.nrows)
-            for j in range(self.ncols)
-            if is_finite(self.entries[i][j])
-        ]
-
     def to_text(self) -> str:
         return "\n".join(
             " ".join(format_scalar(x) for x in row) for row in self.entries

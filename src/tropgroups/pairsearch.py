@@ -11,8 +11,11 @@ scalings lam) and Q (pattern tau, scalings mu).  With A = B the solutions
 are the unit-stabilizer pairs of A.
 
 For a connected support graph the scalings of a feasible (sigma, tau) form
-a one-parameter family; the search anchors mu at one column to 0, so it
-returns exactly one representative per feasible pattern pair.
+a one-parameter family; the search anchors mu at one column to 0, so each
+solution it returns represents one feasible pattern pair.  With A = B the
+feasible pattern pairs form a group, and the search returns generators of
+it, found by ``permgroups.base_and_orbit`` one first-only completion per
+(base point, image), never the whole group.
 
 Pruning: a solution forces, for every row pair (i, i'), the multiset of
 columnwise differences of target rows (i, i') to equal that of source rows
@@ -27,6 +30,7 @@ from __future__ import annotations
 from .errors import SearchBudgetExceeded
 from .graphs import components, support_components
 from .matrix import TropMatrix
+from .permgroups import base_and_orbit
 from .semiring import NEG_INF, Value
 
 DEFAULT_MAX_NODES = 2_000_000
@@ -85,211 +89,130 @@ class NotConnected(ValueError):
     """The finite-entry graph of the matrix is not connected."""
 
 
-def _vertex_order(supp, n, m):
-    """Anchor at the column with most finite entries, then grow the
-    assigned region greedily, preferring vertices with many assigned
-    neighbours and alternating sides on ties."""
-    col_deg = [sum(supp[i][j] for i in range(n)) for j in range(m)]
-    anchor = max(range(m), key=lambda j: (col_deg[j], -j))
-    order = [("c", anchor)]
-    row_cnt = [supp[i][anchor] and 1 or 0 for i in range(n)]
-    col_cnt = [0] * m
-    used_r, used_c = [False] * n, [False] * m
-    used_c[anchor] = True
-    last = "c"
-    while len(order) < n + m:
-        best = None
-        for i in range(n):
-            if not used_r[i]:
-                key = (row_cnt[i], 1 if last != "r" else 0, -i, "r")
-                if best is None or key > best[0]:
-                    best = (key, "r", i)
-        for j in range(m):
-            if not used_c[j]:
-                key = (col_cnt[j], 1 if last != "c" else 0, -j, "c")
-                if best is None or key > best[0]:
-                    best = (key, "c", j)
-        _, kind, idx = best
-        order.append((kind, idx))
-        last = kind
-        if kind == "r":
-            used_r[idx] = True
-            for j in range(m):
-                if supp[idx][j] and not used_c[j]:
-                    col_cnt[j] += 1
-        else:
-            used_c[idx] = True
-            for i in range(n):
-                if supp[i][idx] and not used_r[i]:
-                    row_cnt[i] += 1
-    return order
+def _vertex_order(supp):
+    """Points (side, index), side 0 for rows and 1 for columns, in search
+    order: anchor at the column with most finite entries, then grow the
+    assigned region greedily, preferring points with many assigned
+    neighbours, alternating sides on ties, then rows, then low indices.
+    ``supp[side][x][y]`` tells whether point x of that side meets point y
+    of the other in a finite entry."""
+    cnt = [[0] * len(supp[0]), [0] * len(supp[1])]
+    left = [(side, x) for side in (0, 1) for x in range(len(supp[side]))]
+    point = (1, max(range(len(supp[1])), key=lambda j: (sum(supp[1][j]), -j)))
+    order = []
+    while True:
+        order.append(point)
+        left.remove(point)
+        side, x = point
+        for y, finite in enumerate(supp[side][x]):
+            cnt[1 - side][y] += finite
+        if not left:
+            return order
+        point = max(left, key=lambda p: (cnt[p[0]][p[1]], p[0] != side, -p[1], -p[0]))
 
 
 class _PairSearch:
+    """The live partial assignment of a joint row/column search.
+
+    Points are (side, index), side 0 for rows and 1 for columns, and each
+    side keeps its own view of the matrices (columns transposed).  With
+    the column scalings nu = -mu the equation of one entry,
+
+        lam_i + nu_j = A[i][j] - B[sigma(i)][tau(j)],
+
+    reads the same from either side, so one ``push`` assigns a row or a
+    column.
+    """
+
     def __init__(self, target: TropMatrix, source: TropMatrix, max_nodes: int):
         if target.shape != source.shape:
             raise ValueError("target and source must have equal shape")
-        self.A = target.entries
-        self.B = source.entries
-        self.n, self.m = target.shape
-        self.suppA = _support(self.A)
-        self.suppB = _support(self.B)
-        if len(support_components(self.suppA)) != 1:
+        self.a = (target.entries, target.transpose().entries)
+        self.b = (source.entries, source.transpose().entries)
+        supp = [_support(a) for a in self.a]
+        if len(support_components(supp[0])) != 1:
             raise NotConnected("target support graph is disconnected")
         self.max_nodes = max_nodes
         self.nodes = 0
-
-        rows_a = [target.row(i) for i in range(self.n)]
-        rows_b = [source.row(i) for i in range(self.n)]
-        cols_a = [target.col(j) for j in range(self.m)]
-        cols_b = [source.col(j) for j in range(self.m)]
-        intern_r: dict = {}
-        self.rprofA = _pair_profiles(rows_a, intern_r)
-        self.rprofB = _pair_profiles(rows_b, intern_r)
-        intern_c: dict = {}
-        self.cprofA = _pair_profiles(cols_a, intern_c)
-        self.cprofB = _pair_profiles(cols_b, intern_c)
-
-        rdegA = [sum(r) for r in self.suppA]
-        rdegB = [sum(r) for r in self.suppB]
-        cdegA = [sum(self.suppA[i][j] for i in range(self.n)) for j in range(self.m)]
-        cdegB = [sum(self.suppB[i][j] for i in range(self.n)) for j in range(self.m)]
-        rsigA = _signatures(self.rprofA, rdegA, self.n)
-        rsigB = _signatures(self.rprofB, rdegB, self.n)
-        csigA = _signatures(self.cprofA, cdegA, self.m)
-        csigB = _signatures(self.cprofB, cdegB, self.m)
-        self.row_cands = [
-            [r for r in range(self.n) if rsigB[r] == rsigA[i]] for i in range(self.n)
-        ]
-        self.col_cands = [
-            [c for c in range(self.m) if csigB[c] == csigA[j]] for j in range(self.m)
-        ]
-        self.order = _vertex_order(self.suppA, self.n, self.m)
-
-    def run(self, first_only: bool = False):
-        n, m = self.n, self.m
-        self.sigma = [-1] * n
-        self.tau = [-1] * m
-        self.lam: list = [None] * n
-        self.mu: list = [None] * m
-        self.used_r = [False] * n
-        self.used_c = [False] * m
-        self.arows: list[int] = []
-        self.acols: list[int] = []
-        self.solutions: list = []
-        self.first_only = first_only
-        self._dfs(0)
-        self.solutions.sort(key=lambda s: (s[0], s[1]))
-        return self.solutions
-
-    def _dfs(self, level: int) -> bool:
-        if level == len(self.order):
-            self.solutions.append(
-                (
-                    tuple(self.sigma),
-                    tuple(self.tau),
-                    tuple(self.lam),
-                    tuple(self.mu),
-                )
+        self.prof, self.cands = [], []
+        for side, (a, b) in enumerate(zip(self.a, self.b)):
+            intern: dict = {}
+            prof_a, prof_b = _pair_profiles(a, intern), _pair_profiles(b, intern)
+            k = len(a)
+            sig_a = _signatures(prof_a, [sum(r) for r in supp[side]], k)
+            sig_b = _signatures(prof_b, [sum(r) for r in _support(b)], k)
+            self.prof.append((prof_a, prof_b))
+            self.cands.append(
+                [[(side, y) for y in range(k) if sig_b[y] == sig_a[x]] for x in range(k)]
             )
-            return self.first_only
-        kind, idx = self.order[level]
-        if kind == "c":
-            return self._try_col(level, idx)
-        return self._try_row(level, idx)
+        self.order = _vertex_order(supp)
+        self.image = [[-1] * len(a) for a in self.a]
+        self.scaling: list = [[None] * len(a) for a in self.a]
+        self.used = [[False] * len(a) for a in self.a]
+        self.assigned: tuple[list[int], list[int]] = ([], [])
 
-    def _try_col(self, level: int, j: int) -> bool:
-        A, B = self.A, self.B
-        suppA, suppB = self.suppA, self.suppB
-        for c in self.col_cands[j]:
-            if self.used_c[c]:
-                continue
-            self.nodes += 1
-            if self.nodes > self.max_nodes:
-                raise SearchBudgetExceeded(f"pair search exceeded {self.max_nodes} nodes")
-            ok = True
-            for j2 in self.acols:
-                if self.cprofA[(j, j2)] != self.cprofB[(c, self.tau[j2])]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mu_j = None if self.acols or self.arows else Value(0)
-            if mu_j is None:
-                for i in self.arows:
-                    sa = suppA[i][j]
-                    sb = suppB[self.sigma[i]][c]
-                    if sa != sb:
-                        ok = False
-                        break
-                    if sa:
-                        cand = self.lam[i] + B[self.sigma[i]][c] - A[i][j]
-                        if mu_j is None:
-                            mu_j = cand
-                        elif mu_j != cand:
-                            ok = False
-                            break
-                if ok and mu_j is None:
-                    ok = False
-            if not ok:
-                continue
-            self.tau[j] = c
-            self.mu[j] = mu_j
-            self.used_c[c] = True
-            self.acols.append(j)
-            if self._dfs(level + 1):
-                return True
-            self.acols.pop()
-            self.used_c[c] = False
-            self.tau[j] = -1
-            self.mu[j] = None
-        return False
+    def candidates(self, point):
+        side, x = point
+        return self.cands[side][x]
 
-    def _try_row(self, level: int, i: int) -> bool:
-        A, B = self.A, self.B
-        suppA, suppB = self.suppA, self.suppB
-        for r in self.row_cands[i]:
-            if self.used_r[r]:
-                continue
-            self.nodes += 1
-            if self.nodes > self.max_nodes:
-                raise SearchBudgetExceeded(f"pair search exceeded {self.max_nodes} nodes")
-            ok = True
-            for i2 in self.arows:
-                if self.rprofA[(i, i2)] != self.rprofB[(r, self.sigma[i2])]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            lam_i = None
-            for j in self.acols:
-                sa = suppA[i][j]
-                sb = suppB[r][self.tau[j]]
-                if sa != sb:
-                    ok = False
-                    break
-                if sa:
-                    cand = A[i][j] + self.mu[j] - B[r][self.tau[j]]
-                    if lam_i is None:
-                        lam_i = cand
-                    elif lam_i != cand:
-                        ok = False
-                        break
-            if ok and lam_i is None:
-                ok = False
-            if not ok:
-                continue
-            self.sigma[i] = r
-            self.lam[i] = lam_i
-            self.used_r[r] = True
-            self.arows.append(i)
-            if self._dfs(level + 1):
-                return True
-            self.arows.pop()
-            self.used_r[r] = False
-            self.sigma[i] = -1
-            self.lam[i] = None
-        return False
+    def push(self, point, image) -> bool:
+        """Assign ``point`` to ``image`` if that agrees with the profiles,
+        supports and scalings of every assigned point."""
+        side, x = point
+        y = image[1]
+        if self.used[side][y]:
+            return False
+        self.nodes += 1
+        if self.nodes > self.max_nodes:
+            raise SearchBudgetExceeded(f"pair search exceeded {self.max_nodes} nodes")
+        prof_a, prof_b = self.prof[side]
+        img = self.image[side]
+        for x2 in self.assigned[side]:
+            if prof_a[(x, x2)] != prof_b[(y, img[x2])]:
+                return False
+        other = 1 - side
+        row_a, row_b = self.a[side][x], self.b[side][y]
+        o_img, o_scal = self.image[other], self.scaling[other]
+        # the first point anchors the scalings at 0
+        s = None if self.assigned[0] or self.assigned[1] else Value(0)
+        for x2 in self.assigned[other]:
+            ea, eb = row_a[x2], row_b[o_img[x2]]
+            if (ea is NEG_INF) != (eb is NEG_INF):
+                return False
+            if ea is not NEG_INF:
+                cand = ea - eb - o_scal[x2]
+                if s is None:
+                    s = cand
+                elif s != cand:
+                    return False
+        if s is None:
+            return False
+        img[x] = y
+        self.scaling[side][x] = s
+        self.used[side][y] = True
+        self.assigned[side].append(x)
+        return True
+
+    def pop(self, point):
+        side, x = point
+        self.assigned[side].pop()
+        self.used[side][self.image[side][x]] = False
+
+    def complete(self):
+        """The first (sigma, tau, lam, mu) extending the live assignment
+        along the search order, or None; the assignment is left as it was."""
+        level = len(self.assigned[0]) + len(self.assigned[1])
+        if level == len(self.order):
+            (sigma, tau), (lam, nu) = self.image, self.scaling
+            return tuple(sigma), tuple(tau), tuple(lam), tuple(-x for x in nu)
+        point = self.order[level]
+        for image in self.candidates(point):
+            if self.push(point, image):
+                found = self.complete()
+                self.pop(point)
+                if found is not None:
+                    return found
+        return None
 
 
 def pair_solutions(
@@ -299,11 +222,18 @@ def pair_solutions(
     max_nodes: int = DEFAULT_MAX_NODES,
     first_only: bool = False,
 ):
-    """All (sigma, tau, lam, mu) with P @ source = target @ Q, one
-    representative per pattern pair (mu anchored to 0 at the search root).
-    Requires the target support graph to be connected."""
+    """Solutions (sigma, tau, lam, mu) of P @ source = target @ Q, mu
+    anchored to 0 at the search root.  With ``first_only``, the first one
+    found, if any.  Otherwise target and source must be equal, and the
+    result generates the group of feasible pattern pairs.  Requires the
+    target support graph to be connected."""
+    if not first_only and target != source:
+        raise ValueError("generators need equal target and source")
     search = _PairSearch(target, source, max_nodes)
-    return search.run(first_only=first_only)
+    if first_only:
+        found = search.complete()
+        return [] if found is None else [found]
+    return base_and_orbit(search, search.order)[0]
 
 
 def commuting_solutions(e: TropMatrix, *, max_nodes: int = DEFAULT_MAX_NODES):

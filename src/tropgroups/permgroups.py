@@ -16,7 +16,9 @@ variant colours the product of two vertex sets and closes inside the
 product of the two symmetric groups.  Automorphism groups of coloured
 graphs are computed by backtracking over a colour-refined partition, one
 base point at a time, so only generators and the order are produced (the
-group itself is never listed).
+group itself is never listed).  That loop, ``base_and_orbit``, also drives
+the pair search of ``pairsearch``, which finds generators of the unit
+stabilizer Sigma the same way.
 
 Two small groups G and H are isomorphic exactly when some list of images
 of a generating sequence of G makes the subgroup of G x H generated by the
@@ -237,9 +239,6 @@ class PermGroup:
     def contains(self, p: Perm, cap: int = DEFAULT_ORDER_CAP) -> bool:
         return p in self.elements(cap)
 
-    def is_trivial(self) -> bool:
-        return not self.generators
-
     def __repr__(self):
         gens = ", ".join(format_cycles(g) for g in self.generators) or "()"
         return f"PermGroup(degree={self.degree}, <{gens}>)"
@@ -249,9 +248,10 @@ class PairedPermGroup:
     """A group acting on two sets, given by generator pairs (left, right).
 
     The group is the set of pairs generated componentwise.  Both coordinate
-    projections must be faithful."""
+    projections must be faithful; every closure of the group checks that,
+    and a group built with ``known_order`` is checked by its first one."""
 
-    __slots__ = ("degrees", "generators", "_order", "_elements")
+    __slots__ = ("degrees", "generators", "_order", "_elements", "_faithful")
 
     def __init__(
         self,
@@ -272,16 +272,22 @@ class PairedPermGroup:
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_order", [known_order])
         object.__setattr__(self, "_elements", [None])
+        object.__setattr__(self, "_faithful", [False])
 
     def __setattr__(self, name, value):
         raise AttributeError("PairedPermGroup is immutable")
+
+    def _close(self, cap: int) -> list[tuple[int, ...]]:
+        out = _paired_closure(self.degrees, self.generators, cap)
+        self._faithful[0] = True
+        return out
 
     def elements(self, cap: int = DEFAULT_ORDER_CAP) -> frozenset[tuple[Perm, Perm]]:
         if self._elements[0] is None:
             n = self.degrees[0]
             out = frozenset(
                 (Perm._of(x[:n]), Perm._of(tuple(y - n for y in x[n:])))
-                for x in _paired_closure(self.degrees, self.generators, cap)
+                for x in self._close(cap)
             )
             self._elements[0] = out
             self._order[0] = len(out)
@@ -290,7 +296,7 @@ class PairedPermGroup:
     def order(self, cap: int = DEFAULT_ORDER_CAP) -> int:
         """The group order, counted without building the elements."""
         if self._order[0] is None:
-            self._order[0] = len(_paired_closure(self.degrees, self.generators, cap))
+            self._order[0] = len(self._close(cap))
         return self._order[0]
 
     def left_group(self) -> PermGroup:
@@ -334,21 +340,52 @@ def paired_orbit_colouring(g: PairedPermGroup) -> ColouredBipartiteGraph:
 # -- coloured-graph automorphisms --
 
 
+def base_and_orbit(search, base) -> tuple[list, int]:
+    """Generators and the order of a group found point by point, the
+    classical base-and-orbit backtrack (Seress, *Permutation Group
+    Algorithms*, ch. 9).
+
+    With the earlier base points fixed, every other candidate image of the
+    next one is counted when a first-only completion exists, and that
+    completion is kept as a generator; then the point is fixed.  The order
+    is the product of the orbit lengths.  ``search`` holds the live partial
+    map: ``candidates(v)``, ``push(v, w)`` (False when w cannot extend it),
+    ``pop(v)``, and ``complete()``, a full solution extending the map or
+    None, which leaves the map as it was.
+    """
+    generators: list = []
+    order = 1
+    for v in base:
+        orbit = 1  # the identity always extends
+        for w in search.candidates(v):
+            if w != v and search.push(v, w):
+                found = search.complete()
+                search.pop(v)
+                if found is not None:
+                    generators.append(found)
+                    orbit += 1
+        if not search.push(v, v):
+            raise AssertionError("a fixed base point does not extend")
+        order *= orbit
+    return generators, order
+
+
 class _AutomorphismSearch:
     """Backtracking automorphism engine over an edge-coloured structure on
-    nv vertices.
+    nv vertices, driven by ``base_and_orbit``.
 
     ``ecol`` is a dense nv x nv matrix of integer edge colours (any value
     is fine on the diagonal; use a reserved value for absent edges);
     ``init`` is an initial vertex colouring (used to separate the sides of
-    a bipartite structure).  Produces a strong generating sequence and the
-    exact group order without enumerating the group.
+    a bipartite structure).
     """
 
     def __init__(self, nv, ecol, init):
         self.nv = nv
         self.ecol = ecol
         self.colour = self._refine(list(init))
+        self.mapping: dict[int, int] = {}
+        self.used: set[int] = set()
 
     def _refine(self, colour):
         while True:
@@ -367,29 +404,38 @@ class _AutomorphismSearch:
                 return colour
             colour = fresh
 
-    def _compatible(self, v, w, mapping):
-        if self.colour[v] != self.colour[w]:
+    def _compatible(self, v, w):
+        if w in self.used or self.colour[v] != self.colour[w]:
             return False
         ecol = self.ecol
-        for u, x in mapping.items():
+        for u, x in self.mapping.items():
             if ecol[v][u] != ecol[w][x] or ecol[u][v] != ecol[x][w]:
                 return False
         return True
 
-    def _extend(self, mapping, used):
-        """Depth-first completion of a partial automorphism; returns a full
-        image list or None."""
-        if len(mapping) == self.nv:
-            return [mapping[v] for v in range(self.nv)]
+    def candidates(self, v):
+        return range(self.nv)
+
+    def push(self, v, w) -> bool:
+        if not self._compatible(v, w):
+            return False
+        self.mapping[v] = w
+        self.used.add(w)
+        return True
+
+    def pop(self, v):
+        self.used.discard(self.mapping.pop(v))
+
+    def complete(self):
+        """Depth-first completion of the partial map, always extending the
+        vertex with fewest candidates; a full image list or None."""
+        if len(self.mapping) == self.nv:
+            return [self.mapping[v] for v in range(self.nv)]
         best_v, best_cands = None, None
         for v in range(self.nv):
-            if v in mapping:
+            if v in self.mapping:
                 continue
-            cands = [
-                w
-                for w in range(self.nv)
-                if w not in used and self._compatible(v, w, mapping)
-            ]
+            cands = [w for w in range(self.nv) if self._compatible(v, w)]
             if not cands:
                 return None
             if best_cands is None or len(cands) < len(best_cands):
@@ -397,43 +443,13 @@ class _AutomorphismSearch:
                 if len(cands) == 1:
                     break
         for w in best_cands:
-            mapping[best_v] = w
-            used.add(w)
-            result = self._extend(mapping, used)
-            if result is not None:
-                return result
-            del mapping[best_v]
-            used.discard(w)
+            self.mapping[best_v] = w
+            self.used.add(w)
+            found = self.complete()
+            self.pop(best_v)
+            if found is not None:
+                return found
         return None
-
-    def run(self) -> tuple[list[list[int]], int]:
-        """Strong generators and the order of the automorphism group."""
-        generators: list[list[int]] = []
-        order = 1
-        base_prefix: dict[int, int] = {}
-        for b in range(self.nv):
-            candidates = [
-                w
-                for w in range(self.nv)
-                if w not in base_prefix.values() and self.colour[w] == self.colour[b]
-            ]
-            orbit = 0
-            for w in candidates:
-                mapping = dict(base_prefix)
-                mapping[b] = w
-                used = set(mapping.values())
-                if len(used) != len(mapping):
-                    continue
-                if not self._compatible(b, w, base_prefix):
-                    continue
-                image = self._extend(mapping, used)
-                if image is not None:
-                    orbit += 1
-                    if w != b:
-                        generators.append(image)
-            order *= orbit
-            base_prefix[b] = b
-        return generators, order
 
 
 def _dense_colour_ids(pairs, lookup):
@@ -468,7 +484,7 @@ def coloured_automorphisms(d: ColouredDigraph) -> PermGroup:
     ecol = [[-1] * n for _ in range(n)]
     for (i, j), c in dense.items():
         ecol[i][j] = c
-    gens, order = _AutomorphismSearch(n, ecol, [0] * n).run()
+    gens, order = base_and_orbit(_AutomorphismSearch(n, ecol, [0] * n), range(n))
     return PermGroup(n, [Perm(g) for g in gens], known_order=order)
 
 
@@ -485,7 +501,8 @@ def coloured_bipartite_automorphisms(g: ColouredBipartiteGraph) -> PairedPermGro
     ecol = [[-1] * nv for _ in range(nv)]
     for (i, j), c in dense.items():
         ecol[i][n + j] = c
-    gens, order = _AutomorphismSearch(nv, ecol, [0] * n + [1] * m).run()
+    search = _AutomorphismSearch(nv, ecol, [0] * n + [1] * m)
+    gens, order = base_and_orbit(search, range(nv))
     pairs_out = [(Perm(img[:n]), Perm([x - n for x in img[n:]])) for img in gens]
     return PairedPermGroup((n, m), pairs_out, known_order=order)
 
@@ -507,7 +524,8 @@ def is_two_closed(g: PermGroup, cap: int = DEFAULT_ORDER_CAP) -> bool:
 def paired_two_closure(g: PairedPermGroup) -> PairedPermGroup:
     """The largest subgroup of the product of the two symmetric groups
     preserving the orbits on the product set."""
-    g.elements()  # validates faithfulness
+    if not g._faithful[0]:  # no closure has checked faithfulness yet
+        g._close(DEFAULT_ORDER_CAP)
     return coloured_bipartite_automorphisms(paired_orbit_colouring(g))
 
 

@@ -4,8 +4,10 @@ For a full-rank matrix A, the units P with C(P @ A) = C(A) form a group;
 each such P pairs with a unique unit Q satisfying P @ A = A @ Q.  When the
 finite-entry graph of A is connected every element has a single eigenvalue
 (the common cycle mean of its pattern) and the group splits as a scaling
-line times the finite group Sigma of eigenvalue-0 elements, which this
-module enumerates exactly.
+line times the finite group Sigma of eigenvalue-0 elements.  The pair search
+yields generators of Sigma; where the elements are needed they are rebuilt
+from the closure of the generators' patterns, with the scalings read off
+the common eigenvectors that ``normalize_eigenvectors`` finds.
 
 Disconnected matrices decompose along component classes: the full group is
 a direct product over classes of wreath-type factors, one (R x G_alpha) per
@@ -48,6 +50,7 @@ from .permgroups import (
     Perm,
     PermGroup,
     _generating_sequence,
+    _paired_closure,
     format_cycles,
     identify_group,
     is_paired_two_closed,
@@ -79,16 +82,46 @@ def _sorted_elements(elements: list[StabilizerElement]) -> list[StabilizerElemen
     return sorted(elements, key=lambda e: (e.P.sigma, e.Q.sigma, e.P.scalings))
 
 
-def _connected_sigma(a: TropMatrix, max_nodes: int) -> list[StabilizerElement]:
-    """All stabilizer pairs of a connected full-rank matrix, one per
-    pattern pair, shifted so every element has eigenvalue 0."""
+def _sigma_generators(a: TropMatrix, max_nodes: int) -> list[StabilizerElement]:
+    """Generators of the Sigma of a connected full-rank matrix, each
+    shifted to eigenvalue 0."""
     out = []
     for sigma, tau, lam, mu in pair_solutions(a, a, max_nodes=max_nodes):
         ev = monomial_eigenvalue(MonomialMatrix(sigma, lam))
         p = MonomialMatrix(sigma, tuple(x - ev for x in lam))
         q = MonomialMatrix(tau, tuple(x - ev for x in mu))
         out.append(StabilizerElement(p, q, Value(0)))
+    return out
+
+
+def _sigma_patterns(generators, shape: tuple[int, int]) -> list[tuple]:
+    """The (sigma, tau) pattern pairs of the group the generators span."""
+    n = shape[0]
+    pairs = [(Perm._of(g.P.sigma), Perm._of(g.Q.sigma)) for g in generators]
+    return [(x[:n], tuple(y - n for y in x[n:])) for x in _paired_closure(shape, pairs)]
+
+
+def _sigma_elements(
+    generators, u: MonomialMatrix, v: MonomialMatrix
+) -> list[StabilizerElement]:
+    """Every element of the Sigma the generators span, given the units U, V
+    of ``normalize_eigenvectors``: the pair of patterns (s, t) is the pair
+    U^-1 @ s @ U, V @ t @ V^-1 of units."""
+    du, dv = u.scalings, v.scalings
+    out = []
+    for s, t in _sigma_patterns(generators, (u.degree, v.degree)):
+        p = MonomialMatrix(s, tuple(du[s[i]] - du[i] for i in range(len(s))))
+        q = MonomialMatrix(t, tuple(dv[j] - dv[t[j]] for j in range(len(t))))
+        out.append(StabilizerElement(p, q, Value(0)))
     return _sorted_elements(out)
+
+
+def _connected_sigma(a: TropMatrix, max_nodes: int) -> list[StabilizerElement]:
+    """All stabilizer pairs of a connected full-rank matrix with eigenvalue
+    0, one per pattern pair."""
+    gens = _sigma_generators(a, max_nodes)
+    u, v, _b = normalize_eigenvectors(a, gens)
+    return _sigma_elements(gens, u, v)
 
 
 def right_mate(a: TropMatrix, p: MonomialMatrix) -> MonomialMatrix:
@@ -208,6 +241,26 @@ def commuting_units(
     return _sorted_elements(out)
 
 
+def _propagate(size: int, maps) -> list[Value]:
+    """The vector w that is 0 at the least point of each orbit and has
+    w[s[x]] = w[x] + d[x] for every (s, d) in ``maps``."""
+    w: list = [None] * size
+    for k in range(size):
+        if w[k] is not None:
+            continue
+        w[k] = Value(0)
+        reached = [k]
+        for x in reached:
+            for s, d in maps:
+                cand = w[x] + d[x]
+                if w[s[x]] is None:
+                    w[s[x]] = cand
+                    reached.append(s[x])
+                elif w[s[x]] != cand:
+                    raise AssertionError("eigenvector construction disagreed")
+    return w
+
+
 def normalize_eigenvectors(
     a: TropMatrix,
     elements: Optional[list[StabilizerElement]] = None,
@@ -217,42 +270,22 @@ def normalize_eigenvectors(
     """Diagonal units U, V with B = U @ A @ V whose stabilizer fixes the
     all-zero vectors: every Sigma element of B is a plain permutation.
 
-    The common right eigenvector u is built by propagating finite entries
-    of Sigma elements from each least not-yet-covered coordinate, and the
-    left eigenvector v dually from the paired units.
+    ``elements`` may be all of Sigma or only generators of it (the default
+    is generators from the pair search).  The common right eigenvector u,
+    with u_i = lam_i + u_sigma(i) for every element, is propagated along
+    the elements from each least not-yet-covered coordinate, and the left
+    eigenvector v, with v_tau(j) = v_j + mu_j, likewise.
     """
     if len(connected_components(a)) != 1:
         raise NotConnected("eigenvector normalisation needs a connected matrix")
     if elements is None:
         if not has_full_rank(a):
             raise NotFullRank("eigenvector normalisation requires full rank")
-        elements = _connected_sigma(a, max_nodes)
+        elements = _sigma_generators(a, max_nodes)
 
     n, m = a.shape
-    u: list = [None] * n
-    while any(x is None for x in u):
-        k = next(i for i in range(n) if u[i] is None)
-        u[k] = Value(0)
-        for el in elements:
-            inv = el.P.invert()
-            t = inv.sigma[k]
-            cand = el.P.scalings[t]
-            if u[t] is None:
-                u[t] = cand
-            elif u[t] != cand:
-                raise AssertionError("eigenvector construction disagreed")
-    v: list = [None] * m
-    while any(x is None for x in v):
-        k = next(j for j in range(m) if v[j] is None)
-        v[k] = Value(0)
-        for el in elements:
-            t = el.Q.sigma[k]
-            cand = el.Q.scalings[k]
-            if v[t] is None:
-                v[t] = cand
-            elif v[t] != cand:
-                raise AssertionError("eigenvector construction disagreed")
-
+    u = _propagate(n, [(el.P.sigma, [-x for x in el.P.scalings]) for el in elements])
+    v = _propagate(m, [(el.Q.sigma, el.Q.scalings) for el in elements])
     u_diag = MonomialMatrix(tuple(range(n)), tuple(-x for x in u))
     v_diag = MonomialMatrix(tuple(range(m)), tuple(-x for x in v))
     b = v_diag.right_apply(u_diag.left_apply(a))
@@ -364,10 +397,10 @@ class Analysis:
 
     ``reduced`` is the full-rank core on ``kept_rows`` x ``kept_cols``;
     ``restrictions`` holds one block of it per component of ``partition``;
-    ``sigmas``, ``normal_forms`` and ``description.factors`` hold one entry
-    per class: the Sigma of the class representative, the matrix
-    ``normalize_eigenvectors`` brings the representative to, and the
-    wreath-type factor.
+    ``sigma_generators``, ``normalisations`` and ``description.factors``
+    hold one entry per class: generators of the Sigma of the class
+    representative, the (U, V, B) that ``normalize_eigenvectors`` finds for
+    it, and the wreath-type factor.
     """
 
     reduced: TropMatrix
@@ -375,8 +408,8 @@ class Analysis:
     kept_cols: tuple[int, ...]
     partition: ComponentPartition
     restrictions: tuple[TropMatrix, ...]
-    sigmas: tuple[tuple[StabilizerElement, ...], ...]
-    normal_forms: tuple[TropMatrix, ...]
+    sigma_generators: tuple[tuple[StabilizerElement, ...], ...]
+    normalisations: tuple[tuple[MonomialMatrix, MonomialMatrix, TropMatrix], ...]
     description: GroupDescription
 
 
@@ -385,34 +418,32 @@ def analyze_matrix(
     *,
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> Analysis:
-    """Reduce to full rank, split into component classes, compute the
-    Sigma of each class representative, normalise its eigenvectors, and
-    describe one finite factor per class."""
+    """Reduce to full rank, split into component classes, compute
+    generators of the Sigma of each class representative, normalise its
+    eigenvectors, and describe one finite factor per class."""
     z, rows, cols = reduce_full_rank(a)
     part = class_partition(z, max_nodes=max_nodes)
     restrictions = tuple(_restrict_unchecked(z, c) for c in part.components)
-    sigmas, normal_forms, factors = [], [], []
+    sigma_generators, normalisations, factors = [], [], []
     for cls in part.classes:
         rep = restrictions[cls.representative]
-        elements = tuple(_connected_sigma(rep, max_nodes))
-        _u, _v, b = normalize_eigenvectors(rep, elements)
+        gens = tuple(_sigma_generators(rep, max_nodes))
+        normalisations.append(normalize_eigenvectors(rep, gens))
         pairs = sorted(
-            (Perm(el.P.sigma), Perm(el.Q.sigma)) for el in elements
+            (Perm._of(s), Perm._of(t)) for s, t in _sigma_patterns(gens, rep.shape)
         )
-        gens = _reduced_pair_generators(pairs, rep.shape)
-        paired = PairedPermGroup(rep.shape, gens, known_order=len(elements))
+        paired = PairedPermGroup(rep.shape, _reduced_pair_generators(pairs, rep.shape))
         comp = part.components[cls.representative]
         factors.append(make_factor(paired, len(cls.members), comp))
-        sigmas.append(elements)
-        normal_forms.append(b)
+        sigma_generators.append(gens)
     return Analysis(
         reduced=z,
         kept_rows=tuple(rows),
         kept_cols=tuple(cols),
         partition=part,
         restrictions=restrictions,
-        sigmas=tuple(sigmas),
-        normal_forms=tuple(normal_forms),
+        sigma_generators=tuple(sigma_generators),
+        normalisations=tuple(normalisations),
         description=GroupDescription(tuple(factors)),
     )
 

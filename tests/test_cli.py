@@ -193,6 +193,47 @@ def test_verify_flags_directly():
     assert all(flags.values())
 
 
+@pytest.mark.parametrize("at_fixed_point", [True, False])
+def test_verify_flags_catch_a_perturbed_sigma_element(monkeypatch, at_fixed_point):
+    """Shift one scaling of one non-generator Sigma element of F: the flags
+    that read every element turn false, and position agreement only when
+    the scaling sits at a fixed point of the pattern."""
+    from tropgroups import cli
+    from tropgroups.matrix import MonomialMatrix
+    from tropgroups.semiring import Value
+    from tropgroups.stabilizer import StabilizerElement
+
+    orig = cli._sigma_elements
+    factor = cli.analyze_matrix(matrix_f()).description.factors[0]
+    gens = {g.images for g, _ in factor.paired.generators}
+
+    def perturbed(*args):
+        elements = orig(*args)
+        for k, el in enumerate(elements):
+            s = el.P.sigma
+            fixed = [i for i in range(len(s)) if s[i] == i]
+            spots = fixed if at_fixed_point else [i for i in range(len(s)) if s[i] != i]
+            if s not in gens and spots and len(fixed) < len(s):
+                i = spots[0]
+                scal = list(el.P.scalings)
+                scal[i] = scal[i] + Value(1)
+                bad = StabilizerElement(MonomialMatrix(s, scal), el.Q, el.eigenvalue)
+                return elements[:k] + [bad] + elements[k + 1 :]
+        raise AssertionError("no element to perturb")
+
+    monkeypatch.setattr(cli, "_sigma_elements", perturbed)
+    flags = verify_flags(matrix_f())
+    broken = {
+        "pair_equations",
+        "single_eigenvalue",
+        "sigma_closure",
+        "idempotent_restrictions",
+    }
+    if at_fixed_point:
+        broken.add("position_agreement")
+    assert {name for name, ok in flags.items() if not ok} == broken
+
+
 def test_reports_are_byte_identical(tmp_path):
     path = write(tmp_path, "f.txt", matrix_f().to_text() + "\n")
     outs = set()

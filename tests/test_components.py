@@ -206,3 +206,29 @@ def test_full_rank_restrictions_have_full_rank():
         z, _, _ = reduce_full_rank(a)
         for comp in connected_components(z):
             assert has_full_rank(restrict(z, comp))
+
+
+def test_class_partition_searches_equal_blocks_once(monkeypatch):
+    """A block equal to an earlier one reuses its searches against every
+    class representative, found or not."""
+    from tropgroups import components
+
+    calls = []
+    orig = components.pair_solutions
+
+    def counted(target, source, **kwargs):
+        calls.append((target, source))
+        return orig(target, source, **kwargs)
+
+    monkeypatch.setattr(components, "pair_solutions", counted)
+    x = [[1, 2], [3, 4]]
+    y = [[0, 0], [NEG_INF, 0]]
+    keys = [x, y, x, x, y]
+    rows = [[NEG_INF] * 10 for _ in range(10)]
+    for b, block in enumerate(keys):
+        for i in range(2):
+            rows[2 * b + i][2 * b : 2 * b + 2] = block[i]
+    part = class_partition(TropMatrix.from_rows(rows))
+    assert [cls.members for cls in part.classes] == [(0, 2, 3), (1, 4)]
+    assert part.classes[0].witnesses[1] == part.classes[0].witnesses[2]
+    assert calls and len(set(calls)) == len(calls)

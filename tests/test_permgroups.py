@@ -205,6 +205,30 @@ def test_not_faithful_detected():
     # the cap is met before the kernel is looked at
     with pytest.raises(OrderCapExceeded):
         PairedPermGroup((3, 2), [(c3, Perm.identity(2))]).elements(cap=2)
+    # a known order skips the closure, but the 2-closure still checks
+    with pytest.raises(NotFaithful):
+        paired_two_closure(
+            PairedPermGroup((3, 2), [(Perm.identity(3), s2)], known_order=2)
+        )
+
+
+def test_paired_two_closure_reuses_the_order_closure(monkeypatch):
+    """Faithfulness is read from the closure that counted the order."""
+    from tropgroups import permgroups
+
+    calls = []
+    orig = permgroups._paired_closure
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(permgroups, "_paired_closure", counted)
+    c3 = parse_cycles("(1,2,3)", 3)
+    g = PairedPermGroup((3, 3), [(c3, c3)])
+    assert g.order() == 3
+    assert paired_two_closure(g).order() == 3
+    assert len(calls) == 1
 
 
 def test_groups_isomorphic_examples():

@@ -1,18 +1,21 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from helpers import A_VAL, B_VAL, SECTION4, matrix_e, matrix_f, unit_p, unit_q
+from tropgroups.constructors import alt4_column_matrix, assemble_blocks, construct_idempotent
 from tropgroups.matrix import MonomialMatrix, TropMatrix, monomial_eigenvalue
-from tropgroups.pairsearch import NotConnected
+from tropgroups.pairsearch import NotConnected, pair_solutions
 from tropgroups.permgroups import PermGroup, groups_isomorphic
-from tropgroups.semiring import NEG_INF, Value, val
-from tropgroups.spaces import h_related, has_full_rank
+from tropgroups.semiring import NEG_INF, Value, eps, val
+from tropgroups.spaces import h_related, has_full_rank, reduce_full_rank
 from tropgroups.stabilizer import (
     GroupDescription,
     NotFullRank,
     NotIdempotent,
+    analyze_matrix,
     classification_conditions,
     commuting_units,
     group_description,
@@ -225,6 +228,44 @@ def test_normalize_eigenvectors_erratum_e():
     assert {el.P.sigma for el in sigma_b} == {(0, 1), (1, 0)}
     for el in sigma_b:
         assert all(s == zero for s in el.P.scalings)
+
+
+def test_normalize_eigenvectors_from_generators_or_elements():
+    """Generators of Sigma give the same normalisation as all of Sigma."""
+    a, b, c, d = (val(i) + eps(i + 1) for i in range(1, 5))
+    m = alt4_column_matrix(a, b, c, d)
+    block16 = assemble_blocks([(m, 1), (m.transpose(), 1)], Value(0))
+    for matrix in (matrix_e(), matrix_f(), reduce_full_rank(block16)[0]):
+        an = analyze_matrix(matrix)
+        assert an.reduced == matrix and len(an.sigma_generators) == 1
+        gens = an.sigma_generators[0]
+        elements = stabilizer_pairs(matrix)
+        assert len(gens) < len(elements)
+        assert normalize_eigenvectors(matrix, gens) == normalize_eigenvectors(
+            matrix, elements
+        )
+        assert an.normalisations[0] == normalize_eigenvectors(matrix)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_symmetric_group_witnesses(n):
+    """The witness idempotent of S_n has Sigma of order n!, found from
+    generators without listing the group."""
+    cycle = "(" + ",".join(str(i) for i in range(1, n + 1)) + ")"
+    e = construct_idempotent(PermGroup.from_cycles(n, [cycle, "(1,2)"]))
+    desc = group_description(e)
+    assert [f.order for f in desc.factors] == [math.factorial(n)]
+    assert len(pair_solutions(e, e)) < n * n
+    if n <= 5:
+        assert len(stabilizer_pairs(e)) == math.factorial(n)
+
+
+def test_pair_solutions_generators_need_equal_matrices():
+    f = matrix_f()
+    other = TropMatrix([f.entries[1], f.entries[0], *f.entries[2:]])
+    assert len(pair_solutions(other, f, first_only=True)) == 1
+    with pytest.raises(ValueError):
+        pair_solutions(other, f)
 
 
 def test_normalize_eigenvectors_trivial_cases():
