@@ -358,6 +358,14 @@ def cmd_verify(args) -> int:
     return 0 if all(flags.values()) else 1
 
 
+def _budget(text: str) -> int:
+    """A search or order budget: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"a budget must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tropgroups",
@@ -369,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--assume-idempotent", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
+    p.add_argument("--max-nodes", type=_budget, default=DEFAULT_MAX_NODES)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("closure", help="2-closure of a permutation group")
@@ -377,14 +385,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int)
     p.add_argument("--bidegree", type=int, nargs=2, metavar=("N", "M"))
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-order", type=int, default=10**6)
+    p.add_argument("--max-order", type=_budget, default=10**6)
     p.set_defaults(func=cmd_closure)
 
     p = sub.add_parser("construct", help="witness matrix from a JSON spec")
     p.add_argument("spec")
     p.add_argument("-o", "--output")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
+    p.add_argument("--max-nodes", type=_budget, default=DEFAULT_MAX_NODES)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("approximate", help="finite approximant of an idempotent")
@@ -397,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the invariant suite on a matrix")
     p.add_argument("path")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
+    p.add_argument("--max-nodes", type=_budget, default=DEFAULT_MAX_NODES)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -13,6 +13,7 @@ grammar; blank lines and ``#`` comments are ignored.  JSON alternative:
 from __future__ import annotations
 
 import json
+from operator import add
 from typing import Iterable, Sequence
 
 from .graphs import components
@@ -21,9 +22,9 @@ from .semiring import (
     TropScalar,
     Value,
     as_scalar,
+    encode,
     format_scalar,
     is_finite,
-    trop_add,
     trop_mul,
 )
 
@@ -140,19 +141,27 @@ def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """Tropical matrix product: (AB)_ij = max_k (A_ik + B_kj)."""
     if a.ncols != b.nrows:
         raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    bt = [b.col(j) for j in range(b.ncols)]
+    codes, decode = encode(*a.entries, *b.entries)
+    bcols = list(zip(*codes[a.nrows :]))
     out = []
-    for i in range(a.nrows):
-        arow = a.entries[i]
+    for arow in codes[: a.nrows]:
+        terms = [(k, x) for k, x in enumerate(arow) if x is not None]
         row = []
-        for j in range(b.ncols):
-            bcol = bt[j]
-            acc: TropScalar = NEG_INF
-            for k in range(a.ncols):
-                acc = trop_add(acc, trop_mul(arow[k], bcol[k]))
-            row.append(acc)
+        for bcol in bcols:
+            best = max(
+                (tuple(map(add, x, bcol[k])) for k, x in terms if bcol[k] is not None),
+                default=None,
+            )
+            row.append(decode(best))
         out.append(row)
     return TropMatrix(out)
+
+
+def _shift(x: TropScalar, c, s, decode) -> TropScalar:
+    """The scalar x, of code c, times the scalar of the finite code s."""
+    if c is None or not any(s):
+        return x
+    return decode(tuple(map(add, c, s)))
 
 
 class MonomialMatrix:
@@ -238,10 +247,11 @@ class MonomialMatrix:
         """P @ A: row i of the result is scalings[i] + row sigma(i) of A."""
         if self.degree != a.nrows:
             raise ValueError("dimension mismatch")
+        (scal, *rows), decode = encode(self.scalings, *a.entries)
         return TropMatrix(
             [
-                [trop_mul(self.scalings[i], x) for x in a.entries[self.sigma[i]]]
-                for i in range(self.degree)
+                [_shift(x, c, s, decode) for x, c in zip(a.entries[k], rows[k])]
+                for k, s in zip(self.sigma, scal)
             ]
         )
 
@@ -252,13 +262,11 @@ class MonomialMatrix:
         pre = [0] * self.degree
         for k in range(self.degree):
             pre[self.sigma[k]] = k
+        (scal, *rows), decode = encode(self.scalings, *a.entries)
         return TropMatrix(
             [
-                [
-                    trop_mul(self.scalings[pre[j]], a.entries[i][pre[j]])
-                    for j in range(self.degree)
-                ]
-                for i in range(a.nrows)
+                [_shift(row[k], crow[k], scal[k], decode) for k in pre]
+                for row, crow in zip(a.entries, rows)
             ]
         )
 

@@ -27,53 +27,51 @@ signature.
 
 from __future__ import annotations
 
+from operator import add, neg, sub
+
 from .errors import SearchBudgetExceeded
 from .graphs import components, support_components
 from .matrix import TropMatrix
 from .permgroups import base_and_orbit
-from .semiring import NEG_INF, Value
+from .semiring import ZERO, encode
 
 DEFAULT_MAX_NODES = 2_000_000
 
 
-def _support(entries):
-    return [[x is not NEG_INF for x in row] for row in entries]
+def _support(codes):
+    return [[x is not None for x in row] for row in codes]
 
 
 def _pair_profiles(vectors, intern):
-    """Profile id for every ordered pair of parallel vectors.
+    """Profile id for every ordered pair of parallel code vectors.
 
     The profile of (u, v) is (count finite-only-in-u, finite-only-in-v,
-    min-normalised multiset of differences where both are finite).
+    min-normalised multiset of differences u - v where both are finite);
+    that of (v, u) is read off the same differences, negated.
     """
     k = len(vectors)
     prof = {}
     for x in range(k):
         u = vectors[x]
-        for y in range(k):
-            if x == y:
-                continue
-            v = vectors[y]
-            both = []
+        for y in range(x + 1, k):
+            diffs = []
             only_u = only_v = 0
-            for a, b in zip(u, v):
-                fa, fb = a is not NEG_INF, b is not NEG_INF
-                if fa and fb:
-                    both.append(a - b)
-                elif fa:
+            for a, b in zip(u, vectors[y]):
+                if a is None:
+                    only_v += b is not None
+                elif b is None:
                     only_u += 1
-                elif fb:
-                    only_v += 1
-            if both:
-                mn = min(both)
-                key = (only_u, only_v, tuple(sorted(d - mn for d in both)))
+                else:
+                    diffs.append(tuple(map(sub, a, b)))
+            diffs.sort()
+            if diffs:
+                lo, hi = diffs[0], diffs[-1]
+                fwd = tuple(tuple(map(sub, d, lo)) for d in diffs)
+                back = tuple(tuple(map(sub, hi, d)) for d in reversed(diffs))
             else:
-                key = (only_u, only_v, ())
-            pid = intern.get(key)
-            if pid is None:
-                pid = len(intern)
-                intern[key] = pid
-            prof[(x, y)] = pid
+                fwd = back = ()
+            prof[x, y] = intern.setdefault((only_u, only_v, fwd), len(intern))
+            prof[y, x] = intern.setdefault((only_v, only_u, back), len(intern))
     return prof
 
 
@@ -127,8 +125,12 @@ class _PairSearch:
     def __init__(self, target: TropMatrix, source: TropMatrix, max_nodes: int):
         if target.shape != source.shape:
             raise ValueError("target and source must have equal shape")
-        self.a = (target.entries, target.transpose().entries)
-        self.b = (source.entries, source.transpose().entries)
+        n = target.nrows
+        ((self.zero,), *codes), self.decode = encode(
+            (ZERO,), *target.entries, *source.entries
+        )
+        self.a = (codes[:n], list(zip(*codes[:n])))
+        self.b = (codes[n:], list(zip(*codes[n:])))
         supp = [_support(a) for a in self.a]
         if len(support_components(supp[0])) != 1:
             raise NotConnected("target support graph is disconnected")
@@ -137,10 +139,14 @@ class _PairSearch:
         self.prof, self.cands = [], []
         for side, (a, b) in enumerate(zip(self.a, self.b)):
             intern: dict = {}
-            prof_a, prof_b = _pair_profiles(a, intern), _pair_profiles(b, intern)
             k = len(a)
+            prof_a = _pair_profiles(a, intern)
             sig_a = _signatures(prof_a, [sum(r) for r in supp[side]], k)
-            sig_b = _signatures(prof_b, [sum(r) for r in _support(b)], k)
+            if b == a:  # one matrix: its profiles serve both sides
+                prof_b, sig_b = prof_a, sig_a
+            else:
+                prof_b = _pair_profiles(b, intern)
+                sig_b = _signatures(prof_b, [sum(r) for r in _support(b)], k)
             self.prof.append((prof_a, prof_b))
             self.cands.append(
                 [[(side, y) for y in range(k) if sig_b[y] == sig_a[x]] for x in range(k)]
@@ -174,13 +180,13 @@ class _PairSearch:
         row_a, row_b = self.a[side][x], self.b[side][y]
         o_img, o_scal = self.image[other], self.scaling[other]
         # the first point anchors the scalings at 0
-        s = None if self.assigned[0] or self.assigned[1] else Value(0)
+        s = None if self.assigned[0] or self.assigned[1] else self.zero
         for x2 in self.assigned[other]:
             ea, eb = row_a[x2], row_b[o_img[x2]]
-            if (ea is NEG_INF) != (eb is NEG_INF):
+            if (ea is None) != (eb is None):
                 return False
-            if ea is not NEG_INF:
-                cand = ea - eb - o_scal[x2]
+            if ea is not None:
+                cand = tuple(map(sub, map(sub, ea, eb), o_scal[x2]))
                 if s is None:
                     s = cand
                 elif s != cand:
@@ -199,12 +205,13 @@ class _PairSearch:
         self.used[side][self.image[side][x]] = False
 
     def complete(self):
-        """The first (sigma, tau, lam, mu) extending the live assignment
-        along the search order, or None; the assignment is left as it was."""
+        """The first (sigma, tau, lam, nu) extending the live assignment
+        along the search order, scalings as codes, or None; the assignment
+        is left as it was."""
         level = len(self.assigned[0]) + len(self.assigned[1])
         if level == len(self.order):
             (sigma, tau), (lam, nu) = self.image, self.scaling
-            return tuple(sigma), tuple(tau), tuple(lam), tuple(-x for x in nu)
+            return tuple(sigma), tuple(tau), tuple(lam), tuple(nu)
         point = self.order[level]
         for image in self.candidates(point):
             if self.push(point, image):
@@ -213,6 +220,13 @@ class _PairSearch:
                 if found is not None:
                     return found
         return None
+
+    def decoded(self, found):
+        """A solution of ``complete`` as (sigma, tau, lam, mu) with mu = -nu,
+        scalings as scalars."""
+        sigma, tau, lam, nu = found
+        mu = (tuple(map(neg, x)) for x in nu)
+        return sigma, tau, tuple(map(self.decode, lam)), tuple(map(self.decode, mu))
 
 
 def pair_solutions(
@@ -231,9 +245,11 @@ def pair_solutions(
         raise ValueError("generators need equal target and source")
     search = _PairSearch(target, source, max_nodes)
     if first_only:
-        found = search.complete()
-        return [] if found is None else [found]
-    return base_and_orbit(search, search.order)[0]
+        first = search.complete()
+        found = [] if first is None else [first]
+    else:
+        found = base_and_orbit(search, search.order)[0]
+    return [search.decoded(f) for f in found]
 
 
 def commuting_solutions(e: TropMatrix, *, max_nodes: int = DEFAULT_MAX_NODES):
@@ -246,10 +262,10 @@ def commuting_solutions(e: TropMatrix, *, max_nodes: int = DEFAULT_MAX_NODES):
     if not e.is_square():
         raise ValueError("commutation search needs a square matrix")
     n = e.nrows
-    E = e.entries
-    supp = _support(E)
     if n == 1:
-        return [((0,), (Value(0),))]
+        return [((0,), (ZERO,))]
+    ((zero,), *E), decode = encode((ZERO,), *e.entries)
+    supp = _support(E)
 
     adj = [
         [i != j and (supp[i][j] or supp[j][i]) for j in range(n)] for i in range(n)
@@ -257,12 +273,8 @@ def commuting_solutions(e: TropMatrix, *, max_nodes: int = DEFAULT_MAX_NODES):
     if len(components(range(n), lambda v: [w for w in range(n) if adj[v][w]])) != 1:
         raise NotConnected("finite-entry graph of the matrix is disconnected")
 
-    rows = [e.row(i) for i in range(n)]
-    cols = [e.col(j) for j in range(n)]
-    intern_r: dict = {}
-    rprof = _pair_profiles(rows, intern_r)
-    intern_c: dict = {}
-    cprof = _pair_profiles(cols, intern_c)
+    rprof = _pair_profiles(E, {})
+    cprof = _pair_profiles(list(zip(*E)), {})
     rdeg = [sum(r) for r in supp]
     cdeg = [sum(supp[i][j] for i in range(n)) for j in range(n)]
     rsig = _signatures(rprof, rdeg, n)
@@ -302,7 +314,7 @@ def commuting_solutions(e: TropMatrix, *, max_nodes: int = DEFAULT_MAX_NODES):
     def dfs(level: int):
         nonlocal nodes
         if level == n:
-            solutions.append((tuple(sigma), tuple(lam)))
+            solutions.append((tuple(sigma), tuple(map(decode, lam))))
             return
         i = order[level]
         for r in cands[i]:
@@ -314,7 +326,7 @@ def commuting_solutions(e: TropMatrix, *, max_nodes: int = DEFAULT_MAX_NODES):
                     f"commutation search exceeded {max_nodes} nodes"
                 )
             ok = True
-            lam_i = Value(0) if level == 0 else None
+            lam_i = zero if level == 0 else None
             for i2 in assigned:
                 if rprof[(i, i2)] != rprof[(r, sigma[i2])] or cprof[(i, i2)] != cprof[
                     (r, sigma[i2])
@@ -326,7 +338,7 @@ def commuting_solutions(e: TropMatrix, *, max_nodes: int = DEFAULT_MAX_NODES):
                     ok = False
                     break
                 if sa:
-                    cand = E[i][i2] + lam[i2] - E[r][sigma[i2]]
+                    cand = tuple(map(sub, map(add, E[i][i2], lam[i2]), E[r][sigma[i2]]))
                     if lam_i is None:
                         lam_i = cand
                     elif lam_i != cand:
@@ -337,7 +349,7 @@ def commuting_solutions(e: TropMatrix, *, max_nodes: int = DEFAULT_MAX_NODES):
                     ok = False
                     break
                 if sa:
-                    cand = lam[i2] - E[i2][i] + E[sigma[i2]][r]
+                    cand = tuple(map(add, map(sub, lam[i2], E[i2][i]), E[sigma[i2]][r]))
                     if lam_i is None:
                         lam_i = cand
                     elif lam_i != cand:

@@ -3,11 +3,16 @@
 Permutations are 0-indexed internally and 1-indexed in all text I/O
 (cycle notation like ``(1,3,2)(5,10,7)``; the identity is ``()``).
 
-Every element list comes from one breadth-first closure, ``_closure``,
-which works on image tuples and builds ``Perm`` objects only where a
-caller wants them.  A paired group is closed as one permutation group on
-the n + m disjoint points of its two sides.  Orbits of points and of pairs
-come from the one traversal in ``graphs.components``.
+Every element list comes from one closure step, ``_extend``, which grows
+a list closed under some generators by more generators and works on image
+tuples; ``Perm`` objects are built only where a caller wants them.
+``_span`` adds the generators one at a time and skips each one already
+reached, so redundant generators (a strong generating set has many) cost
+one lookup; ``_closure`` adds them all at once and keeps the breadth-first
+order, for the one caller that needs an order.  A paired group is closed
+as one permutation group on the n + m disjoint points of its two sides.
+Orbits of points and of pairs come from the one traversal in
+``graphs.components``.
 
 A group is 2-closed when it already contains every permutation preserving
 its orbits of ordered pairs, i.e. when it is the full automorphism group of
@@ -29,7 +34,8 @@ element that is the identity on one side only.
 from __future__ import annotations
 
 import re
-from math import lcm
+from itertools import islice
+from math import factorial, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import OrderCapExceeded, SearchBudgetExceeded
@@ -153,17 +159,42 @@ def _closure(
     """Breadth-first closure of image tuples under right multiplication by
     the generators, in the order the elements are first reached (the
     identity first).  Raises OrderCapExceeded past ``cap`` elements."""
-    seen = {identity}
     out = [identity]
-    for x in out:
-        for g in generators:
-            y = tuple(map(g.__getitem__, x))  # x first, then g
-            if y not in seen:
-                if len(out) >= cap:
-                    raise OrderCapExceeded(f"group order exceeds the cap {cap}")
-                seen.add(y)
-                out.append(y)
+    _extend(out, {identity}, [], list(generators), cap)
     return out
+
+
+def _span(
+    generators: Iterable[tuple[int, ...]],
+    identity: tuple[int, ...],
+    cap: int = DEFAULT_ORDER_CAP,
+) -> list[tuple[int, ...]]:
+    """The elements of the closure, in no promised order: the generators
+    are added one at a time, and one the closure has reached is skipped."""
+    out, seen, gens = [identity], {identity}, []
+    for g in generators:
+        if g not in seen:
+            _extend(out, seen, gens, [g], cap)
+    return out
+
+
+def _extend(out: list, seen: set, gens: list, new: list, cap: int) -> None:
+    """Grow ``out`` (with its set ``seen``), closed under right
+    multiplication by ``gens``, to the closure under ``gens`` + ``new``,
+    and append ``new`` to ``gens``.  The elements already there need only
+    the new generators."""
+    done = len(out)
+    gens += new
+    # islice reads the elements appended while it runs
+    for xs, by in ((out[:done], new), (islice(out, done, None), gens)):
+        for x in xs:
+            for g in by:
+                y = tuple(map(g.__getitem__, x))  # x first, then g
+                if y not in seen:
+                    if len(out) >= cap:
+                        raise OrderCapExceeded(f"group order exceeds the cap {cap}")
+                    seen.add(y)
+                    out.append(y)
 
 
 def _paired_closure(
@@ -177,7 +208,7 @@ def _paired_closure(
     n, m = degrees
     ident = tuple(range(n + m))
     gens = [g.images + tuple(n + y for y in h.images) for g, h in pairs]
-    elements = _closure(gens, ident, cap)
+    elements = _span(gens, ident, cap)
     for x in elements:
         if (x[:n] == ident[:n]) != (x[n:] == ident[n:]):
             raise NotFaithful(
@@ -220,10 +251,10 @@ class PermGroup:
 
     def _close(self, cap: int) -> list[tuple[int, ...]]:
         gens = [g.images for g in self.generators]
-        return _closure(gens, tuple(range(self.degree)), cap)
+        return _span(gens, tuple(range(self.degree)), cap)
 
     def elements(self, cap: int = DEFAULT_ORDER_CAP) -> frozenset[Perm]:
-        """Breadth-first product closure of the generators."""
+        """Product closure of the generators."""
         if self._elements[0] is None:
             out = frozenset(map(Perm._of, self._close(cap)))
             self._elements[0] = out
@@ -276,6 +307,19 @@ class PairedPermGroup:
 
     def __setattr__(self, name, value):
         raise AttributeError("PairedPermGroup is immutable")
+
+    @classmethod
+    def _checked(
+        cls,
+        degrees: tuple[int, int],
+        generators: Iterable[tuple[Perm, Perm]],
+        order: int,
+    ) -> "PairedPermGroup":
+        """A group whose order and faithfulness a closure has already
+        checked, on these or on other generators of the same group."""
+        g = cls(degrees, generators, known_order=order)
+        g._faithful[0] = True
+        return g
 
     def _close(self, cap: int) -> list[tuple[int, ...]]:
         out = _paired_closure(self.degrees, self.generators, cap)
@@ -565,14 +609,14 @@ ISO_ORDER_CAP = 10**4
 def _generating_sequence(elements: list[Perm], degree: int) -> list[Perm]:
     """A short generating sequence, grown greedily in canonical order."""
     ident = tuple(range(degree))
-    have = {ident}
+    have, seen, images = [ident], {ident}, []
     gens: list[Perm] = []
     for x in elements:
         if len(have) == len(elements):
             break
-        if x.images not in have:
+        if x.images not in seen:
             gens.append(x)
-            have = set(_closure([s.images for s in gens], ident))
+            _extend(have, seen, images, [x.images], DEFAULT_ORDER_CAP)
     return gens
 
 
@@ -605,7 +649,7 @@ def groups_isomorphic(
     gens = _generating_sequence(ge, g.degree)
     g_ident, h_ident = tuple(range(g.degree)), tuple(range(h.degree))
     prefix_sizes = [
-        len(_closure([s.images for s in gens[: k + 1]], g_ident))
+        len(_span([s.images for s in gens[: k + 1]], g_ident))
         for k in range(len(gens))
     ]
     h_by_order: dict[int, list[Perm]] = {}
@@ -623,7 +667,7 @@ def groups_isomorphic(
             if cand.images in span:
                 continue
             chosen = images + [cand]
-            new_span = _closure([x.images for x in chosen], h_ident)
+            new_span = _span([x.images for x in chosen], h_ident)
             if len(new_span) == prefix_sizes[k]:
                 if assign(k + 1, chosen, set(new_span)):
                     return True
@@ -660,7 +704,10 @@ _CATALOGUE: Optional[list[tuple[str, PermGroup]]] = None
 
 
 def identify_group(g: PermGroup) -> Optional[str]:
-    """A standard name for the abstract group, if it is in the catalogue."""
+    """A standard name for the abstract group: from the catalogue, else
+    S_k or A_k for a group of order k! or k!/2 that moves k points.  A
+    group whose order is not known and exceeds the isomorphism cap stays
+    unnamed."""
     global _CATALOGUE
     if _CATALOGUE is None:
         _CATALOGUE = _named_catalogue()
@@ -671,4 +718,9 @@ def identify_group(g: PermGroup) -> Optional[str]:
     for name, h in _CATALOGUE:
         if h.order() == order and groups_isomorphic(g, h):
             return name
+    k = len({i for p in g.generators for i, x in enumerate(p.images) if i != x})
+    if order == factorial(k):
+        return f"S{k}"
+    if 2 * order == factorial(k):
+        return f"A{k}"
     return None

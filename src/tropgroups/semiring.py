@@ -15,13 +15,30 @@ multiplication (classical addition).
 Text grammar: ``-inf`` | a sum of signed terms, each a rational ``p`` /
 ``p/q`` or an infinitesimal term ``[coeff]e<tag>``, e.g. ``-1+e3`` or
 ``9/10-2e1+e2``.
+
+Code space.  ``encode`` compiles the scalars of one operation to tuples of
+ints over one basis: the sorted union of their tags and the lcm D of all
+their denominators.  A finite scalar becomes (D*std, D*c_t1, .., D*c_tk)
+and ``-inf`` becomes ``None``.  Python's tuple order is then the scalar
+order, and elementwise ``+``/``-`` are the tropical product and its
+residual, so the hot loops of ``matrix``, ``spaces`` and ``pairsearch``
+run on codes and build ``Value``s only at the boundary, through the
+``decode`` that ``encode`` returns.  Three points need care:
+
+- a code ``None`` never leaves code space as a scalar (``decode`` turns it
+  into ``NEG_INF``), and ``NEG_INF`` never enters it;
+- codes have no division: cycle means (``matrix.monomial_eigenvalue``)
+  stay on ``Value``;
+- ``free_basis_check`` is linear algebra over the rationals and stays on
+  ``Fraction``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from math import lcm
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 
 def _frac(x) -> Fraction:
@@ -300,6 +317,56 @@ def free_basis_check(vals: Sequence[Value]) -> bool:
         rank += 1
         col += 1
     return rank == len(vals)
+
+
+# -- code space --
+
+Code = Optional[tuple[int, ...]]
+
+
+def encode(
+    *groups: Iterable[TropScalar],
+) -> tuple[list[tuple[Code, ...]], Callable[[Code], TropScalar]]:
+    """The codes of the scalars of each group over one shared basis, and
+    the ``decode`` that maps a code of that basis back to its scalar.
+
+    ``decode`` returns the encoded scalars themselves for their codes and
+    builds every other ``Value`` once per call of ``encode``.
+    """
+    groups = [tuple(g) for g in groups]
+    finite = {x for g in groups for x in g if x is not NEG_INF}
+    dens = {x.std.denominator for x in finite}
+    tags = set()
+    for x in finite:
+        for t, c in x.eps:
+            tags.add(t)
+            dens.add(c.denominator)
+    den = lcm(*dens) if dens else 1
+    pos = {t: k for k, t in enumerate(sorted(tags), 1)}
+    width = len(pos) + 1
+    code_of: dict = {NEG_INF: None}
+    table: dict = {None: NEG_INF}
+    for x in finite:
+        row = [0] * width
+        row[0] = x.std.numerator * (den // x.std.denominator)
+        for t, c in x.eps:
+            row[pos[t]] = c.numerator * (den // c.denominator)
+        code = tuple(row)
+        code_of[x] = code
+        table[code] = x
+    codes = [tuple(map(code_of.__getitem__, g)) for g in groups]
+
+    def decode(code: Code) -> TropScalar:
+        x = table.get(code)
+        if x is None:
+            x = Value(
+                Fraction(code[0], den),
+                [(t, Fraction(code[k], den)) for t, k in pos.items() if code[k]],
+            )
+            table[code] = x
+        return x
+
+    return codes, decode
 
 
 # -- text format --

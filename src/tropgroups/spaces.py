@@ -2,7 +2,10 @@
 
 Membership in a column space is decided by residuation: the principal
 solution lambda_j = min over rows i with A_ij finite of (x_i - A_ij) is the
-componentwise-largest candidate, so x is in the span iff A (x) lambda = x.
+componentwise-largest candidate, so x is in the span iff A (x) lambda = x,
+that is, iff every finite coordinate of x attains the minimum for some
+column (Butkovič, *Max-linear Systems*, ch. 3).  The tests run on the
+integer codes of ``semiring.encode``.
 
 Conventions with -inf entries: a generator column that is entirely -inf
 gets coefficient -inf, and a generator that is finite at a coordinate where
@@ -13,10 +16,11 @@ choices, so the principal-solution test stays exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Optional, Sequence
 
 from .matrix import TropMatrix
-from .semiring import NEG_INF, TropScalar, trop_mul
+from .semiring import TropScalar, encode
 
 
 class ZeroMatrix(ValueError):
@@ -30,18 +34,29 @@ class SpanWitness:
     coefficients: tuple[TropScalar, ...]
 
 
-def _apply(a: TropMatrix, coeffs: Sequence[TropScalar]) -> tuple[TropScalar, ...]:
-    """A (x) lambda as a plain vector."""
-    out = []
-    for i in range(a.nrows):
-        acc: TropScalar = NEG_INF
-        row = a.entries[i]
-        for j, lam in enumerate(coeffs):
-            term = trop_mul(row[j], lam)
-            if acc is NEG_INF or (term is not NEG_INF and acc < term):
-                acc = term
-        out.append(acc)
-    return tuple(out)
+def _principal(x, cols) -> Optional[list]:
+    """The principal solution of cols (x) lambda = x on codes, if it
+    reproduces x, else None."""
+    coeffs = []
+    covered = set()
+    for col in cols:
+        lam, argmin = None, []
+        for i, (xi, aij) in enumerate(zip(x, col)):
+            if aij is None:
+                continue
+            if xi is None:
+                lam, argmin = None, []
+                break
+            d = tuple(map(sub, xi, aij))
+            if lam is None or d < lam:
+                lam, argmin = d, [i]
+            elif d == lam:
+                argmin.append(i)
+        coeffs.append(lam)
+        covered.update(argmin)
+    if all(xi is None or i in covered for i, xi in enumerate(x)):
+        return coeffs
+    return None
 
 
 def member(x: Sequence[TropScalar], a: TropMatrix) -> Optional[SpanWitness]:
@@ -49,36 +64,24 @@ def member(x: Sequence[TropScalar], a: TropMatrix) -> Optional[SpanWitness]:
     x = tuple(x)
     if len(x) != a.nrows:
         raise ValueError("vector length must match the number of rows")
-    coeffs: list[TropScalar] = []
-    for j in range(a.ncols):
-        lam: TropScalar = None
-        feasible = True
-        for i in range(a.nrows):
-            aij = a.entries[i][j]
-            if aij is NEG_INF:
-                continue
-            if x[i] is NEG_INF:
-                feasible = False
-                break
-            cand = x[i] - aij
-            if lam is None or cand < lam:
-                lam = cand
-        if not feasible or lam is None:
-            coeffs.append(NEG_INF)
-        else:
-            coeffs.append(lam)
-    if _apply(a, coeffs) == x:
-        return SpanWitness(tuple(coeffs))
-    return None
+    (xc, *rows), decode = encode(x, *a.entries)
+    coeffs = _principal(xc, list(zip(*rows)))
+    if coeffs is None:
+        return None
+    return SpanWitness(tuple(map(decode, coeffs)))
+
+
+def _spans_within(cols, gens) -> bool:
+    return all(_principal(col, gens) is not None for col in cols)
 
 
 def col_space_equal(a: TropMatrix, b: TropMatrix) -> bool:
     """True iff the columns of each matrix span the same subsemimodule."""
     if a.nrows != b.nrows:
         raise ValueError("column spaces live in spaces of equal dimension")
-    return all(member(b.col(j), a) for j in range(b.ncols)) and all(
-        member(a.col(j), b) for j in range(a.ncols)
-    )
+    codes, _ = encode(*a.entries, *b.entries)
+    acols, bcols = list(zip(*codes[: a.nrows])), list(zip(*codes[a.nrows :]))
+    return _spans_within(bcols, acols) and _spans_within(acols, bcols)
 
 
 def row_space_equal(a: TropMatrix, b: TropMatrix) -> bool:
@@ -94,32 +97,35 @@ def h_related(a: TropMatrix, b: TropMatrix) -> bool:
     return col_space_equal(a, b) and row_space_equal(a, b)
 
 
-def _scaling_equivalent(u: Sequence[TropScalar], v: Sequence[TropScalar]) -> bool:
-    """u = lam (x) v for a finite lam (identical -inf support, constant gap)."""
+def _scaling_gap(u, v):
+    """The finite code lam with u = lam (x) v, for codes u, v that are not
+    all -inf, or None when there is none (different -inf support or no
+    constant gap)."""
     lam = None
     for x, y in zip(u, v):
-        if (x is NEG_INF) != (y is NEG_INF):
-            return False
-        if x is NEG_INF:
+        if (x is None) != (y is None):
+            return None
+        if x is None:
             continue
-        d = x - y
+        d = tuple(map(sub, x, y))
         if lam is None:
             lam = d
         elif lam != d:
-            return False
-    return True
+            return None
+    return lam
 
 
-def _extremal_indices(vectors: list[tuple[TropScalar, ...]], length: int) -> list[int]:
+def _extremal_indices(vectors: list[tuple[TropScalar, ...]]) -> list[int]:
     """Indices of a minimal generating subfamily, earliest index per
     scaling-equivalence class, classes kept iff outside the span of the
     other classes."""
+    codes, _ = encode(*vectors)
     classes: list[list[int]] = []
-    for idx, v in enumerate(vectors):
-        if all(x is NEG_INF for x in v):
+    for idx, v in enumerate(codes):
+        if all(x is None for x in v):
             continue
         for cls in classes:
-            if _scaling_equivalent(v, vectors[cls[0]]):
+            if _scaling_gap(v, codes[cls[0]]) is not None:
                 cls.append(idx)
                 break
         else:
@@ -127,22 +133,18 @@ def _extremal_indices(vectors: list[tuple[TropScalar, ...]], length: int) -> lis
     reps = [cls[0] for cls in classes]
     kept = []
     for k, rep in enumerate(reps):
-        others = [vectors[r] for i, r in enumerate(reps) if i != k]
-        if not others:
-            kept.append(rep)
-            continue
-        gens = TropMatrix([[col[i] for col in others] for i in range(length)])
-        if member(vectors[rep], gens) is None:
+        others = [codes[r] for i, r in enumerate(reps) if i != k]
+        if not others or _principal(codes[rep], others) is None:
             kept.append(rep)
     return kept
 
 
 def column_rank(a: TropMatrix) -> int:
-    return len(_extremal_indices([a.col(j) for j in range(a.ncols)], a.nrows))
+    return len(_extremal_indices([a.col(j) for j in range(a.ncols)]))
 
 
 def row_rank(a: TropMatrix) -> int:
-    return len(_extremal_indices([a.row(i) for i in range(a.nrows)], a.ncols))
+    return len(_extremal_indices(list(a.entries)))
 
 
 def reduce_full_rank(x: TropMatrix) -> tuple[TropMatrix, list[int], list[int]]:
@@ -153,9 +155,9 @@ def reduce_full_rank(x: TropMatrix) -> tuple[TropMatrix, list[int], list[int]]:
     """
     if x.all_neg_inf():
         raise ZeroMatrix("matrix has no finite entry")
-    row_keep = _extremal_indices([x.row(i) for i in range(x.nrows)], x.ncols)
+    row_keep = _extremal_indices(list(x.entries))
     y = TropMatrix([x.row(i) for i in row_keep])
-    col_keep = _extremal_indices([y.col(j) for j in range(y.ncols)], y.nrows)
+    col_keep = _extremal_indices([y.col(j) for j in range(y.ncols)])
     z = TropMatrix([[y.entries[i][j] for j in col_keep] for i in range(y.nrows)])
     return z, row_keep, col_keep
 

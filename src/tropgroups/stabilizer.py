@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import factorial
+from operator import add, neg
 from typing import Optional
 
 from .components import (
@@ -55,8 +56,8 @@ from .permgroups import (
     identify_group,
     is_paired_two_closed,
 )
-from .semiring import NEG_INF, Value
-from .spaces import has_full_rank, reduce_full_rank, _scaling_equivalent
+from .semiring import ZERO, Value, encode
+from .spaces import has_full_rank, reduce_full_rank, _scaling_gap
 
 DEFAULT_MAX_ELEMENTS = 10**6
 
@@ -129,20 +130,18 @@ def right_mate(a: TropMatrix, p: MonomialMatrix) -> MonomialMatrix:
     full-rank matrix.  Each column of P @ A is a scaling of exactly one
     column of A."""
     b = p.left_apply(a)
+    codes, decode = encode(*b.entries, *a.entries)
+    bcols, acols = list(zip(*codes[: a.nrows])), list(zip(*codes[a.nrows :]))
     tau = [-1] * a.ncols
     mu: list = [None] * a.ncols
-    bcols = [b.col(j) for j in range(a.ncols)]
-    acols = [a.col(j) for j in range(a.ncols)]
     for j, bc in enumerate(bcols):
         for k, ac in enumerate(acols):
-            if _scaling_equivalent(bc, ac):
-                gap = next(
-                    x - y for x, y in zip(bc, ac) if x is not NEG_INF
-                )
+            gap = _scaling_gap(bc, ac)
+            if gap is not None:
                 if tau[k] != -1:
                     raise ValueError("column image is ambiguous; not full rank")
                 tau[k] = j
-                mu[k] = gap
+                mu[k] = decode(gap)
                 break
         else:
             raise ValueError("P is not a stabilizer element of the matrix")
@@ -241,18 +240,23 @@ def commuting_units(
     return _sorted_elements(out)
 
 
-def _propagate(size: int, maps) -> list[Value]:
-    """The vector w that is 0 at the least point of each orbit and has
-    w[s[x]] = w[x] + d[x] for every (s, d) in ``maps``."""
+def _neg(code):
+    return tuple(map(neg, code))
+
+
+def _propagate(size: int, zero, maps) -> list:
+    """The code vector w that is ``zero`` at the least point of each orbit
+    and has w[s[x]] = w[x] + d[x] for every (s, d) in ``maps``, checked at
+    every point for every map."""
     w: list = [None] * size
     for k in range(size):
         if w[k] is not None:
             continue
-        w[k] = Value(0)
+        w[k] = zero
         reached = [k]
         for x in reached:
             for s, d in maps:
-                cand = w[x] + d[x]
+                cand = tuple(map(add, w[x], d[x]))
                 if w[s[x]] is None:
                     w[s[x]] = cand
                     reached.append(s[x])
@@ -274,7 +278,9 @@ def normalize_eigenvectors(
     is generators from the pair search).  The common right eigenvector u,
     with u_i = lam_i + u_sigma(i) for every element, is propagated along
     the elements from each least not-yet-covered coordinate, and the left
-    eigenvector v, with v_tau(j) = v_j + mu_j, likewise.
+    eigenvector v, with v_tau(j) = v_j + mu_j, likewise.  Both equations
+    are checked at every point for every element; they are exactly the
+    conditions for U and V to conjugate each element to a permutation.
     """
     if len(connected_components(a)) != 1:
         raise NotConnected("eigenvector normalisation needs a connected matrix")
@@ -284,21 +290,15 @@ def normalize_eigenvectors(
         elements = _sigma_generators(a, max_nodes)
 
     n, m = a.shape
-    u = _propagate(n, [(el.P.sigma, [-x for x in el.P.scalings]) for el in elements])
-    v = _propagate(m, [(el.Q.sigma, el.Q.scalings) for el in elements])
-    u_diag = MonomialMatrix(tuple(range(n)), tuple(-x for x in u))
-    v_diag = MonomialMatrix(tuple(range(m)), tuple(-x for x in v))
-    b = v_diag.right_apply(u_diag.left_apply(a))
-    zero = Value(0)
-    v_inv = v_diag.invert()
-    for el in elements:
-        conj_p = (u_diag @ el.P) @ u_diag.invert()
-        conj_q = (v_inv @ el.Q) @ v_diag
-        if any(s != zero for s in conj_p.scalings) or any(
-            s != zero for s in conj_q.scalings
-        ):
-            raise AssertionError("normalised stabilizer element is not a permutation")
-    return u_diag, v_diag, b
+    ((zero,), *codes), decode = encode(
+        (ZERO,), *(s for el in elements for s in (el.P.scalings, el.Q.scalings))
+    )
+    p_maps = [(el.P.sigma, list(map(_neg, c))) for el, c in zip(elements, codes[::2])]
+    q_maps = [(el.Q.sigma, c) for el, c in zip(elements, codes[1::2])]
+    u, v = _propagate(n, zero, p_maps), _propagate(m, zero, q_maps)
+    u_diag = MonomialMatrix(tuple(range(n)), [decode(_neg(x)) for x in u])
+    v_diag = MonomialMatrix(tuple(range(m)), [decode(_neg(x)) for x in v])
+    return u_diag, v_diag, v_diag.right_apply(u_diag.left_apply(a))
 
 
 @dataclass(frozen=True)
@@ -432,7 +432,11 @@ def analyze_matrix(
         pairs = sorted(
             (Perm._of(s), Perm._of(t)) for s, t in _sigma_patterns(gens, rep.shape)
         )
-        paired = PairedPermGroup(rep.shape, _reduced_pair_generators(pairs, rep.shape))
+        # the closure of the patterns has counted Sigma and checked it is
+        # faithful, so the factor needs no closure of its own
+        paired = PairedPermGroup._checked(
+            rep.shape, _reduced_pair_generators(pairs, rep.shape), len(pairs)
+        )
         comp = part.components[cls.representative]
         factors.append(make_factor(paired, len(cls.members), comp))
         sigma_generators.append(gens)

@@ -130,6 +130,28 @@ def test_budget_exceeded_exit_code(tmp_path, capsys):
         assert code == 3, gens
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{path}", "--max-nodes", "-1"],
+        ["analyze", "{path}", "--max-nodes", "0"],
+        ["verify", "{path}", "--max-nodes", "0"],
+        ["construct", "{spec}", "--max-nodes", "0"],
+        ["closure", "--degree", "4", "(1,2,3,4)", "--max-order", "-5"],
+        ["closure", "--degree", "4", "(1,2,3,4)", "--max-order", "0"],
+    ],
+)
+def test_non_positive_budgets_are_bad_input(tmp_path, capsys, argv):
+    path = write(tmp_path, "f.txt", matrix_f().to_text() + "\n")
+    spec = write(tmp_path, "s.json", json.dumps({"degree": 2, "generators": ["(1,2)"]}))
+    argv = [a.format(path=path, spec=spec) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "at least 1" in err and "budget exceeded" not in err
+
+
 def test_closure_cli(capsys):
     code, out = run_cli(
         ["closure", "--degree", "4", "(1,2,3)", "--json"], capsys

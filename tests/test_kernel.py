@@ -1,0 +1,122 @@
+"""The integer code kernel against plain scalar references.
+
+Random matrices mix -inf, fractions with several denominators and
+several infinitesimal tags, drawn from a small pool per case so that
+equal entries, equal differences and ties in the principal solution
+occur.  ``mat_mul``, ``member``, ``col_space_equal`` and the first pair
+solution run on codes; the references in ``helpers`` run on ``Value``.
+"""
+
+import random
+from fractions import Fraction
+
+from helpers import (
+    ref_apply,
+    ref_col_space_equal,
+    ref_mat_mul,
+    ref_member,
+    ref_pair_solvable,
+)
+from tropgroups.graphs import support_components
+from tropgroups.matrix import MonomialMatrix, TropMatrix, mat_mul
+from tropgroups.pairsearch import pair_solutions
+from tropgroups.semiring import NEG_INF, Value
+from tropgroups.spaces import col_space_equal, member
+
+
+def scalar_pool(rng, k):
+    pool = []
+    for _ in range(k):
+        std = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 5, 30]))
+        tags = rng.sample(range(1, 9), rng.randint(0, 3))
+        coeffs = {t: Fraction(rng.randint(-3, 3), rng.choice([1, 2, 7])) for t in tags}
+        pool.append(Value(std, coeffs))
+    return pool
+
+
+def random_vector(rng, k, pool, p_inf=0.25):
+    return [NEG_INF if rng.random() < p_inf else rng.choice(pool) for _ in range(k)]
+
+
+def random_matrix(rng, n, m, pool, p_inf=0.25):
+    return TropMatrix([random_vector(rng, m, pool, p_inf) for _ in range(n)])
+
+
+def connected(a):
+    support = [[x is not NEG_INF for x in row] for row in a.entries]
+    return len(support_components(support)) == 1
+
+
+def relabelled(rng, a, pool):
+    """A copy of a with permuted rows and columns, each row and column
+    shifted by a scalar of the pool: a pair solution exists."""
+    n, m = a.shape
+    sigma, tau = rng.sample(range(n), n), rng.sample(range(m), m)
+    lam, mu = rng.choices(pool, k=n), rng.choices(pool, k=m)
+    rows = [[NEG_INF] * m for _ in range(n)]
+    for i in range(n):
+        for j in range(m):
+            x = a.entries[i][j]
+            rows[sigma[i]][tau[j]] = NEG_INF if x is NEG_INF else x - lam[i] + mu[j]
+    return TropMatrix(rows)
+
+
+def test_mat_mul_member_and_col_space_match_references():
+    rng = random.Random(31)
+    members = spans = 0
+    for case in range(300):
+        n, m, k = rng.choice([(2, 3, 2), (3, 3, 3), (3, 4, 2), (4, 3, 4)])
+        pool = scalar_pool(rng, 5)
+        a, b = random_matrix(rng, n, m, pool), random_matrix(rng, m, k, pool)
+        assert mat_mul(a, b) == ref_mat_mul(a, b)
+
+        if case % 2:
+            x = ref_apply(a, random_vector(rng, m, pool, 0.2))
+        else:
+            x = tuple(random_vector(rng, n, pool, 0.2))
+        ours, ref = member(x, a), ref_member(x, a)
+        assert (ours is None) == (ref is None)
+        if ours is not None:
+            members += 1
+            assert ours.coefficients == ref
+
+        if case % 3 == 0:
+            # the same columns, permuted and scaled, plus one in their span
+            cols = [
+                [NEG_INF if y is NEG_INF else y + s for y in a.col(j)]
+                for j, s in zip(rng.sample(range(m), m), rng.choices(pool, k=m))
+            ]
+            cols.append(list(ref_apply(a, rng.choices(pool, k=m))))
+            c = TropMatrix([list(row) for row in zip(*cols)])
+        else:
+            c = random_matrix(rng, n, rng.randint(1, 4), pool)
+        same = col_space_equal(a, c)
+        assert same == ref_col_space_equal(a, c)
+        spans += same
+    # both outcomes of membership and of equality were exercised
+    assert 0 < members < 300 and 0 < spans < 300
+
+
+def test_first_pair_solution_matches_reference():
+    rng = random.Random(57)
+    found = tried = 0
+    while tried < 80:
+        n, m = rng.choice([(2, 3), (3, 3), (3, 4)])
+        pool = scalar_pool(rng, 4)
+        target = random_matrix(rng, n, m, pool, p_inf=0.2)
+        if not connected(target):
+            continue
+        tried += 1
+        if tried % 2:
+            source = relabelled(rng, target, pool)
+        else:
+            source = random_matrix(rng, n, m, pool, p_inf=0.2)
+        sols = pair_solutions(target, source, first_only=True)
+        assert bool(sols) == ref_pair_solvable(target, source)
+        if sols:
+            found += 1
+            sigma, tau, lam, mu = sols[0]
+            p = MonomialMatrix(sigma, lam).expand()
+            q = MonomialMatrix(tau, mu).expand()
+            assert ref_mat_mul(p, source) == ref_mat_mul(target, q)
+    assert 40 <= found < 80

@@ -263,6 +263,24 @@ def test_identify_group():
     assert identify_group(PermGroup.from_cycles(10, ALT4_10PT)) == "A4"
 
 
+def test_identify_symmetric_and_alternating_groups_by_order():
+    """After a catalogue miss, order k! on k moved points names S_k and
+    k!/2 names A_k; the catalogue still names the small ones first."""
+    s5 = PermGroup.from_cycles(6, ["(2,3,4,5,6)", "(2,3)"])
+    assert identify_group(s5) == "S5"
+    assert identify_group(PermGroup.from_cycles(5, ["(1,2,3)", "(3,4,5)"])) == "A5"
+    a6 = PermGroup.from_cycles(6, ["(1,2,3)", "(2,3,4,5,6)"])
+    assert identify_group(a6) == "A6"
+    assert identify_group(PermGroup.from_cycles(3, ["(1,2,3)"])) == "C3"
+    assert identify_group(PermGroup.from_cycles(4, ["(1,2,3,4)", "(1,2)"])) == "S4"
+    # C3 wr C2 moves 6 points with order 18, neither 6! nor 6!/2
+    c3wrc2 = PermGroup.from_cycles(6, ["(1,2,3)", "(4,5,6)", "(1,4)(2,5)(3,6)"])
+    assert identify_group(c3wrc2) is None
+    # a known order above the isomorphism cap is named without listing
+    s8 = PermGroup.from_cycles(8, ["(1,2,3,4,5,6,7,8)", "(1,2)"])
+    assert identify_group(PermGroup(8, s8.generators, known_order=40320)) == "S8"
+
+
 def test_is_irreducible():
     twins = ColouredBipartiteGraph(2, 2, {(0, 0): 1, (0, 1): 1, (1, 0): 2, (1, 1): 2})
     assert not is_irreducible(twins)

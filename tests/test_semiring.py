@@ -1,13 +1,15 @@
 import itertools
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropgroups.semiring import (
     NEG_INF,
     Value,
+    encode,
     eps,
     format_scalar,
     free_basis_check,
@@ -46,6 +48,31 @@ values = st.builds(
     st.dictionaries(st.integers(min_value=1, max_value=3), rationals, max_size=2),
 )
 scalars = st.one_of(st.just(NEG_INF), values)
+# tags disjoint from those of ``values``
+far_values = st.builds(
+    Value,
+    rationals,
+    st.dictionaries(st.integers(min_value=10, max_value=12), rationals, max_size=2),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(values, values, scalars, st.lists(st.one_of(st.just(NEG_INF), far_values)))
+def test_encode_is_an_order_and_product_preserving_bijection(x, y, z, far):
+    """Codes compare like scalars, elementwise + and - are the product and
+    its residual, and decode inverts encode, also for a second group with
+    disjoint tags that shares the basis."""
+    ((cx, cy, cz), cfar), decode = encode((x, y, z), far)
+    assert (cx < cy) == (x < y) and (cx == cy) == (x == y)
+    assert (cz is None) == (z is NEG_INF)
+    if z is not NEG_INF:
+        assert (cx < cz) == (x < z) and (cz < cy) == (z < y)
+    assert decode(tuple(map(add, cx, cy))) == x + y
+    assert decode(tuple(map(sub, cx, cy))) == x - y
+    assert decode(cz) == z and decode(None) is NEG_INF
+    assert [decode(c) for c in cfar] == far
+    ((cx, cy, cs, cd),), _ = encode((x, y, x + y, x - y))
+    assert tuple(map(add, cx, cy)) == cs and tuple(map(sub, cx, cy)) == cd
 
 
 def test_trop_add_examples():

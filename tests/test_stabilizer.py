@@ -255,6 +255,7 @@ def test_symmetric_group_witnesses(n):
     e = construct_idempotent(PermGroup.from_cycles(n, [cycle, "(1,2)"]))
     desc = group_description(e)
     assert [f.order for f in desc.factors] == [math.factorial(n)]
+    assert desc.formula() == f"(R x S{n})"
     assert len(pair_solutions(e, e)) < n * n
     if n <= 5:
         assert len(stabilizer_pairs(e)) == math.factorial(n)
@@ -343,3 +344,32 @@ def test_classification_conditions_synthetic():
     too_big = GroupDescription((_trivial_factor(3, 2),))
     assert not classification_conditions(too_big, 5, 10)
     assert classification_conditions(too_big, 6, 6)
+
+
+def test_analysis_closes_each_class_once(monkeypatch):
+    """The closure of the Sigma patterns gives the factor its order and
+    faithfulness: neither the description nor the classification
+    conditions close the factor group again."""
+    from tropgroups import stabilizer
+
+    calls = []
+    patterns = stabilizer._paired_closure
+    close = PairedPermGroup._close
+
+    def counted_patterns(shape, pairs):
+        calls.append(("patterns", shape))
+        return patterns(shape, pairs)
+
+    def counted_close(self, cap):
+        calls.append(("factor", self.degrees))
+        return close(self, cap)
+
+    monkeypatch.setattr(stabilizer, "_paired_closure", counted_patterns)
+    monkeypatch.setattr(PairedPermGroup, "_close", counted_close)
+    e = construct_idempotent(PermGroup.from_cycles(5, ["(1,2,3,4,5)", "(1,2)"]))
+    for a in (matrix_f(), SECTION4, e):
+        calls.clear()
+        desc = group_description(a)
+        assert classification_conditions(desc, *a.shape)
+        shapes = [(f.degree, f.col_degree) for f in desc.factors]
+        assert calls == [("patterns", shape) for shape in shapes]
