@@ -159,7 +159,8 @@ def _parse_gen_args(args) -> tuple:
 def cmd_closure(args) -> int:
     group, paired = _parse_gen_args(args)
     t0 = time.perf_counter()
-    # the order first, so that --max-order applies before anything caches it
+    # the order first: a group above --max-order, or a paired one that is
+    # not faithful, stops before the 2-closure search
     order = group.order(args.max_order)
     if paired:
         closure = paired_two_closure(group)
@@ -410,9 +411,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # built on the first call and kept: a parser is a web of reference
+    # cycles that only the cyclic collector would free
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (SearchBudgetExceeded, OrderCapExceeded) as exc:

@@ -3,6 +3,14 @@
 Permutations are 0-indexed internally and 1-indexed in all text I/O
 (cycle notation like ``(1,3,2)(5,10,7)``; the identity is ``()``).
 
+Orders and membership come from a Sims table, ``_sims_table``: a
+stabilizer chain with the points as base in their natural order, filled
+by Knuth's deterministic sifting, so the order is the product of the
+orbit lengths and no group is listed to count it.  A paired group's order
+comes from the table on the n + m disjoint points of its two sides, and
+its faithfulness from comparing that order with the orders of the two
+sides' groups.
+
 Every element list comes from one closure step, ``_extend``, which grows
 a list closed under some generators by more generators and works on image
 tuples; ``Perm`` objects are built only where a caller wants them.
@@ -35,7 +43,7 @@ from __future__ import annotations
 
 import re
 from itertools import islice
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from typing import Iterable, Optional, Sequence
 
 from .errors import OrderCapExceeded, SearchBudgetExceeded
@@ -89,10 +97,7 @@ class Perm:
         return Perm(tuple(other.images[x] for x in self.images))
 
     def inverse(self) -> "Perm":
-        inv = [0] * self.degree
-        for i, x in enumerate(self.images):
-            inv[x] = i
-        return Perm(inv)
+        return Perm._of(_inverse(self.images))
 
     def is_identity(self) -> bool:
         return all(i == x for i, x in enumerate(self.images))
@@ -217,10 +222,83 @@ def _paired_closure(
     return elements
 
 
+def _inverse(x: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(x)
+    for i, y in enumerate(x):
+        inv[y] = i
+    return tuple(inv)
+
+
+def _sims_table(generators: Sequence[tuple[int, ...]], degree: int) -> list[dict]:
+    """A Sims table of the group the image tuples generate.
+
+    Row k maps every point j of the orbit of k under the pointwise
+    stabilizer of 0, .., k-1 to the inverse of one element of that
+    stabilizer taking k to j (the identity at j = k).  It is filled by
+    Knuth's deterministic algorithm ("Efficient representation of perm
+    groups", *Combinatorica* 11, 1991).  Adding an element g to level k
+    (it fixes 0, .., k-1) does nothing when g sifts through the rows from
+    k on; otherwise g joins the level's generators and every
+    representative times g is entered at level k.  Entering an element
+    either fills a new orbit point, and then its products with the
+    level's generators are entered too, or it meets the representative
+    already there, and the quotient, which fixes k as well, is added to
+    level k + 1.  The two steps run from one explicit stack, in the order
+    their mutual recursion would take, so the depth does not grow with
+    the input.
+    """
+    ident = tuple(range(degree))
+    rows: list[dict] = [{k: ident} for k in range(degree)]
+    strong: list[list] = [[] for _ in range(degree)]
+    stack = [(0, g, True) for g in reversed(generators)]  # (level, element, add?)
+    while stack:
+        k, g, add = stack.pop()
+        if add:
+            if _sifts(rows, g, k):
+                continue
+            strong[k].append(g)
+            reps = [_inverse(u) for u in rows[k].values()]
+            stack.extend((k, tuple(map(g.__getitem__, t)), False) for t in reversed(reps))
+            continue
+        row = rows[k]
+        u = row.get(g[k])
+        if u is None:
+            row[g[k]] = _inverse(g)
+            stack.extend((k, tuple(map(s.__getitem__, g)), False) for s in reversed(strong[k]))
+        else:
+            h = tuple(map(u.__getitem__, g))  # g, then back to k
+            if h != ident:
+                stack.append((k + 1, h, True))
+    return rows
+
+
+def _sifts(rows: list[dict], g: tuple[int, ...], k: int = 0) -> bool:
+    """Whether g, which fixes 0, .., k-1, is a product of representatives
+    of the rows from k on, that is, lies in the group of the table."""
+    for i in range(k, len(g)):
+        j = g[i]
+        if j != i:
+            u = rows[i].get(j)
+            if u is None:
+                return False
+            g = tuple(map(u.__getitem__, g))
+    return True
+
+
+def _table_order(generators: Sequence[tuple[int, ...]], degree: int) -> int:
+    return prod(map(len, _sims_table(generators, degree)))
+
+
+def _capped(order: int, cap: int) -> int:
+    if order > cap:
+        raise OrderCapExceeded(f"group order exceeds the cap {cap}")
+    return order
+
+
 class PermGroup:
     """A finite permutation group given by generators."""
 
-    __slots__ = ("degree", "generators", "_order", "_elements")
+    __slots__ = ("degree", "generators", "_order", "_elements", "_table")
 
     def __init__(
         self,
@@ -237,6 +315,7 @@ class PermGroup:
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_order", [known_order])
         object.__setattr__(self, "_elements", [None])
+        object.__setattr__(self, "_table", [None])
 
     def __setattr__(self, name, value):
         raise AttributeError("PermGroup is immutable")
@@ -249,26 +328,30 @@ class PermGroup:
     def from_cycles(cls, degree: int, gens: Iterable[str]) -> "PermGroup":
         return cls(degree, [parse_cycles(g, degree) for g in gens])
 
-    def _close(self, cap: int) -> list[tuple[int, ...]]:
-        gens = [g.images for g in self.generators]
-        return _span(gens, tuple(range(self.degree)), cap)
-
     def elements(self, cap: int = DEFAULT_ORDER_CAP) -> frozenset[Perm]:
         """Product closure of the generators."""
         if self._elements[0] is None:
-            out = frozenset(map(Perm._of, self._close(cap)))
+            gens = [g.images for g in self.generators]
+            out = frozenset(map(Perm._of, _span(gens, tuple(range(self.degree)), cap)))
             self._elements[0] = out
             self._order[0] = len(out)
         return self._elements[0]
 
-    def order(self, cap: int = DEFAULT_ORDER_CAP) -> int:
-        """The group order, counted without building the elements."""
-        if self._order[0] is None:
-            self._order[0] = len(self._close(cap))
-        return self._order[0]
+    def _sims(self) -> list[dict]:
+        if self._table[0] is None:
+            gens = [g.images for g in self.generators]
+            self._table[0] = _sims_table(gens, self.degree)
+        return self._table[0]
 
-    def contains(self, p: Perm, cap: int = DEFAULT_ORDER_CAP) -> bool:
-        return p in self.elements(cap)
+    def order(self, cap: int = DEFAULT_ORDER_CAP) -> int:
+        """The group order, known or read from the Sims table.  Raises
+        OrderCapExceeded above ``cap``; an order above it is not kept."""
+        if self._order[0] is None:
+            self._order[0] = _capped(prod(map(len, self._sims())), cap)
+        return _capped(self._order[0], cap)
+
+    def contains(self, p: Perm) -> bool:
+        return p.degree == self.degree and _sifts(self._sims(), p.images)
 
     def __repr__(self):
         gens = ", ".join(format_cycles(g) for g in self.generators) or "()"
@@ -279,8 +362,9 @@ class PairedPermGroup:
     """A group acting on two sets, given by generator pairs (left, right).
 
     The group is the set of pairs generated componentwise.  Both coordinate
-    projections must be faithful; every closure of the group checks that,
-    and a group built with ``known_order`` is checked by its first one."""
+    projections must be faithful; every closure of the group and every
+    order that is not known checks that, and the 2-closure checks a group
+    built with ``known_order`` that nothing has checked yet."""
 
     __slots__ = ("degrees", "generators", "_order", "_elements", "_faithful")
 
@@ -337,11 +421,30 @@ class PairedPermGroup:
             self._order[0] = len(out)
         return self._elements[0]
 
+    def _checked_order(self, cap: int) -> int:
+        """The order from the Sims table on the n + m points, checked
+        against the cap and then for faithfulness: the group is faithful on
+        each side exactly when |G| = |pi_L G| = |pi_R G|, pi_L and pi_R the
+        projections to the two sides."""
+        n, m = self.degrees
+        pairs = [(g.images, h.images) for g, h in self.generators]
+        order = _capped(
+            _table_order([g + tuple(n + y for y in h) for g, h in pairs], n + m), cap
+        )
+        left = _table_order([g for g, _ in pairs], n)
+        if not order == left == _table_order([h for _, h in pairs], m):
+            raise NotFaithful(
+                "one-sided kernel element: the paired action is not faithful"
+            )
+        self._faithful[0] = True
+        return order
+
     def order(self, cap: int = DEFAULT_ORDER_CAP) -> int:
-        """The group order, counted without building the elements."""
+        """The group order, known or read from the Sims table.  Raises
+        OrderCapExceeded above ``cap``; an order above it is not kept."""
         if self._order[0] is None:
-            self._order[0] = len(self._close(cap))
-        return self._order[0]
+            self._order[0] = self._checked_order(cap)
+        return _capped(self._order[0], cap)
 
     def left_group(self) -> PermGroup:
         return PermGroup(self.degrees[0], [g for g, _ in self.generators])
@@ -562,19 +665,21 @@ def two_closure(g: PermGroup) -> PermGroup:
 
 
 def is_two_closed(g: PermGroup, cap: int = DEFAULT_ORDER_CAP) -> bool:
-    return g.order(cap) == two_closure(g).order(cap)
+    # no group on d points is larger than d!, so the closure is never capped
+    return g.order(cap) == two_closure(g).order(factorial(g.degree))
 
 
 def paired_two_closure(g: PairedPermGroup) -> PairedPermGroup:
     """The largest subgroup of the product of the two symmetric groups
     preserving the orbits on the product set."""
-    if not g._faithful[0]:  # no closure has checked faithfulness yet
-        g._close(DEFAULT_ORDER_CAP)
+    if not g._faithful[0]:  # no order or closure has checked faithfulness yet
+        g._checked_order(DEFAULT_ORDER_CAP)
     return coloured_bipartite_automorphisms(paired_orbit_colouring(g))
 
 
 def is_paired_two_closed(g: PairedPermGroup, cap: int = DEFAULT_ORDER_CAP) -> bool:
-    return g.order(cap) == paired_two_closure(g).order(cap)
+    bound = factorial(g.degrees[0]) * factorial(g.degrees[1])
+    return g.order(cap) == paired_two_closure(g).order(bound)
 
 
 # -- irreducibility of coloured bipartite graphs --
@@ -711,10 +816,12 @@ def identify_group(g: PermGroup) -> Optional[str]:
     global _CATALOGUE
     if _CATALOGUE is None:
         _CATALOGUE = _named_catalogue()
-    try:
-        order = g.order(ISO_ORDER_CAP)
-    except OrderCapExceeded:
-        return None
+    order = g._order[0]  # a known order is read whatever its size
+    if order is None:
+        try:
+            order = g.order(ISO_ORDER_CAP)
+        except OrderCapExceeded:
+            return None
     for name, h in _CATALOGUE:
         if h.order() == order and groups_isomorphic(g, h):
             return name

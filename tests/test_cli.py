@@ -131,6 +131,43 @@ def test_budget_exceeded_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "gens",
+    [
+        ["--degree", "4", "(1,2,3)", "(1,2)(3,4)"],
+        ["--bidegree", "4", "4", "(1,2,3)|(1,2,3)", "(1,2)(3,4)|(1,2)(3,4)"],
+    ],
+    ids=["plain", "paired"],
+)
+def test_max_order_caps_the_closure_order_too(capsys, gens):
+    """A4 has order 12 and its (paired) 2-closure S4 order 24: the cap of
+    12 admits the group but not its closure, whose order the automorphism
+    search has already found."""
+    code, out = run_cli(["closure", *gens, "--json", "--max-order", "24"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert (report["group_order"], report["closure_order"]) == (12, 24)
+    code, out = run_cli(["closure", *gens, "--json", "--max-order", "12"], capsys)
+    assert code == 3 and out == ""
+
+
+def test_main_builds_one_parser(monkeypatch, capsys):
+    from tropgroups import cli
+
+    built = []
+    build = cli._build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_build_parser", counted)
+    for _ in range(2):
+        assert run_cli(["closure", "--degree", "3", "(1,2,3)", "--json"], capsys)[0] == 0
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["analyze", "{path}", "--max-nodes", "-1"],

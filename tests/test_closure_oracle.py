@@ -1,20 +1,32 @@
-"""The one group closure against sympy's permutation groups.
+"""The Sims table and the one group closure against sympy's permutation
+groups and against each other.
 
 sympy is a test-only oracle here: group orders of plain groups, of paired
-groups (closed as one group on the disjoint union of the two sides), and
-the element lists of the brute-force isomorphism oracle.  (sympy's own
-``is_isomorphic`` is not used: it calls C12 and C3 x C4 non-isomorphic.)
+groups (on the disjoint union of the two sides), and the element lists of
+the brute-force isomorphism oracle.  (sympy's own ``is_isomorphic`` is not
+used: it calls C12 and C3 x C4 non-isomorphic.)  The closure, which lists
+the group, is the oracle of the table's orders, membership and paired
+faithfulness.
 """
 
 import itertools
+import json
+import random
+import sys
 
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
+from tropgroups import cli, permgroups
+from tropgroups.errors import OrderCapExceeded
 from tropgroups.permgroups import (
+    NotFaithful,
     PairedPermGroup,
     Perm,
     PermGroup,
+    _closure,
+    _paired_closure,
+    format_cycles,
     groups_isomorphic,
     parse_cycles,
 )
@@ -269,3 +281,133 @@ def test_isomorphism_matches_a_brute_force_oracle(first, second):
     expected = brute_force_isomorphic(g, h)
     assert groups_isomorphic(PermGroup(*g), PermGroup(*h)) == expected
     assert brute_force_isomorphic(g, g)
+
+
+# -- the Sims table --
+
+LARGE = {
+    "S8": (8, symmetric(8)),
+    "A8": (8, alternating(8)),
+    "S2wrS6": wreath([cyc(2)], 2, symmetric(6)),
+    "S12": (12, symmetric(12)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE))
+def test_large_orders_match_sympy_with_a_raised_cap(name):
+    degree, gens = LARGE[name]
+    expected = sympy_group(degree, gens).order()
+    assert PermGroup(degree, gens).order(cap=expected) == expected
+    with pytest.raises(OrderCapExceeded):
+        PermGroup(degree, gens).order(cap=expected - 1)
+
+
+def s5_subgroups():
+    """Every subgroup of S_5, each generated by a pair of elements (all of
+    them are 2-generated), with its closure as a set."""
+    elements = [tuple(p) for p in itertools.permutations(range(5))]
+    ident = tuple(range(5))
+    found = {}
+    for a, b in itertools.combinations_with_replacement(elements, 2):
+        span = frozenset(_closure([a, b], ident))
+        found.setdefault(span, (a, b))
+    return found
+
+
+def test_orders_and_membership_match_the_closure_on_every_subgroup_of_s5():
+    subgroups = s5_subgroups()
+    assert len(subgroups) == 156
+    everything = [Perm(p) for p in itertools.permutations(range(5))]
+    for span, pair in subgroups.items():
+        g = PermGroup(5, [Perm(x) for x in pair])
+        assert g.order() == len(span)
+        members = {x for x in everything if g.contains(x)}
+        assert members == PermGroup(5, g.generators).elements()
+        assert {x.images for x in members} == span
+
+
+def test_membership_of_a_large_group_matches_its_elements():
+    g = PermGroup(*CATALOGUE["S2wrS4"])
+    listed = g.elements()
+    rng = random.Random(3)
+    others = [Perm(rng.sample(range(8), 8)) for _ in range(300)]
+    assert all(g.contains(x) for x in listed)
+    assert {x for x in others if g.contains(x)} == {x for x in others if x in listed}
+    assert any(x not in listed for x in others)
+    assert not g.contains(Perm.identity(7))
+
+
+def _closure_is_faithful(n, m, pairs):
+    try:
+        _paired_closure((n, m), pairs)
+    except NotFaithful:
+        return False
+    return True
+
+
+def _order_is_faithful(n, m, pairs):
+    try:
+        PairedPermGroup((n, m), pairs).order()
+    except NotFaithful:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(PAIRED))
+def test_paired_faithfulness_matches_the_closure_on_the_catalogue(name):
+    n, m, pairs = PAIRED[name]
+    assert _order_is_faithful(n, m, pairs) == _closure_is_faithful(n, m, pairs) == True
+    # the left side alone against the identity on the right is never faithful
+    lopsided = [(g, Perm.identity(m)) for g, _ in pairs]
+    assert not _order_is_faithful(n, m, lopsided)
+    assert not _closure_is_faithful(n, m, lopsided)
+
+
+def test_paired_faithfulness_matches_the_closure_on_seeded_pairs():
+    rng = random.Random(8)
+    outcomes = set()
+    for _ in range(400):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        pairs = [
+            (Perm(rng.sample(range(n), n)), Perm(rng.sample(range(m), m)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        faithful = _closure_is_faithful(n, m, pairs)
+        assert _order_is_faithful(n, m, pairs) == faithful, pairs
+        outcomes.add(faithful)
+    assert outcomes == {True, False}
+
+
+def test_a_long_cycle_is_counted_without_deep_recursion():
+    assert sys.getrecursionlimit() <= 1500
+    n = 1500
+    g = PermGroup(n, [Perm([(i + 1) % n for i in range(n)])])
+    assert g.order(cap=n) == n
+    assert g.contains(Perm([(i + 7) % n for i in range(n)]))
+    assert not g.contains(Perm([1, 0] + list(range(2, n))))
+
+
+def test_closure_requests_list_no_group(monkeypatch, capsys):
+    """Orders, faithfulness and 2-closures come from Sims tables and the
+    automorphism search alone: with the listing step broken, closure still
+    answers on the benchmark's largest plain groups and on two paired
+    actions on 2-subsets."""
+
+    def no_listing(*args):
+        raise AssertionError("a group was listed")
+
+    monkeypatch.setattr(permgroups, "_extend", no_listing)
+    requests = []
+    for name in ("S8", "A8", "S2wrS6"):
+        degree, gens = LARGE[name]
+        requests.append(["--degree", str(degree), *map(format_cycles, gens)])
+    for name in ("A4pairs", "S4pairs"):
+        n, m, pairs = PAIRED[name]
+        tokens = [f"{format_cycles(g)}|{format_cycles(h)}" for g, h in pairs]
+        requests.append(["--bidegree", str(n), str(m), *tokens])
+    orders = []
+    for argv in requests:
+        assert cli.main(["closure", *argv, "--json"]) == 0, argv
+        report = json.loads(capsys.readouterr().out)
+        orders.append((report["group_order"], report["closure_order"]))
+    assert orders == [(40320, 40320), (20160, 40320), (46080, 46080), (12, 24), (24, 24)]

@@ -213,7 +213,8 @@ def test_not_faithful_detected():
 
 
 def test_paired_two_closure_reuses_the_order_closure(monkeypatch):
-    """Faithfulness is read from the closure that counted the order."""
+    """Faithfulness is read from the order's Sims tables: neither the
+    order nor the 2-closure lists the group."""
     from tropgroups import permgroups
 
     calls = []
@@ -228,7 +229,7 @@ def test_paired_two_closure_reuses_the_order_closure(monkeypatch):
     g = PairedPermGroup((3, 3), [(c3, c3)])
     assert g.order() == 3
     assert paired_two_closure(g).order() == 3
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 def test_groups_isomorphic_examples():
