@@ -15,7 +15,8 @@ a one-parameter family; the search anchors mu at one column to 0, so each
 solution it returns represents one feasible pattern pair.  With A = B the
 feasible pattern pairs form a group, and the search returns generators of
 it, found by ``permgroups.base_and_orbit`` one first-only completion per
-(base point, image), never the whole group.
+(base point, image), never the whole group.  ``permgroups.complete`` makes
+every completion, extending the points in the order of ``_vertex_order``.
 
 Pruning: a solution forces, for every row pair (i, i'), the multiset of
 columnwise differences of target rows (i, i') to equal that of source rows
@@ -32,7 +33,7 @@ from operator import add, neg, sub
 from .errors import SearchBudgetExceeded
 from .graphs import components, support_components
 from .matrix import TropMatrix
-from .permgroups import base_and_orbit
+from .permgroups import base_and_orbit, complete
 from .semiring import ZERO, encode
 
 DEFAULT_MAX_NODES = 2_000_000
@@ -204,25 +205,18 @@ class _PairSearch:
         self.assigned[side].pop()
         self.used[side][self.image[side][x]] = False
 
-    def complete(self):
-        """The first (sigma, tau, lam, nu) extending the live assignment
-        along the search order, scalings as codes, or None; the assignment
-        is left as it was."""
+    def next_point(self):
+        """The next point of the search order, None once all are assigned."""
         level = len(self.assigned[0]) + len(self.assigned[1])
-        if level == len(self.order):
-            (sigma, tau), (lam, nu) = self.image, self.scaling
-            return tuple(sigma), tuple(tau), tuple(lam), tuple(nu)
-        point = self.order[level]
-        for image in self.candidates(point):
-            if self.push(point, image):
-                found = self.complete()
-                self.pop(point)
-                if found is not None:
-                    return found
-        return None
+        return self.order[level] if level < len(self.order) else None
+
+    def solution(self):
+        """(sigma, tau, lam, nu) of the full assignment, scalings as codes."""
+        (sigma, tau), (lam, nu) = self.image, self.scaling
+        return tuple(sigma), tuple(tau), tuple(lam), tuple(nu)
 
     def decoded(self, found):
-        """A solution of ``complete`` as (sigma, tau, lam, mu) with mu = -nu,
+        """A ``solution()`` as (sigma, tau, lam, mu) with mu = -nu,
         scalings as scalars."""
         sigma, tau, lam, nu = found
         mu = (tuple(map(neg, x)) for x in nu)
@@ -245,7 +239,7 @@ def pair_solutions(
         raise ValueError("generators need equal target and source")
     search = _PairSearch(target, source, max_nodes)
     if first_only:
-        first = search.complete()
+        first = complete(search)
         found = [] if first is None else [first]
     else:
         found = base_and_orbit(search, search.order)[0]

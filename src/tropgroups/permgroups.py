@@ -29,9 +29,10 @@ variant colours the product of two vertex sets and closes inside the
 product of the two symmetric groups.  Automorphism groups of coloured
 graphs are computed by backtracking over a colour-refined partition, one
 base point at a time, so only generators and the order are produced (the
-group itself is never listed).  That loop, ``base_and_orbit``, also drives
-the pair search of ``pairsearch``, which finds generators of the unit
-stabilizer Sigma the same way.
+group itself is never listed), narrowing each vertex's candidate images
+as the map grows.  That loop, ``base_and_orbit``, and its depth-first
+``complete`` also drive the pair search of ``pairsearch``, which finds
+generators of the unit stabilizer Sigma the same way.
 
 Two small groups G and H are isomorphic exactly when some list of images
 of a generating sequence of G makes the subgroup of G x H generated by the
@@ -494,11 +495,12 @@ def base_and_orbit(search, base) -> tuple[list, int]:
 
     With the earlier base points fixed, every other candidate image of the
     next one is counted when a first-only completion exists, and that
-    completion is kept as a generator; then the point is fixed.  The order
-    is the product of the orbit lengths.  ``search`` holds the live partial
-    map: ``candidates(v)``, ``push(v, w)`` (False when w cannot extend it),
-    ``pop(v)``, and ``complete()``, a full solution extending the map or
-    None, which leaves the map as it was.
+    completion (from ``complete``) is kept as a generator; then the point
+    is fixed.  The order is the product of the orbit lengths.  ``search``
+    holds the live partial map: ``candidates(v)``, ``push(v, w)`` for one
+    of them (False when w cannot extend the map), ``pop(v)``,
+    ``next_point()`` (the point ``complete`` extends next, None once every
+    point is mapped) and ``solution()``, the full map.
     """
     generators: list = []
     order = 1
@@ -506,7 +508,7 @@ def base_and_orbit(search, base) -> tuple[list, int]:
         orbit = 1  # the identity always extends
         for w in search.candidates(v):
             if w != v and search.push(v, w):
-                found = search.complete()
+                found = complete(search)
                 search.pop(v)
                 if found is not None:
                     generators.append(found)
@@ -517,6 +519,22 @@ def base_and_orbit(search, base) -> tuple[list, int]:
     return generators, order
 
 
+def complete(search):
+    """Depth-first completion of the live partial map of ``search`` (see
+    ``base_and_orbit``): the first solution found, trying the candidates of
+    each next point in their order, or None; the map is left as it was."""
+    v = search.next_point()
+    if v is None:
+        return search.solution()
+    for w in search.candidates(v):
+        if search.push(v, w):
+            found = complete(search)
+            search.pop(v)
+            if found is not None:
+                return found
+    return None
+
+
 class _AutomorphismSearch:
     """Backtracking automorphism engine over an edge-coloured structure on
     nv vertices, driven by ``base_and_orbit``.
@@ -525,14 +543,22 @@ class _AutomorphismSearch:
     is fine on the diagonal; use a reserved value for absent edges);
     ``init`` is an initial vertex colouring (used to separate the sides of
     a bipartite structure).
+
+    ``domains`` holds, per level, each unmapped vertex's ascending list of
+    images that agree with the map: its refined colour class, narrowed by
+    every ``push`` (forward checking: Haralick and Elliott, *Artificial
+    Intelligence* 14, 1980).
     """
 
     def __init__(self, nv, ecol, init):
         self.nv = nv
         self.ecol = ecol
-        self.colour = self._refine(list(init))
-        self.mapping: dict[int, int] = {}
-        self.used: set[int] = set()
+        self.ecol_t = [list(col) for col in zip(*ecol)]
+        colour = self._refine(list(init))
+        self.domains = [
+            {v: [w for w in range(nv) if colour[w] == c] for v, c in enumerate(colour)}
+        ]
+        self.image = list(range(nv))  # read only where every vertex is mapped
 
     def _refine(self, colour):
         while True:
@@ -551,52 +577,37 @@ class _AutomorphismSearch:
                 return colour
             colour = fresh
 
-    def _compatible(self, v, w):
-        if w in self.used or self.colour[v] != self.colour[w]:
-            return False
-        ecol = self.ecol
-        for u, x in self.mapping.items():
-            if ecol[v][u] != ecol[w][x] or ecol[u][v] != ecol[x][w]:
-                return False
-        return True
-
     def candidates(self, v):
-        return range(self.nv)
+        return self.domains[-1][v]
 
     def push(self, v, w) -> bool:
-        if not self._compatible(v, w):
-            return False
-        self.mapping[v] = w
-        self.used.add(w)
+        """Map v to w, keeping in the domain of every other unmapped u the
+        x != w whose edge colours to and from w are u's to and from v;
+        False when a domain empties."""
+        row_v, col_v = self.ecol[v], self.ecol_t[v]
+        row_w, col_w = self.ecol[w], self.ecol_t[w]
+        narrowed = {}
+        for u, dom in self.domains[-1].items():
+            if u != v:
+                out, into = row_v[u], col_v[u]
+                dom = [x for x in dom if row_w[x] == out and col_w[x] == into and x != w]
+                if not dom:
+                    return False
+                narrowed[u] = dom
+        self.domains.append(narrowed)
+        self.image[v] = w
         return True
 
     def pop(self, v):
-        self.used.discard(self.mapping.pop(v))
+        self.domains.pop()
 
-    def complete(self):
-        """Depth-first completion of the partial map, always extending the
-        vertex with fewest candidates; a full image list or None."""
-        if len(self.mapping) == self.nv:
-            return [self.mapping[v] for v in range(self.nv)]
-        best_v, best_cands = None, None
-        for v in range(self.nv):
-            if v in self.mapping:
-                continue
-            cands = [w for w in range(self.nv) if self._compatible(v, w)]
-            if not cands:
-                return None
-            if best_cands is None or len(cands) < len(best_cands):
-                best_v, best_cands = v, cands
-                if len(cands) == 1:
-                    break
-        for w in best_cands:
-            self.mapping[best_v] = w
-            self.used.add(w)
-            found = self.complete()
-            self.pop(best_v)
-            if found is not None:
-                return found
-        return None
+    def next_point(self):
+        """The unmapped vertex with the fewest candidates, lowest first."""
+        top = self.domains[-1]
+        return min(top, key=lambda u: (len(top[u]), u), default=None)
+
+    def solution(self):
+        return list(self.image)
 
 
 def _dense_colour_ids(pairs, lookup):
@@ -659,8 +670,6 @@ def coloured_bipartite_automorphisms(g: ColouredBipartiteGraph) -> PairedPermGro
 
 def two_closure(g: PermGroup) -> PermGroup:
     """The largest group with the same orbits of ordered pairs."""
-    if g.degree == 1:
-        return PermGroup(1, (), known_order=1)
     return coloured_automorphisms(pair_orbit_colouring(g))
 
 
@@ -673,7 +682,8 @@ def paired_two_closure(g: PairedPermGroup) -> PairedPermGroup:
     """The largest subgroup of the product of the two symmetric groups
     preserving the orbits on the product set."""
     if not g._faithful[0]:  # no order or closure has checked faithfulness yet
-        g._checked_order(DEFAULT_ORDER_CAP)
+        # no group on (n, m) points exceeds n! m!, so only faithfulness is checked
+        g._checked_order(factorial(g.degrees[0]) * factorial(g.degrees[1]))
     return coloured_bipartite_automorphisms(paired_orbit_colouring(g))
 
 
@@ -810,18 +820,12 @@ _CATALOGUE: Optional[list[tuple[str, PermGroup]]] = None
 
 def identify_group(g: PermGroup) -> Optional[str]:
     """A standard name for the abstract group: from the catalogue, else
-    S_k or A_k for a group of order k! or k!/2 that moves k points.  A
-    group whose order is not known and exceeds the isomorphism cap stays
-    unnamed."""
+    S_k or A_k for a group of order k! or k!/2 that moves k points.  The
+    order is known or read from the Sims table, whatever its size."""
     global _CATALOGUE
     if _CATALOGUE is None:
         _CATALOGUE = _named_catalogue()
-    order = g._order[0]  # a known order is read whatever its size
-    if order is None:
-        try:
-            order = g.order(ISO_ORDER_CAP)
-        except OrderCapExceeded:
-            return None
+    order = g.order(factorial(g.degree))  # no group on d points exceeds d!
     for name, h in _CATALOGUE:
         if h.order() == order and groups_isomorphic(g, h):
             return name

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -125,6 +127,124 @@ def test_coloured_automorphisms_match_brute_force():
         assert got.elements() == frozenset(expected)
 
 
+def brute_force_bipartite_automorphisms(g: ColouredBipartiteGraph):
+    """Oracle: filter all of S_n x S_m for pairs preserving every edge
+    colour and every absent edge."""
+    cells = [(i, j) for i in range(g.n) for j in range(g.m)]
+    return [
+        (Perm(p), Perm(q))
+        for p in itertools.permutations(range(g.n))
+        for q in itertools.permutations(range(g.m))
+        if all(g.colour(p[i], q[j]) == g.colour(i, j) for i, j in cells)
+    ]
+
+
+def _random_bipartite(rng, n, m, colours, absent):
+    return ColouredBipartiteGraph(n, m, {
+        (i, j): rng.randrange(colours)
+        for i in range(n)
+        for j in range(m)
+        if rng.random() >= absent
+    })
+
+
+def _joined(p: Perm, q: Perm) -> Perm:
+    return Perm(p.images + tuple(p.degree + y for y in q.images))
+
+
+def test_coloured_bipartite_automorphisms_match_brute_force():
+    rng = random.Random(5)
+    for n in range(1, 5):
+        for m in range(1, 5):
+            graphs = [
+                ColouredBipartiteGraph(n, m, {(i, j): 0 for i in range(n) for j in range(m)}),
+                ColouredBipartiteGraph(n, m, {(i, j): (i + j) % 2 for i in range(n) for j in range(m)}),
+                ColouredBipartiteGraph(n, m, {(i, i % m): 0 for i in range(n)}),
+            ]
+            graphs += [_random_bipartite(rng, n, m, 2, 0.3) for _ in range(2)]
+            for g in graphs:
+                expected = brute_force_bipartite_automorphisms(g)
+                got = coloured_bipartite_automorphisms(g)
+                assert got.order() == len(expected)
+                # the group may be unfaithful on a side, so it is closed as
+                # one group on the n + m points
+                joint = PermGroup(n + m, [_joined(p, q) for p, q in got.generators])
+                assert joint.elements() == {_joined(p, q) for p, q in expected}
+
+
+def _random_group(rng, d):
+    """Generators that move points only inside random blocks of at most
+    five points, so the group and its 2-closure have order at most 5!^2 * 2."""
+    points = list(range(d))
+    rng.shuffle(points)
+    blocks = []
+    while points:
+        size = rng.randint(1, 5)
+        blocks.append(points[:size])
+        points = points[size:]
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        images = list(range(d))
+        for b in blocks:
+            if rng.random() < 0.7:
+                shuffled = rng.sample(b, len(b))
+                for x, y in zip(b, shuffled):
+                    images[x] = y
+        gens.append(Perm(images))
+    return PermGroup(d, gens)
+
+
+def _random_paired(rng):
+    """A faithful paired action of a random group: on its own points and on
+    a relabelled copy, or on the points followed by fixed points."""
+    g = _random_group(rng, rng.randint(1, 7))
+    n = g.degree
+    if rng.random() < 0.5:
+        relabel = Perm(rng.sample(range(n), n))
+        pairs = [(p, relabel.inverse() * p * relabel) for p in g.generators]
+        return PairedPermGroup((n, n), pairs)
+    extra = rng.randint(0, 3)
+    pairs = [(p, Perm(p.images + tuple(range(n, n + extra)))) for p in g.generators]
+    return PairedPermGroup((n, n + extra), pairs)
+
+
+# sha256 of the orders and generator image tuples of the seeded sweep below
+SEARCH_SWEEP_DIGEST = "79ff484d4a807e490af8c1b38fe85e4002ef3c5c45c5e39a63488d0abf4786a1"
+
+
+def test_search_generators_are_pinned():
+    """The automorphism searches return the same generators, in the same
+    order, on a seeded sweep of coloured graphs and of plain and paired
+    2-closures."""
+    rng = random.Random(11)
+    found = []
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        k = rng.randint(1, 3)
+        d = ColouredDigraph(n, {(i, j): rng.randrange(k) for i in range(n) for j in range(n) if i != j})
+        found.append(coloured_automorphisms(d))
+    for _ in range(150):
+        b = _random_bipartite(rng, rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 3), 0.25)
+        found.append(coloured_bipartite_automorphisms(b))
+    for _ in range(150):
+        g = _random_group(rng, rng.randint(1, 12))
+        found.append(two_closure(g))
+        # a cyclic group is regular on each orbit, so its closure is small
+        d = rng.randint(1, 12)
+        found.append(two_closure(PermGroup(d, [Perm(rng.sample(range(d), d))])))
+    for _ in range(100):
+        found.append(paired_two_closure(_random_paired(rng)))
+    summary = []
+    for g in found:
+        order = g.order(10**6)
+        if isinstance(g, PermGroup):
+            summary.append((order, [p.images for p in g.generators]))
+        else:
+            summary.append((order, [(p.images, q.images) for p, q in g.generators]))
+    digest = hashlib.sha256(repr(summary).encode()).hexdigest()
+    assert digest == SEARCH_SWEEP_DIGEST
+
+
 def test_two_closure_examples():
     sym3 = PermGroup.from_cycles(3, ["(1,2,3)", "(1,2)"])
     assert is_two_closed(sym3)
@@ -135,6 +255,8 @@ def test_two_closure_examples():
     alt4_10 = PermGroup.from_cycles(10, ALT4_10PT)
     assert two_closure(alt4_10).order() == 12
     assert is_two_closed(alt4_10)
+    one_point = two_closure(PermGroup.trivial(1))
+    assert one_point.order() == 1 and one_point.generators == ()
 
 
 def test_two_closure_contains_and_idempotent():
@@ -173,6 +295,11 @@ def test_paired_two_closure_examples():
     trivial = PairedPermGroup((1, 1), [])
     assert paired_two_closure(trivial).order() == 1
     assert is_paired_two_closed(trivial)
+    # diagonal S10 has order 10! > DEFAULT_ORDER_CAP; the closure checks
+    # its faithfulness without the cap
+    s10 = PermGroup.from_cycles(10, ["(1,2,3,4,5,6,7,8,9,10)", "(1,2)"])
+    diag_s10 = PairedPermGroup((10, 10), [(g, g) for g in s10.generators])
+    assert paired_two_closure(diag_s10).order(cap=10**7) == 3628800
 
 
 def test_paired_closure_can_be_larger():
@@ -255,9 +382,10 @@ def test_groups_isomorphic_examples():
 
 def test_identify_group():
     assert identify_group(PermGroup.trivial(3)) == "1"
-    # S8 has order 40320, above the cap of the isomorphism test
+    # S8 has order 40320, above the cap of the isomorphism test; its order
+    # comes from the Sims table whether or not it was asked for before
     s8 = PermGroup.from_cycles(8, ["(1,2,3,4,5,6,7,8)", "(1,2)"])
-    assert identify_group(s8) is None
+    assert identify_group(s8) == "S8"
     assert identify_group(PermGroup.from_cycles(2, ["(1,2)"])) == "S2"
     assert identify_group(PermGroup.from_cycles(4, ["(1,2,3,4)", "(1,3)"])) == "D4"
     assert identify_group(PermGroup.from_cycles(4, ["(1,2,3)", "(1,2)(3,4)"])) == "A4"
