@@ -46,7 +46,6 @@ from .stabilizer import (
     classification_conditions,
     commuting_units,
     group_description,
-    maximal_subgroup,
     require_idempotent,
     _connected_sigma,
     _sigma_elements,
@@ -210,12 +209,13 @@ def cmd_construct(args) -> int:
     t0 = time.perf_counter()
     if kind == "bipartite":
         matrix = construct_from_bipartite(obj)
-        desc = group_description(matrix, max_nodes=args.max_nodes)
         target = coloured_bipartite_automorphisms(obj.completed()).left_group()
     else:
         matrix = construct_idempotent(obj)
-        desc = maximal_subgroup(matrix, max_nodes=args.max_nodes)
         target = obj if not isinstance(obj, ColouredDigraph) else coloured_automorphisms(obj)
+    # construct_idempotent has already checked that its witness is
+    # idempotent, so neither kind needs maximal_subgroup's guard
+    desc = group_description(matrix, max_nodes=args.max_nodes)
     matches = len(desc.factors) == 1 and groups_isomorphic(
         desc.factors[0].finite_part, target
     )
@@ -330,7 +330,7 @@ def verify_flags(a: TropMatrix, max_nodes: int = DEFAULT_MAX_NODES) -> dict:
         for cls, sigma in zip(an.partition.classes, sigmas):
             rep = an.restrictions[cls.representative]
             for r in (an.restrictions[idx] for idx in cls.members):
-                idem_ok &= is_idempotent(r)
+                idem_ok &= r == a or is_idempotent(r)
                 comm = commuting_units(r, max_nodes=max_nodes)
                 own = sigma if r == rep else _connected_sigma(r, max_nodes)
                 idem_ok &= {el.P for el in comm} == {el.P for el in own}

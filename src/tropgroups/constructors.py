@@ -10,19 +10,30 @@ coloured digraph), a full-rank idempotent whose maximal subgroup has the
 group as its finite part: zero diagonal and orbit-coloured off-diagonal
 entries strictly inside (-1.1, -0.9).
 
-Interval choices are deterministic: the t-th of T values needed inside
-(lo, hi) sits at lo + (hi - lo) * t / (T + 1), and every value carries a
-fresh infinitesimal tag, which keeps the chosen entries rationally
-independent and all interval inequalities strict.  When exactly two row
-orbits survive, the groups of values aimed at the same interval are placed
-on graded grids instead, so that all pairwise gaps in an earlier group
-exceed all gaps in a later one (and the reverse on the second row orbit),
-as the rank argument for that case requires.
+Rows and columns go through the same steps.  ``_side`` finds a side's
+orbits and its active points, ``_undominated`` drops the first dominated
+live orbit of one side (rows are tried before columns, until neither side
+changes), and ``_live`` lists the orbits still active.  When more row
+orbits than column orbits survive, the construction runs on the reversed
+graph and transposes the result.
+
+Both constructions place their values through one ``_place``.  The t-th
+of T values needed inside (lo, hi) sits at lo + (hi - lo) * t / (T + 1),
+and every value carries the next infinitesimal tag counted from
+``tag_start``, which keeps the chosen entries rationally independent and
+all interval inequalities strict.  When exactly two row orbits survive,
+the groups of values aimed at the same interval are placed on graded grids
+instead, so that all pairwise gaps in an earlier group exceed all gaps in
+a later one (and the reverse on the second row orbit), as the rank
+argument for that case requires.  Every value is recorded with its
+interval in a ``ConstructionPlan``, which is validated before the matrix
+is built.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -67,7 +78,6 @@ class DependentEntries(ValueError):
 
 @dataclass(frozen=True)
 class PlannedValue:
-    colour: object
     low: Fraction
     high: Fraction
     value: Value
@@ -89,18 +99,48 @@ class ConstructionPlan:
             raise AssertionError("chosen values are not a free basis")
 
 
-class _TagAllocator:
-    def __init__(self, start: int):
-        self.next_tag = start
-
-    def fresh(self) -> Value:
-        tag = self.next_tag
-        self.next_tag += 1
-        return eps(tag)
+def _place(plan: list, tags, lo: Fraction, hi: Fraction, stds) -> list[Value]:
+    """One value std + eps(t) per standard part, t the next of `tags`, each
+    recorded in `plan` with its interval (lo, hi)."""
+    values = [Value(std) + eps(next(tags)) for std in stds]
+    plan.extend(PlannedValue(lo, hi, v) for v in values)
+    return values
 
 
-def _orbits(n: int, perms: Sequence[Perm]) -> list[list[int]]:
-    return [sorted(o) for o in components(range(n), lambda x: [p(x) for p in perms])]
+def _side(size: int, perms: Sequence[Perm], trivial: bool):
+    """The orbits of one side (sorted lists), the orbit index of each point
+    and the active points: all of them when the group is trivial, else
+    those in orbits of more than one point."""
+    orbits = [sorted(o) for o in components(range(size), lambda x: [p(x) for p in perms])]
+    orbit_of = {v: k for k, orb in enumerate(orbits) for v in orb}
+    active = sorted(v for orb in orbits if trivial or len(orb) > 1 for v in orb)
+    return orbits, orbit_of, active
+
+
+def _live(orbits: list[list[int]], active: list[int]) -> list[list[int]]:
+    """The orbits whose points are active (orbits are dropped whole)."""
+    alive = set(active)
+    return [orb for orb in orbits if orb[0] in alive]
+
+
+def _undominated(orbits, active, others, colour) -> list[int]:
+    """`active` without the first live orbit ob for which some node of
+    another live orbit splits `others` into colour cells that each lie in
+    a cell of some node of ob; `active` itself when there is none."""
+    parts = {}
+    for u in active:
+        cells: dict = {}
+        for s in others:
+            cells.setdefault(colour(u, s), set()).add(s)
+        parts[u] = [frozenset(cell) for cell in cells.values()]
+
+    def refines(pa, pb):
+        return all(any(cell <= other for other in pb) for cell in pa)
+
+    for oa, ob in itertools.permutations(_live(orbits, active), 2):
+        if any(refines(parts[u], parts[v]) for u in oa for v in ob):
+            return sorted(set(active) - set(ob))
+    return active
 
 
 def _subdivide(lo: Fraction, hi: Fraction, count: int) -> list[Fraction]:
@@ -111,12 +151,7 @@ def _graded_grid(center: Fraction, gap: Fraction, count: int) -> list[Fraction]:
     return [center + (Fraction(2 * s - (count - 1), 2)) * gap for s in range(count)]
 
 
-def construct_from_bipartite(
-    d: ColouredBipartiteGraph,
-    *,
-    tag_start: int = 1,
-    with_plan: bool = False,
-):
+def construct_from_bipartite(d: ColouredBipartiteGraph, *, tag_start: int = 1) -> TropMatrix:
     """A full-rank matrix whose stabilizer is R x Aut(d).
 
     Requires d irreducible, and Aut(d) non-trivial or both sides larger
@@ -135,128 +170,60 @@ def construct_from_bipartite(
             "a trivial automorphism group needs more than two nodes per side"
         )
 
-    row_orbits = _orbits(d.n, [g for g, _ in aut.generators])
-    col_orbits = _orbits(d.m, [h for _, h in aut.generators])
-    row_orbit_of = {v: k for k, orb in enumerate(row_orbits) for v in orb}
-    col_orbit_of = {v: k for k, orb in enumerate(col_orbits) for v in orb}
+    row_orbits, row_orbit_of, active_rows = _side(d.n, [g for g, _ in aut.generators], trivial)
+    col_orbits, col_orbit_of, active_cols = _side(d.m, [h for _, h in aut.generators], trivial)
 
     def refined(i: int, j: int):
         return (full.edges[(i, j)], row_orbit_of[i], col_orbit_of[j])
 
-    active_rows = sorted(
-        v for orb in row_orbits if trivial or len(orb) > 1 for v in orb
-    )
-    active_cols = sorted(
-        v for orb in col_orbits if trivial or len(orb) > 1 for v in orb
-    )
+    # drop dominated orbits, rows before columns, until stable; with a
+    # trivial group every orbit is a single point and all of them stay
+    while not trivial:
+        rows = _undominated(row_orbits, active_rows, active_cols, refined)
+        if rows == active_rows:
+            cols = _undominated(
+                col_orbits, active_cols, active_rows, lambda j, i: refined(i, j)
+            )
+            if cols == active_cols:
+                break
+            active_cols = cols
+        active_rows = rows
 
-    if not trivial:
-        # drop whole orbits whose colour partition is dominated by a node
-        # of another orbit, until stable
-        def partition_of_row(u):
-            cells: dict = {}
-            for s in active_cols:
-                cells.setdefault(refined(u, s), set()).add(s)
-            return sorted(map(frozenset, cells.values()), key=min)
-
-        def partition_of_col(s):
-            cells: dict = {}
-            for u in active_rows:
-                cells.setdefault(refined(u, s), set()).add(u)
-            return sorted(map(frozenset, cells.values()), key=min)
-
-        def refines(pa, pb):
-            return all(any(cell <= other for other in pb) for cell in pa)
-
-        changed = True
-        while changed:
-            changed = False
-            live_row_orbits = [
-                orb for orb in row_orbits if orb[0] in set(active_rows)
-            ]
-            parts = {u: partition_of_row(u) for u in active_rows}
-            for oa, ob in itertools.permutations(live_row_orbits, 2):
-                if any(refines(parts[u], parts[v]) for u in oa for v in ob):
-                    active_rows = sorted(set(active_rows) - set(ob))
-                    changed = True
-                    break
-            if changed:
-                continue
-            live_col_orbits = [
-                orb for orb in col_orbits if orb[0] in set(active_cols)
-            ]
-            parts = {s: partition_of_col(s) for s in active_cols}
-            for oa, ob in itertools.permutations(live_col_orbits, 2):
-                if any(refines(parts[s], parts[t]) for s in oa for t in ob):
-                    active_cols = sorted(set(active_cols) - set(ob))
-                    changed = True
-                    break
-
-    live_row_orbits = [orb for orb in row_orbits if orb[0] in set(active_rows)]
-    live_col_orbits = [orb for orb in col_orbits if orb[0] in set(active_cols)]
+    live_row_orbits = _live(row_orbits, active_rows)
+    live_col_orbits = _live(col_orbits, active_cols)
     k, kp = len(live_row_orbits), len(live_col_orbits)
     if k > kp:
         reversed_graph = ColouredBipartiteGraph(
             d.m, d.n, {(j, i): c for (i, j), c in d.edges.items()}
         )
-        result = construct_from_bipartite(
-            reversed_graph, tag_start=tag_start, with_plan=with_plan
-        )
-        if with_plan:
-            matrix, plan = result
-            return matrix.transpose(), plan
-        return result.transpose()
+        return construct_from_bipartite(reversed_graph, tag_start=tag_start).transpose()
 
-    row_orbit_index = {orb[0]: t + 1 for t, orb in enumerate(live_row_orbits)}
-    live_row_of = {
-        v: row_orbit_index[orb[0]] for orb in live_row_orbits for v in orb
-    }
-    col_orbit_index = {orb[0]: t + 1 for t, orb in enumerate(live_col_orbits)}
-    live_col_of = {
-        v: col_orbit_index[orb[0]] for orb in live_col_orbits for v in orb
-    }
-
-    colours: list = []
+    live_row_of = {v: t for t, orb in enumerate(live_row_orbits, 1) for v in orb}
+    live_col_of = {v: t for t, orb in enumerate(live_col_orbits, 1) for v in orb}
     colour_group: dict = {}
     for s in active_rows:
         for t in active_cols:
-            c = refined(s, t)
-            if c not in colour_group:
-                colour_group[c] = (live_row_of[s], live_col_of[t])
-                colours.append(c)
+            colour_group.setdefault(refined(s, t), (live_row_of[s], live_col_of[t]))
+    colours = list(colour_group)
 
     value_of: dict = {}
-    plan_items: list[PlannedValue] = []
-    tags = _TagAllocator(tag_start)
+    plan: list[PlannedValue] = []
+    tags = itertools.count(tag_start)
 
-    def place(colour_list, lo, hi, stds):
-        for c, std in zip(colour_list, stds):
-            v = Value(std) + tags.fresh()
-            value_of[c] = v
-            plan_items.append(PlannedValue(c, lo, hi, v))
+    def place(group, lo, hi, stds):
+        value_of.update(zip(group, _place(plan, tags, lo, hi, stds)))
 
     if k == 2:
-        sizes = [
-            len([c for c in colours if colour_group[c] == (i, j)])
-            for i in (1, 2)
-            for j in range(1, kp + 1)
-        ]
-        max_t = max(sizes + [1])
-        q = Fraction(1, max_t + 2)
+        q = Fraction(1, max(Counter(colour_group.values()).values()) + 2)
         for j in range(1, kp + 1):
-            group1 = [c for c in colours if colour_group[c] == (1, j)]
-            if group1:
-                gap = TENTH * q**j
-                place(group1, -TENTH, TENTH, _graded_grid(Fraction(0), gap, len(group1)))
-            group2 = [c for c in colours if colour_group[c] == (2, j)]
-            if group2:
-                gap = TENTH * q ** (kp + 1 - j)
-                place(
-                    group2,
-                    Fraction(-j) - TENTH,
-                    Fraction(-j) + TENTH,
-                    _graded_grid(Fraction(-j), gap, len(group2)),
-                )
+            for i, center, gap in (
+                (1, Fraction(0), TENTH * q**j),
+                (2, Fraction(-j), TENTH * q ** (kp + 1 - j)),
+            ):
+                group = [c for c in colours if colour_group[c] == (i, j)]
+                if group:
+                    grid = _graded_grid(center, gap, len(group))
+                    place(group, center - TENTH, center + TENTH, grid)
         _check_gap_inequalities(colours, colour_group, value_of, kp)
     else:
         interval_of: dict = {}
@@ -289,15 +256,12 @@ def construct_from_bipartite(
         for (lo, hi), group in by_interval.items():
             place(group, lo, hi, _subdivide(lo, hi, len(group)))
 
-    plan = ConstructionPlan(tuple(plan_items))
-    plan.validate()
+    ConstructionPlan(tuple(plan)).validate()
     matrix = TropMatrix(
         [[value_of[refined(s, t)] for t in active_cols] for s in active_rows]
     )
     if not has_full_rank(matrix):
         raise AssertionError("constructed matrix is not full rank")
-    if with_plan:
-        return matrix, plan
     return matrix
 
 
@@ -324,11 +288,8 @@ def _check_gap_inequalities(colours, colour_group, value_of, kp):
 
 
 def construct_idempotent(
-    target: Union[PermGroup, ColouredDigraph],
-    *,
-    tag_start: int = 1,
-    with_plan: bool = False,
-):
+    target: Union[PermGroup, ColouredDigraph], *, tag_start: int = 1
+) -> TropMatrix:
     """A full-rank idempotent whose maximal subgroup has the prescribed
     finite part.
 
@@ -356,30 +317,22 @@ def construct_idempotent(
             matrix = TropMatrix.from_rows([[0]])
         else:
             matrix = TropMatrix.from_rows([[0, 0], [NEG_INF, 0]])
-        plan = ConstructionPlan(())
         if not is_idempotent(matrix) or not has_full_rank(matrix):
             raise AssertionError("small idempotent failed its checks")
-        return (matrix, plan) if with_plan else matrix
+        return matrix
 
-    orbits = _orbits(n, list(group.generators))
-    orbit_of = {v: k for k, orb in enumerate(orbits) for v in orb}
+    _, orbit_of, _ = _side(n, group.generators, True)
 
     def refined(i: int, j: int):
         return (digraph.colours[(i, j)], orbit_of[i], orbit_of[j])
 
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     colours = list(dict.fromkeys(refined(i, j) for i, j in pairs))
-    tags = _TagAllocator(tag_start)
     lo, hi = Fraction(-11, 10), Fraction(-9, 10)
-    stds = _subdivide(lo, hi, len(colours))
-    value_of = {}
-    plan_items = []
-    for c, std in zip(colours, stds):
-        v = Value(std) + tags.fresh()
-        value_of[c] = v
-        plan_items.append(PlannedValue(c, lo, hi, v))
-    plan = ConstructionPlan(tuple(plan_items))
-    plan.validate()
+    plan: list[PlannedValue] = []
+    values = _place(plan, itertools.count(tag_start), lo, hi, _subdivide(lo, hi, len(colours)))
+    ConstructionPlan(tuple(plan)).validate()
+    value_of = dict(zip(colours, values))
     zero = Value(0)
     matrix = TropMatrix(
         [
@@ -391,7 +344,7 @@ def construct_idempotent(
         raise AssertionError("constructed matrix is not idempotent")
     if not has_full_rank(matrix):
         raise AssertionError("constructed idempotent is not full rank")
-    return (matrix, plan) if with_plan else matrix
+    return matrix
 
 
 def assemble_blocks(

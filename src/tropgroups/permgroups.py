@@ -610,23 +610,19 @@ class _AutomorphismSearch:
         return list(self.image)
 
 
-def _dense_colour_ids(pairs, lookup):
-    """Deterministic integer ids for colours, by first occurrence along the
-    lexicographic pair scan.  Absent edges map to -2."""
-    ids: dict = {}
-    out: dict[tuple[int, int], int] = {}
-    for key in pairs:
-        c = lookup(key)
-        if c is _ABSENT:
-            out[key] = -2
-            continue
-        if c not in ids:
-            ids[c] = len(ids)
-        out[key] = ids[c]
-    return out
-
-
 _ABSENT = object()
+
+
+def _automorphisms(nv: int, colours, init: list[int]):
+    """Generators and order of the group of vertex permutations keeping
+    the vertex colours `init` and the edge colours.  `colours` yields
+    ((u, v), colour) pairs; colours are numbered by first occurrence, an
+    absent edge (_ABSENT) is -2 and a pair not listed is -1."""
+    ids: dict = {}
+    ecol = [[-1] * nv for _ in range(nv)]
+    for (u, v), c in colours:
+        ecol[u][v] = -2 if c is _ABSENT else ids.setdefault(c, len(ids))
+    return base_and_orbit(_AutomorphismSearch(nv, ecol, init), range(nv))
 
 
 def coloured_automorphisms(d: ColouredDigraph) -> PermGroup:
@@ -637,12 +633,8 @@ def coloured_automorphisms(d: ColouredDigraph) -> PermGroup:
             f"automorphism search is bounded to {AUT_DEGREE_BOUND} vertices"
         )
     n = d.n
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    dense = _dense_colour_ids(pairs, lambda key: d.colours[key])
-    ecol = [[-1] * n for _ in range(n)]
-    for (i, j), c in dense.items():
-        ecol[i][j] = c
-    gens, order = base_and_orbit(_AutomorphismSearch(n, ecol, [0] * n), range(n))
+    colours = (((i, j), d.colours[(i, j)]) for i in range(n) for j in range(n) if i != j)
+    gens, order = _automorphisms(n, colours, [0] * n)
     return PermGroup(n, [Perm(g) for g in gens], known_order=order)
 
 
@@ -653,16 +645,10 @@ def coloured_bipartite_automorphisms(g: ColouredBipartiteGraph) -> PairedPermGro
         raise SearchBudgetExceeded(
             f"automorphism search is bounded to {AUT_DEGREE_BOUND} vertices per side"
         )
-    pairs = [(i, j) for i in range(n) for j in range(m)]
-    dense = _dense_colour_ids(pairs, lambda key: g.edges.get(key, _ABSENT))
-    nv = n + m
-    ecol = [[-1] * nv for _ in range(nv)]
-    for (i, j), c in dense.items():
-        ecol[i][n + j] = c
-    search = _AutomorphismSearch(nv, ecol, [0] * n + [1] * m)
-    gens, order = base_and_orbit(search, range(nv))
-    pairs_out = [(Perm(img[:n]), Perm([x - n for x in img[n:]])) for img in gens]
-    return PairedPermGroup((n, m), pairs_out, known_order=order)
+    colours = (((i, n + j), g.edges.get((i, j), _ABSENT)) for i in range(n) for j in range(m))
+    gens, order = _automorphisms(n + m, colours, [0] * n + [1] * m)
+    pairs = [(Perm(img[:n]), Perm([x - n for x in img[n:]])) for img in gens]
+    return PairedPermGroup((n, m), pairs, known_order=order)
 
 
 # -- 2-closures --

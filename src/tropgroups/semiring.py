@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import total_ordering
 from math import lcm
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -51,6 +52,7 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+@total_ordering
 class Value:
     """A finite scalar: rational standard part plus infinitesimal terms.
 
@@ -138,27 +140,6 @@ class Value:
             return False
         return NotImplemented
 
-    def __le__(self, other) -> bool:
-        if isinstance(other, Value):
-            return self._cmp(other) <= 0
-        if other is NEG_INF:
-            return False
-        return NotImplemented
-
-    def __gt__(self, other) -> bool:
-        if isinstance(other, Value):
-            return self._cmp(other) > 0
-        if other is NEG_INF:
-            return True
-        return NotImplemented
-
-    def __ge__(self, other) -> bool:
-        if isinstance(other, Value):
-            return self._cmp(other) >= 0
-        if other is NEG_INF:
-            return True
-        return NotImplemented
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -169,6 +150,7 @@ class Value:
         return format_scalar(self)
 
 
+@total_ordering
 class _NegInf:
     """The semiring zero.  A singleton, below every finite scalar."""
 
@@ -184,23 +166,6 @@ class _NegInf:
             return True
         if other is self:
             return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, Value) or other is self:
-            return True
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, Value) or other is self:
-            return False
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, Value):
-            return False
-        if other is self:
-            return True
         return NotImplemented
 
     def __repr__(self):
@@ -330,31 +295,34 @@ def encode(
     """The codes of the scalars of each group over one shared basis, and
     the ``decode`` that maps a code of that basis back to its scalar.
 
-    ``decode`` returns the encoded scalars themselves for their codes and
-    builds every other ``Value`` once per call of ``encode``.
+    ``decode`` returns an encoded scalar itself for the code of each
+    encoded scalar (the first one, when equal scalars are held in distinct
+    objects) and builds every other ``Value`` once per call of ``encode``.
     """
     groups = [tuple(g) for g in groups]
-    finite = {x for g in groups for x in g if x is not NEG_INF}
-    dens = {x.std.denominator for x in finite}
+    # keyed by identity: an equal scalar in another object is encoded
+    # again, which is cheaper than comparing fractions to find it
+    finite = {id(x): x for g in groups for x in g if x is not NEG_INF}
+    dens = {x.std.denominator for x in finite.values()}
     tags = set()
-    for x in finite:
+    for x in finite.values():
         for t, c in x.eps:
             tags.add(t)
             dens.add(c.denominator)
     den = lcm(*dens) if dens else 1
     pos = {t: k for k, t in enumerate(sorted(tags), 1)}
     width = len(pos) + 1
-    code_of: dict = {NEG_INF: None}
+    code_of: dict = {id(NEG_INF): None}
     table: dict = {None: NEG_INF}
-    for x in finite:
+    for key, x in finite.items():
         row = [0] * width
         row[0] = x.std.numerator * (den // x.std.denominator)
         for t, c in x.eps:
             row[pos[t]] = c.numerator * (den // c.denominator)
         code = tuple(row)
-        code_of[x] = code
-        table[code] = x
-    codes = [tuple(map(code_of.__getitem__, g)) for g in groups]
+        code_of[key] = code
+        table.setdefault(code, x)
+    codes = [tuple(map(code_of.__getitem__, map(id, g))) for g in groups]
 
     def decode(code: Code) -> TropScalar:
         x = table.get(code)

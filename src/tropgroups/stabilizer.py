@@ -152,7 +152,6 @@ def stabilizer_pairs(
     a: TropMatrix,
     *,
     max_nodes: int = DEFAULT_MAX_NODES,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> list[StabilizerElement]:
     """The finite group Sigma of eigenvalue-0 stabilizer pairs of a
     full-rank matrix.
@@ -167,14 +166,11 @@ def stabilizer_pairs(
     part = class_partition(a, max_nodes=max_nodes)
     if len(part.components) == 1:
         return _connected_sigma(a, max_nodes)
-    return _assembled_sigma(a, part, max_nodes, max_elements)
+    return _assembled_sigma(a, part, max_nodes)
 
 
 def _assembled_sigma(
-    a: TropMatrix,
-    part: ComponentPartition,
-    max_nodes: int,
-    max_elements: int,
+    a: TropMatrix, part: ComponentPartition, max_nodes: int
 ) -> list[StabilizerElement]:
     per_class_sigma = []
     total = 1
@@ -184,9 +180,9 @@ def _assembled_sigma(
         per_class_sigma.append(sigma)
         h = len(cls.members)
         total *= len(sigma) ** h * factorial(h)
-    if total > max_elements:
+    if total > DEFAULT_MAX_ELEMENTS:
         raise SearchBudgetExceeded(
-            f"assembled stabilizer has {total} elements, above the cap {max_elements}"
+            f"assembled stabilizer has {total} elements, above the cap {DEFAULT_MAX_ELEMENTS}"
         )
 
     n = a.nrows

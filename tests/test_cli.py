@@ -360,3 +360,40 @@ def test_verify_checks_full_rank_once_per_matrix_besides_commuting_units(monkeyp
     flags = verify_flags(matrix_f())
     assert all(flags.values())
     assert calls == [matrix_f(), matrix_f()]
+
+
+def test_verify_checks_idempotency_once_besides_commuting_units(monkeypatch):
+    """F is idempotent and its one restriction is F itself, so only the
+    input check and the input guard of commuting_units multiply."""
+    from tropgroups import cli, matrix, stabilizer
+
+    calls = []
+    orig = matrix.is_idempotent
+
+    def counted(a):
+        calls.append(a)
+        return orig(a)
+
+    for mod in (cli, stabilizer):
+        monkeypatch.setattr(mod, "is_idempotent", counted)
+    flags = verify_flags(matrix_f())
+    assert all(flags.values())
+    assert calls == [matrix_f(), matrix_f()]
+
+
+def test_construct_checks_the_witness_idempotent_once(tmp_path, capsys, monkeypatch):
+    from tropgroups import constructors, matrix, stabilizer
+
+    calls = []
+    orig = matrix.is_idempotent
+
+    def counted(a):
+        calls.append(a)
+        return orig(a)
+
+    for mod in (constructors, stabilizer):
+        monkeypatch.setattr(mod, "is_idempotent", counted)
+    spec = write(tmp_path, "s.json", json.dumps({"degree": 3, "generators": ["(1,2,3)", "(1,2)"]}))
+    code, out = run_cli(["construct", spec, "--json"], capsys)
+    assert code == 0
+    assert len(calls) == 1
