@@ -8,8 +8,9 @@ stabilizer chain with the points as base in their natural order, filled
 by Knuth's deterministic sifting, so the order is the product of the
 orbit lengths and no group is listed to count it.  A paired group's order
 comes from the table on the n + m disjoint points of its two sides, and
-its faithfulness from comparing that order with the orders of the two
-sides' groups.
+its faithfulness from the same table and the right side's.  The greedy
+generating sequence, which the analysis reports and the isomorphism test
+extends, is read off the table too (``_greedy_generators``).
 
 Every element list comes from one closure step, ``_extend``, which grows
 a list closed under some generators by more generators and works on image
@@ -34,10 +35,11 @@ as the map grows.  That loop, ``base_and_orbit``, and its depth-first
 ``complete`` also drive the pair search of ``pairsearch``, which finds
 generators of the unit stabilizer Sigma the same way.
 
-Two small groups G and H are isomorphic exactly when some list of images
-of a generating sequence of G makes the subgroup of G x H generated by the
-pairs (generator, image) the graph of a bijection: of order |G|, with no
-element that is the identity on one side only.
+Equal permutation groups are recognised as isomorphic from their tables.
+Otherwise two small groups G and H are isomorphic exactly when some list
+of images of a generating sequence of G makes the subgroup of G x H
+generated by the pairs (generator, image) the graph of a bijection: of
+order |G|, with no element that is the identity on one side only.
 """
 
 from __future__ import annotations
@@ -235,23 +237,32 @@ def _sims_table(generators: Sequence[tuple[int, ...]], degree: int) -> list[dict
 
     Row k maps every point j of the orbit of k under the pointwise
     stabilizer of 0, .., k-1 to the inverse of one element of that
-    stabilizer taking k to j (the identity at j = k).  It is filled by
-    Knuth's deterministic algorithm ("Efficient representation of perm
-    groups", *Combinatorica* 11, 1991).  Adding an element g to level k
-    (it fixes 0, .., k-1) does nothing when g sifts through the rows from
-    k on; otherwise g joins the level's generators and every
-    representative times g is entered at level k.  Entering an element
-    either fills a new orbit point, and then its products with the
-    level's generators are entered too, or it meets the representative
-    already there, and the quotient, which fixes k as well, is added to
-    level k + 1.  The two steps run from one explicit stack, in the order
-    their mutual recursion would take, so the depth does not grow with
-    the input.
+    stabilizer taking k to j (the identity at j = k).  It is filled one
+    generator at a time by ``_sims_add``.
     """
     ident = tuple(range(degree))
     rows: list[dict] = [{k: ident} for k in range(degree)]
     strong: list[list] = [[] for _ in range(degree)]
-    stack = [(0, g, True) for g in reversed(generators)]  # (level, element, add?)
+    for g in generators:
+        _sims_add(rows, strong, g)
+    return rows
+
+
+def _sims_add(rows: list[dict], strong: list[list], g: tuple[int, ...]) -> None:
+    """Add g to the table ``rows``, whose levels have the generators
+    ``strong``, by Knuth's deterministic algorithm ("Efficient
+    representation of perm groups", *Combinatorica* 11, 1991).  Adding an
+    element g to level k (it fixes 0, .., k-1) does nothing when g sifts
+    through the rows from k on; otherwise g joins the level's generators
+    and every representative times g is entered at level k.  Entering an
+    element either fills a new orbit point, and then its products with the
+    level's generators are entered too, or it meets the representative
+    already there, and the quotient, which fixes k as well, is added to
+    level k + 1.  The two steps run from one explicit stack, in the order
+    their mutual recursion would take, so the depth does not grow with the
+    input."""
+    ident = tuple(range(len(g)))
+    stack = [(0, g, True)]  # (level, element, add?)
     while stack:
         k, g, add = stack.pop()
         if add:
@@ -270,7 +281,6 @@ def _sims_table(generators: Sequence[tuple[int, ...]], degree: int) -> list[dict
             h = tuple(map(u.__getitem__, g))  # g, then back to k
             if h != ident:
                 stack.append((k + 1, h, True))
-    return rows
 
 
 def _sifts(rows: list[dict], g: tuple[int, ...], k: int = 0) -> bool:
@@ -288,6 +298,40 @@ def _sifts(rows: list[dict], g: tuple[int, ...], k: int = 0) -> bool:
 
 def _table_order(generators: Sequence[tuple[int, ...]], degree: int) -> int:
     return prod(map(len, _sims_table(generators, degree)))
+
+
+def _greedy_generators(rows: list[dict]) -> list[tuple[int, ...]]:
+    """The greedy generating sequence of the group G of a Sims table: again
+    and again the lex-least element of G not in the group H of the
+    elements chosen so far, read off the table without listing G.
+
+    The elements agreeing with x on 0, .., k-1 are the stabilizer G^(k),
+    then x; they split into children u_j, then x, for the representatives
+    u_j of row k, ordered by x(j).  A child's subtree lies in H exactly
+    when the child sifts through H's table and |G^(k+1)| = |H^(k+1)|, that
+    is, H's rows from k + 1 on are as long as G's (H^(i) <= G^(i)).  The
+    descent takes the first child whose subtree does not, until the
+    stabilizer is trivial (the ordered base images of Butler, LNCS 559;
+    the coset subtrees of Seress, ch. 9).  H's table grows one element at
+    a time.
+    """
+    ident = tuple(range(len(rows)))
+    reps = [list(map(_inverse, row.values())) for row in rows]
+    depth = max((k + 1 for k, row in enumerate(rows) if len(row) > 1), default=0)
+    h_rows: list[dict] = [{k: ident} for k in range(len(rows))]
+    h_strong: list[list] = [[] for _ in rows]
+    out = []
+    while short := [k for k, row in enumerate(h_rows) if len(row) < len(rows[k])]:
+        x = ident
+        for k in range(depth):
+            x = next(
+                c
+                for c in sorted(tuple(map(x.__getitem__, u)) for u in reps[k])
+                if k < short[-1] or not _sifts(h_rows, c)
+            )
+        out.append(x)
+        _sims_add(h_rows, h_strong, x)
+    return out
 
 
 def _capped(order: int, cap: int) -> int:
@@ -393,58 +437,55 @@ class PairedPermGroup:
     def __setattr__(self, name, value):
         raise AttributeError("PairedPermGroup is immutable")
 
-    @classmethod
-    def _checked(
-        cls,
-        degrees: tuple[int, int],
-        generators: Iterable[tuple[Perm, Perm]],
-        order: int,
-    ) -> "PairedPermGroup":
-        """A group whose order and faithfulness a closure has already
-        checked, on these or on other generators of the same group."""
-        g = cls(degrees, generators, known_order=order)
-        g._faithful[0] = True
-        return g
-
-    def _close(self, cap: int) -> list[tuple[int, ...]]:
-        out = _paired_closure(self.degrees, self.generators, cap)
-        self._faithful[0] = True
-        return out
-
     def elements(self, cap: int = DEFAULT_ORDER_CAP) -> frozenset[tuple[Perm, Perm]]:
         if self._elements[0] is None:
             n = self.degrees[0]
             out = frozenset(
                 (Perm._of(x[:n]), Perm._of(tuple(y - n for y in x[n:])))
-                for x in self._close(cap)
+                for x in _paired_closure(self.degrees, self.generators, cap)
             )
+            self._faithful[0] = True
             self._elements[0] = out
             self._order[0] = len(out)
         return self._elements[0]
 
-    def _checked_order(self, cap: int) -> int:
-        """The order from the Sims table on the n + m points, checked
-        against the cap and then for faithfulness: the group is faithful on
-        each side exactly when |G| = |pi_L G| = |pi_R G|, pi_L and pi_R the
-        projections to the two sides."""
+    def _faithful_table(self, cap: int) -> list[dict]:
+        """The Sims table on the n + m points, the right side shifted by n;
+        its order is checked against the cap, then its faithfulness: on the
+        left exactly when the pointwise stabilizer of the n left points is
+        trivial, on the right exactly when the right side's group has the
+        same order."""
         n, m = self.degrees
-        pairs = [(g.images, h.images) for g, h in self.generators]
-        order = _capped(
-            _table_order([g + tuple(n + y for y in h) for g, h in pairs], n + m), cap
-        )
-        left = _table_order([g for g, _ in pairs], n)
-        if not order == left == _table_order([h for _, h in pairs], m):
+        gens = [g.images + tuple(n + y for y in h.images) for g, h in self.generators]
+        rows = _sims_table(gens, n + m)
+        order = _capped(prod(map(len, rows)), cap)
+        right = _table_order([h.images for _, h in self.generators], m)
+        if prod(map(len, rows[n:])) != 1 or right != order:
             raise NotFaithful(
                 "one-sided kernel element: the paired action is not faithful"
             )
         self._faithful[0] = True
-        return order
+        return rows
+
+    def greedy(self) -> "PairedPermGroup":
+        """The same group on its greedy generating sequence, its order and
+        faithfulness checked, without listing it.  With faithful sides the
+        lex order on the n + m images is the one on the left images."""
+        rows = self._faithful_table(prod(map(factorial, self.degrees)))
+        n = self.degrees[0]
+        pairs = [
+            (Perm._of(x[:n]), Perm._of(tuple(y - n for y in x[n:])))
+            for x in _greedy_generators(rows)
+        ]
+        out = PairedPermGroup(self.degrees, pairs, known_order=prod(map(len, rows)))
+        out._faithful[0] = True
+        return out
 
     def order(self, cap: int = DEFAULT_ORDER_CAP) -> int:
-        """The group order, known or read from the Sims table.  Raises
+        """The group order, known or read from ``_faithful_table``.  Raises
         OrderCapExceeded above ``cap``; an order above it is not kept."""
         if self._order[0] is None:
-            self._order[0] = self._checked_order(cap)
+            self._order[0] = prod(map(len, self._faithful_table(cap)))
         return _capped(self._order[0], cap)
 
     def left_group(self) -> PermGroup:
@@ -659,23 +700,24 @@ def two_closure(g: PermGroup) -> PermGroup:
     return coloured_automorphisms(pair_orbit_colouring(g))
 
 
-def is_two_closed(g: PermGroup, cap: int = DEFAULT_ORDER_CAP) -> bool:
-    # no group on d points is larger than d!, so the closure is never capped
-    return g.order(cap) == two_closure(g).order(factorial(g.degree))
+def is_two_closed(g: PermGroup) -> bool:
+    # no group on d points is larger than d!, so neither order is capped
+    bound = factorial(g.degree)
+    return g.order(bound) == two_closure(g).order(bound)
 
 
 def paired_two_closure(g: PairedPermGroup) -> PairedPermGroup:
     """The largest subgroup of the product of the two symmetric groups
     preserving the orbits on the product set."""
     if not g._faithful[0]:  # no order or closure has checked faithfulness yet
-        # no group on (n, m) points exceeds n! m!, so only faithfulness is checked
-        g._checked_order(factorial(g.degrees[0]) * factorial(g.degrees[1]))
+        g._faithful_table(prod(map(factorial, g.degrees)))
     return coloured_bipartite_automorphisms(paired_orbit_colouring(g))
 
 
-def is_paired_two_closed(g: PairedPermGroup, cap: int = DEFAULT_ORDER_CAP) -> bool:
-    bound = factorial(g.degrees[0]) * factorial(g.degrees[1])
-    return g.order(cap) == paired_two_closure(g).order(bound)
+def is_paired_two_closed(g: PairedPermGroup) -> bool:
+    # no group on (n, m) points is larger than n! m!
+    bound = prod(map(factorial, g.degrees))
+    return g.order(bound) == paired_two_closure(g).order(bound)
 
 
 # -- irreducibility of coloured bipartite graphs --
@@ -707,52 +749,37 @@ def is_irreducible(g: ColouredBipartiteGraph) -> bool:
 ISO_ORDER_CAP = 10**4
 
 
-def _generating_sequence(elements: list[Perm], degree: int) -> list[Perm]:
-    """A short generating sequence, grown greedily in canonical order."""
-    ident = tuple(range(degree))
-    have, seen, images = [ident], {ident}, []
-    gens: list[Perm] = []
-    for x in elements:
-        if len(have) == len(elements):
-            break
-        if x.images not in seen:
-            gens.append(x)
-            _extend(have, seen, images, [x.images], DEFAULT_ORDER_CAP)
-    return gens
-
-
 def _is_abelian(g: PermGroup) -> bool:
     return all(a * b == b * a for a in g.generators for b in g.generators)
 
 
-def groups_isomorphic(
-    g: PermGroup, h: PermGroup, cap: int = ISO_ORDER_CAP
-) -> bool:
-    """Exact abstract-group isomorphism for orders up to the cap.
+def groups_isomorphic(g: PermGroup, h: PermGroup) -> bool:
+    """Exact abstract-group isomorphism: at once for equal permutation
+    groups (same degree, same table order, every generator of G in H),
+    else for orders up to ISO_ORDER_CAP.
 
     After the order, the element orders and commutativity agree, images in
-    H are chosen for a generating sequence of G one at a time, each prefix
-    spanning a subgroup of H as large as the matching prefix spans in G.
-    A full choice is an isomorphism iff the pairs (generator, image)
-    generate the graph of a bijection in G x H (see the module docstring).
+    H are chosen for the greedy generating sequence of G one at a time,
+    each prefix spanning a subgroup of H as large as the matching prefix
+    spans in G.  A full choice is an isomorphism iff the pairs (generator,
+    image) generate the graph of a bijection in G x H (see the module
+    docstring).
     """
-    ge = sorted(g.elements(cap))
-    he = sorted(h.elements(cap))
-    if len(ge) != len(he):
-        return False
+    if g.degree == h.degree:
+        bound = factorial(g.degree)
+        if g.order(bound) == h.order(bound) and all(map(h.contains, g.generators)):
+            return True
+    ge = g.elements(ISO_ORDER_CAP)
+    he = sorted(h.elements(ISO_ORDER_CAP))
     if sorted(x.order() for x in ge) != sorted(x.order() for x in he):
         return False
     if _is_abelian(g) != _is_abelian(h):
         return False
-    if len(ge) == 1:
-        return True
 
-    gens = _generating_sequence(ge, g.degree)
-    g_ident, h_ident = tuple(range(g.degree)), tuple(range(h.degree))
-    prefix_sizes = [
-        len(_span([s.images for s in gens[: k + 1]], g_ident))
-        for k in range(len(gens))
-    ]
+    seq = _greedy_generators(g._sims())
+    gens = list(map(Perm._of, seq))
+    prefix_sizes = [_table_order(seq[: k + 1], g.degree) for k in range(len(seq))]
+    h_ident = tuple(range(h.degree))
     h_by_order: dict[int, list[Perm]] = {}
     for x in he:
         h_by_order.setdefault(x.order(), []).append(x)
@@ -780,38 +807,32 @@ def groups_isomorphic(
 # -- a small catalogue of recognisable groups --
 
 
-def _named_catalogue() -> list[tuple[str, PermGroup]]:
-    cat: list[tuple[str, PermGroup]] = [("1", PermGroup.trivial(1))]
-    for k in range(2, 13):
-        cyc = "(" + ",".join(str(i) for i in range(1, k + 1)) + ")"
-        name = "S2" if k == 2 else f"C{k}"
-        cat.append((name, PermGroup.from_cycles(k, [cyc])))
-    cat.append(("C2xC2", PermGroup.from_cycles(4, ["(1,2)", "(3,4)"])))
-    cat.append(("S3", PermGroup.from_cycles(3, ["(1,2,3)", "(1,2)"])))
-    cat.append(("D4", PermGroup.from_cycles(4, ["(1,2,3,4)", "(1,3)"])))
-    cat.append(("C4xC2", PermGroup.from_cycles(6, ["(1,2,3,4)", "(5,6)"])))
-    cat.append(("C2^3", PermGroup.from_cycles(6, ["(1,2)", "(3,4)", "(5,6)"])))
-    cat.append(("D5", PermGroup.from_cycles(5, ["(1,2,3,4,5)", "(2,5)(3,4)"])))
-    cat.append(("D6", PermGroup.from_cycles(6, ["(1,2,3,4,5,6)", "(2,6)(3,5)"])))
-    cat.append(("A4", PermGroup.from_cycles(4, ["(1,2,3)", "(1,2)(3,4)"])))
-    cat.append(("S4", PermGroup.from_cycles(4, ["(1,2,3,4)", "(1,2)"])))
-    cat.append(
-        ("A4xA4", PermGroup.from_cycles(8, ["(1,2,3)", "(1,2)(3,4)", "(5,6,7)", "(5,6)(7,8)"]))
-    )
-    return cat
-
-
-_CATALOGUE: Optional[list[tuple[str, PermGroup]]] = None
+_CATALOGUE = [
+    (name, PermGroup.from_cycles(degree, gens))
+    for name, degree, gens in [
+        ("C2xC2", 4, ["(1,2)", "(3,4)"]),
+        ("S3", 3, ["(1,2,3)", "(1,2)"]),
+        ("D4", 4, ["(1,2,3,4)", "(1,3)"]),
+        ("C4xC2", 6, ["(1,2,3,4)", "(5,6)"]),
+        ("C2^3", 6, ["(1,2)", "(3,4)", "(5,6)"]),
+        ("D5", 5, ["(1,2,3,4,5)", "(2,5)(3,4)"]),
+        ("D6", 6, ["(1,2,3,4,5,6)", "(2,6)(3,5)"]),
+        ("A4", 4, ["(1,2,3)", "(1,2)(3,4)"]),
+        ("S4", 4, ["(1,2,3,4)", "(1,2)"]),
+        ("A4xA4", 8, ["(1,2,3)", "(1,2)(3,4)", "(5,6,7)", "(5,6)(7,8)"]),
+    ]
+]
 
 
 def identify_group(g: PermGroup) -> Optional[str]:
-    """A standard name for the abstract group: from the catalogue, else
-    S_k or A_k for a group of order k! or k!/2 that moves k points.  The
-    order is known or read from the Sims table, whatever its size."""
-    global _CATALOGUE
-    if _CATALOGUE is None:
-        _CATALOGUE = _named_catalogue()
+    """A standard name for the abstract group: C_k (``1``, ``S2`` for k =
+    1, 2) for an abelian group whose exponent, the lcm of the generator
+    orders, is its order k; else from the catalogue; else S_k or A_k for a
+    group of order k! or k!/2 that moves k points.  The order is known or
+    read from the Sims table, whatever its size."""
     order = g.order(factorial(g.degree))  # no group on d points exceeds d!
+    if _is_abelian(g) and lcm(*(p.order() for p in g.generators)) == order:
+        return {1: "1", 2: "S2"}.get(order, f"C{order}")
     for name, h in _CATALOGUE:
         if h.order() == order and groups_isomorphic(g, h):
             return name

@@ -5,9 +5,11 @@ each such P pairs with a unique unit Q satisfying P @ A = A @ Q.  When the
 finite-entry graph of A is connected every element has a single eigenvalue
 (the common cycle mean of its pattern) and the group splits as a scaling
 line times the finite group Sigma of eigenvalue-0 elements.  The pair search
-yields generators of Sigma; where the elements are needed they are rebuilt
-from the closure of the generators' patterns, with the scalings read off
-the common eigenvectors that ``normalize_eigenvectors`` finds.
+yields generators of Sigma; the analysis reads its order and reported
+generators off their Sims table, and where the elements are needed they
+are rebuilt from the closure of the generators' patterns, with the
+scalings read off the common eigenvectors that ``normalize_eigenvectors``
+finds.
 
 Disconnected matrices decompose along component classes: the full group is
 a direct product over classes of wreath-type factors, one (R x G_alpha) per
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 from operator import add, neg
 from typing import Optional
 
@@ -50,7 +52,6 @@ from .permgroups import (
     PairedPermGroup,
     Perm,
     PermGroup,
-    _generating_sequence,
     _paired_closure,
     format_cycles,
     identify_group,
@@ -95,22 +96,17 @@ def _sigma_generators(a: TropMatrix, max_nodes: int) -> list[StabilizerElement]:
     return out
 
 
-def _sigma_patterns(generators, shape: tuple[int, int]) -> list[tuple]:
-    """The (sigma, tau) pattern pairs of the group the generators span."""
-    n = shape[0]
-    pairs = [(Perm._of(g.P.sigma), Perm._of(g.Q.sigma)) for g in generators]
-    return [(x[:n], tuple(y - n for y in x[n:])) for x in _paired_closure(shape, pairs)]
-
-
 def _sigma_elements(
     generators, u: MonomialMatrix, v: MonomialMatrix
 ) -> list[StabilizerElement]:
     """Every element of the Sigma the generators span, given the units U, V
     of ``normalize_eigenvectors``: the pair of patterns (s, t) is the pair
     U^-1 @ s @ U, V @ t @ V^-1 of units."""
-    du, dv = u.scalings, v.scalings
+    n, du, dv = u.degree, u.scalings, v.scalings
+    pairs = [(Perm._of(g.P.sigma), Perm._of(g.Q.sigma)) for g in generators]
     out = []
-    for s, t in _sigma_patterns(generators, (u.degree, v.degree)):
+    for x in _paired_closure((n, v.degree), pairs):
+        s, t = x[:n], tuple(y - n for y in x[n:])
         p = MonomialMatrix(s, tuple(du[s[i]] - du[i] for i in range(len(s))))
         q = MonomialMatrix(t, tuple(dv[j] - dv[t[j]] for j in range(len(t))))
         out.append(StabilizerElement(p, q, Value(0)))
@@ -316,7 +312,7 @@ def make_factor(
     multiplicity: int,
     component: Optional[Component] = None,
 ) -> Factor:
-    order = paired.order()
+    order = paired.order(prod(map(factorial, paired.degrees)))
     left = PermGroup(
         paired.degrees[0], [g for g, _ in paired.generators], known_order=order
     )
@@ -425,14 +421,8 @@ def analyze_matrix(
         rep = restrictions[cls.representative]
         gens = tuple(_sigma_generators(rep, max_nodes))
         normalisations.append(normalize_eigenvectors(rep, gens))
-        pairs = sorted(
-            (Perm._of(s), Perm._of(t)) for s, t in _sigma_patterns(gens, rep.shape)
-        )
-        # the closure of the patterns has counted Sigma and checked it is
-        # faithful, so the factor needs no closure of its own
-        paired = PairedPermGroup._checked(
-            rep.shape, _reduced_pair_generators(pairs, rep.shape), len(pairs)
-        )
+        pairs = [(Perm._of(g.P.sigma), Perm._of(g.Q.sigma)) for g in gens]
+        paired = PairedPermGroup(rep.shape, pairs).greedy()
         comp = part.components[cls.representative]
         factors.append(make_factor(paired, len(cls.members), comp))
         sigma_generators.append(gens)
@@ -456,18 +446,6 @@ def group_description(
     """Reduce to full rank, split into component classes, and compute one
     finite factor per class from the Sigma of its representative."""
     return analyze_matrix(a, max_nodes=max_nodes).description
-
-
-def _reduced_pair_generators(
-    pairs: list[tuple[Perm, Perm]], degrees: tuple[int, int]
-) -> list[tuple[Perm, Perm]]:
-    """A short generating set for a group listed as (left, right) pairs.
-
-    The left projection is faithful, so reduce on the left and carry the
-    mates along."""
-    mate = {left: right for left, right in pairs}
-    left_gens = _generating_sequence(sorted(mate), degrees[0])
-    return [(g, mate[g]) for g in left_gens]
 
 
 def maximal_subgroup(

@@ -214,6 +214,18 @@ def test_closure_cli(capsys):
     assert code == 2
 
 
+def test_construct_matches_a_target_above_the_isomorphism_cap(tmp_path, capsys):
+    """The factor of the S_8 witness is the target itself, so the check
+    needs neither its isomorphism test nor a listing of 8! elements."""
+    gens = ["(1,2,3,4,5,6,7,8)", "(1,2)"]
+    spec = write(tmp_path, "s8.json", json.dumps({"degree": 8, "generators": gens}))
+    code, out = run_cli(["construct", spec, "--json"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["verification"]["group_matches_target"] is True
+    assert report["description"]["formula"] == "(R x S8)"
+
+
 def test_construct_and_approximate(tmp_path, capsys):
     spec = write(
         tmp_path, "s2.json", json.dumps({"degree": 2, "generators": ["(1,2)"]})

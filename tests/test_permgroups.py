@@ -300,6 +300,7 @@ def test_paired_two_closure_examples():
     s10 = PermGroup.from_cycles(10, ["(1,2,3,4,5,6,7,8,9,10)", "(1,2)"])
     diag_s10 = PairedPermGroup((10, 10), [(g, g) for g in s10.generators])
     assert paired_two_closure(diag_s10).order(cap=10**7) == 3628800
+    assert is_paired_two_closed(diag_s10)
 
 
 def test_paired_closure_can_be_larger():
@@ -390,6 +391,11 @@ def test_identify_group():
     assert identify_group(PermGroup.from_cycles(4, ["(1,2,3,4)", "(1,3)"])) == "D4"
     assert identify_group(PermGroup.from_cycles(4, ["(1,2,3)", "(1,2)(3,4)"])) == "A4"
     assert identify_group(PermGroup.from_cycles(10, ALT4_10PT)) == "A4"
+    # cyclic groups are named by their invariants, whatever their order
+    c20 = "(" + ",".join(str(i) for i in range(1, 21)) + ")"
+    assert identify_group(PermGroup.from_cycles(20, [c20])) == "C20"
+    assert identify_group(PermGroup.from_cycles(5, ["(1,2)", "(3,4,5)"])) == "C6"
+    assert identify_group(PermGroup.from_cycles(4, ["(1,2)", "(3,4)"])) == "C2xC2"
 
 
 def test_identify_symmetric_and_alternating_groups_by_order():

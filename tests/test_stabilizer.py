@@ -247,13 +247,22 @@ def test_normalize_eigenvectors_from_generators_or_elements():
         assert an.normalisations[0] == normalize_eigenvectors(matrix)
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7])
-def test_symmetric_group_witnesses(n):
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10])
+def test_symmetric_group_witnesses(n, monkeypatch):
     """The witness idempotent of S_n has Sigma of order n!, found from
-    generators without listing the group."""
+    generators without listing the group, and it meets the classification
+    conditions; the order 10! lies above the default order cap."""
+    from tropgroups import permgroups
+
+    def no_listing(*args):
+        raise AssertionError("a group was listed")
+
     cycle = "(" + ",".join(str(i) for i in range(1, n + 1)) + ")"
-    e = construct_idempotent(PermGroup.from_cycles(n, [cycle, "(1,2)"]))
-    desc = group_description(e)
+    with monkeypatch.context() as m:
+        m.setattr(permgroups, "_span", no_listing)
+        e = construct_idempotent(PermGroup.from_cycles(n, [cycle, "(1,2)"]))
+        desc = group_description(e)
+        assert classification_conditions(desc, n, n)
     assert [f.order for f in desc.factors] == [math.factorial(n)]
     assert desc.formula() == f"(R x S{n})"
     assert len(pair_solutions(e, e)) < n * n
@@ -347,29 +356,19 @@ def test_classification_conditions_synthetic():
 
 
 def test_analysis_closes_each_class_once(monkeypatch):
-    """The closure of the Sigma patterns gives the factor its order and
-    faithfulness: neither the description nor the classification
-    conditions close the factor group again."""
-    from tropgroups import stabilizer
+    """The Sims table of the Sigma generators gives each factor its order,
+    its faithfulness and its reported generators: neither the description
+    nor the classification conditions list Sigma or close the factor."""
+    from tropgroups import permgroups, stabilizer
 
     calls = []
-    patterns = stabilizer._paired_closure
-    close = PairedPermGroup._close
-
-    def counted_patterns(shape, pairs):
-        calls.append(("patterns", shape))
-        return patterns(shape, pairs)
-
-    def counted_close(self, cap):
-        calls.append(("factor", self.degrees))
-        return close(self, cap)
-
-    monkeypatch.setattr(stabilizer, "_paired_closure", counted_patterns)
-    monkeypatch.setattr(PairedPermGroup, "_close", counted_close)
+    for mod in (stabilizer, permgroups):
+        closure = mod._paired_closure
+        monkeypatch.setattr(
+            mod, "_paired_closure", lambda *a, f=closure: calls.append(a) or f(*a)
+        )
     e = construct_idempotent(PermGroup.from_cycles(5, ["(1,2,3,4,5)", "(1,2)"]))
     for a in (matrix_f(), SECTION4, e):
-        calls.clear()
         desc = group_description(a)
         assert classification_conditions(desc, *a.shape)
-        shapes = [(f.degree, f.col_degree) for f in desc.factors]
-        assert calls == [("patterns", shape) for shape in shapes]
+    assert calls == []
