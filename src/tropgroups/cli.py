@@ -34,6 +34,7 @@ from .permgroups import (
     PairedPermGroup,
     Perm,
     PermGroup,
+    _capped,
     format_cycles,
     paired_two_closure,
     parse_cycles,
@@ -158,9 +159,9 @@ def _parse_gen_args(args) -> tuple:
 def cmd_closure(args) -> int:
     group, paired = _parse_gen_args(args)
     t0 = time.perf_counter()
-    # the order first: a group above --max-order, or a paired one that is
-    # not faithful, stops before the 2-closure search
-    order = group.order(args.max_order)
+    # the order first: a paired group that is not faithful, or a group
+    # above --max-order, stops before the 2-closure search
+    order = _capped(group.order(), args.max_order)
     if paired:
         closure = paired_two_closure(group)
         gens = [
@@ -171,7 +172,7 @@ def cmd_closure(args) -> int:
         closure = two_closure(group)
         gens = [format_cycles(g) for g in closure.generators]
         degrees = [group.degree]
-    closure_order = closure.order(args.max_order)
+    closure_order = _capped(closure.order(), args.max_order)
     closed = order == closure_order
     elapsed = time.perf_counter() - t0
     report = {

@@ -44,7 +44,6 @@ from .permgroups import (
     PairedPermGroup,
     Perm,
     PermGroup,
-    _closure,
     coloured_automorphisms,
     coloured_bipartite_automorphisms,
     is_irreducible,
@@ -379,7 +378,10 @@ def alt4_elements() -> list[Perm]:
     """The 12 even permutations of 4 points, in breadth-first product
     order from the generators (1,2,3) and (1,2)(3,4)."""
     gens = [parse_cycles(g, 4).images for g in ALT4_GENERATORS]
-    return [Perm(x) for x in _closure(gens, tuple(range(4)))]
+    (listed,) = components(
+        [tuple(range(4))], lambda x: [tuple(map(g.__getitem__, x)) for g in gens]
+    )  # x first, then g
+    return [Perm(x) for x in listed]
 
 
 def alt4_column_matrix(a: Value, b: Value, c: Value, d: Value) -> TropMatrix:

@@ -6,22 +6,21 @@ Permutations are 0-indexed internally and 1-indexed in all text I/O
 Orders and membership come from a Sims table, ``_sims_table``: a
 stabilizer chain with the points as base in their natural order, filled
 by Knuth's deterministic sifting, so the order is the product of the
-orbit lengths and no group is listed to count it.  A paired group's order
-comes from the table on the n + m disjoint points of its two sides, and
-its faithfulness from the same table and the right side's.  The greedy
-generating sequence, which the analysis reports and the isomorphism test
-extends, is read off the table too (``_greedy_generators``).
+orbit lengths, no group is listed to count it, and no order is capped.
+The greedy generating sequence, which the analysis reports and the
+isomorphism test extends, is read off the table too
+(``_greedy_generators``).
 
-Every element list comes from one closure step, ``_extend``, which grows
-a list closed under some generators by more generators and works on image
-tuples; ``Perm`` objects are built only where a caller wants them.
-``_span`` adds the generators one at a time and skips each one already
-reached, so redundant generators (a strong generating set has many) cost
-one lookup; ``_closure`` adds them all at once and keeps the breadth-first
-order, for the one caller that needs an order.  A paired group is closed
-as one permutation group on the n + m disjoint points of its two sides.
-Orbits of points and of pairs come from the one traversal in
-``graphs.components``.
+A paired group is one permutation group, ``joint``, on the n + m disjoint
+points of its two sides (``_join``, undone by ``_split``); its
+faithfulness is read off the tables or, where it is listed, off the list.
+
+Every element list comes from ``_span``, which adds the generators one at
+a time and skips each one already reached, so redundant generators (a
+strong generating set has many) cost one lookup.  It works on image
+tuples, and only listings are capped (by LIST_CAP elements unless the
+caller passes fewer).  Orbits of points and of pairs come from the one
+traversal in ``graphs.components``.
 
 A group is 2-closed when it already contains every permutation preserving
 its orbits of ordered pairs, i.e. when it is the full automorphism group of
@@ -35,11 +34,13 @@ as the map grows.  That loop, ``base_and_orbit``, and its depth-first
 ``complete`` also drive the pair search of ``pairsearch``, which finds
 generators of the unit stabilizer Sigma the same way.
 
-Equal permutation groups are recognised as isomorphic from their tables.
-Otherwise two small groups G and H are isomorphic exactly when some list
-of images of a generating sequence of G makes the subgroup of G x H
-generated by the pairs (generator, image) the graph of a bijection: of
-order |G|, with no element that is the identity on one side only.
+Groups of different orders are not isomorphic, and equal permutation
+groups are recognised as isomorphic from their tables.  Otherwise two
+small groups G and H of the same order are isomorphic exactly when some
+list of images of a generating sequence of G, spanning H, makes the
+subgroup of G x H generated by the pairs (generator, image) the graph of a
+bijection.  Both projections of that subgroup are onto, so it is a graph
+exactly when it has at most |G| elements.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import OrderCapExceeded, SearchBudgetExceeded
 from .graphs import ColouredBipartiteGraph, ColouredDigraph, components
 
-DEFAULT_ORDER_CAP = 10**6
+LIST_CAP = 10**6
 AUT_DEGREE_BOUND = 20
 
 
@@ -131,9 +132,11 @@ _CYCLE = re.compile(r"\(([^()]*)\)")
 
 
 def parse_cycles(text: str, degree: int) -> Perm:
-    """Parse 1-indexed cycle notation; the identity is ``()`` or `````` ."""
+    """Parse 1-indexed cycle notation; the identity is ``()`` or `````` .
+    The cycles must be disjoint."""
     s = re.sub(r"\s+", "", text)
     images = list(range(degree))
+    used: set[int] = set()
     pos = 0
     while pos < len(s):
         m = _CYCLE.match(s, pos)
@@ -146,6 +149,10 @@ def parse_cycles(text: str, degree: int) -> Perm:
                 raise ValueError(f"point out of range 1..{degree} in {text!r}")
             if len(set(points)) != len(points):
                 raise ValueError(f"repeated point in cycle {text!r}")
+            shared = used.intersection(points)
+            if shared:
+                raise ValueError(f"point {min(shared)} is in two cycles of {text!r}")
+            used.update(points)
             for a, b in zip(points, points[1:] + points[:1]):
                 images[a - 1] = b - 1
         pos = m.end()
@@ -159,26 +166,14 @@ def format_cycles(p: Perm) -> str:
     return "".join("(" + ",".join(str(x + 1) for x in cyc) + ")" for cyc in cycles)
 
 
-def _closure(
-    generators: Sequence[tuple[int, ...]],
-    identity: tuple[int, ...],
-    cap: int = DEFAULT_ORDER_CAP,
-) -> list[tuple[int, ...]]:
-    """Breadth-first closure of image tuples under right multiplication by
-    the generators, in the order the elements are first reached (the
-    identity first).  Raises OrderCapExceeded past ``cap`` elements."""
-    out = [identity]
-    _extend(out, {identity}, [], list(generators), cap)
-    return out
-
-
 def _span(
     generators: Iterable[tuple[int, ...]],
     identity: tuple[int, ...],
-    cap: int = DEFAULT_ORDER_CAP,
+    cap: int = LIST_CAP,
 ) -> list[tuple[int, ...]]:
-    """The elements of the closure, in no promised order: the generators
-    are added one at a time, and one the closure has reached is skipped."""
+    """The elements of the group the image tuples generate, in no promised
+    order: the generators are added one at a time, and one the list has
+    reached is skipped.  Raises OrderCapExceeded past ``cap`` elements."""
     out, seen, gens = [identity], {identity}, []
     for g in generators:
         if g not in seen:
@@ -205,24 +200,16 @@ def _extend(out: list, seen: set, gens: list, new: list, cap: int) -> None:
                     out.append(y)
 
 
-def _paired_closure(
-    degrees: tuple[int, int],
-    pairs: Iterable[tuple[Perm, Perm]],
-    cap: int = DEFAULT_ORDER_CAP,
-) -> list[tuple[int, ...]]:
-    """The closure of (left, right) pairs acting on n + m disjoint points,
-    the right side shifted by n.  Raises NotFaithful if some element is
-    the identity on exactly one side."""
-    n, m = degrees
-    ident = tuple(range(n + m))
-    gens = [g.images + tuple(n + y for y in h.images) for g, h in pairs]
-    elements = _span(gens, ident, cap)
-    for x in elements:
-        if (x[:n] == ident[:n]) != (x[n:] == ident[n:]):
-            raise NotFaithful(
-                "one-sided kernel element: the paired action is not faithful"
-            )
-    return elements
+def _join(g: Perm, h: Perm) -> tuple[int, ...]:
+    """The images of the pair (g, h) on the n + m disjoint points of its
+    two sides, the right side shifted by n = g.degree."""
+    n = g.degree
+    return g.images + tuple(n + y for y in h.images)
+
+
+def _split(x: tuple[int, ...], n: int) -> tuple[Perm, Perm]:
+    """The pair that ``_join`` joins to x, n points on the left."""
+    return Perm._of(x[:n]), Perm._of(tuple(y - n for y in x[n:]))
 
 
 def _inverse(x: tuple[int, ...]) -> tuple[int, ...]:
@@ -296,14 +283,11 @@ def _sifts(rows: list[dict], g: tuple[int, ...], k: int = 0) -> bool:
     return True
 
 
-def _table_order(generators: Sequence[tuple[int, ...]], degree: int) -> int:
-    return prod(map(len, _sims_table(generators, degree)))
-
-
-def _greedy_generators(rows: list[dict]) -> list[tuple[int, ...]]:
+def _greedy_generators(rows: list[dict]) -> list[tuple[tuple[int, ...], int]]:
     """The greedy generating sequence of the group G of a Sims table: again
     and again the lex-least element of G not in the group H of the
-    elements chosen so far, read off the table without listing G.
+    elements chosen so far, read off the table without listing G.  Each
+    element comes with the order of the group its prefix generates.
 
     The elements agreeing with x on 0, .., k-1 are the stabilizer G^(k),
     then x; they split into children u_j, then x, for the representatives
@@ -313,7 +297,7 @@ def _greedy_generators(rows: list[dict]) -> list[tuple[int, ...]]:
     descent takes the first child whose subtree does not, until the
     stabilizer is trivial (the ordered base images of Butler, LNCS 559;
     the coset subtrees of Seress, ch. 9).  H's table grows one element at
-    a time.
+    a time, and gives the prefix orders.
     """
     ident = tuple(range(len(rows)))
     reps = [list(map(_inverse, row.values())) for row in rows]
@@ -329,8 +313,8 @@ def _greedy_generators(rows: list[dict]) -> list[tuple[int, ...]]:
                 for c in sorted(tuple(map(x.__getitem__, u)) for u in reps[k])
                 if k < short[-1] or not _sifts(h_rows, c)
             )
-        out.append(x)
         _sims_add(h_rows, h_strong, x)
+        out.append((x, prod(map(len, h_rows))))
     return out
 
 
@@ -373,11 +357,12 @@ class PermGroup:
     def from_cycles(cls, degree: int, gens: Iterable[str]) -> "PermGroup":
         return cls(degree, [parse_cycles(g, degree) for g in gens])
 
-    def elements(self, cap: int = DEFAULT_ORDER_CAP) -> frozenset[Perm]:
-        """Product closure of the generators."""
+    def elements(self) -> frozenset[Perm]:
+        """Product closure of the generators; OrderCapExceeded past
+        LIST_CAP elements."""
         if self._elements[0] is None:
             gens = [g.images for g in self.generators]
-            out = frozenset(map(Perm._of, _span(gens, tuple(range(self.degree)), cap)))
+            out = frozenset(map(Perm._of, _span(gens, tuple(range(self.degree)))))
             self._elements[0] = out
             self._order[0] = len(out)
         return self._elements[0]
@@ -388,12 +373,11 @@ class PermGroup:
             self._table[0] = _sims_table(gens, self.degree)
         return self._table[0]
 
-    def order(self, cap: int = DEFAULT_ORDER_CAP) -> int:
-        """The group order, known or read from the Sims table.  Raises
-        OrderCapExceeded above ``cap``; an order above it is not kept."""
+    def order(self) -> int:
+        """The group order, known or read from the Sims table."""
         if self._order[0] is None:
-            self._order[0] = _capped(prod(map(len, self._sims())), cap)
-        return _capped(self._order[0], cap)
+            self._order[0] = prod(map(len, self._sims()))
+        return self._order[0]
 
     def contains(self, p: Perm) -> bool:
         return p.degree == self.degree and _sifts(self._sims(), p.images)
@@ -406,12 +390,15 @@ class PermGroup:
 class PairedPermGroup:
     """A group acting on two sets, given by generator pairs (left, right).
 
-    The group is the set of pairs generated componentwise.  Both coordinate
-    projections must be faithful; every closure of the group and every
-    order that is not known checks that, and the 2-closure checks a group
-    built with ``known_order`` that nothing has checked yet."""
+    The group is the set of pairs generated componentwise, held as one
+    group ``joint`` on the n + m disjoint points of the two sides (see
+    ``_join``); its order, table and ``known_order`` are those of
+    ``joint``.  Both coordinate projections must be faithful.  Every order
+    that is not known checks that on the tables (``_checked``), every
+    listing on the list, and the 2-closure checks a group built with
+    ``known_order`` that nothing has checked yet."""
 
-    __slots__ = ("degrees", "generators", "_order", "_elements", "_faithful")
+    __slots__ = ("degrees", "generators", "joint", "_elements", "_faithful")
 
     def __init__(
         self,
@@ -428,65 +415,69 @@ class PairedPermGroup:
         for g, h in gens:
             if g.degree != degrees[0] or h.degree != degrees[1]:
                 raise ValueError("generator degree mismatch")
+        joint = PermGroup(
+            sum(degrees), [Perm._of(_join(g, h)) for g, h in gens], known_order=known_order
+        )
         object.__setattr__(self, "degrees", tuple(degrees))
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "_order", [known_order])
+        object.__setattr__(self, "joint", joint)
         object.__setattr__(self, "_elements", [None])
         object.__setattr__(self, "_faithful", [False])
 
     def __setattr__(self, name, value):
         raise AttributeError("PairedPermGroup is immutable")
 
-    def elements(self, cap: int = DEFAULT_ORDER_CAP) -> frozenset[tuple[Perm, Perm]]:
+    def elements(self) -> frozenset[tuple[Perm, Perm]]:
+        """The pairs of the group; OrderCapExceeded past LIST_CAP elements,
+        NotFaithful if one is the identity on exactly one side."""
         if self._elements[0] is None:
             n = self.degrees[0]
-            out = frozenset(
-                (Perm._of(x[:n]), Perm._of(tuple(y - n for y in x[n:])))
-                for x in _paired_closure(self.degrees, self.generators, cap)
-            )
+            joint = self.joint
+            ident = tuple(range(joint.degree))
+            listed = _span([g.images for g in joint.generators], ident)
+            for x in listed:
+                if (x[:n] == ident[:n]) != (x[n:] == ident[n:]):
+                    raise NotFaithful(
+                        "one-sided kernel element: the paired action is not faithful"
+                    )
             self._faithful[0] = True
-            self._elements[0] = out
-            self._order[0] = len(out)
+            self._elements[0] = frozenset(_split(x, n) for x in listed)
+            joint._order[0] = len(listed)
         return self._elements[0]
 
-    def _faithful_table(self, cap: int) -> list[dict]:
-        """The Sims table on the n + m points, the right side shifted by n;
-        its order is checked against the cap, then its faithfulness: on the
-        left exactly when the pointwise stabilizer of the n left points is
+    def _checked(self) -> None:
+        """Check faithfulness on the tables, once: on the left exactly when
+        the pointwise stabilizer of the n left points in ``joint`` is
         trivial, on the right exactly when the right side's group has the
-        same order."""
+        order of ``joint``'s table."""
+        if self._faithful[0]:
+            return
         n, m = self.degrees
-        gens = [g.images + tuple(n + y for y in h.images) for g, h in self.generators]
-        rows = _sims_table(gens, n + m)
-        order = _capped(prod(map(len, rows)), cap)
-        right = _table_order([h.images for _, h in self.generators], m)
-        if prod(map(len, rows[n:])) != 1 or right != order:
+        rows = self.joint._sims()
+        right = PermGroup(m, [h for _, h in self.generators])
+        if prod(map(len, rows[n:])) != 1 or right.order() != prod(map(len, rows)):
             raise NotFaithful(
                 "one-sided kernel element: the paired action is not faithful"
             )
         self._faithful[0] = True
-        return rows
 
     def greedy(self) -> "PairedPermGroup":
         """The same group on its greedy generating sequence, its order and
         faithfulness checked, without listing it.  With faithful sides the
         lex order on the n + m images is the one on the left images."""
-        rows = self._faithful_table(prod(map(factorial, self.degrees)))
+        self._checked()
         n = self.degrees[0]
-        pairs = [
-            (Perm._of(x[:n]), Perm._of(tuple(y - n for y in x[n:])))
-            for x in _greedy_generators(rows)
-        ]
-        out = PairedPermGroup(self.degrees, pairs, known_order=prod(map(len, rows)))
+        pairs = [_split(x, n) for x, _ in _greedy_generators(self.joint._sims())]
+        out = PairedPermGroup(self.degrees, pairs, known_order=self.joint.order())
         out._faithful[0] = True
         return out
 
-    def order(self, cap: int = DEFAULT_ORDER_CAP) -> int:
-        """The group order, known or read from ``_faithful_table``.  Raises
-        OrderCapExceeded above ``cap``; an order above it is not kept."""
-        if self._order[0] is None:
-            self._order[0] = prod(map(len, self._faithful_table(cap)))
-        return _capped(self._order[0], cap)
+    def order(self) -> int:
+        """The order of ``joint``; one not known is read from its table
+        after ``_checked``."""
+        if self.joint._order[0] is None:
+            self._checked()
+        return self.joint.order()
 
     def left_group(self) -> PermGroup:
         return PermGroup(self.degrees[0], [g for g, _ in self.generators])
@@ -688,7 +679,7 @@ def coloured_bipartite_automorphisms(g: ColouredBipartiteGraph) -> PairedPermGro
         )
     colours = (((i, n + j), g.edges.get((i, j), _ABSENT)) for i in range(n) for j in range(m))
     gens, order = _automorphisms(n + m, colours, [0] * n + [1] * m)
-    pairs = [(Perm(img[:n]), Perm([x - n for x in img[n:]])) for img in gens]
+    pairs = [_split(tuple(img), n) for img in gens]
     return PairedPermGroup((n, m), pairs, known_order=order)
 
 
@@ -701,23 +692,18 @@ def two_closure(g: PermGroup) -> PermGroup:
 
 
 def is_two_closed(g: PermGroup) -> bool:
-    # no group on d points is larger than d!, so neither order is capped
-    bound = factorial(g.degree)
-    return g.order(bound) == two_closure(g).order(bound)
+    return g.order() == two_closure(g).order()
 
 
 def paired_two_closure(g: PairedPermGroup) -> PairedPermGroup:
     """The largest subgroup of the product of the two symmetric groups
     preserving the orbits on the product set."""
-    if not g._faithful[0]:  # no order or closure has checked faithfulness yet
-        g._faithful_table(prod(map(factorial, g.degrees)))
+    g._checked()
     return coloured_bipartite_automorphisms(paired_orbit_colouring(g))
 
 
 def is_paired_two_closed(g: PairedPermGroup) -> bool:
-    # no group on (n, m) points is larger than n! m!
-    bound = prod(map(factorial, g.degrees))
-    return g.order(bound) == paired_two_closure(g).order(bound)
+    return g.order() == paired_two_closure(g).order()
 
 
 # -- irreducibility of coloured bipartite graphs --
@@ -754,32 +740,33 @@ def _is_abelian(g: PermGroup) -> bool:
 
 
 def groups_isomorphic(g: PermGroup, h: PermGroup) -> bool:
-    """Exact abstract-group isomorphism: at once for equal permutation
-    groups (same degree, same table order, every generator of G in H),
-    else for orders up to ISO_ORDER_CAP.
+    """Exact abstract-group isomorphism: at once for groups of different
+    orders and for equal permutation groups (same degree, every generator
+    of G in H), else for orders up to ISO_ORDER_CAP.
 
-    After the order, the element orders and commutativity agree, images in
-    H are chosen for the greedy generating sequence of G one at a time,
-    each prefix spanning a subgroup of H as large as the matching prefix
-    spans in G.  A full choice is an isomorphism iff the pairs (generator,
-    image) generate the graph of a bijection in G x H (see the module
-    docstring).
+    After the element orders and commutativity agree, images in H are
+    chosen for the greedy generating sequence of G one at a time, each
+    prefix spanning a subgroup of H as large as the matching prefix spans
+    in G.  A full choice is an isomorphism iff the pairs (generator,
+    image) span at most |G| elements of G x H (see the module docstring).
     """
-    if g.degree == h.degree:
-        bound = factorial(g.degree)
-        if g.order(bound) == h.order(bound) and all(map(h.contains, g.generators)):
-            return True
-    ge = g.elements(ISO_ORDER_CAP)
-    he = sorted(h.elements(ISO_ORDER_CAP))
+    order = g.order()
+    if order != h.order():
+        return False
+    if g.degree == h.degree and all(map(h.contains, g.generators)):
+        return True
+    _capped(order, ISO_ORDER_CAP)
+    ge = g.elements()
+    he = sorted(h.elements())
     if sorted(x.order() for x in ge) != sorted(x.order() for x in he):
         return False
     if _is_abelian(g) != _is_abelian(h):
         return False
 
     seq = _greedy_generators(g._sims())
-    gens = list(map(Perm._of, seq))
-    prefix_sizes = [_table_order(seq[: k + 1], g.degree) for k in range(len(seq))]
+    gens = [Perm._of(x) for x, _ in seq]
     h_ident = tuple(range(h.degree))
+    joint_ident = tuple(range(g.degree + h.degree))
     h_by_order: dict[int, list[Perm]] = {}
     for x in he:
         h_by_order.setdefault(x.order(), []).append(x)
@@ -787,8 +774,8 @@ def groups_isomorphic(g: PermGroup, h: PermGroup) -> bool:
     def assign(k: int, images: list[Perm], span: set) -> bool:
         if k == len(gens):
             try:
-                _paired_closure((g.degree, h.degree), zip(gens, images), len(ge))
-            except (NotFaithful, OrderCapExceeded):
+                _span(map(_join, gens, images), joint_ident, order)
+            except OrderCapExceeded:
                 return False
             return True
         for cand in h_by_order.get(gens[k].order(), ()):
@@ -796,7 +783,7 @@ def groups_isomorphic(g: PermGroup, h: PermGroup) -> bool:
                 continue
             chosen = images + [cand]
             new_span = _span([x.images for x in chosen], h_ident)
-            if len(new_span) == prefix_sizes[k]:
+            if len(new_span) == seq[k][1]:
                 if assign(k + 1, chosen, set(new_span)):
                     return True
         return False
@@ -830,7 +817,7 @@ def identify_group(g: PermGroup) -> Optional[str]:
     orders, is its order k; else from the catalogue; else S_k or A_k for a
     group of order k! or k!/2 that moves k points.  The order is known or
     read from the Sims table, whatever its size."""
-    order = g.order(factorial(g.degree))  # no group on d points exceeds d!
+    order = g.order()
     if _is_abelian(g) and lcm(*(p.order() for p in g.generators)) == order:
         return {1: "1", 2: "S2"}.get(order, f"C{order}")
     for name, h in _CATALOGUE:

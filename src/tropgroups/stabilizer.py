@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial, prod
+from math import factorial
 from operator import add, neg
 from typing import Optional
 
@@ -35,7 +35,7 @@ from .components import (
     connected_components,
     _restrict_unchecked,
 )
-from .errors import SearchBudgetExceeded
+from .errors import OrderCapExceeded
 from .matrix import (
     MonomialMatrix,
     TropMatrix,
@@ -49,18 +49,16 @@ from .pairsearch import (
     pair_solutions,
 )
 from .permgroups import (
+    LIST_CAP,
     PairedPermGroup,
     Perm,
     PermGroup,
-    _paired_closure,
     format_cycles,
     identify_group,
     is_paired_two_closed,
 )
 from .semiring import ZERO, Value, encode
 from .spaces import has_full_rank, reduce_full_rank, _scaling_gap
-
-DEFAULT_MAX_ELEMENTS = 10**6
 
 
 class NotFullRank(ValueError):
@@ -105,8 +103,8 @@ def _sigma_elements(
     n, du, dv = u.degree, u.scalings, v.scalings
     pairs = [(Perm._of(g.P.sigma), Perm._of(g.Q.sigma)) for g in generators]
     out = []
-    for x in _paired_closure((n, v.degree), pairs):
-        s, t = x[:n], tuple(y - n for y in x[n:])
+    for g, h in PairedPermGroup((n, v.degree), pairs).elements():
+        s, t = g.images, h.images
         p = MonomialMatrix(s, tuple(du[s[i]] - du[i] for i in range(len(s))))
         q = MonomialMatrix(t, tuple(dv[j] - dv[t[j]] for j in range(len(t))))
         out.append(StabilizerElement(p, q, Value(0)))
@@ -155,7 +153,8 @@ def stabilizer_pairs(
     For a connected finite-entry graph this is the whole eigenvalue-0
     subgroup.  Otherwise the canonical subgroup is assembled from the
     per-class Sigma of the component representatives and the stored class
-    witnesses; it realises the product of the wreath factors.
+    witnesses; it realises the product of the wreath factors.  Raises
+    OrderCapExceeded when Sigma has more than LIST_CAP elements.
     """
     if not has_full_rank(a):
         raise NotFullRank("stabilizer pairs require a full-rank matrix")
@@ -176,9 +175,9 @@ def _assembled_sigma(
         per_class_sigma.append(sigma)
         h = len(cls.members)
         total *= len(sigma) ** h * factorial(h)
-    if total > DEFAULT_MAX_ELEMENTS:
-        raise SearchBudgetExceeded(
-            f"assembled stabilizer has {total} elements, above the cap {DEFAULT_MAX_ELEMENTS}"
+    if total > LIST_CAP:
+        raise OrderCapExceeded(
+            f"assembled stabilizer has {total} elements, above the cap {LIST_CAP}"
         )
 
     n = a.nrows
@@ -312,7 +311,7 @@ def make_factor(
     multiplicity: int,
     component: Optional[Component] = None,
 ) -> Factor:
-    order = paired.order(prod(map(factorial, paired.degrees)))
+    order = paired.order()
     left = PermGroup(
         paired.degrees[0], [g for g, _ in paired.generators], known_order=order
     )

@@ -88,8 +88,9 @@ def test_bad_matrix_input_exits_2_without_traceback(tmp_path, text):
         {"degree": 3, "generators": 7},
         {"degree": 3, "generators": [5]},
         {"vertices": 2, "edges": [[1, 2, [0]]]},
+        {"degree": 3, "generators": ["(1,2)(2,1)"]},
     ],
-    ids=["edges-not-list", "gens-not-list", "gen-not-string", "list-colour"],
+    ids=["edges-not-list", "gens-not-list", "gen-not-string", "list-colour", "shared-point"],
 )
 def test_bad_construction_spec_exits_2_without_traceback(tmp_path, spec):
     path = write(tmp_path, "spec.json", json.dumps(spec))
@@ -148,6 +149,24 @@ def test_max_order_caps_the_closure_order_too(capsys, gens):
     assert (report["group_order"], report["closure_order"]) == (12, 24)
     code, out = run_cli(["closure", *gens, "--json", "--max-order", "12"], capsys)
     assert code == 3 and out == ""
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        ["--degree", "3", "(1,2)(2,1)"],
+        ["--degree", "3", "(1,2)(1,3)"],
+        ["--bidegree", "3", "2", "(1,2,3)|()"],
+    ],
+    ids=["shared-point", "shared-point-product", "unfaithful-paired"],
+)
+def test_bad_group_input_exits_2_whatever_the_max_order(capsys, gens):
+    """Cycles that share a point, and a paired group with an element that
+    is the identity on one side only, are bad input, also where the order
+    would exceed --max-order."""
+    for cap in ([], ["--max-order", "2"]):
+        code, out = run_cli(["closure", *gens, *cap], capsys)
+        assert code == 2 and out == "", (gens, cap)
 
 
 def test_main_builds_one_parser(monkeypatch, capsys):

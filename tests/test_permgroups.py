@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from tropgroups.errors import OrderCapExceeded
 from tropgroups.graphs import ColouredBipartiteGraph, ColouredDigraph
 from tropgroups.permgroups import (
     NotFaithful,
@@ -58,6 +57,12 @@ def test_cycle_notation_round_trip():
         parse_cycles("(1,5)", 4)
     with pytest.raises(ValueError):
         parse_cycles("(1,1)", 4)
+    # cycles must be disjoint: these products are the identity, or (2,3,1)
+    # for the last, and none of them is read as a product
+    for text in ("(1,2)(2,1)", "(1,2)(1,2)", "(1,2,3)(3,2,1)", "(1,2)(1,3)"):
+        with pytest.raises(ValueError, match="point 1 is in two cycles"):
+            parse_cycles(text, 3)
+    assert parse_cycles("(1,2)(3,4)", 4) == Perm((1, 0, 3, 2))
 
 
 def test_perm_mul_matches_matrix_convention():
@@ -74,17 +79,11 @@ def test_group_order_examples():
     assert PermGroup.trivial(5).order() == 1
     assert PermGroup.from_cycles(10, ALT4_10PT).order() == 12
     assert PermGroup.from_cycles(3, ["(1,2,3)"]).order() == 3
-    with pytest.raises(OrderCapExceeded):
-        PermGroup.from_cycles(8, ["(1,2,3,4,5,6,7,8)", "(1,2)"]).order(cap=1000)
-    # the cap is the largest order allowed, for plain and paired groups
-    s4 = ["(1,2,3,4)", "(1,2)"]
-    assert PermGroup.from_cycles(4, s4).order(cap=24) == 24
-    with pytest.raises(OrderCapExceeded):
-        PermGroup.from_cycles(4, s4).order(cap=23)
-    diag = [(g, g) for g in PermGroup.from_cycles(4, s4).generators]
-    assert PairedPermGroup((4, 4), diag).order(cap=24) == 24
-    with pytest.raises(OrderCapExceeded):
-        PairedPermGroup((4, 4), diag).order(cap=23)
+    # orders are counted whatever their size; only listings are capped
+    s8 = PermGroup.from_cycles(8, ["(1,2,3,4,5,6,7,8)", "(1,2)"])
+    assert s8.order() == 40320
+    diag = [(g, g) for g in s8.generators]
+    assert PairedPermGroup((8, 8), diag).order() == 40320
 
 
 def test_pair_orbit_colouring_examples():
@@ -236,7 +235,7 @@ def test_search_generators_are_pinned():
         found.append(paired_two_closure(_random_paired(rng)))
     summary = []
     for g in found:
-        order = g.order(10**6)
+        order = g.order()
         if isinstance(g, PermGroup):
             summary.append((order, [p.images for p in g.generators]))
         else:
@@ -295,11 +294,11 @@ def test_paired_two_closure_examples():
     trivial = PairedPermGroup((1, 1), [])
     assert paired_two_closure(trivial).order() == 1
     assert is_paired_two_closed(trivial)
-    # diagonal S10 has order 10! > DEFAULT_ORDER_CAP; the closure checks
-    # its faithfulness without the cap
+    # diagonal S10 has order 10! > LIST_CAP; the closure checks its
+    # faithfulness without listing it
     s10 = PermGroup.from_cycles(10, ["(1,2,3,4,5,6,7,8,9,10)", "(1,2)"])
     diag_s10 = PairedPermGroup((10, 10), [(g, g) for g in s10.generators])
-    assert paired_two_closure(diag_s10).order(cap=10**7) == 3628800
+    assert paired_two_closure(diag_s10).order() == 3628800
     assert is_paired_two_closed(diag_s10)
 
 
@@ -330,9 +329,6 @@ def test_not_faithful_detected():
             PairedPermGroup((3, 2), pairs).elements()
         with pytest.raises(NotFaithful):
             PairedPermGroup((3, 2), pairs).order()
-    # the cap is met before the kernel is looked at
-    with pytest.raises(OrderCapExceeded):
-        PairedPermGroup((3, 2), [(c3, Perm.identity(2))]).elements(cap=2)
     # a known order skips the closure, but the 2-closure still checks
     with pytest.raises(NotFaithful):
         paired_two_closure(
@@ -346,13 +342,13 @@ def test_paired_two_closure_reuses_the_order_closure(monkeypatch):
     from tropgroups import permgroups
 
     calls = []
-    orig = permgroups._paired_closure
+    orig = permgroups._span
 
     def counted(*args):
         calls.append(args)
         return orig(*args)
 
-    monkeypatch.setattr(permgroups, "_paired_closure", counted)
+    monkeypatch.setattr(permgroups, "_span", counted)
     c3 = parse_cycles("(1,2,3)", 3)
     g = PairedPermGroup((3, 3), [(c3, c3)])
     assert g.order() == 3
@@ -379,6 +375,22 @@ def test_groups_isomorphic_examples():
     s3 = PermGroup.from_cycles(3, ["(1,2,3)", "(1,2)"])
     c6 = PermGroup.from_cycles(6, ["(1,2,3,4,5,6)"])
     assert not groups_isomorphic(s3, c6)
+
+
+def test_groups_of_unequal_orders_are_not_isomorphic_without_listing(monkeypatch):
+    """S8 and A8 lie above ISO_ORDER_CAP, but their orders differ, so
+    neither is listed."""
+    from tropgroups import permgroups
+
+    def no_listing(*args):
+        raise AssertionError("a group was listed")
+
+    monkeypatch.setattr(permgroups, "_span", no_listing)
+    s8 = PermGroup.from_cycles(8, ["(1,2,3,4,5,6,7,8)", "(1,2)"])
+    a8 = PermGroup.from_cycles(8, ["(1,2,3)", "(2,3,4,5,6,7,8)"])
+    assert (s8.order(), a8.order()) == (40320, 20160)
+    assert not groups_isomorphic(s8, a8)
+    assert not groups_isomorphic(a8, s8)
 
 
 def test_identify_group():

@@ -189,6 +189,15 @@ def test_stabilizer_requires_full_rank():
         stabilizer_pairs(TropMatrix.from_rows([[0, 0], [0, 0]]))
 
 
+def test_assembled_stabilizer_above_the_listing_cap():
+    """Ten isomorphic one-point components assemble S_10, of order 10!,
+    above the 10^6 elements a listing may hold."""
+    from tropgroups.errors import OrderCapExceeded
+
+    with pytest.raises(OrderCapExceeded, match="3628800 elements"):
+        stabilizer_pairs(TropMatrix.identity(10))
+
+
 def test_right_mate_matches_search():
     f = matrix_f()
     for el in stabilizer_pairs(f):
@@ -359,14 +368,11 @@ def test_analysis_closes_each_class_once(monkeypatch):
     """The Sims table of the Sigma generators gives each factor its order,
     its faithfulness and its reported generators: neither the description
     nor the classification conditions list Sigma or close the factor."""
-    from tropgroups import permgroups, stabilizer
+    from tropgroups import permgroups
 
     calls = []
-    for mod in (stabilizer, permgroups):
-        closure = mod._paired_closure
-        monkeypatch.setattr(
-            mod, "_paired_closure", lambda *a, f=closure: calls.append(a) or f(*a)
-        )
+    span = permgroups._span
+    monkeypatch.setattr(permgroups, "_span", lambda *a: calls.append(a) or span(*a))
     e = construct_idempotent(PermGroup.from_cycles(5, ["(1,2,3,4,5)", "(1,2)"]))
     for a in (matrix_f(), SECTION4, e):
         desc = group_description(a)
