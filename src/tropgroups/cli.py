@@ -24,13 +24,14 @@ from .constructors import (
 from .errors import OrderCapExceeded, SearchBudgetExceeded
 from .matrix import (
     MonomialMatrix,
+    MultipleEigenvalues,
     TropMatrix,
     is_idempotent,
     monomial_eigenvalue,
     parse_matrix,
 )
-from .pairsearch import DEFAULT_MAX_NODES
 from .permgroups import (
+    DEFAULT_MAX_NODES,
     PairedPermGroup,
     Perm,
     PermGroup,
@@ -38,6 +39,7 @@ from .permgroups import (
     format_cycles,
     paired_two_closure,
     parse_cycles,
+    search_budget,
     two_closure,
 )
 from .semiring import Value, format_scalar
@@ -105,7 +107,7 @@ def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     if args.assume_idempotent:
         require_idempotent(a)
-    an = analyze_matrix(a, max_nodes=args.max_nodes)
+    an = analyze_matrix(a)
     desc, z, part = an.description, an.reduced, an.partition
     conditions_ok = classification_conditions(desc, a.nrows, a.ncols)
     elapsed = time.perf_counter() - t0
@@ -216,7 +218,7 @@ def cmd_construct(args) -> int:
         target = obj if not isinstance(obj, ColouredDigraph) else coloured_automorphisms(obj)
     # construct_idempotent has already checked that its witness is
     # idempotent, so neither kind needs maximal_subgroup's guard
-    desc = group_description(matrix, max_nodes=args.max_nodes)
+    desc = group_description(matrix)
     matches = len(desc.factors) == 1 and groups_isomorphic(
         desc.factors[0].finite_part, target
     )
@@ -258,7 +260,7 @@ def cmd_approximate(args) -> int:
     return 0
 
 
-def verify_flags(a: TropMatrix, max_nodes: int = DEFAULT_MAX_NODES) -> dict:
+def verify_flags(a: TropMatrix) -> dict:
     """The full invariant suite on one matrix; every flag must be true.
 
     Every stage is read from one ``Analysis``, and each Sigma is rebuilt
@@ -273,7 +275,7 @@ def verify_flags(a: TropMatrix, max_nodes: int = DEFAULT_MAX_NODES) -> dict:
     """
     flags: dict[str, bool] = {}
     flags["format_round_trip"] = parse_matrix(a.to_text()) == a
-    an = analyze_matrix(a, max_nodes=max_nodes)
+    an = analyze_matrix(a)
     flags["reduction_full_rank"] = reduced_ok = has_full_rank(an.reduced)
     flags["restrictions_full_rank"] = all(
         reduced_ok if r == an.reduced else has_full_rank(r) for r in an.restrictions
@@ -301,7 +303,7 @@ def verify_flags(a: TropMatrix, max_nodes: int = DEFAULT_MAX_NODES) -> dict:
             try:
                 eigen_ok &= monomial_eigenvalue(el.P) == zero
                 eigen_ok &= monomial_eigenvalue(el.Q) == zero
-            except Exception:
+            except MultipleEigenvalues:
                 eigen_ok = False
             closure_ok &= el.P.invert() in ps
             closure_ok &= all(g @ el.P in ps for g in gen_ps)
@@ -332,8 +334,8 @@ def verify_flags(a: TropMatrix, max_nodes: int = DEFAULT_MAX_NODES) -> dict:
             rep = an.restrictions[cls.representative]
             for r in (an.restrictions[idx] for idx in cls.members):
                 idem_ok &= r == a or is_idempotent(r)
-                comm = commuting_units(r, max_nodes=max_nodes)
-                own = sigma if r == rep else _connected_sigma(r, max_nodes)
+                comm = commuting_units(r)
+                own = sigma if r == rep else _connected_sigma(r)
                 idem_ok &= {el.P for el in comm} == {el.P for el in own}
         flags["idempotent_restrictions"] = idem_ok
     return flags
@@ -342,7 +344,7 @@ def verify_flags(a: TropMatrix, max_nodes: int = DEFAULT_MAX_NODES) -> dict:
 def cmd_verify(args) -> int:
     a, digest = _read_matrix(args.path)
     t0 = time.perf_counter()
-    flags = verify_flags(a, args.max_nodes)
+    flags = verify_flags(a)
     elapsed = time.perf_counter() - t0
     report = {
         "command": "verify",
@@ -423,7 +425,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         _PARSER = _build_parser()
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        with search_budget(getattr(args, "max_nodes", DEFAULT_MAX_NODES)):
+            return args.func(args)
     except (SearchBudgetExceeded, OrderCapExceeded) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return BUDGET_ERROR

@@ -79,22 +79,18 @@ def _restrict_unchecked(a: TropMatrix, component: Component) -> TropMatrix:
     )
 
 
-def _first_pair_solution(
-    target: TropMatrix, source: TropMatrix, max_nodes: int
-) -> Optional[MonomialMatrix]:
+def _first_pair_solution(target: TropMatrix, source: TropMatrix) -> Optional[MonomialMatrix]:
     """A unit P with P @ source = target @ Q for some unit Q, if any."""
     if target.shape != source.shape:
         return None
-    sols = pair_solutions(target, source, max_nodes=max_nodes, first_only=True)
+    sols = pair_solutions(target, source, first_only=True)
     if not sols:
         return None
     sigma, _tau, lam, _mu = sols[0]
     return MonomialMatrix(sigma, lam)
 
 
-def col_space_isomorphic(
-    a: TropMatrix, b: TropMatrix, *, max_nodes: int = 2_000_000
-) -> Optional[MonomialMatrix]:
+def col_space_isomorphic(a: TropMatrix, b: TropMatrix) -> Optional[MonomialMatrix]:
     """A unit U with C(U @ B) = C(A), or None.
 
     Both matrices must have full rank.  Disconnected inputs are matched
@@ -106,7 +102,7 @@ def col_space_isomorphic(
     comps_a = connected_components(a)
     comps_b = connected_components(b)
     if len(comps_a) == 1 and len(comps_b) == 1:
-        return _first_pair_solution(a, b, max_nodes)
+        return _first_pair_solution(a, b)
     if len(comps_a) != len(comps_b):
         return None
     if sorted((len(c.rows), len(c.cols)) for c in comps_a) != sorted(
@@ -121,7 +117,7 @@ def col_space_isomorphic(
     for ca in comps_a:
         restr = _restrict_unchecked(a, ca)
         for j in unused:
-            local = _first_pair_solution(restr, restr_b[j], max_nodes)
+            local = _first_pair_solution(restr, restr_b[j])
             if local is not None:
                 unused.remove(j)
                 matching.append((ca, comps_b[j], local))
@@ -164,7 +160,7 @@ class ComponentPartition:
     classes: tuple[ComponentClass, ...]
 
 
-def class_partition(a: TropMatrix, *, max_nodes: int = 2_000_000) -> ComponentPartition:
+def class_partition(a: TropMatrix) -> ComponentPartition:
     """Group the components by column-space isomorphism of restrictions.
 
     Requires a full-rank matrix (restrictions are then full rank and their
@@ -181,7 +177,7 @@ def class_partition(a: TropMatrix, *, max_nodes: int = 2_000_000) -> ComponentPa
             if rep.shape != restr.shape:
                 continue
             if (members[0], restr) not in searched:
-                searched[members[0], restr] = _first_pair_solution(rep, restr, max_nodes)
+                searched[members[0], restr] = _first_pair_solution(rep, restr)
             w = searched[members[0], restr]
             if w is not None:
                 members.append(idx)

@@ -17,6 +17,8 @@ feasible pattern pairs form a group, and the search returns generators of
 it, found by ``permgroups.base_and_orbit`` one first-only completion per
 (base point, image), never the whole group.  ``permgroups.complete`` makes
 every completion, extending the points in the order of ``_vertex_order``.
+Both spend ``permgroups``' search budget, one node per push; so does the
+independent check of this search, ``commuting_solutions``, in its own loop.
 
 Pruning: a solution forces, for every row pair (i, i'), the multiset of
 columnwise differences of target rows (i, i') to equal that of source rows
@@ -30,13 +32,10 @@ from __future__ import annotations
 
 from operator import add, neg, sub
 
-from .errors import SearchBudgetExceeded
 from .graphs import components, support_components
 from .matrix import TropMatrix
-from .permgroups import base_and_orbit, complete
+from .permgroups import base_and_orbit, complete, search_budget
 from .semiring import ZERO, encode
-
-DEFAULT_MAX_NODES = 2_000_000
 
 
 def _support(codes):
@@ -123,7 +122,9 @@ class _PairSearch:
     column.
     """
 
-    def __init__(self, target: TropMatrix, source: TropMatrix, max_nodes: int):
+    name = "pair search"
+
+    def __init__(self, target: TropMatrix, source: TropMatrix):
         if target.shape != source.shape:
             raise ValueError("target and source must have equal shape")
         n = target.nrows
@@ -135,8 +136,7 @@ class _PairSearch:
         supp = [_support(a) for a in self.a]
         if len(support_components(supp[0])) != 1:
             raise NotConnected("target support graph is disconnected")
-        self.max_nodes = max_nodes
-        self.nodes = 0
+        self.budget = search_budget.current()
         self.prof, self.cands = [], []
         for side, (a, b) in enumerate(zip(self.a, self.b)):
             intern: dict = {}
@@ -169,9 +169,6 @@ class _PairSearch:
         y = image[1]
         if self.used[side][y]:
             return False
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
-            raise SearchBudgetExceeded(f"pair search exceeded {self.max_nodes} nodes")
         prof_a, prof_b = self.prof[side]
         img = self.image[side]
         for x2 in self.assigned[side]:
@@ -223,13 +220,7 @@ class _PairSearch:
         return sigma, tau, tuple(map(self.decode, lam)), tuple(map(self.decode, mu))
 
 
-def pair_solutions(
-    target: TropMatrix,
-    source: TropMatrix,
-    *,
-    max_nodes: int = DEFAULT_MAX_NODES,
-    first_only: bool = False,
-):
+def pair_solutions(target: TropMatrix, source: TropMatrix, *, first_only: bool = False):
     """Solutions (sigma, tau, lam, mu) of P @ source = target @ Q, mu
     anchored to 0 at the search root.  With ``first_only``, the first one
     found, if any.  Otherwise target and source must be equal, and the
@@ -237,7 +228,7 @@ def pair_solutions(
     target support graph to be connected."""
     if not first_only and target != source:
         raise ValueError("generators need equal target and source")
-    search = _PairSearch(target, source, max_nodes)
+    search = _PairSearch(target, source)
     if first_only:
         first = complete(search)
         found = [] if first is None else [first]
@@ -246,7 +237,7 @@ def pair_solutions(
     return [search.decoded(f) for f in found]
 
 
-def commuting_solutions(e: TropMatrix, *, max_nodes: int = DEFAULT_MAX_NODES):
+def commuting_solutions(e: TropMatrix):
     """All (sigma, lam) with P @ E = E @ P, one representative per pattern.
 
     The same propagation as the pair search, with the column assignment
@@ -303,10 +294,9 @@ def commuting_solutions(e: TropMatrix, *, max_nodes: int = DEFAULT_MAX_NODES):
     used_img = [False] * n
     assigned: list[int] = []
     solutions = []
-    nodes = 0
+    budget = search_budget.current()
 
     def dfs(level: int):
-        nonlocal nodes
         if level == n:
             solutions.append((tuple(sigma), tuple(map(decode, lam))))
             return
@@ -314,11 +304,7 @@ def commuting_solutions(e: TropMatrix, *, max_nodes: int = DEFAULT_MAX_NODES):
         for r in cands[i]:
             if used_img[r]:
                 continue
-            nodes += 1
-            if nodes > max_nodes:
-                raise SearchBudgetExceeded(
-                    f"commutation search exceeded {max_nodes} nodes"
-                )
+            budget.spend("commutation search")
             ok = True
             lam_i = zero if level == 0 else None
             for i2 in assigned:

@@ -32,7 +32,9 @@ base point at a time, so only generators and the order are produced (the
 group itself is never listed), narrowing each vertex's candidate images
 as the map grows.  That loop, ``base_and_orbit``, and its depth-first
 ``complete`` also drive the pair search of ``pairsearch``, which finds
-generators of the unit stabilizer Sigma the same way.
+generators of the unit stabilizer Sigma the same way, on an explicit
+stack.  All searches in a ``search_budget`` block spend from its budget;
+a search outside every block has DEFAULT_MAX_NODES nodes of its own.
 
 Groups of different orders are not isomorphic, and equal permutation
 groups are recognised as isomorphic from their tables.  Otherwise two
@@ -46,6 +48,7 @@ exactly when it has at most |G| elements.
 from __future__ import annotations
 
 import re
+from contextvars import ContextVar
 from itertools import islice
 from math import factorial, lcm, prod
 from typing import Iterable, Optional, Sequence
@@ -54,7 +57,7 @@ from .errors import OrderCapExceeded, SearchBudgetExceeded
 from .graphs import ColouredBipartiteGraph, ColouredDigraph, components
 
 LIST_CAP = 10**6
-AUT_DEGREE_BOUND = 20
+DEFAULT_MAX_NODES = 2_000_000
 
 
 class NotFaithful(ValueError):
@@ -520,6 +523,33 @@ def paired_orbit_colouring(g: PairedPermGroup) -> ColouredBipartiteGraph:
 # -- coloured-graph automorphisms --
 
 
+class search_budget:
+    """A budget of ``nodes`` search nodes.  Every search run inside ``with
+    search_budget(nodes):`` spends from it, one node per image it tries."""
+
+    def __init__(self, nodes: int):
+        self.nodes = self.left = nodes
+
+    def __enter__(self):
+        self._token = _BLOCK.set(self)
+
+    def __exit__(self, *exc):
+        _BLOCK.reset(self._token)
+
+    @staticmethod
+    def current() -> "search_budget":
+        """The budget of the innermost block, else a new one of DEFAULT_MAX_NODES."""
+        return _BLOCK.get() or search_budget(DEFAULT_MAX_NODES)
+
+    def spend(self, search: str) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise SearchBudgetExceeded(f"{search} exceeded the budget of {self.nodes} nodes")
+
+
+_BLOCK: ContextVar[Optional[search_budget]] = ContextVar("search budget", default=None)
+
+
 def base_and_orbit(search, base) -> tuple[list, int]:
     """Generators and the order of a group found point by point, the
     classical base-and-orbit backtrack (Seress, *Permutation Group
@@ -532,39 +562,54 @@ def base_and_orbit(search, base) -> tuple[list, int]:
     holds the live partial map: ``candidates(v)``, ``push(v, w)`` for one
     of them (False when w cannot extend the map), ``pop(v)``,
     ``next_point()`` (the point ``complete`` extends next, None once every
-    point is mapped) and ``solution()``, the full map.
+    point is mapped) and ``solution()``, the full map; and its ``budget``,
+    spent one node per ``push`` in the name of the search, ``name``.
     """
     generators: list = []
     order = 1
     for v in base:
         orbit = 1  # the identity always extends
         for w in search.candidates(v):
-            if w != v and search.push(v, w):
+            if w != v and _push(search, v, w):
                 found = complete(search)
                 search.pop(v)
                 if found is not None:
                     generators.append(found)
                     orbit += 1
-        if not search.push(v, v):
+        if not _push(search, v, v):
             raise AssertionError("a fixed base point does not extend")
         order *= orbit
     return generators, order
 
 
+def _push(search, v, w) -> bool:
+    search.budget.spend(search.name)
+    return search.push(v, w)
+
+
 def complete(search):
     """Depth-first completion of the live partial map of ``search`` (see
     ``base_and_orbit``): the first solution found, trying the candidates of
-    each next point in their order, or None; the map is left as it was."""
-    v = search.next_point()
-    if v is None:
-        return search.solution()
-    for w in search.candidates(v):
-        if search.push(v, w):
-            found = complete(search)
+    each next point in their order, or None; the map is left as it was.
+    The points mapped so far wait on a stack with their untried images."""
+    stack, v = [], search.next_point()
+    untried = iter(search.candidates(v) if v is not None else ())
+    while v is not None:
+        for w in untried:
+            if _push(search, v, w):
+                stack.append((v, untried))
+                v = search.next_point()
+                untried = iter(search.candidates(v) if v is not None else ())
+                break
+        else:
+            if not stack:
+                return None
+            v, untried = stack.pop()
             search.pop(v)
-            if found is not None:
-                return found
-    return None
+    found = search.solution()
+    for v, _ in reversed(stack):
+        search.pop(v)
+    return found
 
 
 class _AutomorphismSearch:
@@ -582,7 +627,10 @@ class _AutomorphismSearch:
     Intelligence* 14, 1980).
     """
 
+    name = "automorphism search"
+
     def __init__(self, nv, ecol, init):
+        self.budget = search_budget.current()
         self.nv = nv
         self.ecol = ecol
         self.ecol_t = [list(col) for col in zip(*ecol)]
@@ -660,10 +708,6 @@ def _automorphisms(nv: int, colours, init: list[int]):
 def coloured_automorphisms(d: ColouredDigraph) -> PermGroup:
     """All vertex permutations preserving the edge colours, as generators
     with the exact order attached."""
-    if d.n > AUT_DEGREE_BOUND:
-        raise SearchBudgetExceeded(
-            f"automorphism search is bounded to {AUT_DEGREE_BOUND} vertices"
-        )
     n = d.n
     colours = (((i, j), d.colours[(i, j)]) for i in range(n) for j in range(n) if i != j)
     gens, order = _automorphisms(n, colours, [0] * n)
@@ -673,10 +717,6 @@ def coloured_automorphisms(d: ColouredDigraph) -> PermGroup:
 def coloured_bipartite_automorphisms(g: ColouredBipartiteGraph) -> PairedPermGroup:
     """All side-preserving pair permutations preserving the edge colours."""
     n, m = g.n, g.m
-    if max(n, m) > AUT_DEGREE_BOUND:
-        raise SearchBudgetExceeded(
-            f"automorphism search is bounded to {AUT_DEGREE_BOUND} vertices per side"
-        )
     colours = (((i, n + j), g.edges.get((i, j), _ABSENT)) for i in range(n) for j in range(m))
     gens, order = _automorphisms(n + m, colours, [0] * n + [1] * m)
     pairs = [_split(tuple(img), n) for img in gens]

@@ -42,12 +42,7 @@ from .matrix import (
     is_idempotent,
     monomial_eigenvalue,
 )
-from .pairsearch import (
-    DEFAULT_MAX_NODES,
-    NotConnected,
-    commuting_solutions,
-    pair_solutions,
-)
+from .pairsearch import NotConnected, commuting_solutions, pair_solutions
 from .permgroups import (
     LIST_CAP,
     PairedPermGroup,
@@ -82,11 +77,11 @@ def _sorted_elements(elements: list[StabilizerElement]) -> list[StabilizerElemen
     return sorted(elements, key=lambda e: (e.P.sigma, e.Q.sigma, e.P.scalings))
 
 
-def _sigma_generators(a: TropMatrix, max_nodes: int) -> list[StabilizerElement]:
+def _sigma_generators(a: TropMatrix) -> list[StabilizerElement]:
     """Generators of the Sigma of a connected full-rank matrix, each
     shifted to eigenvalue 0."""
     out = []
-    for sigma, tau, lam, mu in pair_solutions(a, a, max_nodes=max_nodes):
+    for sigma, tau, lam, mu in pair_solutions(a, a):
         ev = monomial_eigenvalue(MonomialMatrix(sigma, lam))
         p = MonomialMatrix(sigma, tuple(x - ev for x in lam))
         q = MonomialMatrix(tau, tuple(x - ev for x in mu))
@@ -111,10 +106,10 @@ def _sigma_elements(
     return _sorted_elements(out)
 
 
-def _connected_sigma(a: TropMatrix, max_nodes: int) -> list[StabilizerElement]:
+def _connected_sigma(a: TropMatrix) -> list[StabilizerElement]:
     """All stabilizer pairs of a connected full-rank matrix with eigenvalue
     0, one per pattern pair."""
-    gens = _sigma_generators(a, max_nodes)
+    gens = _sigma_generators(a)
     u, v, _b = normalize_eigenvectors(a, gens)
     return _sigma_elements(gens, u, v)
 
@@ -142,11 +137,7 @@ def right_mate(a: TropMatrix, p: MonomialMatrix) -> MonomialMatrix:
     return MonomialMatrix(tau, mu)
 
 
-def stabilizer_pairs(
-    a: TropMatrix,
-    *,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> list[StabilizerElement]:
+def stabilizer_pairs(a: TropMatrix) -> list[StabilizerElement]:
     """The finite group Sigma of eigenvalue-0 stabilizer pairs of a
     full-rank matrix.
 
@@ -158,20 +149,18 @@ def stabilizer_pairs(
     """
     if not has_full_rank(a):
         raise NotFullRank("stabilizer pairs require a full-rank matrix")
-    part = class_partition(a, max_nodes=max_nodes)
+    part = class_partition(a)
     if len(part.components) == 1:
-        return _connected_sigma(a, max_nodes)
-    return _assembled_sigma(a, part, max_nodes)
+        return _connected_sigma(a)
+    return _assembled_sigma(a, part)
 
 
-def _assembled_sigma(
-    a: TropMatrix, part: ComponentPartition, max_nodes: int
-) -> list[StabilizerElement]:
+def _assembled_sigma(a: TropMatrix, part: ComponentPartition) -> list[StabilizerElement]:
     per_class_sigma = []
     total = 1
     for cls in part.classes:
         rep = _restrict_unchecked(a, part.components[cls.representative])
-        sigma = _connected_sigma(rep, max_nodes)
+        sigma = _connected_sigma(rep)
         per_class_sigma.append(sigma)
         h = len(cls.members)
         total *= len(sigma) ** h * factorial(h)
@@ -213,9 +202,7 @@ def _assembled_sigma(
     return _sorted_elements(elements)
 
 
-def commuting_units(
-    e: TropMatrix, *, max_nodes: int = DEFAULT_MAX_NODES
-) -> list[StabilizerElement]:
+def commuting_units(e: TropMatrix) -> list[StabilizerElement]:
     """All units commuting with a full-rank idempotent, normalised to
     eigenvalue 0.  The finite-entry graph must be connected; disconnected
     idempotents are described per class by ``maximal_subgroup``."""
@@ -224,7 +211,7 @@ def commuting_units(
     if not has_full_rank(e):
         raise NotFullRank("commutation search requires full rank")
     out = []
-    for sigma, lam in commuting_solutions(e, max_nodes=max_nodes):
+    for sigma, lam in commuting_solutions(e):
         ev = monomial_eigenvalue(MonomialMatrix(sigma, lam))
         p = MonomialMatrix(sigma, tuple(x - ev for x in lam))
         out.append(StabilizerElement(p, p, Value(0)))
@@ -257,10 +244,7 @@ def _propagate(size: int, zero, maps) -> list:
 
 
 def normalize_eigenvectors(
-    a: TropMatrix,
-    elements: Optional[list[StabilizerElement]] = None,
-    *,
-    max_nodes: int = DEFAULT_MAX_NODES,
+    a: TropMatrix, elements: Optional[list[StabilizerElement]] = None
 ) -> tuple[MonomialMatrix, MonomialMatrix, TropMatrix]:
     """Diagonal units U, V with B = U @ A @ V whose stabilizer fixes the
     all-zero vectors: every Sigma element of B is a plain permutation.
@@ -278,7 +262,7 @@ def normalize_eigenvectors(
     if elements is None:
         if not has_full_rank(a):
             raise NotFullRank("eigenvector normalisation requires full rank")
-        elements = _sigma_generators(a, max_nodes)
+        elements = _sigma_generators(a)
 
     n, m = a.shape
     ((zero,), *codes), decode = encode(
@@ -404,21 +388,17 @@ class Analysis:
     description: GroupDescription
 
 
-def analyze_matrix(
-    a: TropMatrix,
-    *,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> Analysis:
+def analyze_matrix(a: TropMatrix) -> Analysis:
     """Reduce to full rank, split into component classes, compute
     generators of the Sigma of each class representative, normalise its
     eigenvectors, and describe one finite factor per class."""
     z, rows, cols = reduce_full_rank(a)
-    part = class_partition(z, max_nodes=max_nodes)
+    part = class_partition(z)
     restrictions = tuple(_restrict_unchecked(z, c) for c in part.components)
     sigma_generators, normalisations, factors = [], [], []
     for cls in part.classes:
         rep = restrictions[cls.representative]
-        gens = tuple(_sigma_generators(rep, max_nodes))
+        gens = tuple(_sigma_generators(rep))
         normalisations.append(normalize_eigenvectors(rep, gens))
         pairs = [(Perm._of(g.P.sigma), Perm._of(g.Q.sigma)) for g in gens]
         paired = PairedPermGroup(rep.shape, pairs).greedy()
@@ -437,22 +417,16 @@ def analyze_matrix(
     )
 
 
-def group_description(
-    a: TropMatrix,
-    *,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> GroupDescription:
+def group_description(a: TropMatrix) -> GroupDescription:
     """Reduce to full rank, split into component classes, and compute one
     finite factor per class from the Sigma of its representative."""
-    return analyze_matrix(a, max_nodes=max_nodes).description
+    return analyze_matrix(a).description
 
 
-def maximal_subgroup(
-    e: TropMatrix, *, max_nodes: int = DEFAULT_MAX_NODES
-) -> GroupDescription:
+def maximal_subgroup(e: TropMatrix) -> GroupDescription:
     """The structure of the maximal subgroup attached to an idempotent."""
     require_idempotent(e)
-    return group_description(e, max_nodes=max_nodes)
+    return group_description(e)
 
 
 def require_idempotent(e: TropMatrix) -> None:

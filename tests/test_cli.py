@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -131,6 +132,30 @@ def test_budget_exceeded_exit_code(tmp_path, capsys):
         assert code == 3, gens
 
 
+def test_one_budget_covers_every_search_of_a_request(tmp_path, capsys, monkeypatch):
+    """--max-nodes bounds the pushes of all pair and automorphism searches
+    of one request together: analyze F runs on exactly as many nodes as
+    its searches push, and one fewer stops it with the search named."""
+    from tropgroups.permgroups import _AutomorphismSearch
+
+    path = write(tmp_path, "f.txt", matrix_f().to_text() + "\n")
+    pushes = []
+    with monkeypatch.context() as m:
+        for cls in (pairsearch._PairSearch, _AutomorphismSearch):
+            def counted(self, v, w, push=cls.push, kind=cls):
+                pushes.append(kind)
+                return push(self, v, w)
+
+            m.setattr(cls, "push", counted)
+        assert run_cli(["analyze", path, "--json"], capsys)[0] == 0
+    total = len(pushes)
+    assert len(set(pushes)) == 2
+    assert run_cli(["analyze", path, "--max-nodes", str(total)], capsys)[0] == 0
+    assert main(["analyze", path, "--max-nodes", str(total - 1)]) == 3
+    err = capsys.readouterr().err
+    assert f"search exceeded the budget of {total - 1} nodes" in err
+
+
 @pytest.mark.parametrize(
     "gens",
     [
@@ -234,15 +259,33 @@ def test_closure_cli(capsys):
 
 
 def test_construct_matches_a_target_above_the_isomorphism_cap(tmp_path, capsys):
-    """The factor of the S_8 witness is the target itself, so the check
-    needs neither its isomorphism test nor a listing of 8! elements."""
-    gens = ["(1,2,3,4,5,6,7,8)", "(1,2)"]
-    spec = write(tmp_path, "s8.json", json.dumps({"degree": 8, "generators": gens}))
-    code, out = run_cli(["construct", spec, "--json"], capsys)
+    """The factor of the S_n witness is the target itself, so the check
+    needs neither its isomorphism test nor a listing of n! elements; and
+    no vertex count bounds the searches behind it (n = 21)."""
+    for n in (8, 21):
+        gens = ["(" + ",".join(map(str, range(1, n + 1))) + ")", "(1,2)"]
+        spec = write(tmp_path, f"s{n}.json", json.dumps({"degree": n, "generators": gens}))
+        code, out = run_cli(["construct", spec, "--json"], capsys)
+        assert code == 0, n
+        report = json.loads(out)
+        assert report["verification"]["group_matches_target"] is True
+        assert report["description"]["formula"] == f"(R x S{n})"
+
+
+def test_generic_circulant_above_twenty_points(tmp_path, capsys):
+    """A circulant with distinct seeded entries is stabilized by its
+    cyclic shifts only: analyze and verify both run on 21 rows and
+    columns, 42 vertices for the paired 2-closure."""
+    n = 21
+    c = random.Random(21).sample(range(-100, 100), n)
+    rows = [[c[(j - i) % n] for j in range(n)] for i in range(n)]
+    path = write(tmp_path, "c21.json", json.dumps({"rows": n, "cols": n, "entries": rows}))
+    code, out = run_cli(["analyze", path, "--json"], capsys)
     assert code == 0
-    report = json.loads(out)
-    assert report["verification"]["group_matches_target"] is True
-    assert report["description"]["formula"] == "(R x S8)"
+    assert json.loads(out)["description"]["formula"] == f"(R x C{n})"
+    code, out = run_cli(["verify", path, "--json"], capsys)
+    assert code == 0
+    assert all(json.loads(out)["verification"].values())
 
 
 def test_construct_and_approximate(tmp_path, capsys):
@@ -281,6 +324,19 @@ def test_verify_flags_directly():
     flags = verify_flags(matrix_e())
     assert flags["idempotent_restrictions"] is True
     assert all(flags.values())
+
+
+def test_verify_flags_report_only_multiple_eigenvalues_as_false(monkeypatch):
+    """An error other than MultipleEigenvalues in the eigenvalue check is a
+    fault of the program, not a false flag."""
+    from tropgroups import cli
+
+    def broken(p):
+        raise TypeError("broken eigenvalue")
+
+    monkeypatch.setattr(cli, "monomial_eigenvalue", broken)
+    with pytest.raises(TypeError):
+        verify_flags(matrix_f())
 
 
 @pytest.mark.parametrize("at_fixed_point", [True, False])

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from tropgroups import permgroups
+from tropgroups.errors import SearchBudgetExceeded
 from tropgroups.graphs import ColouredBipartiteGraph, ColouredDigraph
 from tropgroups.permgroups import (
     NotFaithful,
@@ -12,6 +14,7 @@ from tropgroups.permgroups import (
     PermGroup,
     coloured_automorphisms,
     coloured_bipartite_automorphisms,
+    complete,
     format_cycles,
     groups_isomorphic,
     identify_group,
@@ -22,6 +25,7 @@ from tropgroups.permgroups import (
     paired_orbit_colouring,
     paired_two_closure,
     parse_cycles,
+    search_budget,
     two_closure,
 )
 
@@ -435,3 +439,75 @@ def test_is_irreducible():
     assert not is_irreducible(isolated)
     good = ColouredBipartiteGraph(2, 2, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1})
     assert is_irreducible(good)
+
+
+def _automorphism_pushes(monkeypatch, call) -> int:
+    pushes = []
+    push = permgroups._AutomorphismSearch.push
+
+    def counted(self, v, w):
+        pushes.append(v)
+        return push(self, v, w)
+
+    with monkeypatch.context() as m:
+        m.setattr(permgroups._AutomorphismSearch, "push", counted)
+        call()
+    return len(pushes)
+
+
+def test_searches_in_one_block_share_its_budget(monkeypatch):
+    """Two 2-closures inside one search_budget block spend from one count;
+    outside every block each has DEFAULT_MAX_NODES of its own."""
+    g = PermGroup.from_cycles(10, ALT4_10PT)
+    nodes = _automorphism_pushes(monkeypatch, lambda: two_closure(g))
+    with search_budget(2 * nodes):
+        two_closure(g)
+        two_closure(g)
+    with search_budget(2 * nodes - 1):
+        two_closure(g)
+        with pytest.raises(SearchBudgetExceeded, match="automorphism search"):
+            two_closure(g)
+    monkeypatch.setattr(permgroups, "DEFAULT_MAX_NODES", nodes)
+    two_closure(g)
+    two_closure(g)
+    monkeypatch.setattr(permgroups, "DEFAULT_MAX_NODES", nodes - 1)
+    with pytest.raises(SearchBudgetExceeded, match=f"budget of {nodes - 1} nodes"):
+        two_closure(g)
+
+
+class _Chain:
+    """A search on n points, each with the one image v -> n - 1 - v, save
+    the last point, which has none with ``dead_end``."""
+
+    name = "chain search"
+
+    def __init__(self, n, dead_end):
+        self.n, self.dead_end = n, dead_end
+        self.budget = search_budget(n)
+        self.image = []
+
+    def candidates(self, v):
+        return [] if self.dead_end and v == self.n - 1 else [self.n - 1 - v]
+
+    def push(self, v, w):
+        self.image.append(w)
+        return True
+
+    def pop(self, v):
+        self.image.pop()
+
+    def next_point(self):
+        return len(self.image) if len(self.image) < self.n else None
+
+    def solution(self):
+        return list(self.image)
+
+
+@pytest.mark.parametrize("dead_end", [False, True])
+def test_search_depth_does_not_cap_the_input(dead_end):
+    """``complete`` maps 5000 points one below the other, far deeper than
+    the interpreter's recursion limit, and leaves the map as it was."""
+    chain = _Chain(5000, dead_end)
+    found = complete(chain)
+    assert found == (None if dead_end else list(range(4999, -1, -1)))
+    assert chain.image == []

@@ -256,11 +256,12 @@ def test_normalize_eigenvectors_from_generators_or_elements():
         assert an.normalisations[0] == normalize_eigenvectors(matrix)
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10, 21])
 def test_symmetric_group_witnesses(n, monkeypatch):
     """The witness idempotent of S_n has Sigma of order n!, found from
     generators without listing the group, and it meets the classification
-    conditions; the order 10! lies above the default order cap."""
+    conditions; the order 10! lies above the default order cap, and 21
+    points lie above any vertex count the searches once had to stay in."""
     from tropgroups import permgroups
 
     def no_listing(*args):

@@ -9,7 +9,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import tracing  # noqa: E402
-import tropgroups.cli  # noqa: E402,F401  (the tracer wraps names in every module)
+import tropgroups.cli  # noqa: E402  (the tracer wraps names in every module)
+from helpers import matrix_f  # noqa: E402
 from tropgroups.permgroups import PairedPermGroup, PermGroup, parse_cycles  # noqa: E402
 
 
@@ -29,3 +30,19 @@ def test_tracer_counts_plain_and_paired_listings():
     tracer.end_round()
     assert tracer.metric_value("permgroups.elements.calls") == 2
     assert tracer.metric_value("permgroups.elements.enumerated") == 5
+
+
+def test_tracer_sees_the_searches_of_one_cli_request(tmp_path, capsys):
+    """``analyze F`` under the installed tracer reaches the wrapped pair
+    search and automorphism search, whatever their signatures."""
+    path = tmp_path / "f.txt"
+    path.write_text(matrix_f().to_text() + "\n")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert tropgroups.cli.main(["analyze", str(path), "--json"]) == 0
+    finally:
+        tracer.uninstall()
+    tracer.end_round()
+    assert tracer.metric_value("pairsearch.pair_solutions.calls") >= 1
+    assert tracer.metric_value("permgroups.automorphisms.calls") >= 1
