@@ -108,6 +108,6 @@ from .constructors import (
     finite_approximant,
 )
 from .pairsearch import NotConnected
-from .errors import OrderCapExceeded, SearchBudgetExceeded
+from .errors import SearchBudgetExceeded
 
 __version__ = "0.1.0"

@@ -2,8 +2,8 @@
 
 Reports are JSON objects printed to stdout with ``--json`` (sorted keys,
 two-space indent) and are byte-identical across repeated runs; timing goes
-to stderr only.  Exit codes: 0 success, 2 parse/input error, 3 search or
-order budget exceeded.
+to stderr only.  Exit codes: 0 success, 2 parse/input error, 3 search
+budget exceeded.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .constructors import (
     finite_approximant,
     parse_construction_spec,
 )
-from .errors import OrderCapExceeded, SearchBudgetExceeded
+from .errors import SearchBudgetExceeded
 from .matrix import (
     MonomialMatrix,
     MultipleEigenvalues,
@@ -35,7 +35,6 @@ from .permgroups import (
     PairedPermGroup,
     Perm,
     PermGroup,
-    _capped,
     format_cycles,
     paired_two_closure,
     parse_cycles,
@@ -161,9 +160,9 @@ def _parse_gen_args(args) -> tuple:
 def cmd_closure(args) -> int:
     group, paired = _parse_gen_args(args)
     t0 = time.perf_counter()
-    # the order first: a paired group that is not faithful, or a group
-    # above --max-order, stops before the 2-closure search
-    order = _capped(group.order(), args.max_order)
+    # the order first: a paired group that is not faithful stops before
+    # the 2-closure search
+    order = group.order()
     if paired:
         closure = paired_two_closure(group)
         gens = [
@@ -174,7 +173,7 @@ def cmd_closure(args) -> int:
         closure = two_closure(group)
         gens = [format_cycles(g) for g in closure.generators]
         degrees = [group.degree]
-    closure_order = _capped(closure.order(), args.max_order)
+    closure_order = closure.order()
     closed = order == closure_order
     elapsed = time.perf_counter() - t0
     report = {
@@ -363,7 +362,7 @@ def cmd_verify(args) -> int:
 
 
 def _budget(text: str) -> int:
-    """A search or order budget: an integer of at least 1."""
+    """A search budget: an integer of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"a budget must be at least 1, got {value}")
@@ -389,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int)
     p.add_argument("--bidegree", type=int, nargs=2, metavar=("N", "M"))
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-order", type=_budget, default=10**6)
+    p.add_argument("--max-nodes", type=_budget, default=DEFAULT_MAX_NODES)
     p.set_defaults(func=cmd_closure)
 
     p = sub.add_parser("construct", help="witness matrix from a JSON spec")
@@ -427,7 +426,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         with search_budget(getattr(args, "max_nodes", DEFAULT_MAX_NODES)):
             return args.func(args)
-    except (SearchBudgetExceeded, OrderCapExceeded) as exc:
+    except SearchBudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return BUDGET_ERROR
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

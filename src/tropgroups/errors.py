@@ -2,8 +2,4 @@
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """A backtracking search exceeded its node budget."""
-
-
-class OrderCapExceeded(RuntimeError):
-    """A group enumeration exceeded its order cap."""
+    """A search or listing exceeded its node budget."""

@@ -292,61 +292,55 @@ def commuting_solutions(e: TropMatrix):
     sigma = [-1] * n
     lam: list = [None] * n
     used_img = [False] * n
-    assigned: list[int] = []
     solutions = []
     budget = search_budget.current()
 
-    def dfs(level: int):
-        if level == n:
-            solutions.append((tuple(sigma), tuple(map(decode, lam))))
-            return
+    def scaling(level: int, i: int, r: int):
+        """The scaling of row i mapped to r that agrees with the profiles,
+        supports and scalings of the rows mapped before it, or None."""
+        lam_i = zero if level == 0 else None
+        for i2 in order[:level]:
+            r2 = sigma[i2]
+            if rprof[(i, i2)] != rprof[(r, r2)] or cprof[(i, i2)] != cprof[(r, r2)]:
+                return None
+            if supp[i][i2] != supp[r][r2] or supp[i2][i] != supp[r2][r]:
+                return None
+            fits = []
+            if supp[i][i2]:
+                fits.append(tuple(map(sub, map(add, E[i][i2], lam[i2]), E[r][r2])))
+            if supp[i2][i]:
+                fits.append(tuple(map(add, map(sub, lam[i2], E[i2][i]), E[r2][r])))
+            for cand in fits:
+                if lam_i is None:
+                    lam_i = cand
+                elif lam_i != cand:
+                    return None
+        return lam_i
+
+    # depth first; the rows mapped so far wait on a stack with their
+    # untried images, so the depth does not grow the interpreter's stack
+    stack = [iter(cands[order[0]])]
+    while stack:
+        level = len(stack) - 1
         i = order[level]
-        for r in cands[i]:
+        for r in stack[-1]:
             if used_img[r]:
                 continue
             budget.spend("commutation search")
-            ok = True
-            lam_i = zero if level == 0 else None
-            for i2 in assigned:
-                if rprof[(i, i2)] != rprof[(r, sigma[i2])] or cprof[(i, i2)] != cprof[
-                    (r, sigma[i2])
-                ]:
-                    ok = False
-                    break
-                sa, sb = supp[i][i2], supp[r][sigma[i2]]
-                if sa != sb:
-                    ok = False
-                    break
-                if sa:
-                    cand = tuple(map(sub, map(add, E[i][i2], lam[i2]), E[r][sigma[i2]]))
-                    if lam_i is None:
-                        lam_i = cand
-                    elif lam_i != cand:
-                        ok = False
-                        break
-                sa, sb = supp[i2][i], supp[sigma[i2]][r]
-                if sa != sb:
-                    ok = False
-                    break
-                if sa:
-                    cand = tuple(map(add, map(sub, lam[i2], E[i2][i]), E[sigma[i2]][r]))
-                    if lam_i is None:
-                        lam_i = cand
-                    elif lam_i != cand:
-                        ok = False
-                        break
-            if not ok or lam_i is None:
-                continue
-            sigma[i] = r
-            lam[i] = lam_i
+            lam_i = scaling(level, i, r)
+            if lam_i is not None:
+                break
+        else:
+            stack.pop()
+            if stack:
+                used_img[sigma[order[level - 1]]] = False
+            continue
+        sigma[i], lam[i] = r, lam_i
+        if level + 1 == n:
+            solutions.append((tuple(sigma), tuple(map(decode, lam))))
+        else:
             used_img[r] = True
-            assigned.append(i)
-            dfs(level + 1)
-            assigned.pop()
-            used_img[r] = False
-            sigma[i] = -1
-            lam[i] = None
+            stack.append(iter(cands[order[level + 1]]))
 
-    dfs(0)
     solutions.sort(key=lambda s: s[0])
     return solutions

@@ -18,9 +18,10 @@ faithfulness is read off the tables or, where it is listed, off the list.
 Every element list comes from ``_span``, which adds the generators one at
 a time and skips each one already reached, so redundant generators (a
 strong generating set has many) cost one lookup.  It works on image
-tuples, and only listings are capped (by LIST_CAP elements unless the
-caller passes fewer).  Orbits of points and of pairs come from the one
-traversal in ``graphs.components``.
+tuples.  A listing spends its size, read off the Sims table, from the
+search budget before it starts (see ``search_budget``), so a group too
+large for the budget is refused without listing any of it.  Orbits of
+points and of pairs come from the one traversal in ``graphs.components``.
 
 A group is 2-closed when it already contains every permutation preserving
 its orbits of ordered pairs, i.e. when it is the full automorphism group of
@@ -33,12 +34,12 @@ group itself is never listed), narrowing each vertex's candidate images
 as the map grows.  That loop, ``base_and_orbit``, and its depth-first
 ``complete`` also drive the pair search of ``pairsearch``, which finds
 generators of the unit stabilizer Sigma the same way, on an explicit
-stack.  All searches in a ``search_budget`` block spend from its budget;
-a search outside every block has DEFAULT_MAX_NODES nodes of its own.
+stack.  All searches and listings in a ``search_budget`` block spend from
+its budget; one outside every block has DEFAULT_MAX_NODES nodes of its own.
 
 Groups of different orders are not isomorphic, and equal permutation
 groups are recognised as isomorphic from their tables.  Otherwise two
-small groups G and H of the same order are isomorphic exactly when some
+groups G and H of the same order are isomorphic exactly when some
 list of images of a generating sequence of G, spanning H, makes the
 subgroup of G x H generated by the pairs (generator, image) the graph of a
 bijection.  Both projections of that subgroup are onto, so it is a graph
@@ -53,10 +54,9 @@ from itertools import islice
 from math import factorial, lcm, prod
 from typing import Iterable, Optional, Sequence
 
-from .errors import OrderCapExceeded, SearchBudgetExceeded
+from .errors import SearchBudgetExceeded
 from .graphs import ColouredBipartiteGraph, ColouredDigraph, components
 
-LIST_CAP = 10**6
 DEFAULT_MAX_NODES = 2_000_000
 
 
@@ -172,23 +172,28 @@ def format_cycles(p: Perm) -> str:
 def _span(
     generators: Iterable[tuple[int, ...]],
     identity: tuple[int, ...],
-    cap: int = LIST_CAP,
+    stop: Optional[int] = None,
 ) -> list[tuple[int, ...]]:
     """The elements of the group the image tuples generate, in no promised
     order: the generators are added one at a time, and one the list has
-    reached is skipped.  Raises OrderCapExceeded past ``cap`` elements."""
+    reached is skipped.  With ``stop``, the listing ends as soon as it
+    holds ``stop`` elements.  It spends nothing: ``elements`` spends the
+    order before it lists, and the isomorphism test spans subgroups of a
+    group it has listed, and stops its last listing at |G| + 1."""
     out, seen, gens = [identity], {identity}, []
     for g in generators:
+        if len(out) == stop:
+            break
         if g not in seen:
-            _extend(out, seen, gens, [g], cap)
+            _extend(out, seen, gens, [g], stop)
     return out
 
 
-def _extend(out: list, seen: set, gens: list, new: list, cap: int) -> None:
+def _extend(out: list, seen: set, gens: list, new: list, stop: Optional[int]) -> None:
     """Grow ``out`` (with its set ``seen``), closed under right
     multiplication by ``gens``, to the closure under ``gens`` + ``new``,
-    and append ``new`` to ``gens``.  The elements already there need only
-    the new generators."""
+    or until it holds ``stop`` elements, and append ``new`` to ``gens``.
+    The elements already there need only the new generators."""
     done = len(out)
     gens += new
     # islice reads the elements appended while it runs
@@ -197,10 +202,10 @@ def _extend(out: list, seen: set, gens: list, new: list, cap: int) -> None:
             for g in by:
                 y = tuple(map(g.__getitem__, x))  # x first, then g
                 if y not in seen:
-                    if len(out) >= cap:
-                        raise OrderCapExceeded(f"group order exceeds the cap {cap}")
                     seen.add(y)
                     out.append(y)
+                    if len(out) == stop:
+                        return
 
 
 def _join(g: Perm, h: Perm) -> tuple[int, ...]:
@@ -321,12 +326,6 @@ def _greedy_generators(rows: list[dict]) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-def _capped(order: int, cap: int) -> int:
-    if order > cap:
-        raise OrderCapExceeded(f"group order exceeds the cap {cap}")
-    return order
-
-
 class PermGroup:
     """A finite permutation group given by generators."""
 
@@ -361,13 +360,15 @@ class PermGroup:
         return cls(degree, [parse_cycles(g, degree) for g in gens])
 
     def elements(self) -> frozenset[Perm]:
-        """Product closure of the generators; OrderCapExceeded past
-        LIST_CAP elements."""
+        """Product closure of the generators.  Every call spends the order,
+        read off the Sims table, from the search budget before it lists
+        anything, so a request spends the same whether or not an earlier
+        one listed the group."""
+        search_budget.current().spend("group listing", self.order())
         if self._elements[0] is None:
             gens = [g.images for g in self.generators]
             out = frozenset(map(Perm._of, _span(gens, tuple(range(self.degree)))))
             self._elements[0] = out
-            self._order[0] = len(out)
         return self._elements[0]
 
     def _sims(self) -> list[dict]:
@@ -431,8 +432,10 @@ class PairedPermGroup:
         raise AttributeError("PairedPermGroup is immutable")
 
     def elements(self) -> frozenset[tuple[Perm, Perm]]:
-        """The pairs of the group; OrderCapExceeded past LIST_CAP elements,
-        NotFaithful if one is the identity on exactly one side."""
+        """The pairs of the group; NotFaithful if one is the identity on
+        exactly one side.  Every call spends the order of ``joint`` from
+        the search budget before it lists anything, as ``PermGroup``'s."""
+        search_budget.current().spend("group listing", self.joint.order())
         if self._elements[0] is None:
             n = self.degrees[0]
             joint = self.joint
@@ -445,7 +448,6 @@ class PairedPermGroup:
                     )
             self._faithful[0] = True
             self._elements[0] = frozenset(_split(x, n) for x in listed)
-            joint._order[0] = len(listed)
         return self._elements[0]
 
     def _checked(self) -> None:
@@ -524,14 +526,16 @@ def paired_orbit_colouring(g: PairedPermGroup) -> ColouredBipartiteGraph:
 
 
 class search_budget:
-    """A budget of ``nodes`` search nodes.  Every search run inside ``with
-    search_budget(nodes):`` spends from it, one node per image it tries."""
+    """A budget of ``nodes`` search nodes.  Every search and listing run
+    inside ``with search_budget(nodes) as block:`` spends from it: a search
+    one node per image it tries, a listing one per element it will hold."""
 
     def __init__(self, nodes: int):
         self.nodes = self.left = nodes
 
-    def __enter__(self):
+    def __enter__(self) -> "search_budget":
         self._token = _BLOCK.set(self)
+        return self
 
     def __exit__(self, *exc):
         _BLOCK.reset(self._token)
@@ -541,8 +545,8 @@ class search_budget:
         """The budget of the innermost block, else a new one of DEFAULT_MAX_NODES."""
         return _BLOCK.get() or search_budget(DEFAULT_MAX_NODES)
 
-    def spend(self, search: str) -> None:
-        self.left -= 1
+    def spend(self, search: str, nodes: int = 1) -> None:
+        self.left -= nodes
         if self.left < 0:
             raise SearchBudgetExceeded(f"{search} exceeded the budget of {self.nodes} nodes")
 
@@ -770,9 +774,7 @@ def is_irreducible(g: ColouredBipartiteGraph) -> bool:
     return True
 
 
-# -- abstract isomorphism of small groups --
-
-ISO_ORDER_CAP = 10**4
+# -- abstract isomorphism of groups --
 
 
 def _is_abelian(g: PermGroup) -> bool:
@@ -782,20 +784,22 @@ def _is_abelian(g: PermGroup) -> bool:
 def groups_isomorphic(g: PermGroup, h: PermGroup) -> bool:
     """Exact abstract-group isomorphism: at once for groups of different
     orders and for equal permutation groups (same degree, every generator
-    of G in H), else for orders up to ISO_ORDER_CAP.
+    of G in H), else by listing both groups, which spends their orders
+    from the search budget.
 
     After the element orders and commutativity agree, images in H are
     chosen for the greedy generating sequence of G one at a time, each
-    prefix spanning a subgroup of H as large as the matching prefix spans
-    in G.  A full choice is an isomorphism iff the pairs (generator,
-    image) span at most |G| elements of G x H (see the module docstring).
+    candidate image spending one node, and each prefix spanning a subgroup
+    of H as large as the matching prefix spans in G.  A full choice is an
+    isomorphism iff the pairs (generator, image) span at most |G| elements
+    of G x H (see the module docstring); that listing stops at |G| + 1.
     """
     order = g.order()
     if order != h.order():
         return False
     if g.degree == h.degree and all(map(h.contains, g.generators)):
         return True
-    _capped(order, ISO_ORDER_CAP)
+    budget = search_budget.current()
     ge = g.elements()
     he = sorted(h.elements())
     if sorted(x.order() for x in ge) != sorted(x.order() for x in he):
@@ -813,12 +817,9 @@ def groups_isomorphic(g: PermGroup, h: PermGroup) -> bool:
 
     def assign(k: int, images: list[Perm], span: set) -> bool:
         if k == len(gens):
-            try:
-                _span(map(_join, gens, images), joint_ident, order)
-            except OrderCapExceeded:
-                return False
-            return True
+            return len(_span(map(_join, gens, images), joint_ident, order + 1)) <= order
         for cand in h_by_order.get(gens[k].order(), ()):
+            budget.spend("isomorphism test")
             if cand.images in span:
                 continue
             chosen = images + [cand]

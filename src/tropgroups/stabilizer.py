@@ -35,7 +35,6 @@ from .components import (
     connected_components,
     _restrict_unchecked,
 )
-from .errors import OrderCapExceeded
 from .matrix import (
     MonomialMatrix,
     TropMatrix,
@@ -44,13 +43,13 @@ from .matrix import (
 )
 from .pairsearch import NotConnected, commuting_solutions, pair_solutions
 from .permgroups import (
-    LIST_CAP,
     PairedPermGroup,
     Perm,
     PermGroup,
     format_cycles,
     identify_group,
     is_paired_two_closed,
+    search_budget,
 )
 from .semiring import ZERO, Value, encode
 from .spaces import has_full_rank, reduce_full_rank, _scaling_gap
@@ -144,8 +143,9 @@ def stabilizer_pairs(a: TropMatrix) -> list[StabilizerElement]:
     For a connected finite-entry graph this is the whole eigenvalue-0
     subgroup.  Otherwise the canonical subgroup is assembled from the
     per-class Sigma of the component representatives and the stored class
-    witnesses; it realises the product of the wreath factors.  Raises
-    OrderCapExceeded when Sigma has more than LIST_CAP elements.
+    witnesses; it realises the product of the wreath factors.  Listing
+    Sigma spends its order from the search budget (``search_budget``)
+    before any element is built.
     """
     if not has_full_rank(a):
         raise NotFullRank("stabilizer pairs require a full-rank matrix")
@@ -164,10 +164,7 @@ def _assembled_sigma(a: TropMatrix, part: ComponentPartition) -> list[Stabilizer
         per_class_sigma.append(sigma)
         h = len(cls.members)
         total *= len(sigma) ** h * factorial(h)
-    if total > LIST_CAP:
-        raise OrderCapExceeded(
-            f"assembled stabilizer has {total} elements, above the cap {LIST_CAP}"
-        )
+    search_budget.current().spend("stabilizer listing", total)
 
     n = a.nrows
     elements = []

@@ -109,27 +109,53 @@ def test_removed_flags_are_rejected(tmp_path, capsys):
     for argv in (
         ["--threads", "2", "analyze", path],
         ["analyze", path, "--max-order", "1"],
+        ["closure", "--degree", "4", "(1,2,3,4)", "(1,2)", "--max-order", "1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-    code, _ = run_cli(
-        ["closure", "--degree", "4", "(1,2,3,4)", "(1,2)", "--max-order", "1"], capsys
-    )
-    assert code == 3
 
 
 def test_budget_exceeded_exit_code(tmp_path, capsys):
     path = write(tmp_path, "f.txt", matrix_f().to_text() + "\n")
     code, _ = run_cli(["analyze", path, "--max-nodes", "1"], capsys)
     assert code == 3
-    # --max-order caps the group order of plain and paired closures alike
+    # --max-nodes bounds the automorphism search of plain and paired closures alike
     for gens in (
         ["--degree", "4", "(1,2,3,4)"],
+        ["--degree", "4", "(1,2,3,4)", "(1,2)"],
         ["--bidegree", "4", "4", "(1,2,3,4)|(1,2,3,4)"],
     ):
-        code, _ = run_cli(["closure", *gens, "--max-order", "2"], capsys)
-        assert code == 3, gens
+        assert main(["closure", *gens, "--max-nodes", "1"]) == 3, gens
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "automorphism search exceeded the budget of 1 nodes" in captured.err
+
+
+def test_readme_names_every_cli_option():
+    """The flags the CLI section of README.md names are the options the
+    subcommands take: none missing, none stale."""
+    import argparse
+    import re
+    from pathlib import Path
+
+    from tropgroups import cli
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", section))
+    subparsers = next(
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = [
+        action.option_strings
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+    ]
+    accepted = {flag for strings in options for flag in strings}
+    assert {flag for flag in named if flag.startswith("--")} <= accepted
+    assert all(named.intersection(strings) for strings in options), options
 
 
 def test_one_budget_covers_every_search_of_a_request(tmp_path, capsys, monkeypatch):
@@ -159,26 +185,6 @@ def test_one_budget_covers_every_search_of_a_request(tmp_path, capsys, monkeypat
 @pytest.mark.parametrize(
     "gens",
     [
-        ["--degree", "4", "(1,2,3)", "(1,2)(3,4)"],
-        ["--bidegree", "4", "4", "(1,2,3)|(1,2,3)", "(1,2)(3,4)|(1,2)(3,4)"],
-    ],
-    ids=["plain", "paired"],
-)
-def test_max_order_caps_the_closure_order_too(capsys, gens):
-    """A4 has order 12 and its (paired) 2-closure S4 order 24: the cap of
-    12 admits the group but not its closure, whose order the automorphism
-    search has already found."""
-    code, out = run_cli(["closure", *gens, "--json", "--max-order", "24"], capsys)
-    assert code == 0
-    report = json.loads(out)
-    assert (report["group_order"], report["closure_order"]) == (12, 24)
-    code, out = run_cli(["closure", *gens, "--json", "--max-order", "12"], capsys)
-    assert code == 3 and out == ""
-
-
-@pytest.mark.parametrize(
-    "gens",
-    [
         ["--degree", "3", "(1,2)(2,1)"],
         ["--degree", "3", "(1,2)(1,3)"],
         ["--bidegree", "3", "2", "(1,2,3)|()"],
@@ -187,9 +193,9 @@ def test_max_order_caps_the_closure_order_too(capsys, gens):
 )
 def test_bad_group_input_exits_2_whatever_the_max_order(capsys, gens):
     """Cycles that share a point, and a paired group with an element that
-    is the identity on one side only, are bad input, also where the order
-    would exceed --max-order."""
-    for cap in ([], ["--max-order", "2"]):
+    is the identity on one side only, are bad input, also where the budget
+    would not cover the 2-closure search."""
+    for cap in ([], ["--max-nodes", "1"]):
         code, out = run_cli(["closure", *gens, *cap], capsys)
         assert code == 2 and out == "", (gens, cap)
 
@@ -218,8 +224,8 @@ def test_main_builds_one_parser(monkeypatch, capsys):
         ["analyze", "{path}", "--max-nodes", "0"],
         ["verify", "{path}", "--max-nodes", "0"],
         ["construct", "{spec}", "--max-nodes", "0"],
-        ["closure", "--degree", "4", "(1,2,3,4)", "--max-order", "-5"],
-        ["closure", "--degree", "4", "(1,2,3,4)", "--max-order", "0"],
+        ["closure", "--degree", "4", "(1,2,3,4)", "--max-nodes", "-5"],
+        ["closure", "--degree", "4", "(1,2,3,4)", "--max-nodes", "0"],
     ],
 )
 def test_non_positive_budgets_are_bad_input(tmp_path, capsys, argv):
@@ -246,6 +252,16 @@ def test_closure_cli(capsys):
     code, out = run_cli(["closure", "--degree", "2", "(1,2)", "--json"], capsys)
     report = json.loads(out)
     assert report["is_closed"] is True
+
+    # A4 has order 12 and its plain and paired 2-closures S4 order 24
+    for gens in (
+        ["--degree", "4", "(1,2,3)", "(1,2)(3,4)"],
+        ["--bidegree", "4", "4", "(1,2,3)|(1,2,3)", "(1,2)(3,4)|(1,2)(3,4)"],
+    ):
+        code, out = run_cli(["closure", *gens, "--json"], capsys)
+        report = json.loads(out)
+        assert (report["group_order"], report["closure_order"]) == (12, 24), gens
+        assert report["is_closed"] is False
 
     code, out = run_cli(
         ["closure", "--bidegree", "2", "2", "(1,2)|(1,2)", "--json"], capsys

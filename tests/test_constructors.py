@@ -120,8 +120,6 @@ def test_construct_from_bipartite_drops_dominated_orbits():
 def test_construct_from_bipartite_random_graphs():
     import random
 
-    from tropgroups.errors import OrderCapExceeded
-
     rng = random.Random(321)
     built = rejected = 0
     while built < 18:

@@ -298,8 +298,8 @@ def test_paired_two_closure_examples():
     trivial = PairedPermGroup((1, 1), [])
     assert paired_two_closure(trivial).order() == 1
     assert is_paired_two_closed(trivial)
-    # diagonal S10 has order 10! > LIST_CAP; the closure checks its
-    # faithfulness without listing it
+    # diagonal S10 has order 10!, more than the default budget may list;
+    # the closure checks its faithfulness without listing it
     s10 = PermGroup.from_cycles(10, ["(1,2,3,4,5,6,7,8,9,10)", "(1,2)"])
     diag_s10 = PairedPermGroup((10, 10), [(g, g) for g in s10.generators])
     assert paired_two_closure(diag_s10).order() == 3628800
@@ -382,8 +382,7 @@ def test_groups_isomorphic_examples():
 
 
 def test_groups_of_unequal_orders_are_not_isomorphic_without_listing(monkeypatch):
-    """S8 and A8 lie above ISO_ORDER_CAP, but their orders differ, so
-    neither is listed."""
+    """S8 and A8 have different orders, so neither is listed."""
     from tropgroups import permgroups
 
     def no_listing(*args):
@@ -395,6 +394,71 @@ def test_groups_of_unequal_orders_are_not_isomorphic_without_listing(monkeypatch
     assert (s8.order(), a8.order()) == (40320, 20160)
     assert not groups_isomorphic(s8, a8)
     assert not groups_isomorphic(a8, s8)
+
+
+def _s4_cubed(degree, shift):
+    """S4 x S4 x S4, of order 13824, on three blocks of four points from
+    ``shift`` + 1 on."""
+    gens = []
+    for b in range(shift, 12 + shift, 4):
+        gens += [f"({b + 1},{b + 2},{b + 3},{b + 4})", f"({b + 1},{b + 2})"]
+    return PermGroup.from_cycles(degree, gens)
+
+
+def test_groups_isomorphic_above_ten_thousand_elements():
+    """Both copies of S4 x S4 x S4 are listed and matched: the test is
+    bounded by the search budget alone, not by the order.  Listing the two
+    spends 2 * 13824 nodes, and a budget of exactly that leaves nothing
+    for the candidate images."""
+    g = _s4_cubed(12, 0)
+    assert g.order() == 13824
+    assert groups_isomorphic(g, _s4_cubed(13, 0))
+    assert groups_isomorphic(g, _s4_cubed(13, 1))
+    with search_budget(2 * 13824):
+        with pytest.raises(SearchBudgetExceeded, match="isomorphism test exceeded"):
+            groups_isomorphic(g, _s4_cubed(13, 1))
+
+
+S5 = ["(1,2,3,4,5)", "(1,2)"]
+
+
+def test_search_budget_block_is_returned_by_with():
+    with search_budget(7) as block:
+        assert isinstance(block, search_budget)
+        assert search_budget.current() is block
+        assert block.left == 7
+
+
+def test_a_listing_spends_its_order():
+    """Each listing spends the order, also one the group has cached, so
+    what a request spends does not depend on what ran before it."""
+    s5 = PermGroup.from_cycles(5, S5)
+    with search_budget(120) as block:
+        assert len(s5.elements()) == 120
+        assert block.left == 0
+    with search_budget(120) as block:
+        s5.elements()
+        assert block.left == 0
+    s3 = PermGroup.from_cycles(3, ["(1,2,3)", "(1,2)"])
+    with search_budget(6) as block:
+        assert len(PairedPermGroup((3, 3), [(g, g) for g in s3.generators]).elements()) == 6
+        assert block.left == 0
+
+
+def test_a_listing_over_the_budget_lists_nothing(monkeypatch):
+    def no_listing(*args):
+        raise AssertionError("a group was listed")
+
+    monkeypatch.setattr(permgroups, "_span", no_listing)
+    with search_budget(119):
+        with pytest.raises(SearchBudgetExceeded, match="group listing exceeded the budget of 119"):
+            PermGroup.from_cycles(5, S5).elements()
+    # outside every block the default budget of 2*10^6 nodes refuses 10!
+    s10 = PermGroup.from_cycles(10, ["(1,2,3,4,5,6,7,8,9,10)", "(1,2)"])
+    with pytest.raises(SearchBudgetExceeded, match="group listing exceeded the budget of 2000000"):
+        s10.elements()
+    with pytest.raises(SearchBudgetExceeded, match="group listing"):
+        PairedPermGroup((10, 10), [(g, g) for g in s10.generators]).elements()
 
 
 def test_identify_group():

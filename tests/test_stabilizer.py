@@ -191,11 +191,33 @@ def test_stabilizer_requires_full_rank():
 
 def test_assembled_stabilizer_above_the_listing_cap():
     """Ten isomorphic one-point components assemble S_10, of order 10!,
-    above the 10^6 elements a listing may hold."""
-    from tropgroups.errors import OrderCapExceeded
+    more elements than the default budget of 2*10^6 nodes may list."""
+    from tropgroups.errors import SearchBudgetExceeded
 
-    with pytest.raises(OrderCapExceeded, match="3628800 elements"):
+    with pytest.raises(SearchBudgetExceeded, match="stabilizer listing exceeded"):
         stabilizer_pairs(TropMatrix.identity(10))
+
+
+def test_commutation_search_does_not_recurse():
+    """The 30 units commuting with the C_30 idempotent are found with the
+    recursion limit 25 frames above the caller: the search keeps its rows
+    on an explicit stack."""
+    import sys
+
+    from tropgroups.pairsearch import commuting_solutions
+
+    cycle = "(" + ",".join(str(i) for i in range(1, 31)) + ")"
+    e = construct_idempotent(PermGroup.from_cycles(30, [cycle]))
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 25)
+    try:
+        solutions = commuting_solutions(e)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(solutions) == 30
 
 
 def test_right_mate_matches_search():
