@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 import time
+from operator import add, neg
 from typing import Optional
 
 from .constructors import (
@@ -27,9 +28,9 @@ from .matrix import (
     MultipleEigenvalues,
     TropMatrix,
     is_idempotent,
-    monomial_eigenvalue,
     parse_matrix,
 )
+from .pairsearch import cycle_mean
 from .permgroups import (
     DEFAULT_MAX_NODES,
     PairedPermGroup,
@@ -41,7 +42,7 @@ from .permgroups import (
     search_budget,
     two_closure,
 )
-from .semiring import Value, format_scalar
+from .semiring import format_scalar
 from .spaces import h_related, has_full_rank
 from .stabilizer import (
     analyze_matrix,
@@ -50,7 +51,7 @@ from .stabilizer import (
     group_description,
     require_idempotent,
     _connected_sigma,
-    _sigma_elements,
+    _sigma_listing,
 )
 
 PARSE_ERROR = 2
@@ -259,18 +260,39 @@ def cmd_approximate(args) -> int:
     return 0
 
 
+def _pair_equation(entries, s, p, t, q) -> bool:
+    """P @ A = A @ Q on codes, for A of row codes ``entries``: each
+    p_i + A[s(i)][t(k)] equals A[i][k] + q_k, both finite or neither."""
+    for row, x_row, lam in zip(entries, s, p):
+        for x, y, mu in zip(map(entries[x_row].__getitem__, t), row, q):
+            if x is None or y is None:
+                if x is not y:
+                    return False
+            elif tuple(map(add, lam, x)) != tuple(map(add, y, mu)):
+                return False
+    return True
+
+
+def _plus(x, y):
+    return tuple(map(add, x, y))
+
+
 def verify_flags(a: TropMatrix) -> dict:
     """The full invariant suite on one matrix; every flag must be true.
 
-    Every stage is read from one ``Analysis``, and each Sigma is rebuilt
-    from its generators there.  ``h_related(P @ A, A)`` and the eigenvector
-    normal form are checked on the generators of each factor only.  That is
-    exact: P is a unit, so P @ A has the row space of A, and the pair
-    equation P @ A = A @ Q, checked on every element, gives C(P @ A) = C(A)
-    because Q is a unit too.  Closure is checked as generator times element,
-    inverses and the order; position agreement, that two elements with the
-    same image of a point scale it alike, as a zero scaling at every fixed
-    point, which is the same once closure holds (x^-1 @ y runs over Sigma).
+    Every stage is read from one ``Analysis``, and each Sigma is listed
+    from its generators there on integer codes (``_sigma_listing``), so
+    every check made on each element compares codes.  ``h_related(P @ A,
+    A)`` and the eigenvector normal form are checked on the generators of
+    each factor only, on scalars.  That is exact: P is a unit, so P @ A has
+    the row space of A, and the pair equation P @ A = A @ Q, checked on
+    every element, gives C(P @ A) = C(A) because Q is a unit too.
+    Eigenvalue 0 is a zero code sum on every cycle of P and of Q.  Closure
+    is checked as generator times element, inverses and the order, as
+    lookups of (pattern, codes) keys; position agreement, that two elements
+    with the same image of a point scale it alike, as a zero scaling code
+    at every fixed point, which is the same once closure holds (x^-1 @ y
+    runs over Sigma).
     """
     flags: dict[str, bool] = {}
     flags["format_round_trip"] = parse_matrix(a.to_text()) == a
@@ -281,7 +303,6 @@ def verify_flags(a: TropMatrix) -> dict:
     )
 
     pair_ok = eigen_ok = closure_ok = agree_ok = h_ok = norm_ok = True
-    zero = Value(0)
     sigmas = []
     for cls, sigma_gens, (u, v, b), factor in zip(
         an.partition.classes,
@@ -290,29 +311,37 @@ def verify_flags(a: TropMatrix) -> dict:
         an.description.factors,
     ):
         rep = an.restrictions[cls.representative]
-        elements = _sigma_elements(sigma_gens, u, v)
-        sigmas.append(elements)
+        elements, entries, zero, decode = _sigma_listing(
+            rep, sigma_gens, u, v, factor.order
+        )
+        sigmas.append((elements, decode))
         gens = {g.images for g, _ in factor.paired.generators}
-        gen_ps = [el.P for el in elements if el.P.sigma in gens]
-        ps = {el.P for el in elements}
-        closure_ok &= MonomialMatrix.identity(rep.nrows) in ps
-        closure_ok &= len(ps) == len(elements) == factor.order
-        for el in elements:
-            pair_ok &= el.P.left_apply(rep) == el.Q.right_apply(rep)
+        keys = {(s, p) for s, p, _, _ in elements}
+        gen_keys = [(s, p) for s, p, _, _ in elements if s in gens]
+        n = rep.nrows
+        closure_ok &= (tuple(range(n)), (zero,) * n) in keys
+        closure_ok &= len(keys) == len(elements) == factor.order
+        for s, p, t, q in elements:
+            pair_ok &= _pair_equation(entries, s, p, t, q)
             try:
-                eigen_ok &= monomial_eigenvalue(el.P) == zero
-                eigen_ok &= monomial_eigenvalue(el.Q) == zero
+                eigen_ok &= not any(cycle_mean(s, p)[1])
+                eigen_ok &= not any(cycle_mean(t, q)[1])
             except MultipleEigenvalues:
                 eigen_ok = False
-            closure_ok &= el.P.invert() in ps
-            closure_ok &= all(g @ el.P in ps for g in gen_ps)
-            agree_ok &= all(
-                x == zero for i, x in enumerate(el.P.scalings) if el.P.sigma[i] == i
+            inv_s, inv_p = [0] * n, [zero] * n
+            for i, x in enumerate(s):
+                inv_s[x], inv_p[x] = i, tuple(map(neg, p[i]))
+            closure_ok &= (tuple(inv_s), tuple(inv_p)) in keys
+            closure_ok &= all(
+                (tuple(map(s.__getitem__, gs)), tuple(map(_plus, gp, map(p.__getitem__, gs))))
+                in keys
+                for gs, gp in gen_keys
             )
-            if el.P.sigma in gens:
-                h_ok &= h_related(el.P.left_apply(rep), rep)
+            agree_ok &= all(p[i] == zero for i, x in enumerate(s) if x == i)
+            if s in gens:
+                pm = MonomialMatrix(s, tuple(map(decode, p)))
+                h_ok &= h_related(pm.left_apply(rep), rep)
                 # in normal form the pair acts on B by plain permutations
-                s, t = el.P.sigma, el.Q.sigma
                 norm_ok &= all(
                     tuple(b.entries[s[i]][t[k]] for k in range(b.ncols)) == row
                     for i, row in enumerate(b.entries)
@@ -329,13 +358,16 @@ def verify_flags(a: TropMatrix) -> dict:
 
     if a.is_square() and is_idempotent(a):
         idem_ok = True
-        for cls, sigma in zip(an.partition.classes, sigmas):
+        for cls, (elements, decode) in zip(an.partition.classes, sigmas):
             rep = an.restrictions[cls.representative]
+            listed = {(s, tuple(map(decode, p))) for s, p, _, _ in elements}
             for r in (an.restrictions[idx] for idx in cls.members):
                 idem_ok &= r == a or is_idempotent(r)
-                comm = commuting_units(r)
-                own = sigma if r == rep else _connected_sigma(r)
-                idem_ok &= {el.P for el in comm} == {el.P for el in own}
+                comm = {(el.P.sigma, el.P.scalings) for el in commuting_units(r)}
+                own = listed if r == rep else {
+                    (el.P.sigma, el.P.scalings) for el in _connected_sigma(r)
+                }
+                idem_ok &= comm == own
         flags["idempotent_restrictions"] = idem_ok
     return flags
 

@@ -60,7 +60,7 @@ class TropMatrix:
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "_hash", hash(rows))
+        object.__setattr__(self, "_hash", None)  # computed on first use
 
     def __setattr__(self, name, value):
         raise AttributeError("TropMatrix is immutable")
@@ -116,6 +116,8 @@ class TropMatrix:
         return isinstance(other, TropMatrix) and self.entries == other.entries
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.entries))
         return self._hash
 
     def all_neg_inf(self) -> bool:
@@ -186,7 +188,7 @@ class MonomialMatrix:
                 raise TypeError("scalings must be finite scalars")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "scalings", scalings)
-        object.__setattr__(self, "_hash", hash((sigma, scalings)))
+        object.__setattr__(self, "_hash", None)  # computed on first use
 
     def __setattr__(self, name, value):
         raise AttributeError("MonomialMatrix is immutable")
@@ -290,6 +292,8 @@ class MonomialMatrix:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.sigma, self.scalings)))
         return self._hash
 
     def __repr__(self) -> str:

@@ -12,13 +12,14 @@ are the unit-stabilizer pairs of A.
 
 For a connected support graph the scalings of a feasible (sigma, tau) form
 a one-parameter family; the search anchors mu at one column to 0, so each
-solution it returns represents one feasible pattern pair.  With A = B the
+solution it finds represents one feasible pattern pair.  With A = B the
 feasible pattern pairs form a group, and the search returns generators of
 it, found by ``permgroups.base_and_orbit`` one first-only completion per
 (base point, image), never the whole group.  ``permgroups.complete`` makes
 every completion, extending the points in the order of ``_vertex_order``.
 Both spend ``permgroups``' search budget, one node per push; so does the
 independent check of this search, ``commuting_solutions``, in its own loop.
+Both return their units shifted to eigenvalue 0 on codes (``cycle_mean``).
 
 Pruning: a solution forces, for every row pair (i, i'), the multiset of
 columnwise differences of target rows (i, i') to equal that of source rows
@@ -33,7 +34,7 @@ from __future__ import annotations
 from operator import add, neg, sub
 
 from .graphs import components, support_components
-from .matrix import TropMatrix
+from .matrix import MultipleEigenvalues, TropMatrix
 from .permgroups import base_and_orbit, complete, search_budget
 from .semiring import ZERO, encode
 
@@ -81,6 +82,43 @@ def _signatures(prof, degs, k):
         rel = sorted(prof[(x, y)] for y in range(k) if y != x)
         sigs.append((degs[x], tuple(rel)))
     return sigs
+
+
+def cycle_mean(sigma, codes) -> tuple[int, tuple[int, ...]]:
+    """(k, S) for the unit of pattern sigma and scaling codes ``codes``:
+    k is the length of the cycle of sigma through point 0 and S the code
+    sum of the scalings along it, so the unit's eigenvalue is S/k.
+    Raises MultipleEigenvalues when another cycle's mean differs."""
+    mean = None
+    seen = [False] * len(sigma)
+    for start in range(len(sigma)):
+        if seen[start]:
+            continue
+        total, k, i = codes[start], 1, sigma[start]
+        while i != start:
+            seen[i] = True
+            total = tuple(map(add, total, codes[i]))
+            k, i = k + 1, sigma[i]
+        if mean is None:
+            mean = k, total
+        elif any(mean[0] * t != k * s for s, t in zip(mean[1], total)):
+            raise MultipleEigenvalues(
+                f"cycle means differ: codes {mean[1]}/{mean[0]} vs {total}/{k}"
+            )
+    return mean
+
+
+def _eigenvalue_zero(decode, sigma, *scalings):
+    """The scalings of a unit of pattern sigma, and of its mate, given as
+    codes and returned as scalars, each x shifted to x - S/k by the unit's
+    ``cycle_mean``: the code k*x - S decoded with the divisor k."""
+    k, total = cycle_mean(sigma, scalings[0])
+    if not any(total):
+        return [tuple(map(decode, xs)) for xs in scalings]
+    return [
+        tuple(decode(tuple(k * c - s for c, s in zip(x, total)), k) for x in xs)
+        for xs in scalings
+    ]
 
 
 class NotConnected(ValueError):
@@ -212,33 +250,38 @@ class _PairSearch:
         (sigma, tau), (lam, nu) = self.image, self.scaling
         return tuple(sigma), tuple(tau), tuple(lam), tuple(nu)
 
-    def decoded(self, found):
+    def decoded(self, found, eigenvalue_zero: bool):
         """A ``solution()`` as (sigma, tau, lam, mu) with mu = -nu,
-        scalings as scalars."""
+        scalings as scalars, shifted to eigenvalue 0 if asked."""
         sigma, tau, lam, nu = found
-        mu = (tuple(map(neg, x)) for x in nu)
+        mu = tuple(tuple(map(neg, x)) for x in nu)
+        if eigenvalue_zero:
+            return (sigma, tau, *_eigenvalue_zero(self.decode, sigma, lam, mu))
         return sigma, tau, tuple(map(self.decode, lam)), tuple(map(self.decode, mu))
 
 
 def pair_solutions(target: TropMatrix, source: TropMatrix, *, first_only: bool = False):
-    """Solutions (sigma, tau, lam, mu) of P @ source = target @ Q, mu
-    anchored to 0 at the search root.  With ``first_only``, the first one
-    found, if any.  Otherwise target and source must be equal, and the
-    result generates the group of feasible pattern pairs.  Requires the
-    target support graph to be connected."""
+    """Solutions (sigma, tau, lam, mu) of P @ source = target @ Q.  With
+    ``first_only``, the first one found, if any, mu anchored to 0 at the
+    search root.  Otherwise target and source must be equal, and the
+    result generates the group of feasible pattern pairs, each pair
+    shifted by the eigenvalue of P to eigenvalue 0.  Requires the target
+    support graph to be connected."""
     if not first_only and target != source:
         raise ValueError("generators need equal target and source")
     search = _PairSearch(target, source)
     if first_only:
         first = complete(search)
-        found = [] if first is None else [first]
-    else:
-        found = base_and_orbit(search, search.order)[0]
-    return [search.decoded(f) for f in found]
+        return [] if first is None else [search.decoded(first, eigenvalue_zero=False)]
+    return [
+        search.decoded(f, eigenvalue_zero=True)
+        for f in base_and_orbit(search, search.order)[0]
+    ]
 
 
 def commuting_solutions(e: TropMatrix):
-    """All (sigma, lam) with P @ E = E @ P, one representative per pattern.
+    """All (sigma, lam) with P @ E = E @ P, one per pattern, shifted to
+    eigenvalue 0.
 
     The same propagation as the pair search, with the column assignment
     tied to the row assignment.  Requires the symmetrised off-diagonal
@@ -337,7 +380,7 @@ def commuting_solutions(e: TropMatrix):
             continue
         sigma[i], lam[i] = r, lam_i
         if level + 1 == n:
-            solutions.append((tuple(sigma), tuple(map(decode, lam))))
+            solutions.append((tuple(sigma), *_eigenvalue_zero(decode, sigma, lam)))
         else:
             used_img[r] = True
             stack.append(iter(cands[order[level + 1]]))

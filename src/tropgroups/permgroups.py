@@ -49,6 +49,7 @@ exactly when it has at most |G| elements.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from contextvars import ContextVar
 from itertools import islice
 from math import factorial, lcm, prod
@@ -801,8 +802,11 @@ def groups_isomorphic(g: PermGroup, h: PermGroup) -> bool:
         return True
     budget = search_budget.current()
     ge = g.elements()
-    he = sorted(h.elements())
-    if sorted(x.order() for x in ge) != sorted(x.order() for x in he):
+    # H's elements by element order, each order computed once
+    h_by_order: dict[int, list[Perm]] = {}
+    for x in sorted(h.elements()):
+        h_by_order.setdefault(x.order(), []).append(x)
+    if Counter(map(Perm.order, ge)) != Counter({k: len(xs) for k, xs in h_by_order.items()}):
         return False
     if _is_abelian(g) != _is_abelian(h):
         return False
@@ -811,9 +815,6 @@ def groups_isomorphic(g: PermGroup, h: PermGroup) -> bool:
     gens = [Perm._of(x) for x, _ in seq]
     h_ident = tuple(range(h.degree))
     joint_ident = tuple(range(g.degree + h.degree))
-    h_by_order: dict[int, list[Perm]] = {}
-    for x in he:
-        h_by_order.setdefault(x.order(), []).append(x)
 
     def assign(k: int, images: list[Perm], span: set) -> bool:
         if k == len(gens):

@@ -27,8 +27,9 @@ run on codes and build ``Value``s only at the boundary, through the
 
 - a code ``None`` never leaves code space as a scalar (``decode`` turns it
   into ``NEG_INF``), and ``NEG_INF`` never enters it;
-- codes have no division: cycle means (``matrix.monomial_eigenvalue``)
-  stay on ``Value``;
+- division happens only in ``decode``, by a cycle length: a cycle mean is
+  kept as the code sum S over the cycle and its length k, and x - S/k is
+  decoded as the code k*x - S divided by k;
 - ``free_basis_check`` is linear algebra over the rationals and stays on
   ``Fraction``.
 """
@@ -72,7 +73,8 @@ class Value:
             if coeff != 0:
                 items[tag] = coeff
         object.__setattr__(self, "eps", tuple(sorted(items.items())))
-        object.__setattr__(self, "_hash", hash((self.std, self.eps)))
+        # computed on first use: most scalars are never hashed
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Value is immutable")
@@ -141,6 +143,8 @@ class Value:
         return NotImplemented
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.std, self.eps)))
         return self._hash
 
     def __repr__(self) -> str:
@@ -298,6 +302,8 @@ def encode(
     ``decode`` returns an encoded scalar itself for the code of each
     encoded scalar (the first one, when equal scalars are held in distinct
     objects) and builds every other ``Value`` once per call of ``encode``.
+    ``decode(code, k)`` is the scalar of the code divided by the positive
+    integer k, which need not divide it.
     """
     groups = [tuple(g) for g in groups]
     # keyed by identity: an equal scalar in another object is encoded
@@ -324,14 +330,18 @@ def encode(
         table.setdefault(code, x)
     codes = [tuple(map(code_of.__getitem__, map(id, g))) for g in groups]
 
-    def decode(code: Code) -> TropScalar:
-        x = table.get(code)
+    def decode(code: Code, k: int = 1) -> TropScalar:
+        if k != 1 and not any(c % k for c in code):
+            code, k = tuple(c // k for c in code), 1
+        key = code if k == 1 else (code, k)
+        x = table.get(key)
         if x is None:
+            d = den * k
             x = Value(
-                Fraction(code[0], den),
-                [(t, Fraction(code[k], den)) for t, k in pos.items() if code[k]],
+                Fraction(code[0], d),
+                [(t, Fraction(code[i], d)) for t, i in pos.items() if code[i]],
             )
-            table[code] = x
+            table[key] = x
         return x
 
     return codes, decode

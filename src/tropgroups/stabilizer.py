@@ -9,7 +9,7 @@ yields generators of Sigma; the analysis reads its order and reported
 generators off their Sims table, and where the elements are needed they
 are rebuilt from the closure of the generators' patterns, with the
 scalings read off the common eigenvectors that ``normalize_eigenvectors``
-finds.
+finds, as integer codes (``_sigma_listing``).
 
 Disconnected matrices decompose along component classes: the full group is
 a direct product over classes of wreath-type factors, one (R x G_alpha) per
@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import factorial
-from operator import add, neg
+from operator import add, neg, sub
 from typing import Optional
 
 from .components import (
@@ -78,31 +78,41 @@ def _sorted_elements(elements: list[StabilizerElement]) -> list[StabilizerElemen
 
 def _sigma_generators(a: TropMatrix) -> list[StabilizerElement]:
     """Generators of the Sigma of a connected full-rank matrix, each
-    shifted to eigenvalue 0."""
-    out = []
-    for sigma, tau, lam, mu in pair_solutions(a, a):
-        ev = monomial_eigenvalue(MonomialMatrix(sigma, lam))
-        p = MonomialMatrix(sigma, tuple(x - ev for x in lam))
-        q = MonomialMatrix(tau, tuple(x - ev for x in mu))
-        out.append(StabilizerElement(p, q, Value(0)))
-    return out
+    shifted to eigenvalue 0 by the pair search."""
+    return [
+        StabilizerElement(MonomialMatrix(sigma, lam), MonomialMatrix(tau, mu), ZERO)
+        for sigma, tau, lam, mu in pair_solutions(a, a)
+    ]
 
 
-def _sigma_elements(
-    generators, u: MonomialMatrix, v: MonomialMatrix
-) -> list[StabilizerElement]:
-    """Every element of the Sigma the generators span, given the units U, V
-    of ``normalize_eigenvectors``: the pair of patterns (s, t) is the pair
-    U^-1 @ s @ U, V @ t @ V^-1 of units."""
-    n, du, dv = u.degree, u.scalings, v.scalings
+def _sigma_listing(
+    a: TropMatrix,
+    generators,
+    u: MonomialMatrix,
+    v: MonomialMatrix,
+    order: Optional[int] = None,
+):
+    """Every element of the Sigma the generators span, on integer codes,
+    given the units U, V of ``normalize_eigenvectors``.
+
+    Returns (elements, entries, zero, decode): one ``encode`` covers the
+    entries of A and the scalings of U and V, ``entries`` are the codes of
+    A's rows and ``zero`` that of 0.  Each element is (s, p, t, q), the
+    pair U^-1 @ s @ U, V @ t @ V^-1 of units: patterns s, t and scaling
+    codes p, q.  ``order``, if known, is the order of the group the
+    generators' patterns span."""
+    ((zero,), du, dv, *entries), decode = encode(
+        (ZERO,), u.scalings, v.scalings, *a.entries
+    )
     pairs = [(Perm._of(g.P.sigma), Perm._of(g.Q.sigma)) for g in generators]
-    out = []
-    for g, h in PairedPermGroup((n, v.degree), pairs).elements():
+    group = PairedPermGroup((u.degree, v.degree), pairs, known_order=order)
+    elements = []
+    for g, h in group.elements():
         s, t = g.images, h.images
-        p = MonomialMatrix(s, tuple(du[s[i]] - du[i] for i in range(len(s))))
-        q = MonomialMatrix(t, tuple(dv[j] - dv[t[j]] for j in range(len(t))))
-        out.append(StabilizerElement(p, q, Value(0)))
-    return _sorted_elements(out)
+        p = tuple(tuple(map(sub, du[x], du[i])) for i, x in enumerate(s))
+        q = tuple(tuple(map(sub, dv[j], dv[y])) for j, y in enumerate(t))
+        elements.append((s, p, t, q))
+    return elements, entries, zero, decode
 
 
 def _connected_sigma(a: TropMatrix) -> list[StabilizerElement]:
@@ -110,7 +120,17 @@ def _connected_sigma(a: TropMatrix) -> list[StabilizerElement]:
     0, one per pattern pair."""
     gens = _sigma_generators(a)
     u, v, _b = normalize_eigenvectors(a, gens)
-    return _sigma_elements(gens, u, v)
+    elements, _entries, _zero, decode = _sigma_listing(a, gens, u, v)
+    return _sorted_elements(
+        [
+            StabilizerElement(
+                MonomialMatrix(s, tuple(map(decode, p))),
+                MonomialMatrix(t, tuple(map(decode, q))),
+                ZERO,
+            )
+            for s, p, t, q in elements
+        ]
+    )
 
 
 def right_mate(a: TropMatrix, p: MonomialMatrix) -> MonomialMatrix:
@@ -207,12 +227,8 @@ def commuting_units(e: TropMatrix) -> list[StabilizerElement]:
         raise NotIdempotent("commutation search requires an idempotent")
     if not has_full_rank(e):
         raise NotFullRank("commutation search requires full rank")
-    out = []
-    for sigma, lam in commuting_solutions(e):
-        ev = monomial_eigenvalue(MonomialMatrix(sigma, lam))
-        p = MonomialMatrix(sigma, tuple(x - ev for x in lam))
-        out.append(StabilizerElement(p, p, Value(0)))
-    return _sorted_elements(out)
+    units = [MonomialMatrix(sigma, lam) for sigma, lam in commuting_solutions(e)]
+    return _sorted_elements([StabilizerElement(p, p, ZERO) for p in units])
 
 
 def _neg(code):

@@ -343,48 +343,53 @@ def test_verify_flags_directly():
 
 
 def test_verify_flags_report_only_multiple_eigenvalues_as_false(monkeypatch):
-    """An error other than MultipleEigenvalues in the eigenvalue check is a
-    fault of the program, not a false flag."""
+    """An error other than MultipleEigenvalues in the code-level cycle
+    check is a fault of the program, not a false flag."""
     from tropgroups import cli
 
-    def broken(p):
-        raise TypeError("broken eigenvalue")
+    def broken(sigma, codes):
+        raise TypeError("broken cycle check")
 
-    monkeypatch.setattr(cli, "monomial_eigenvalue", broken)
+    monkeypatch.setattr(cli, "cycle_mean", broken)
     with pytest.raises(TypeError):
         verify_flags(matrix_f())
 
 
-@pytest.mark.parametrize("at_fixed_point", [True, False])
-def test_verify_flags_catch_a_perturbed_sigma_element(monkeypatch, at_fixed_point):
-    """Shift one scaling of one non-generator Sigma element of F: the flags
-    that read every element turn false, and position agreement only when
-    the scaling sits at a fixed point of the pattern."""
+def _flags_with_one_code_shifted(monkeypatch, side, at_fixed_point):
+    """The false flags of F when one scaling code on ``side`` ("P" or
+    "Q") of one non-generator Sigma element is shifted by 1, at a fixed
+    point of that side's pattern or at a moved point."""
     from tropgroups import cli
-    from tropgroups.matrix import MonomialMatrix
-    from tropgroups.semiring import Value
-    from tropgroups.stabilizer import StabilizerElement
 
-    orig = cli._sigma_elements
+    orig = cli._sigma_listing
     factor = cli.analyze_matrix(matrix_f()).description.factors[0]
     gens = {g.images for g, _ in factor.paired.generators}
 
+    def bump(codes, i):
+        return codes[:i] + ((codes[i][0] + 1, *codes[i][1:]),) + codes[i + 1 :]
+
     def perturbed(*args):
-        elements = orig(*args)
-        for k, el in enumerate(elements):
-            s = el.P.sigma
-            fixed = [i for i in range(len(s)) if s[i] == i]
-            spots = fixed if at_fixed_point else [i for i in range(len(s)) if s[i] != i]
-            if s not in gens and spots and len(fixed) < len(s):
+        elements, *rest = orig(*args)
+        for k, (s, p, t, q) in enumerate(elements):
+            pattern = s if side == "P" else t
+            fixed = [i for i, x in enumerate(pattern) if x == i]
+            moved = [i for i, x in enumerate(pattern) if x != i]
+            spots = fixed if at_fixed_point else moved
+            if s not in gens and spots and moved:
                 i = spots[0]
-                scal = list(el.P.scalings)
-                scal[i] = scal[i] + Value(1)
-                bad = StabilizerElement(MonomialMatrix(s, scal), el.Q, el.eigenvalue)
-                return elements[:k] + [bad] + elements[k + 1 :]
+                bad = (s, bump(p, i), t, q) if side == "P" else (s, p, t, bump(q, i))
+                return [*elements[:k], bad, *elements[k + 1 :]], *rest
         raise AssertionError("no element to perturb")
 
-    monkeypatch.setattr(cli, "_sigma_elements", perturbed)
-    flags = verify_flags(matrix_f())
+    monkeypatch.setattr(cli, "_sigma_listing", perturbed)
+    return {name for name, ok in verify_flags(matrix_f()).items() if not ok}
+
+
+@pytest.mark.parametrize("at_fixed_point", [True, False])
+def test_verify_flags_catch_a_perturbed_sigma_element(monkeypatch, at_fixed_point):
+    """Shift one P scaling code of one non-generator Sigma element of F:
+    the flags that read every element turn false, and position agreement
+    only when the scaling sits at a fixed point of the pattern."""
     broken = {
         "pair_equations",
         "single_eigenvalue",
@@ -393,7 +398,18 @@ def test_verify_flags_catch_a_perturbed_sigma_element(monkeypatch, at_fixed_poin
     }
     if at_fixed_point:
         broken.add("position_agreement")
-    assert {name for name, ok in flags.items() if not ok} == broken
+    assert _flags_with_one_code_shifted(monkeypatch, "P", at_fixed_point) == broken
+
+
+def test_verify_flags_catch_a_perturbed_q_scaling(monkeypatch):
+    """Shift one Q scaling code of one non-generator Sigma element of F:
+    closure, position agreement and the comparison with the commuting
+    units read P only, so just the pair equations and the eigenvalue turn
+    false."""
+    assert _flags_with_one_code_shifted(monkeypatch, "Q", False) == {
+        "pair_equations",
+        "single_eigenvalue",
+    }
 
 
 def test_reports_are_byte_identical(tmp_path):

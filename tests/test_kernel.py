@@ -3,12 +3,15 @@
 Random matrices mix -inf, fractions with several denominators and
 several infinitesimal tags, drawn from a small pool per case so that
 equal entries, equal differences and ties in the principal solution
-occur.  ``mat_mul``, ``member``, ``col_space_equal`` and the first pair
-solution run on codes; the references in ``helpers`` run on ``Value``.
+occur.  ``mat_mul``, ``member``, ``col_space_equal``, the first pair
+solution and the eigenvalue shift of a unit run on codes; the references
+in ``helpers`` and ``monomial_eigenvalue`` run on ``Value``.
 """
 
 import random
 from fractions import Fraction
+
+import pytest
 
 from helpers import (
     ref_apply,
@@ -18,9 +21,15 @@ from helpers import (
     ref_pair_solvable,
 )
 from tropgroups.graphs import support_components
-from tropgroups.matrix import MonomialMatrix, TropMatrix, mat_mul
-from tropgroups.pairsearch import pair_solutions
-from tropgroups.semiring import NEG_INF, Value
+from tropgroups.matrix import (
+    MonomialMatrix,
+    MultipleEigenvalues,
+    TropMatrix,
+    mat_mul,
+    monomial_eigenvalue,
+)
+from tropgroups.pairsearch import _eigenvalue_zero, cycle_mean, pair_solutions
+from tropgroups.semiring import NEG_INF, ZERO, Value, encode
 from tropgroups.spaces import col_space_equal, member
 
 
@@ -120,3 +129,73 @@ def test_first_pair_solution_matches_reference():
             q = MonomialMatrix(tau, mu).expand()
             assert ref_mat_mul(p, source) == ref_mat_mul(target, q)
     assert 40 <= found < 80
+
+
+def unit_with_cycles(rng, lengths, pool):
+    """A unit whose cycles have the given lengths, each with one mean, a
+    scalar of the pool divided by 1 to 6, and the pattern's points
+    shuffled."""
+    points = rng.sample(range(sum(lengths)), sum(lengths))
+    mean = rng.choice(pool).div_int(rng.randint(1, 6))
+    sigma, lam = [0] * len(points), [ZERO] * len(points)
+    start = 0
+    for k in lengths:
+        cycle = points[start : start + k]
+        start += k
+        rest = rng.choices(pool, k=k - 1)
+        for i, x in zip(cycle, [*rest, mean.mul_int(k) - sum(rest, ZERO)]):
+            lam[i] = x
+        for i, j in zip(cycle, cycle[1:] + cycle[:1]):
+            sigma[i] = j
+    return sigma, lam
+
+
+def test_eigenvalue_shift_on_codes_matches_scalar_shift():
+    """``_eigenvalue_zero`` on codes against ``monomial_eigenvalue`` and
+    ``Value.__sub__``, for units with cycles of length 1 to 6 and tagged
+    fractional scalings: the shifted unit and its mate agree, including
+    where the cycle length does not divide k*x - S, equal scalars hash
+    equal however they were built, and cycles of unequal means raise
+    MultipleEigenvalues on codes as on scalars."""
+    rng = random.Random(83)
+    undivided = multiple = 0
+    for _ in range(200):
+        pool = scalar_pool(rng, 4)
+        lengths = [rng.randint(1, 6) for _ in range(rng.randint(1, 3))]
+        sigma, lam = unit_with_cycles(rng, lengths, pool)
+        mu = rng.choices(pool, k=rng.randint(1, 6))
+        (lam_codes, mu_codes), decode = encode(lam, mu)
+
+        ev = monomial_eigenvalue(MonomialMatrix(sigma, lam))
+        shifted = _eigenvalue_zero(decode, sigma, lam_codes, mu_codes)
+        expected = [tuple(x - ev for x in lam), tuple(x - ev for x in mu)]
+        assert shifted == expected
+        for ours, ref in zip(shifted[0] + shifted[1], expected[0] + expected[1]):
+            assert hash(ours) == hash(ref)
+        k, total = cycle_mean(sigma, lam_codes)
+        undivided += any((k * c - t) % k for x in lam_codes for c, t in zip(x, total))
+
+        if len(lengths) > 1:
+            multiple += 1
+            i = rng.randrange(len(sigma))
+            bad = lam[:i] + [lam[i] + Value(1)] + lam[i + 1 :]
+            (bad_codes,), _ = encode(bad)
+            with pytest.raises(MultipleEigenvalues):
+                monomial_eigenvalue(MonomialMatrix(sigma, bad))
+            with pytest.raises(MultipleEigenvalues):
+                cycle_mean(sigma, bad_codes)
+    assert undivided > 10 and multiple > 20
+
+
+def test_lazily_hashed_scalars_hash_equal_when_equal():
+    """A scalar hashed before another equal one is built, or after, or
+    never compared first: equal scalars hash equal either way."""
+    x = Value(Fraction(1, 3), {2: Fraction(-1, 7)})
+    h = hash(x)
+    (codes,), decode = encode([x, Value(1)])
+    y = decode(tuple(3 * c for c in codes[0]), 3)
+    z = Value(1, {2: Fraction(-3, 7)}).div_int(3)
+    assert y is x  # divisible: the encoded scalar itself
+    assert z == x and hash(z) == h
+    w = decode(codes[0], 3)
+    assert w == x.div_int(3) and hash(x.div_int(3)) == hash(w)

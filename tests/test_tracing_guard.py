@@ -46,3 +46,20 @@ def test_tracer_sees_the_searches_of_one_cli_request(tmp_path, capsys):
     tracer.end_round()
     assert tracer.metric_value("pairsearch.pair_solutions.calls") >= 1
     assert tracer.metric_value("permgroups.automorphisms.calls") >= 1
+
+
+def test_analysis_shifts_eigenvalues_on_codes(tmp_path, capsys):
+    """``analyze F`` makes no ``Value`` sum, difference or negation: Sigma's
+    generators reach eigenvalue 0 on integer codes, and scalars are built
+    only when a result is decoded."""
+    path = tmp_path / "f.txt"
+    path.write_text(matrix_f().to_text() + "\n")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert tropgroups.cli.main(["analyze", str(path), "--json"]) == 0
+    finally:
+        tracer.uninstall()
+    tracer.end_round()
+    assert tracer.metric_value("pairsearch.pair_solutions.calls") >= 1
+    assert tracer.metric_value("semiring.value_add.calls") == 0
