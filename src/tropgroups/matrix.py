@@ -13,6 +13,7 @@ grammar; blank lines and ``#`` comments are ignored.  JSON alternative:
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from operator import add
 from typing import Iterable, Sequence
 
@@ -67,8 +68,20 @@ class TropMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "TropMatrix":
-        """Build from any mix of Value / NEG_INF / int / Fraction / str."""
-        return cls([[as_scalar(x) for x in row] for row in rows])
+        """Build from any mix of Value / NEG_INF / int / Fraction / str.
+        Equal tokens become one scalar object, which ``encode`` and row
+        comparisons then meet once."""
+        shared: dict = {}
+
+        def scalar(x):
+            if not isinstance(x, (str, int, Fraction)):
+                return as_scalar(x)
+            s = shared.get(x)
+            if s is None:
+                s = shared[x] = as_scalar(x)
+            return s
+
+        return cls([[scalar(x) for x in row] for row in rows])
 
     @classmethod
     def identity(cls, n: int) -> "TropMatrix":
@@ -349,10 +362,10 @@ def parse_matrix_text(text: str) -> TropMatrix:
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
-        rows.append([as_scalar(tok) for tok in body.split()])
+        rows.append(body.split())
     if not rows:
         raise ValueError("no matrix rows found")
-    return TropMatrix(rows)
+    return TropMatrix.from_rows(rows)
 
 
 def parse_matrix_json(data) -> TropMatrix:

@@ -15,7 +15,8 @@ a one-parameter family; the search anchors mu at one column to 0, so each
 solution it finds represents one feasible pattern pair.  With A = B the
 feasible pattern pairs form a group, and the search returns generators of
 it, found by ``permgroups.base_and_orbit`` one first-only completion per
-(base point, image), never the whole group.  ``permgroups.complete`` makes
+image of a base point that the generators found at that point do not
+already reach, never the whole group.  ``permgroups.complete`` makes
 every completion, extending the points in the order of ``_vertex_order``.
 Both spend ``permgroups``' search budget, one node per push; so does the
 independent check of this search, ``commuting_solutions``, in its own loop.
@@ -260,6 +261,12 @@ class _PairSearch:
         return sigma, tau, tuple(map(self.decode, lam)), tuple(map(self.decode, mu))
 
 
+def _image(found, point):
+    """The image of a point (side, index) under a ``solution()``."""
+    side, x = point
+    return side, found[side][x]
+
+
 def pair_solutions(target: TropMatrix, source: TropMatrix, *, first_only: bool = False):
     """Solutions (sigma, tau, lam, mu) of P @ source = target @ Q.  With
     ``first_only``, the first one found, if any, mu anchored to 0 at the
@@ -275,7 +282,7 @@ def pair_solutions(target: TropMatrix, source: TropMatrix, *, first_only: bool =
         return [] if first is None else [search.decoded(first, eigenvalue_zero=False)]
     return [
         search.decoded(f, eigenvalue_zero=True)
-        for f in base_and_orbit(search, search.order)[0]
+        for f in base_and_orbit(search, search.order, act=_image)[0]
     ]
 
 

@@ -34,8 +34,11 @@ group itself is never listed), narrowing each vertex's candidate images
 as the map grows.  That loop, ``base_and_orbit``, and its depth-first
 ``complete`` also drive the pair search of ``pairsearch``, which finds
 generators of the unit stabilizer Sigma the same way, on an explicit
-stack.  All searches and listings in a ``search_budget`` block spend from
-its budget; one outside every block has DEFAULT_MAX_NODES nodes of its own.
+stack, but skips the images of a base point already in its orbit under
+the generators found there.  The automorphism search tries every image,
+so a 2-closure keeps each first completion as a generator.  All searches
+and listings in a ``search_budget`` block spend from its budget; one
+outside every block has DEFAULT_MAX_NODES nodes of its own.
 
 Groups of different orders are not isomorphic, and equal permutation
 groups are recognised as isomorphic from their tables.  Otherwise two
@@ -555,7 +558,7 @@ class search_budget:
 _BLOCK: ContextVar[Optional[search_budget]] = ContextVar("search budget", default=None)
 
 
-def base_and_orbit(search, base) -> tuple[list, int]:
+def base_and_orbit(search, base, act=None) -> tuple[list, int]:
     """Generators and the order of a group found point by point, the
     classical base-and-orbit backtrack (Seress, *Permutation Group
     Algorithms*, ch. 9).
@@ -569,21 +572,35 @@ def base_and_orbit(search, base) -> tuple[list, int]:
     ``next_point()`` (the point ``complete`` extends next, None once every
     point is mapped) and ``solution()``, the full map; and its ``budget``,
     spent one node per ``push`` in the name of the search, ``name``.
+
+    With ``act(found, point)``, the image of a point under a solution, the
+    orbit of the base point under the generators found at it is kept (they
+    fix the earlier points), and a candidate already in it is counted
+    without a search or a spend.  The generators still span the group, but
+    fewer of them are found.  Without ``act`` every candidate is searched
+    and every completion is kept.
     """
     generators: list = []
     order = 1
     for v in base:
-        orbit = 1  # the identity always extends
+        level = len(generators)  # the generators from here on are found at v
+        orbit = {v}  # the identity always extends
         for w in search.candidates(v):
-            if w != v and _push(search, v, w):
-                found = complete(search)
-                search.pop(v)
-                if found is not None:
-                    generators.append(found)
-                    orbit += 1
+            if w in orbit or not _push(search, v, w):
+                continue
+            found = complete(search)
+            search.pop(v)
+            if found is None:
+                continue
+            generators.append(found)
+            if act is None:
+                orbit.add(w)
+            else:
+                here = generators[level:]
+                orbit = set(components([v], lambda x: [act(f, x) for f in here])[0])
         if not _push(search, v, v):
             raise AssertionError("a fixed base point does not extend")
-        order *= orbit
+        order *= len(orbit)
     return generators, order
 
 

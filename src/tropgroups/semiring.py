@@ -306,8 +306,9 @@ def encode(
     integer k, which need not divide it.
     """
     groups = [tuple(g) for g in groups]
-    # keyed by identity: an equal scalar in another object is encoded
-    # again, which is cheaper than comparing fractions to find it
+    # keyed by identity, which is cheaper than comparing fractions: an
+    # equal scalar in another object is encoded again, but a parsed
+    # matrix holds one object per distinct token (``TropMatrix.from_rows``)
     finite = {id(x): x for g in groups for x in g if x is not NEG_INF}
     dens = {x.std.denominator for x in finite.values()}
     tags = set()

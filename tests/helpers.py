@@ -3,6 +3,7 @@ test suite."""
 
 import itertools
 
+from tropgroups.constructors import alt4_column_matrix, assemble_blocks
 from tropgroups.matrix import MonomialMatrix, TropMatrix
 from tropgroups.semiring import NEG_INF, eps, trop_mul, trop_sum, val
 
@@ -28,6 +29,19 @@ ALT4_10PT_GENS = [
 def matrix_e():
     """2x2 idempotent with free off-diagonal entries."""
     return TropMatrix.from_rows([[0, A_VAL], [B_VAL, 0]])
+
+
+def alt4_columns():
+    """4x12 matrix whose columns are the even permutations of four free
+    entries; its unit stabilizer is A4."""
+    return alt4_column_matrix(*(val(i) + eps(i + 1) for i in range(1, 5)))
+
+
+def alt4_squared():
+    """16x16 matrix of the A4 columns and their transpose; its finite part
+    is A4 x A4 (the paper's separating example)."""
+    m = alt4_columns()
+    return assemble_blocks([(m, 1), (m.transpose(), 1)], val(0))
 
 
 def unit_p():

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import alt4_squared
 from tropgroups.matrix import (
     MonomialMatrix,
     MultipleEigenvalues,
@@ -212,6 +214,43 @@ def test_json_round_trip():
 
     again = parse_matrix(json.dumps(e.to_json_dict()))
     assert again == e
+
+
+def test_equal_tokens_share_one_scalar():
+    text = parse_matrix("1+e2 -inf 0\n0 1+e2 -inf\n-inf 1/2 1+e2")
+    assert text[0, 0] is text[1, 1] is text[2, 2]
+    assert text[0, 2] is text[1, 0]
+    assert text[0, 1] is text[1, 2] is text[2, 0] is NEG_INF
+    as_json = parse_matrix('{"entries": [["1+e2", 0, "1/2"], [0, "1+e2", "1/2"]]}')
+    assert as_json[0, 0] is as_json[1, 1]
+    assert as_json[0, 1] is as_json[1, 0]
+    assert as_json[0, 2] is as_json[1, 2]
+    assert as_json[0, 0] is not text[0, 0]  # nothing is shared between calls
+    built = TropMatrix.from_rows([[1, "1", A_VAL], [Fraction(1), A_VAL, 1]])
+    assert built[0, 0] is built[1, 2] is built[1, 0]
+    assert built[0, 2] is A_VAL  # a scalar passes through as it is
+
+
+def test_encode_meets_one_object_per_distinct_token(monkeypatch):
+    """``encode`` keys its scalars by identity, so over a parsed matrix it
+    encodes each distinct token once, however often the token occurs."""
+    import builtins
+
+    from tropgroups import semiring
+
+    m = alt4_squared()
+    again = parse_matrix(m.to_text())
+    assert again == m
+    tokens = {tok for line in m.to_text().splitlines() for tok in line.split()}
+    seen = set()
+
+    def identity(x):
+        seen.add(builtins.id(x))
+        return builtins.id(x)
+
+    monkeypatch.setattr(semiring, "id", identity, raising=False)
+    semiring.encode(*again.entries)
+    assert len(seen - {builtins.id(NEG_INF)}) == len(tokens) == 5
 
 
 @given(st.integers(min_value=1, max_value=4))

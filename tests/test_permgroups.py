@@ -13,6 +13,7 @@ from tropgroups.permgroups import (
     Perm,
     PermGroup,
     coloured_automorphisms,
+    base_and_orbit,
     coloured_bipartite_automorphisms,
     complete,
     format_cycles,
@@ -246,6 +247,57 @@ def test_search_generators_are_pinned():
             summary.append((order, [(p.images, q.images) for p, q in g.generators]))
     digest = hashlib.sha256(repr(summary).encode()).hexdigest()
     assert digest == SEARCH_SWEEP_DIGEST
+
+
+def _digraph_search(d: ColouredDigraph):
+    ecol = [[-1 if i == j else d.colours[(i, j)] for j in range(d.n)] for i in range(d.n)]
+    return permgroups._AutomorphismSearch(d.n, ecol, [0] * d.n)
+
+
+def _bipartite_search(b: ColouredBipartiteGraph):
+    n, m = b.n, b.m
+    ecol = [[-1] * (n + m) for _ in range(n + m)]
+    for i in range(n):
+        for j in range(m):
+            ecol[i][n + j] = b.edges.get((i, j), -2)
+    return permgroups._AutomorphismSearch(n + m, ecol, [0] * n + [1] * m)
+
+
+def _search_run(search, act):
+    """Pushes made, generators and order of ``base_and_orbit`` on ``search``."""
+    pushes = []
+    push = search.push
+    search.push = lambda v, w: pushes.append(v) or push(v, w)
+    gens, order = base_and_orbit(search, range(search.nv), act=act)
+    return len(pushes), gens, order
+
+
+def test_orbit_pruning_keeps_the_order_with_no_more_pushes():
+    """``base_and_orbit`` with ``act`` skips the candidates already in the
+    base point's orbit: the order is the same, its generators span a group
+    of that order, and it pushes no more than the search of every
+    candidate, on the seeded coloured digraphs and bipartite graphs."""
+    rng = random.Random(11)
+    cases = []
+    for _ in range(60):
+        n, k = rng.randint(1, 9), rng.randint(1, 3)
+        d = ColouredDigraph(n, {(i, j): rng.randrange(k) for i in range(n) for j in range(n) if i != j})
+        cases.append((_digraph_search, d))
+    for _ in range(60):
+        b = _random_bipartite(rng, rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 3), 0.25)
+        cases.append((_bipartite_search, b))
+    # a regular group: its first completion moves the base point round its orbit
+    cases.append((_digraph_search, pair_orbit_colouring(PermGroup.from_cycles(7, ["(1,2,3,4,5,6,7)"]))))
+    saved = 0
+    for make, graph in cases:
+        pushes, _, order = _search_run(make(graph), None)
+        pruned_pushes, gens, pruned_order = _search_run(make(graph), lambda f, x: f[x])
+        assert pruned_order == order
+        degree = len(gens[0]) if gens else 1
+        assert PermGroup(degree, [Perm(g) for g in gens]).order() == order
+        assert pruned_pushes <= pushes
+        saved += pushes - pruned_pushes
+    assert saved > 0
 
 
 def test_two_closure_examples():

@@ -12,12 +12,18 @@ import json
 
 import pytest
 
-from helpers import ALT4_10PT_GENS, SECTION4, matrix_e, matrix_f
+from helpers import ALT4_10PT_GENS, SECTION4, alt4_columns, matrix_e, matrix_f
 from tropgroups.cli import main
 
-MATRICES = {"E": matrix_e, "F": matrix_f, "section4": lambda: SECTION4}
+MATRICES = {
+    "E": matrix_e,
+    "F": matrix_f,
+    "section4": lambda: SECTION4,
+    "A4col": alt4_columns,
+}
 
 CASES = {
+    "analyze-A4col": (["analyze", "{A4col}", "--json"], None),
     "analyze-E": (["analyze", "{E}", "--json"], None),
     "analyze-F": (["analyze", "{F}", "--json"], None),
     "analyze-section4": (["analyze", "{section4}", "--json"], None),
@@ -34,6 +40,7 @@ CASES = {
 }
 
 EXPECTED = {
+    "analyze-A4col": "656dc632b89c22509ed84bcee61a0bb82bd1a6ecbc6a049bb2183f61a91441b8",
     "analyze-E": "ec1ea043709f42c30b3859c5039893402040ac969b101bc205b86dc123852c3d",
     "analyze-F": "867d14a0742d4bab3ad9fa52f27adf9ab4f189132c5e7a921f682a89e2cef1bb",
     "analyze-section4": "f591976b7de54ac96cfef78622b5b63fb25ba27233465b4f5c2f80c44478e78c",

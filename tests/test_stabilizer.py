@@ -4,7 +4,17 @@ import random
 
 import pytest
 
-from helpers import A_VAL, B_VAL, SECTION4, matrix_e, matrix_f, unit_p, unit_q
+from helpers import (
+    A_VAL,
+    B_VAL,
+    SECTION4,
+    alt4_columns,
+    alt4_squared,
+    matrix_e,
+    matrix_f,
+    unit_p,
+    unit_q,
+)
 from tropgroups.constructors import alt4_column_matrix, assemble_blocks, construct_idempotent
 from tropgroups.matrix import MonomialMatrix, TropMatrix, monomial_eigenvalue
 from tropgroups.pairsearch import NotConnected, pair_solutions
@@ -300,6 +310,32 @@ def test_symmetric_group_witnesses(n, monkeypatch):
     assert len(pair_solutions(e, e)) < n * n
     if n <= 5:
         assert len(stabilizer_pairs(e)) == math.factorial(n)
+
+
+@pytest.mark.parametrize(
+    "build, order, max_pushes", [(alt4_columns, 12, 402), (alt4_squared, 144, 1026)]
+)
+def test_sigma_search_skips_images_already_reached(build, order, max_pushes, monkeypatch):
+    """The generators of Sigma span its pattern group, and the search tries
+    no image of a base point that they already reach: without that the
+    search makes 1387 and 4099 pushes on these two matrices."""
+    from tropgroups import pairsearch
+
+    pushes = []
+    push = pairsearch._PairSearch.push
+
+    def counted(self, point, image):
+        pushes.append(point)
+        return push(self, point, image)
+
+    monkeypatch.setattr(pairsearch._PairSearch, "push", counted)
+    a = build()
+    n = a.nrows
+    gens = [
+        Perm(sigma + tuple(n + j for j in tau)) for sigma, tau, _, _ in pair_solutions(a, a)
+    ]
+    assert PermGroup(n + a.ncols, gens).order() == order
+    assert len(pushes) <= max_pushes
 
 
 def test_pair_solutions_generators_need_equal_matrices():
