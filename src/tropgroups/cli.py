@@ -280,19 +280,19 @@ def _plus(x, y):
 def verify_flags(a: TropMatrix) -> dict:
     """The full invariant suite on one matrix; every flag must be true.
 
-    Every stage is read from one ``Analysis``, and each Sigma is listed
-    from its generators there on integer codes (``_sigma_listing``), so
-    every check made on each element compares codes.  ``h_related(P @ A,
-    A)`` and the eigenvector normal form are checked on the generators of
-    each factor only, on scalars.  That is exact: P is a unit, so P @ A has
-    the row space of A, and the pair equation P @ A = A @ Q, checked on
-    every element, gives C(P @ A) = C(A) because Q is a unit too.
-    Eigenvalue 0 is a zero code sum on every cycle of P and of Q.  Closure
-    is checked as generator times element, inverses and the order, as
-    lookups of (pattern, codes) keys; position agreement, that two elements
-    with the same image of a point scale it alike, as a zero scaling code
-    at every fixed point, which is the same once closure holds (x^-1 @ y
-    runs over Sigma).
+    Every stage is read from one ``Analysis``.  Each Sigma is listed on
+    integer codes from its factor's pattern group, the one the analysis
+    reported (``_sigma_listing``), so every check made on each element
+    compares codes.  ``h_related(P @ A, A)`` and the eigenvector normal form
+    are checked on the generators of each factor only, on scalars.  That is
+    exact: P is a unit, so P @ A has the row space of A, and the pair
+    equation P @ A = A @ Q, checked on every element, gives C(P @ A) = C(A)
+    because Q is a unit too.  Eigenvalue 0 is a zero code sum on every cycle
+    of P and of Q.  Closure is checked as generator times element, inverses
+    and the order, as lookups of (pattern, codes) keys; position agreement,
+    that two elements with the same image of a point scale it alike, as a
+    zero scaling code at every fixed point, which is the same once closure
+    holds (x^-1 @ y runs over Sigma).
     """
     flags: dict[str, bool] = {}
     flags["format_round_trip"] = parse_matrix(a.to_text()) == a
@@ -304,16 +304,11 @@ def verify_flags(a: TropMatrix) -> dict:
 
     pair_ok = eigen_ok = closure_ok = agree_ok = h_ok = norm_ok = True
     sigmas = []
-    for cls, sigma_gens, (u, v, b), factor in zip(
-        an.partition.classes,
-        an.sigma_generators,
-        an.normalisations,
-        an.description.factors,
+    for cls, (u, v, b), factor in zip(
+        an.partition.classes, an.normalisations, an.description.factors
     ):
         rep = an.restrictions[cls.representative]
-        elements, entries, zero, decode = _sigma_listing(
-            rep, sigma_gens, u, v, factor.order
-        )
+        elements, entries, zero, decode = _sigma_listing(rep, factor.paired, u, v)
         sigmas.append((elements, decode))
         gens = {g.images for g, _ in factor.paired.generators}
         keys = {(s, p) for s, p, _, _ in elements}

@@ -452,14 +452,20 @@ def _spec_list(value, what: str, length: Optional[int] = None) -> list:
     return value
 
 
-def _spec_edges(data: dict) -> dict:
+def _spec_edges(data: dict, n: int, m: Optional[int] = None) -> dict:
+    """The 0-based edges of a spec: from 1..n to 1..m, or between distinct
+    points of 1..n when m is None; errors name an edge as the spec does."""
     edges = {}
     for item in _spec_list(data.get("edges", []), "edges"):
         i, j, colour = _spec_list(item, "an edge", 3)
         if isinstance(colour, (list, dict)):
             raise ValueError("an edge colour must be a string, number, boolean or null")
-        i, j = (_spec_int(x, "an edge end") - 1 for x in (i, j))
-        edges[(i, j)] = colour
+        i, j = (_spec_int(x, "an edge end") for x in (i, j))
+        if not (1 <= i <= n and 1 <= j <= (n if m is None else m)):
+            raise ValueError(f"edge ({i}, {j}) out of range")
+        if m is None and i == j:
+            raise ValueError(f"edge ({i}, {j}) is a loop")
+        edges[(i - 1, j - 1)] = colour
     return edges
 
 
@@ -480,18 +486,21 @@ def parse_construction_spec(data: dict):
       {"bidegree": [n, m], "generators": [["(1,2)", "(1,2)"], ...]}
 
     Returns ("bipartite", graph) or ("idempotent", group-or-digraph).
-    Raises ValueError on anything else, including wrong types and colours
-    that are JSON lists or objects.
+    Raises ValueError on anything else: wrong types, list or object
+    colours, edges out of range or looping, or two kinds in one spec.
     """
     if not isinstance(data, dict):
         raise ValueError("a construction spec must be a JSON object")
+    named = [k for k in ("omega", "vertices", "bidegree", "degree") if k in data]
+    if len(named) != 1:
+        raise ValueError(f"a spec names one of omega, vertices, bidegree, degree, not {named}")
     gens = _spec_list(data.get("generators", []), "generators")
     if "omega" in data:
         n, m = _spec_int(data["omega"], "omega"), _spec_int(data.get("theta"), "theta")
-        return "bipartite", ColouredBipartiteGraph(n, m, _spec_edges(data))
+        return "bipartite", ColouredBipartiteGraph(n, m, _spec_edges(data, n, m))
     if "vertices" in data:
         n = _spec_int(data["vertices"], "vertices")
-        return "idempotent", ColouredDigraph.from_partial(n, _spec_edges(data))
+        return "idempotent", ColouredDigraph.from_partial(n, _spec_edges(data, n))
     if "bidegree" in data:
         degrees = _spec_list(data["bidegree"], "bidegree", 2)
         n, m = (_spec_int(x, "bidegree") for x in degrees)
@@ -500,7 +509,5 @@ def parse_construction_spec(data: dict):
             (n, m), [(_spec_cycles(g, n), _spec_cycles(h, m)) for g, h in pairs]
         )
         return "bipartite", paired_orbit_colouring(paired)
-    if "degree" in data:
-        n = _spec_int(data["degree"], "degree")
-        return "idempotent", PermGroup(n, [_spec_cycles(g, n) for g in gens])
-    raise ValueError("unrecognised construction spec")
+    n = _spec_int(data["degree"], "degree")
+    return "idempotent", PermGroup(n, [_spec_cycles(g, n) for g in gens])

@@ -12,8 +12,10 @@ isomorphism test extends, is read off the table too
 (``_greedy_generators``).
 
 A paired group is one permutation group, ``joint``, on the n + m disjoint
-points of its two sides (``_join``, undone by ``_split``); its
-faithfulness is read off the tables or, where it is listed, off the list.
+points of its two sides, with one generator list: generators are joined
+(``_join``) only where they come in as pairs, and read back by ``_split``.
+Its faithfulness is read off the tables or, where it is listed, off the
+list.
 
 Every element list comes from ``_span``, which adds the generators one at
 a time and skips each one already reached, so redundant generators (a
@@ -66,6 +68,9 @@ DEFAULT_MAX_NODES = 2_000_000
 
 class NotFaithful(ValueError):
     """A paired action where one side does not determine the other."""
+
+
+_ONE_SIDED = "one-sided kernel element: the paired action is not faithful"
 
 
 class Perm:
@@ -396,17 +401,17 @@ class PermGroup:
 
 
 class PairedPermGroup:
-    """A group acting on two sets, given by generator pairs (left, right).
+    """A group acting on two sets, held as one group ``joint`` on the n + m
+    disjoint points of the two sides (see ``_join``), built from generator
+    pairs (left, right) or, by ``_of``, from image tuples on those points.
+    ``generators`` reads the pairs off ``joint``'s one generator list, in
+    its order; the order, table and ``known_order`` are those of ``joint``.
+    Both coordinate projections must be faithful.  Every order that is not
+    known checks that on the tables (``_checked``), every listing on the
+    list, and the 2-closure checks a group built with ``known_order`` that
+    nothing has checked yet."""
 
-    The group is the set of pairs generated componentwise, held as one
-    group ``joint`` on the n + m disjoint points of the two sides (see
-    ``_join``); its order, table and ``known_order`` are those of
-    ``joint``.  Both coordinate projections must be faithful.  Every order
-    that is not known checks that on the tables (``_checked``), every
-    listing on the list, and the 2-closure checks a group built with
-    ``known_order`` that nothing has checked yet."""
-
-    __slots__ = ("degrees", "generators", "joint", "_elements", "_faithful")
+    __slots__ = ("degrees", "joint", "_elements", "_faithful")
 
     def __init__(
         self,
@@ -415,25 +420,34 @@ class PairedPermGroup:
         *,
         known_order: Optional[int] = None,
     ):
-        gens = tuple(
-            (g, h)
-            for g, h in generators
-            if not (g.is_identity() and h.is_identity())
-        )
-        for g, h in gens:
+        joined = []
+        for g, h in generators:
             if g.degree != degrees[0] or h.degree != degrees[1]:
                 raise ValueError("generator degree mismatch")
-        joint = PermGroup(
-            sum(degrees), [Perm._of(_join(g, h)) for g, h in gens], known_order=known_order
-        )
+            joined.append(_join(g, h))
+        self._init(degrees, joined, known_order)
+
+    @classmethod
+    def _of(cls, degrees, joined, known_order=None) -> "PairedPermGroup":
+        """The group of side-keeping image tuples on the n + m joint points."""
+        out = object.__new__(cls)
+        out._init(degrees, joined, known_order)
+        return out
+
+    def _init(self, degrees, joined, known_order) -> None:
+        joint = PermGroup(sum(degrees), map(Perm._of, joined), known_order=known_order)
         object.__setattr__(self, "degrees", tuple(degrees))
-        object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "joint", joint)
         object.__setattr__(self, "_elements", [None])
         object.__setattr__(self, "_faithful", [False])
 
     def __setattr__(self, name, value):
         raise AttributeError("PairedPermGroup is immutable")
+
+    @property
+    def generators(self) -> tuple[tuple[Perm, Perm], ...]:
+        """The generator pairs, read off ``joint``'s generators."""
+        return tuple(_split(g.images, self.degrees[0]) for g in self.joint.generators)
 
     def elements(self) -> frozenset[tuple[Perm, Perm]]:
         """The pairs of the group; NotFaithful if one is the identity on
@@ -447,9 +461,7 @@ class PairedPermGroup:
             listed = _span([g.images for g in joint.generators], ident)
             for x in listed:
                 if (x[:n] == ident[:n]) != (x[n:] == ident[n:]):
-                    raise NotFaithful(
-                        "one-sided kernel element: the paired action is not faithful"
-                    )
+                    raise NotFaithful(_ONE_SIDED)
             self._faithful[0] = True
             self._elements[0] = frozenset(_split(x, n) for x in listed)
         return self._elements[0]
@@ -465,9 +477,7 @@ class PairedPermGroup:
         rows = self.joint._sims()
         right = PermGroup(m, [h for _, h in self.generators])
         if prod(map(len, rows[n:])) != 1 or right.order() != prod(map(len, rows)):
-            raise NotFaithful(
-                "one-sided kernel element: the paired action is not faithful"
-            )
+            raise NotFaithful(_ONE_SIDED)
         self._faithful[0] = True
 
     def greedy(self) -> "PairedPermGroup":
@@ -475,9 +485,8 @@ class PairedPermGroup:
         faithfulness checked, without listing it.  With faithful sides the
         lex order on the n + m images is the one on the left images."""
         self._checked()
-        n = self.degrees[0]
-        pairs = [_split(x, n) for x, _ in _greedy_generators(self.joint._sims())]
-        out = PairedPermGroup(self.degrees, pairs, known_order=self.joint.order())
+        gens = [x for x, _ in _greedy_generators(self.joint._sims())]
+        out = PairedPermGroup._of(self.degrees, gens, self.joint.order())
         out._faithful[0] = True
         return out
 
@@ -492,16 +501,18 @@ class PairedPermGroup:
         return PermGroup(self.degrees[0], [g for g, _ in self.generators])
 
     def __repr__(self):
-        return f"PairedPermGroup(degrees={self.degrees}, ngens={len(self.generators)})"
+        return f"PairedPermGroup(degrees={self.degrees}, ngens={len(self.joint.generators)})"
 
 
 # -- orbit colourings --
 
 
-def _orbit_ids(points, act) -> dict:
-    """Orbit id of every point, numbered by the first point of each orbit
-    in the order given."""
-    return {x: k for k, orbit in enumerate(components(points, act)) for x in orbit}
+def _pair_orbit_ids(g: PermGroup, pairs: list) -> dict:
+    """Orbit id of every pair of points under the diagonal action of g,
+    numbered by the first pair of each orbit in the order given."""
+    gens = [p.images for p in g.generators]
+    orbits = components(pairs, lambda ab: [(p[ab[0]], p[ab[1]]) for p in gens])
+    return {x: k for k, orbit in enumerate(orbits) for x in orbit}
 
 
 def pair_orbit_colouring(g: PermGroup) -> ColouredDigraph:
@@ -510,20 +521,15 @@ def pair_orbit_colouring(g: PermGroup) -> ColouredDigraph:
     contain, in lexicographic order."""
     n = g.degree
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    gens = [p.images for p in g.generators]
-    return ColouredDigraph(
-        n, _orbit_ids(pairs, lambda ab: [(p[ab[0]], p[ab[1]]) for p in gens])
-    )
+    return ColouredDigraph(n, _pair_orbit_ids(g, pairs))
 
 
 def paired_orbit_colouring(g: PairedPermGroup) -> ColouredBipartiteGraph:
-    """Orbit colouring of the full product of the two vertex sets."""
+    """Orbit colouring of the full product of the two vertex sets: the
+    orbits of the pairs (i, n + j) under ``joint``."""
     n, m = g.degrees
-    pairs = [(i, j) for i in range(n) for j in range(m)]
-    gens = [(p.images, q.images) for p, q in g.generators]
-    return ColouredBipartiteGraph(
-        n, m, _orbit_ids(pairs, lambda ab: [(p[ab[0]], q[ab[1]]) for p, q in gens])
-    )
+    ids = _pair_orbit_ids(g.joint, [(i, n + j) for i in range(n) for j in range(m)])
+    return ColouredBipartiteGraph(n, m, {(i, j - n): k for (i, j), k in ids.items()})
 
 
 # -- coloured-graph automorphisms --
@@ -741,8 +747,7 @@ def coloured_bipartite_automorphisms(g: ColouredBipartiteGraph) -> PairedPermGro
     n, m = g.n, g.m
     colours = (((i, n + j), g.edges.get((i, j), _ABSENT)) for i in range(n) for j in range(m))
     gens, order = _automorphisms(n + m, colours, [0] * n + [1] * m)
-    pairs = [_split(tuple(img), n) for img in gens]
-    return PairedPermGroup((n, m), pairs, known_order=order)
+    return PairedPermGroup._of((n, m), map(tuple, gens), order)
 
 
 # -- 2-closures --

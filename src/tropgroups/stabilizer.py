@@ -6,10 +6,10 @@ finite-entry graph of A is connected every element has a single eigenvalue
 (the common cycle mean of its pattern) and the group splits as a scaling
 line times the finite group Sigma of eigenvalue-0 elements.  The pair search
 yields generators of Sigma; the analysis reads its order and reported
-generators off their Sims table, and where the elements are needed they
-are rebuilt from the closure of the generators' patterns, with the
-scalings read off the common eigenvectors that ``normalize_eigenvectors``
-finds, as integer codes (``_sigma_listing``).
+generators off the Sims table of their patterns' group, and where the
+elements are needed that group is listed, with the scalings read off the
+common eigenvectors that ``normalize_eigenvectors`` finds, as integer
+codes (``_sigma_listing``).
 
 Disconnected matrices decompose along component classes: the full group is
 a direct product over classes of wreath-type factors, one (R x G_alpha) per
@@ -86,26 +86,19 @@ def _sigma_generators(a: TropMatrix) -> list[StabilizerElement]:
 
 
 def _sigma_listing(
-    a: TropMatrix,
-    generators,
-    u: MonomialMatrix,
-    v: MonomialMatrix,
-    order: Optional[int] = None,
+    a: TropMatrix, group: PairedPermGroup, u: MonomialMatrix, v: MonomialMatrix
 ):
-    """Every element of the Sigma the generators span, on integer codes,
-    given the units U, V of ``normalize_eigenvectors``.
+    """Every element of the Sigma whose pattern pairs form ``group``, on
+    integer codes, given the units U, V of ``normalize_eigenvectors``.
 
     Returns (elements, entries, zero, decode): one ``encode`` covers the
     entries of A and the scalings of U and V, ``entries`` are the codes of
     A's rows and ``zero`` that of 0.  Each element is (s, p, t, q), the
     pair U^-1 @ s @ U, V @ t @ V^-1 of units: patterns s, t and scaling
-    codes p, q.  ``order``, if known, is the order of the group the
-    generators' patterns span."""
+    codes p, q.  The listing is ``group``'s own, kept on it."""
     ((zero,), du, dv, *entries), decode = encode(
         (ZERO,), u.scalings, v.scalings, *a.entries
     )
-    pairs = [(Perm._of(g.P.sigma), Perm._of(g.Q.sigma)) for g in generators]
-    group = PairedPermGroup((u.degree, v.degree), pairs, known_order=order)
     elements = []
     for g, h in group.elements():
         s, t = g.images, h.images
@@ -120,7 +113,9 @@ def _connected_sigma(a: TropMatrix) -> list[StabilizerElement]:
     0, one per pattern pair."""
     gens = _sigma_generators(a)
     u, v, _b = normalize_eigenvectors(a, gens)
-    elements, _entries, _zero, decode = _sigma_listing(a, gens, u, v)
+    pairs = [(Perm._of(g.P.sigma), Perm._of(g.Q.sigma)) for g in gens]
+    group = PairedPermGroup(a.shape, pairs)
+    elements, _entries, _zero, decode = _sigma_listing(a, group, u, v)
     return _sorted_elements(
         [
             StabilizerElement(
@@ -291,16 +286,26 @@ def normalize_eigenvectors(
 
 @dataclass(frozen=True)
 class Factor:
-    """One wreath-type factor (R x G) wr S_h of a group description."""
+    """One wreath-type factor (R x G) wr S_h of a group description; its
+    degrees and order are read off ``paired``, the pattern group."""
 
     finite_part: PermGroup
     paired: PairedPermGroup
-    degree: int
-    col_degree: int
     multiplicity: int
-    order: int
     component: Optional[Component]
     name: Optional[str]
+
+    @property
+    def degree(self) -> int:
+        return self.paired.degrees[0]
+
+    @property
+    def col_degree(self) -> int:
+        return self.paired.degrees[1]
+
+    @property
+    def order(self) -> int:
+        return self.paired.order()
 
 
 def make_factor(
@@ -308,20 +313,9 @@ def make_factor(
     multiplicity: int,
     component: Optional[Component] = None,
 ) -> Factor:
-    order = paired.order()
-    left = PermGroup(
-        paired.degrees[0], [g for g, _ in paired.generators], known_order=order
-    )
-    return Factor(
-        finite_part=left,
-        paired=paired,
-        degree=paired.degrees[0],
-        col_degree=paired.degrees[1],
-        multiplicity=multiplicity,
-        order=order,
-        component=component,
-        name=identify_group(left),
-    )
+    lefts = [g for g, _ in paired.generators]
+    left = PermGroup(paired.degrees[0], lefts, known_order=paired.order())
+    return Factor(left, paired, multiplicity, component, identify_group(left))
 
 
 @dataclass(frozen=True)
@@ -385,10 +379,10 @@ class Analysis:
 
     ``reduced`` is the full-rank core on ``kept_rows`` x ``kept_cols``;
     ``restrictions`` holds one block of it per component of ``partition``;
-    ``sigma_generators``, ``normalisations`` and ``description.factors``
-    hold one entry per class: generators of the Sigma of the class
-    representative, the (U, V, B) that ``normalize_eigenvectors`` finds for
-    it, and the wreath-type factor.
+    ``normalisations`` and ``description.factors`` hold one entry per
+    class: the (U, V, B) that ``normalize_eigenvectors`` finds for the
+    class representative, and the wreath-type factor, whose ``paired`` is
+    the group of the patterns of its Sigma.
     """
 
     reduced: TropMatrix
@@ -396,7 +390,6 @@ class Analysis:
     kept_cols: tuple[int, ...]
     partition: ComponentPartition
     restrictions: tuple[TropMatrix, ...]
-    sigma_generators: tuple[tuple[StabilizerElement, ...], ...]
     normalisations: tuple[tuple[MonomialMatrix, MonomialMatrix, TropMatrix], ...]
     description: GroupDescription
 
@@ -408,23 +401,21 @@ def analyze_matrix(a: TropMatrix) -> Analysis:
     z, rows, cols = reduce_full_rank(a)
     part = class_partition(z)
     restrictions = tuple(_restrict_unchecked(z, c) for c in part.components)
-    sigma_generators, normalisations, factors = [], [], []
+    normalisations, factors = [], []
     for cls in part.classes:
         rep = restrictions[cls.representative]
-        gens = tuple(_sigma_generators(rep))
+        gens = _sigma_generators(rep)
         normalisations.append(normalize_eigenvectors(rep, gens))
         pairs = [(Perm._of(g.P.sigma), Perm._of(g.Q.sigma)) for g in gens]
         paired = PairedPermGroup(rep.shape, pairs).greedy()
         comp = part.components[cls.representative]
         factors.append(make_factor(paired, len(cls.members), comp))
-        sigma_generators.append(gens)
     return Analysis(
         reduced=z,
         kept_rows=tuple(rows),
         kept_cols=tuple(cols),
         partition=part,
         restrictions=restrictions,
-        sigma_generators=tuple(sigma_generators),
         normalisations=tuple(normalisations),
         description=GroupDescription(tuple(factors)),
     )

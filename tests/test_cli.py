@@ -83,17 +83,32 @@ def test_bad_matrix_input_exits_2_without_traceback(tmp_path, text):
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec, message",
     [
-        {"vertices": 2, "edges": 5},
-        {"degree": 3, "generators": 7},
-        {"degree": 3, "generators": [5]},
-        {"vertices": 2, "edges": [[1, 2, [0]]]},
-        {"degree": 3, "generators": ["(1,2)(2,1)"]},
+        ({"vertices": 2, "edges": 5}, "edges must be a list"),
+        ({"degree": 3, "generators": 7}, "generators must be a list"),
+        ({"degree": 3, "generators": [5]}, "a generator must be a cycle string"),
+        ({"vertices": 2, "edges": [[1, 2, [0]]]}, "an edge colour must be"),
+        ({"degree": 3, "generators": ["(1,2)(2,1)"]}, "point 1 is in two cycles"),
+        ({"omega": 2, "theta": 2, "edges": [[1, 3, "a"]]}, "edge (1, 3) out of range"),
+        ({"vertices": 2, "edges": [[1, 1, "a"]]}, "edge (1, 1) is a loop"),
+        ({"vertices": 2, "edges": [[1, 3, "a"]]}, "edge (1, 3) out of range"),
+        ({"degree": 3, "vertices": 3}, "not ['vertices', 'degree']"),
     ],
-    ids=["edges-not-list", "gens-not-list", "gen-not-string", "list-colour", "shared-point"],
+    ids=[
+        "edges-not-list",
+        "gens-not-list",
+        "gen-not-string",
+        "list-colour",
+        "shared-point",
+        "bipartite-edge-out-of-range",
+        "digraph-loop",
+        "digraph-edge-out-of-range",
+        "two-kinds",
+    ],
 )
-def test_bad_construction_spec_exits_2_without_traceback(tmp_path, spec):
+def test_bad_construction_spec_exits_2_without_traceback(tmp_path, spec, message):
+    """Errors name the spec's edges 1-based, as the spec writes them."""
     path = write(tmp_path, "spec.json", json.dumps(spec))
     proc = subprocess.run(
         [sys.executable, "-m", "tropgroups", "construct", path],
@@ -102,6 +117,7 @@ def test_bad_construction_spec_exits_2_without_traceback(tmp_path, spec):
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
 
 
 def test_removed_flags_are_rejected(tmp_path, capsys):

@@ -447,3 +447,89 @@ def test_closure_requests_list_no_group(monkeypatch, capsys):
         report = json.loads(capsys.readouterr().out)
         orders.append((report["group_order"], report["closure_order"]))
     assert orders == [(40320, 40320), (20160, 40320), (46080, 46080), (12, 24), (24, 24)]
+
+
+def _joint_images(n, pairs):
+    """The image tuples of pairs on the n + m disjoint points, the right
+    side shifted by n, written out here rather than taken from the
+    package."""
+    return [tuple(g.images) + tuple(n + y for y in h.images) for g, h in pairs]
+
+
+def _same_group_both_ways(n, m, pairs):
+    """The pair constructor and the joint-tuple constructor give one group:
+    the same generators, order and elements, or NotFaithful from both.
+    Each check runs on a fresh group, so none reads another's cache."""
+
+    def outcomes(make):
+        out = []
+        for method in (PairedPermGroup.order, PairedPermGroup.elements):
+            try:
+                out.append(method(make()))
+            except NotFaithful:
+                out.append(NotFaithful)
+        return out
+
+    def by_pairs():
+        return PairedPermGroup((n, m), pairs)
+
+    def by_joint():
+        return PairedPermGroup._of((n, m), _joint_images(n, pairs))
+
+    assert by_joint().generators == by_pairs().generators
+    assert by_joint().degrees == (n, m)
+    found = outcomes(by_pairs)
+    assert outcomes(by_joint) == found
+    return found[0] is not NotFaithful
+
+
+@pytest.mark.parametrize("name", sorted(PAIRED))
+def test_joint_constructor_matches_the_pair_constructor_on_the_catalogue(name):
+    n, m, pairs = PAIRED[name]
+    assert _same_group_both_ways(n, m, pairs)
+    lopsided = [(g, Perm.identity(m)) for g, _ in pairs]
+    assert not _same_group_both_ways(n, m, lopsided)
+
+
+def test_joint_constructor_matches_the_pair_constructor_on_seeded_pairs():
+    rng = random.Random(17)
+    outcomes = set()
+    for _ in range(300):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        pairs = [
+            (Perm(rng.sample(range(n), n)), Perm(rng.sample(range(m), m)))
+            for _ in range(rng.randint(0, 3))
+        ]
+        outcomes.add(_same_group_both_ways(n, m, pairs))
+    assert outcomes == {True, False}
+
+
+def test_search_results_are_not_joined_again(monkeypatch, tmp_path, capsys):
+    """The paired 2-closure and the analysis hand on the joint image tuples
+    that the automorphism search and the Sims table produce: no ``_join``
+    runs under ``coloured_bipartite_automorphisms`` or ``greedy``."""
+    from helpers import matrix_f
+
+    orig = permgroups._join
+    calls = []
+
+    def counting(*args):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        calls.append(names & {"coloured_bipartite_automorphisms", "greedy"})
+        return orig(*args)
+
+    monkeypatch.setattr(permgroups, "_join", counting)
+    n, m, pairs = PAIRED["S4pairs"]
+    tokens = [f"{format_cycles(g)}|{format_cycles(h)}" for g, h in pairs]
+    assert cli.main(["closure", "--bidegree", str(n), str(m), *tokens, "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["closure_generators"]) > 1
+    # the parsed input is joined once per generator, and nothing else is
+    assert calls == [set()] * len(pairs)
+    path = tmp_path / "f.txt"
+    path.write_text(matrix_f().to_text() + "\n")
+    assert cli.main(["analyze", str(path), "--json"]) == 0
+    assert len(calls) > len(pairs)
+    assert not any(calls)

@@ -33,6 +33,13 @@ CASES = {
         ["closure", "--bidegree", "4", "4", "(1,2,3,4)|(1,2,3,4)", "(2,4)|(2,4)", "--json"],
         None,
     ),
+    "closure-bidegree-S4-4x6": (
+        [
+            "closure", "--bidegree", "4", "6",
+            "(1,2,3,4)|(1,4,6,3)(2,5)", "(1,2)|(2,4)(3,5)", "--json",
+        ],
+        None,
+    ),
     "construct-degree-S3": (
         ["construct", "{spec}", "--json"],
         {"degree": 3, "generators": ["(1,2,3)", "(1,2)"]},
@@ -47,6 +54,7 @@ EXPECTED = {
     "verify-F": "1b0b18d714f0063d033895dbf09d0e23a1217bd4030340730e407ad49f3daef6",
     "closure-A4-10pt": "e8b4460e2e55c16cb3ef9305e948b1b3bd74ba57da6842f6636d2b92d45e0064",
     "closure-bidegree-D4": "b43f1d5f21a5b30596811fb7c25da3d3d4ff2be70c953b892a513b825eb92217",
+    "closure-bidegree-S4-4x6": "fc57d6b10fe2380db26b9ded0403aa97564c7e736aada7fcb516e001eda220d2",
     "construct-degree-S3": "b8eb77b3086f78a79b2b3f7c747664b6ef6f106499721eca27d8bbd89c5b61b8",
 }
 

@@ -34,6 +34,7 @@ from tropgroups.stabilizer import (
     normalize_eigenvectors,
     right_mate,
     stabilizer_pairs,
+    _sigma_generators,
 )
 from tropgroups.permgroups import PairedPermGroup, Perm
 
@@ -278,8 +279,8 @@ def test_normalize_eigenvectors_from_generators_or_elements():
     block16 = assemble_blocks([(m, 1), (m.transpose(), 1)], Value(0))
     for matrix in (matrix_e(), matrix_f(), reduce_full_rank(block16)[0]):
         an = analyze_matrix(matrix)
-        assert an.reduced == matrix and len(an.sigma_generators) == 1
-        gens = an.sigma_generators[0]
+        assert an.reduced == matrix and len(an.normalisations) == 1
+        gens = _sigma_generators(matrix)
         elements = stabilizer_pairs(matrix)
         assert len(gens) < len(elements)
         assert normalize_eigenvectors(matrix, gens) == normalize_eigenvectors(
