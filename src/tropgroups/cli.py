@@ -17,7 +17,7 @@ from operator import add, neg
 from typing import Optional
 
 from .constructors import (
-    construct_from_bipartite,
+    _from_bipartite,
     construct_idempotent,
     finite_approximant,
     parse_construction_spec,
@@ -199,11 +199,7 @@ def cmd_closure(args) -> int:
 
 def cmd_construct(args) -> int:
     from .graphs import ColouredDigraph
-    from .permgroups import (
-        coloured_automorphisms,
-        coloured_bipartite_automorphisms,
-        groups_isomorphic,
-    )
+    from .permgroups import coloured_automorphisms, groups_isomorphic
 
     with open(args.spec, "rb") as fh:
         raw = fh.read()
@@ -211,8 +207,8 @@ def cmd_construct(args) -> int:
     kind, obj = parse_construction_spec(spec)
     t0 = time.perf_counter()
     if kind == "bipartite":
-        matrix = construct_from_bipartite(obj)
-        target = coloured_bipartite_automorphisms(obj.completed()).left_group()
+        matrix, aut = _from_bipartite(obj)
+        target = aut.left_group()
     else:
         matrix = construct_idempotent(obj)
         target = obj if not isinstance(obj, ColouredDigraph) else coloured_automorphisms(obj)

@@ -47,7 +47,6 @@ from .permgroups import (
     coloured_automorphisms,
     coloured_bipartite_automorphisms,
     is_irreducible,
-    is_two_closed,
     pair_orbit_colouring,
     paired_orbit_colouring,
     parse_cycles,
@@ -159,10 +158,19 @@ def construct_from_bipartite(d: ColouredBipartiteGraph, *, tag_start: int = 1) -
     work; the resulting finite part is Aut(d) acting on the surviving
     (non-dominated) orbits.
     """
+    return _from_bipartite(d, tag_start)[0]
+
+
+def _from_bipartite(
+    d: ColouredBipartiteGraph, tag_start: int = 1, aut: Optional[PairedPermGroup] = None
+) -> tuple[TropMatrix, PairedPermGroup]:
+    """``construct_from_bipartite``'s matrix, and the automorphism group
+    ``aut`` of the completed graph, searched for unless it is given."""
     if not is_irreducible(d):
         raise ReducibleInput("the graph has an isolated node or a twin pair")
     full = d.completed()
-    aut = coloured_bipartite_automorphisms(full)
+    if aut is None:
+        aut = coloured_bipartite_automorphisms(full)
     trivial = not aut.generators
     if trivial and not (d.n > 2 and d.m > 2):
         raise HypothesisViolated(
@@ -195,7 +203,10 @@ def construct_from_bipartite(d: ColouredBipartiteGraph, *, tag_start: int = 1) -
         reversed_graph = ColouredBipartiteGraph(
             d.m, d.n, {(j, i): c for (i, j), c in d.edges.items()}
         )
-        return construct_from_bipartite(reversed_graph, tag_start=tag_start).transpose()
+        swapped = PairedPermGroup(
+            (d.m, d.n), [(h, g) for g, h in aut.generators], known_order=aut.order()
+        )
+        return _from_bipartite(reversed_graph, tag_start, swapped)[0].transpose(), aut
 
     live_row_of = {v: t for t, orb in enumerate(live_row_orbits, 1) for v in orb}
     live_col_of = {v: t for t, orb in enumerate(live_col_orbits, 1) for v in orb}
@@ -261,7 +272,7 @@ def construct_from_bipartite(d: ColouredBipartiteGraph, *, tag_start: int = 1) -
     )
     if not has_full_rank(matrix):
         raise AssertionError("constructed matrix is not full rank")
-    return matrix
+    return matrix, aut
 
 
 def _check_gap_inequalities(colours, colour_group, value_of, kp):
@@ -300,12 +311,12 @@ def construct_idempotent(
     [[0]] and [[0, 0], [-inf, 0]].
     """
     if isinstance(target, PermGroup):
-        if not is_two_closed(target):
+        group = target
+        digraph = pair_orbit_colouring(group)
+        if coloured_automorphisms(digraph, known=group).order() != group.order():
             raise NotTwoClosed(
                 "only 2-closed groups arise from idempotents at their degree"
             )
-        group = target
-        digraph = pair_orbit_colouring(group) if group.degree > 1 else None
     else:
         digraph = target
         group = coloured_automorphisms(digraph)
@@ -476,6 +487,14 @@ def _spec_cycles(value, degree: int) -> Perm:
     return parse_cycles(value, degree)
 
 
+_SPEC_KEYS = {
+    "omega": {"omega", "theta", "edges"},
+    "vertices": {"vertices", "edges"},
+    "bidegree": {"bidegree", "generators"},
+    "degree": {"degree", "generators"},
+}
+
+
 def parse_construction_spec(data: dict):
     """Decode a construction request.
 
@@ -487,21 +506,27 @@ def parse_construction_spec(data: dict):
 
     Returns ("bipartite", graph) or ("idempotent", group-or-digraph).
     Raises ValueError on anything else: wrong types, list or object
-    colours, edges out of range or looping, or two kinds in one spec.
+    colours, edges out of range or looping, two kinds in one spec, or a
+    key that is not its kind's.
     """
     if not isinstance(data, dict):
         raise ValueError("a construction spec must be a JSON object")
-    named = [k for k in ("omega", "vertices", "bidegree", "degree") if k in data]
+    named = [k for k in _SPEC_KEYS if k in data]
     if len(named) != 1:
         raise ValueError(f"a spec names one of omega, vertices, bidegree, degree, not {named}")
-    gens = _spec_list(data.get("generators", []), "generators")
-    if "omega" in data:
+    (kind,) = named
+    keys = _SPEC_KEYS[kind]
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r}: a {kind!r} spec takes {sorted(keys)}")
+    if kind == "omega":
         n, m = _spec_int(data["omega"], "omega"), _spec_int(data.get("theta"), "theta")
         return "bipartite", ColouredBipartiteGraph(n, m, _spec_edges(data, n, m))
-    if "vertices" in data:
+    if kind == "vertices":
         n = _spec_int(data["vertices"], "vertices")
         return "idempotent", ColouredDigraph.from_partial(n, _spec_edges(data, n))
-    if "bidegree" in data:
+    gens = _spec_list(data.get("generators", []), "generators")
+    if kind == "bidegree":
         degrees = _spec_list(data["bidegree"], "bidegree", 2)
         n, m = (_spec_int(x, "bidegree") for x in degrees)
         pairs = [_spec_list(pair, "a paired generator", 2) for pair in gens]

@@ -37,8 +37,12 @@ as the map grows.  That loop, ``base_and_orbit``, and its depth-first
 ``complete`` also drive the pair search of ``pairsearch``, which finds
 generators of the unit stabilizer Sigma the same way, on an explicit
 stack, but skips the images of a base point already in its orbit under
-the generators found there.  The automorphism search tries every image,
-so a 2-closure keeps each first completion as a generator.  All searches
+the generators found there.  A 2-closure tries every image, so it keeps
+each first completion as a generator.  The 2-closedness checks start from
+the group G they test, which lies inside its 2-closure: at each base
+point they skip the images G's own stabilizer reaches, read off G's Sims
+table, and count the closure's order from the orbits that G and the
+completions found span together.  All searches
 and listings in a ``search_budget`` block spend from its budget; one
 outside every block has DEFAULT_MAX_NODES nodes of its own.
 
@@ -58,6 +62,7 @@ from collections import Counter
 from contextvars import ContextVar
 from itertools import islice
 from math import factorial, lcm, prod
+from operator import getitem
 from typing import Iterable, Optional, Sequence
 
 from .errors import SearchBudgetExceeded
@@ -482,11 +487,15 @@ class PairedPermGroup:
 
     def greedy(self) -> "PairedPermGroup":
         """The same group on its greedy generating sequence, its order and
-        faithfulness checked, without listing it.  With faithful sides the
-        lex order on the n + m images is the one on the left images."""
+        faithfulness checked, without listing it, and its Sims table handed
+        on: any table of a group gives its order, membership and greedy
+        sequence.  With faithful sides the lex order on the n + m images is
+        the one on the left images."""
         self._checked()
-        gens = [x for x, _ in _greedy_generators(self.joint._sims())]
+        rows = self.joint._sims()
+        gens = [x for x, _ in _greedy_generators(rows)]
         out = PairedPermGroup._of(self.degrees, gens, self.joint.order())
+        out.joint._table[0] = rows
         out._faithful[0] = True
         return out
 
@@ -564,7 +573,7 @@ class search_budget:
 _BLOCK: ContextVar[Optional[search_budget]] = ContextVar("search budget", default=None)
 
 
-def base_and_orbit(search, base, act=None) -> tuple[list, int]:
+def base_and_orbit(search, base, act=None, known=None) -> tuple[list, int]:
     """Generators and the order of a group found point by point, the
     classical base-and-orbit backtrack (Seress, *Permutation Group
     Algorithms*, ch. 9).
@@ -585,12 +594,20 @@ def base_and_orbit(search, base, act=None) -> tuple[list, int]:
     without a search or a spend.  The generators still span the group, but
     fewer of them are found.  Without ``act`` every candidate is searched
     and every completion is kept.
+
+    ``known``, with ``act`` and the base 0, 1, .., is the Sims table of a
+    subgroup G of the group searched, on the same points.  Its row v is the
+    orbit of v under G's stabilizer of 0, .., v-1, so the orbit starts
+    there, and it grows under the table's representatives of the rows from
+    v on, which generate that stabilizer, as well as under the generators
+    found at v.  G's generators and the ones found span the group.
     """
     generators: list = []
     order = 1
     for v in base:
         level = len(generators)  # the generators from here on are found at v
-        orbit = {v}  # the identity always extends
+        # the identity always extends, and so does every element of G
+        orbit = {v} if known is None else set(known[v])
         for w in search.candidates(v):
             if w in orbit or not _push(search, v, w):
                 continue
@@ -603,6 +620,8 @@ def base_and_orbit(search, base, act=None) -> tuple[list, int]:
                 orbit.add(w)
             else:
                 here = generators[level:]
+                if known is not None:
+                    here += [u for row in known[v:] for u in row.values()]
                 orbit = set(components([v], lambda x: [act(f, x) for f in here])[0])
         if not _push(search, v, v):
             raise AssertionError("a fixed base point does not extend")
@@ -721,32 +740,44 @@ class _AutomorphismSearch:
 _ABSENT = object()
 
 
-def _automorphisms(nv: int, colours, init: list[int]):
+def _automorphisms(nv: int, colours, init: list[int], known: Optional[PermGroup] = None):
     """Generators and order of the group of vertex permutations keeping
-    the vertex colours `init` and the edge colours.  `colours` yields
-    ((u, v), colour) pairs; colours are numbered by first occurrence, an
-    absent edge (_ABSENT) is -2 and a pair not listed is -1."""
+    the vertex colours `init` and the edge colours, with `known` a subgroup
+    of it on the same vertices, if given, whose own images the search
+    skips (see ``base_and_orbit``).  `colours` yields ((u, v), colour)
+    pairs; colours are numbered by first occurrence, an absent edge
+    (_ABSENT) is -2 and a pair not listed is -1."""
     ids: dict = {}
     ecol = [[-1] * nv for _ in range(nv)]
     for (u, v), c in colours:
         ecol[u][v] = -2 if c is _ABSENT else ids.setdefault(c, len(ids))
-    return base_and_orbit(_AutomorphismSearch(nv, ecol, init), range(nv))
+    search = _AutomorphismSearch(nv, ecol, init)
+    if known is None:
+        return base_and_orbit(search, range(nv))
+    gens, order = base_and_orbit(search, range(nv), getitem, known._sims())
+    return [g.images for g in known.generators] + gens, order
 
 
-def coloured_automorphisms(d: ColouredDigraph) -> PermGroup:
+def coloured_automorphisms(d: ColouredDigraph, *, known: Optional[PermGroup] = None) -> PermGroup:
     """All vertex permutations preserving the edge colours, as generators
-    with the exact order attached."""
+    with the exact order attached.  With ``known``, a group of such
+    permutations, the search skips what it already reaches, and its
+    generators come first."""
     n = d.n
     colours = (((i, j), d.colours[(i, j)]) for i in range(n) for j in range(n) if i != j)
-    gens, order = _automorphisms(n, colours, [0] * n)
+    gens, order = _automorphisms(n, colours, [0] * n, known)
     return PermGroup(n, [Perm(g) for g in gens], known_order=order)
 
 
-def coloured_bipartite_automorphisms(g: ColouredBipartiteGraph) -> PairedPermGroup:
-    """All side-preserving pair permutations preserving the edge colours."""
+def coloured_bipartite_automorphisms(
+    g: ColouredBipartiteGraph, *, known: Optional[PairedPermGroup] = None
+) -> PairedPermGroup:
+    """All side-preserving pair permutations preserving the edge colours;
+    ``known`` as for ``coloured_automorphisms``."""
     n, m = g.n, g.m
     colours = (((i, n + j), g.edges.get((i, j), _ABSENT)) for i in range(n) for j in range(m))
-    gens, order = _automorphisms(n + m, colours, [0] * n + [1] * m)
+    joint = None if known is None else known.joint
+    gens, order = _automorphisms(n + m, colours, [0] * n + [1] * m, joint)
     return PairedPermGroup._of((n, m), map(tuple, gens), order)
 
 
@@ -759,7 +790,8 @@ def two_closure(g: PermGroup) -> PermGroup:
 
 
 def is_two_closed(g: PermGroup) -> bool:
-    return g.order() == two_closure(g).order()
+    """Whether g is its 2-closure, whose search starts from g."""
+    return g.order() == coloured_automorphisms(pair_orbit_colouring(g), known=g).order()
 
 
 def paired_two_closure(g: PairedPermGroup) -> PairedPermGroup:
@@ -770,7 +802,10 @@ def paired_two_closure(g: PairedPermGroup) -> PairedPermGroup:
 
 
 def is_paired_two_closed(g: PairedPermGroup) -> bool:
-    return g.order() == paired_two_closure(g).order()
+    """Whether g is its paired 2-closure, whose search starts from g."""
+    g._checked()
+    closure = coloured_bipartite_automorphisms(paired_orbit_colouring(g), known=g)
+    return g.order() == closure.order()
 
 
 # -- irreducibility of coloured bipartite graphs --

@@ -4,6 +4,7 @@ test suite."""
 import itertools
 
 from tropgroups.constructors import alt4_column_matrix, assemble_blocks
+from tropgroups import permgroups
 from tropgroups.matrix import MonomialMatrix, TropMatrix
 from tropgroups.semiring import NEG_INF, eps, trop_mul, trop_sum, val
 
@@ -168,3 +169,18 @@ def brute_force_member(x, a, candidates=None):
         if ref_apply(a, coeffs) == tuple(x):
             return coeffs
     return None
+
+
+def automorphism_pushes(monkeypatch, call) -> int:
+    """The number of automorphism-search pushes ``call()`` makes."""
+    pushes = []
+    push = permgroups._AutomorphismSearch.push
+
+    def counted(self, v, w):
+        pushes.append(v)
+        return push(self, v, w)
+
+    with monkeypatch.context() as m:
+        m.setattr(permgroups._AutomorphismSearch, "push", counted)
+        call()
+    return len(pushes)

@@ -94,6 +94,16 @@ def test_bad_matrix_input_exits_2_without_traceback(tmp_path, text):
         ({"vertices": 2, "edges": [[1, 1, "a"]]}, "edge (1, 1) is a loop"),
         ({"vertices": 2, "edges": [[1, 3, "a"]]}, "edge (1, 3) out of range"),
         ({"degree": 3, "vertices": 3}, "not ['vertices', 'degree']"),
+        ({"degree": 3, "generator": ["(1,2,3)"]}, "unknown key 'generator': a 'degree' spec"),
+        ({"vertices": 3, "edge": [[1, 2, "a"]]}, "unknown key 'edge': a 'vertices' spec"),
+        (
+            {"omega": 2, "theta": 2, "edges": [], "generators": ["(1,2)"]},
+            "unknown key 'generators': a 'omega' spec takes ['edges', 'omega', 'theta']",
+        ),
+        (
+            {"bidegree": [2, 2], "generators": [["(1,2)", "(1,2)"]], "edges": []},
+            "unknown key 'edges': a 'bidegree' spec takes ['bidegree', 'generators']",
+        ),
     ],
     ids=[
         "edges-not-list",
@@ -105,10 +115,15 @@ def test_bad_matrix_input_exits_2_without_traceback(tmp_path, text):
         "digraph-loop",
         "digraph-edge-out-of-range",
         "two-kinds",
+        "degree-misspelt-key",
+        "vertices-misspelt-key",
+        "omega-foreign-key",
+        "bidegree-foreign-key",
     ],
 )
 def test_bad_construction_spec_exits_2_without_traceback(tmp_path, spec, message):
-    """Errors name the spec's edges 1-based, as the spec writes them."""
+    """Errors name the spec's edges 1-based, as the spec writes them, and
+    a key the spec's kind does not take."""
     path = write(tmp_path, "spec.json", json.dumps(spec))
     proc = subprocess.run(
         [sys.executable, "-m", "tropgroups", "construct", path],
@@ -118,6 +133,40 @@ def test_bad_construction_spec_exits_2_without_traceback(tmp_path, spec, message
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"omega": 3, "theta": 3,
+         "edges": [[1, 1, "x"], [2, 2, "x"], [3, 3, "x"], [1, 2, "y"], [2, 3, "y"], [3, 1, "y"]]},
+        {"bidegree": [3, 6], "generators": [["(1,2,3)", "(1,2,3)(4,5,6)"], ["(1,2)", "(1,4)(2,6)(3,5)"]]},
+        # more live row orbits than column orbits: built on the reversed graph
+        {"omega": 4, "theta": 3,
+         "edges": [[1, 1, 8], [1, 2, 1], [1, 3, 2], [2, 2, 2], [2, 3, 1],
+                   [3, 1, 10], [3, 2, 6], [3, 3, 10], [4, 1, 10], [4, 2, 3]]},
+    ],
+    ids=["omega-theta", "bidegree", "transposed"],
+)
+def test_a_bipartite_construct_searches_its_graph_once(tmp_path, capsys, monkeypatch, spec):
+    """``construct`` checks its witness against the automorphism group the
+    construction found, with no second search of the same graph."""
+    from tropgroups import constructors, permgroups
+
+    calls = []
+    search = permgroups.coloured_bipartite_automorphisms
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    for module in (permgroups, constructors):
+        monkeypatch.setattr(module, "coloured_bipartite_automorphisms", counted)
+    path = write(tmp_path, "spec.json", json.dumps(spec))
+    code, out = run_cli(["construct", path, "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["verification"]["group_matches_target"]
+    assert len(calls) == 1
 
 
 def test_removed_flags_are_rejected(tmp_path, capsys):

@@ -17,6 +17,7 @@ import sys
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
+from helpers import automorphism_pushes
 from tropgroups import cli, permgroups
 from tropgroups.permgroups import (
     NotFaithful,
@@ -325,6 +326,52 @@ def test_orders_and_membership_match_the_closure_on_every_subgroup_of_s5():
         members = {x for x in everything if g.contains(x)}
         assert members == PermGroup(5, g.generators).elements()
         assert {x.images for x in members} == span
+
+
+def test_the_seeded_check_matches_the_closure_on_s5_and_the_catalogue(monkeypatch):
+    """``is_two_closed``, whose search starts from the group it tests,
+    agrees with the order of the 2-closure on every subgroup of S_5 and on
+    the catalogue; 134 of the 156 subgroups are 2-closed, found in under
+    1,000 automorphism pushes (3,048 when every image is searched)."""
+    groups = [PermGroup(5, [Perm(x) for x in pair]) for pair in s5_subgroups().values()]
+    closed = []
+    pushes = automorphism_pushes(monkeypatch, lambda: closed.extend(map(permgroups.is_two_closed, groups)))
+    assert sum(closed) == 134
+    assert pushes < 1000
+    groups += [PermGroup(degree, gens) for degree, gens in CATALOGUE.values()]
+    for g in groups:
+        expected = g.order() == permgroups.two_closure(g).order()
+        assert permgroups.is_two_closed(g) == expected
+
+
+@pytest.mark.parametrize("name", sorted(PAIRED))
+def test_the_seeded_paired_check_matches_the_paired_closure(name, monkeypatch):
+    """``is_paired_two_closed`` agrees with the order of the paired
+    2-closure on the paired catalogue, for the group as given and for its
+    ``greedy()`` copy, which hands on its Sims table: the check builds no
+    second table, and a fresh table of the same group gives the same order,
+    membership and greedy sequence."""
+    n, m, pairs = PAIRED[name]
+    g = PairedPermGroup((n, m), pairs)
+    expected = g.order() == permgroups.paired_two_closure(g).order()
+    assert permgroups.is_paired_two_closed(g) == expected
+    greedy = g.greedy()
+    tables = []
+    build = permgroups._sims_table
+    monkeypatch.setattr(permgroups, "_sims_table", lambda *a: tables.append(a) or build(*a))
+    assert permgroups.is_paired_two_closed(greedy) == expected
+    assert tables == []
+    handed = greedy.joint._sims()
+    assert handed is g.joint._sims()
+    fresh = build([x.images for x in greedy.joint.generators], n + m)
+    assert [len(row) for row in fresh] == [len(row) for row in handed]
+    rng = random.Random(n * m)
+    for _ in range(50):
+        x = tuple(rng.sample(range(n), n)) + tuple(n + y for y in rng.sample(range(m), m))
+        assert permgroups._sifts(fresh, x) == permgroups._sifts(handed, x)
+    for x in _span([y.images for y in g.joint.generators], tuple(range(n + m))):
+        assert permgroups._sifts(fresh, x) and permgroups._sifts(handed, x)
+    assert _greedy_generators(fresh) == _greedy_generators(handed)
 
 
 def brute_force_greedy(degree, gens):

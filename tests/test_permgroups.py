@@ -1,10 +1,13 @@
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
+from helpers import alt4_squared, automorphism_pushes
 from tropgroups import permgroups
+from tropgroups.cli import main
 from tropgroups.errors import SearchBudgetExceeded
 from tropgroups.graphs import ColouredBipartiteGraph, ColouredDigraph
 from tropgroups.permgroups import (
@@ -300,6 +303,46 @@ def test_orbit_pruning_keeps_the_order_with_no_more_pushes():
     assert saved > 0
 
 
+def test_a_seeded_search_counts_the_order_of_the_unseeded_one():
+    """``coloured_automorphisms`` and ``coloured_bipartite_automorphisms``
+    seeded with a proper subgroup, the one the first generator found spans,
+    give the order of the search of every candidate, and the returned
+    generators, the seed's and those found, span a group of that order."""
+    rng = random.Random(13)
+    grew = 0
+    for _ in range(60):
+        n, k = rng.randint(2, 8), rng.randint(1, 3)
+        d = ColouredDigraph(n, {(i, j): rng.randrange(k) for i in range(n) for j in range(n) if i != j})
+        full = coloured_automorphisms(d)
+        seed = PermGroup(n, full.generators[:1])
+        seeded = coloured_automorphisms(d, known=seed)
+        assert seeded.order() == full.order()
+        assert PermGroup(n, seeded.generators).order() == full.order()
+        grew += len(seeded.generators) > len(seed.generators)
+    for _ in range(60):
+        b = _random_bipartite(rng, rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 3), 0.25)
+        full = coloured_bipartite_automorphisms(b)
+        seed = PairedPermGroup((b.n, b.m), full.generators[:1])
+        seeded = coloured_bipartite_automorphisms(b, known=seed)
+        assert seeded.order() == full.order()
+        joint = seeded.joint
+        assert PermGroup(joint.degree, joint.generators).order() == full.order()
+        grew += len(joint.generators) > len(seed.joint.generators)
+    # the orbit grows past the seed's rows in many of them
+    assert grew > 20
+
+
+def test_analyze_of_the_a4_squared_matrix_pushes_less(monkeypatch, tmp_path, capsys):
+    """The paired 2-closedness check of ``analyze`` on the 16 x 16 A4 x A4
+    gap matrix starts from the factor's own group: 554 automorphism
+    pushes without the seed, at most 100 with it."""
+    path = tmp_path / "b16.txt"
+    path.write_text(alt4_squared().to_text() + "\n")
+    pushes = automorphism_pushes(monkeypatch, lambda: main(["analyze", str(path), "--json"]))
+    assert json.loads(capsys.readouterr().out)["description"]["factors"][0]["order"] == 144
+    assert pushes <= 100
+
+
 def test_two_closure_examples():
     sym3 = PermGroup.from_cycles(3, ["(1,2,3)", "(1,2)"])
     assert is_two_closed(sym3)
@@ -557,25 +600,11 @@ def test_is_irreducible():
     assert is_irreducible(good)
 
 
-def _automorphism_pushes(monkeypatch, call) -> int:
-    pushes = []
-    push = permgroups._AutomorphismSearch.push
-
-    def counted(self, v, w):
-        pushes.append(v)
-        return push(self, v, w)
-
-    with monkeypatch.context() as m:
-        m.setattr(permgroups._AutomorphismSearch, "push", counted)
-        call()
-    return len(pushes)
-
-
 def test_searches_in_one_block_share_its_budget(monkeypatch):
     """Two 2-closures inside one search_budget block spend from one count;
     outside every block each has DEFAULT_MAX_NODES of its own."""
     g = PermGroup.from_cycles(10, ALT4_10PT)
-    nodes = _automorphism_pushes(monkeypatch, lambda: two_closure(g))
+    nodes = automorphism_pushes(monkeypatch, lambda: two_closure(g))
     with search_budget(2 * nodes):
         two_closure(g)
         two_closure(g)
