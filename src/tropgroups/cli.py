@@ -18,7 +18,7 @@ from typing import Optional
 
 from .constructors import (
     _from_bipartite,
-    construct_idempotent,
+    _idempotent,
     finite_approximant,
     parse_construction_spec,
 )
@@ -143,6 +143,8 @@ def cmd_analyze(args) -> int:
 def _parse_gen_args(args) -> tuple:
     if args.bidegree:
         n, m = args.bidegree
+        if n < 1 or m < 1:  # before the order: an empty side is no faithfulness question
+            raise ValueError("both vertex sets must be nonempty")
         pairs = []
         for token in args.generators:
             if "|" not in token:
@@ -198,8 +200,7 @@ def cmd_closure(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    from .graphs import ColouredDigraph
-    from .permgroups import coloured_automorphisms, groups_isomorphic
+    from .permgroups import groups_isomorphic
 
     with open(args.spec, "rb") as fh:
         raw = fh.read()
@@ -210,9 +211,8 @@ def cmd_construct(args) -> int:
         matrix, aut = _from_bipartite(obj)
         target = aut.left_group()
     else:
-        matrix = construct_idempotent(obj)
-        target = obj if not isinstance(obj, ColouredDigraph) else coloured_automorphisms(obj)
-    # construct_idempotent has already checked that its witness is
+        matrix, target = _idempotent(obj)
+    # _idempotent has already checked that its witness is
     # idempotent, so neither kind needs maximal_subgroup's guard
     desc = group_description(matrix)
     matches = len(desc.factors) == 1 and groups_isomorphic(

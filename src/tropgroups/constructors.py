@@ -310,6 +310,14 @@ def construct_idempotent(
     trivial group on one or two points uses the fixed small idempotents
     [[0]] and [[0, 0], [-inf, 0]].
     """
+    return _idempotent(target, tag_start)[0]
+
+
+def _idempotent(
+    target: Union[PermGroup, ColouredDigraph], tag_start: int = 1
+) -> tuple[TropMatrix, PermGroup]:
+    """``construct_idempotent``'s matrix, and the group it realises: the
+    target group, or the digraph's automorphism group."""
     if isinstance(target, PermGroup):
         group = target
         digraph = pair_orbit_colouring(group)
@@ -329,7 +337,7 @@ def construct_idempotent(
             matrix = TropMatrix.from_rows([[0, 0], [NEG_INF, 0]])
         if not is_idempotent(matrix) or not has_full_rank(matrix):
             raise AssertionError("small idempotent failed its checks")
-        return matrix
+        return matrix, group
 
     _, orbit_of, _ = _side(n, group.generators, True)
 
@@ -354,7 +362,7 @@ def construct_idempotent(
         raise AssertionError("constructed matrix is not idempotent")
     if not has_full_rank(matrix):
         raise AssertionError("constructed idempotent is not full rank")
-    return matrix
+    return matrix, group
 
 
 def assemble_blocks(

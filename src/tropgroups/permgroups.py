@@ -33,7 +33,10 @@ product of the two symmetric groups.  Automorphism groups of coloured
 graphs are computed by backtracking over a colour-refined partition, one
 base point at a time, so only generators and the order are produced (the
 group itself is never listed), narrowing each vertex's candidate images
-as the map grows.  That loop, ``base_and_orbit``, and its depth-first
+as the map grows.  Those images are held as an int bit set, narrowed by
+one AND per unmapped vertex for each vertex mapped, and the point to map
+next (fewest images, then lowest) is found while narrowing and kept with
+the level.  That loop, ``base_and_orbit``, and its depth-first
 ``complete`` also drive the pair search of ``pairsearch``, which finds
 generators of the unit stabilizer Sigma the same way, on an explicit
 stack, but skips the images of a base point already in its orbit under
@@ -668,10 +671,14 @@ class _AutomorphismSearch:
     ``init`` is an initial vertex colouring (used to separate the sides of
     a bipartite structure).
 
-    ``domains`` holds, per level, each unmapped vertex's ascending list of
-    images that agree with the map: its refined colour class, narrowed by
-    every ``push`` (forward checking: Haralick and Elliott, *Artificial
-    Intelligence* 14, 1980).
+    Each pair of colours (v to u, u to v) is numbered once, ``key[v][u]``,
+    and ``fit[w]`` maps each number k to the bit set of the x whose pair
+    to and from w is k.  ``levels`` holds, per level, each unmapped
+    vertex's images that agree with the map as a bit set: its refined
+    colour class, narrowed by every ``push`` with one AND (forward
+    checking, Haralick and Elliott, *Artificial Intelligence* 14, 1980, on
+    the bit sets of McKay and Piperno, *J. Symbolic Comput.* 60, 2014);
+    and the level's next point, found while narrowing.
     """
 
     name = "automorphism search"
@@ -679,25 +686,22 @@ class _AutomorphismSearch:
     def __init__(self, nv, ecol, init):
         self.budget = search_budget.current()
         self.nv = nv
-        self.ecol = ecol
-        self.ecol_t = [list(col) for col in zip(*ecol)]
-        colour = self._refine(list(init))
-        self.domains = [
-            {v: [w for w in range(nv) if colour[w] == c] for v, c in enumerate(colour)}
+        ids: dict = {}
+        self.key = [  # -1 on the diagonal, which no push asks for
+            [-1 if u == v else ids.setdefault((c, ecol[u][v]), len(ids))
+             for u, c in enumerate(row)]
+            for v, row in enumerate(ecol)
         ]
+        self.fit = [_bit_sets(enumerate(row)) for row in self.key]
+        colour = self._refine(list(init))
+        classes = _bit_sets(enumerate(colour))
+        top = {v: classes[c] for v, c in enumerate(colour)}
+        self.levels = [(top, min(top, key=lambda u: (top[u].bit_count(), u), default=None))]
         self.image = list(range(nv))  # read only where every vertex is mapped
 
     def _refine(self, colour):
         while True:
-            sigs = []
-            for v in range(self.nv):
-                row = self.ecol[v]
-                profile = sorted(
-                    (colour[u], row[u], self.ecol[u][v])
-                    for u in range(self.nv)
-                    if u != v
-                )
-                sigs.append((colour[v], tuple(profile)))
+            sigs = [(c, tuple(sorted(zip(colour, row)))) for c, row in zip(colour, self.key)]
             ids = {s: k for k, s in enumerate(sorted(set(sigs)))}
             fresh = [ids[s] for s in sigs]
             if fresh == colour:
@@ -705,36 +709,49 @@ class _AutomorphismSearch:
             colour = fresh
 
     def candidates(self, v):
-        return self.domains[-1][v]
+        """v's images, ascending."""
+        dom, out = self.levels[-1][0][v], []
+        while dom:
+            out.append((dom & -dom).bit_length() - 1)
+            dom &= dom - 1
+        return out
 
     def push(self, v, w) -> bool:
         """Map v to w, keeping in the domain of every other unmapped u the
-        x != w whose edge colours to and from w are u's to and from v;
-        False when a domain empties."""
-        row_v, col_v = self.ecol[v], self.ecol_t[v]
-        row_w, col_w = self.ecol[w], self.ecol_t[w]
-        narrowed = {}
-        for u, dom in self.domains[-1].items():
+        x != w whose edge colours to and from w are u's to and from v, and
+        stack the next point; False when a domain empties."""
+        key_v, fit_w = self.key[v], self.fit[w]
+        narrowed, nxt, fewest = {}, None, self.nv + 1
+        for u, dom in self.levels[-1][0].items():
             if u != v:
-                out, into = row_v[u], col_v[u]
-                dom = [x for x in dom if row_w[x] == out and col_w[x] == into and x != w]
+                # w is in v's refined class, so its row has every pair v's has
+                dom &= fit_w[key_v[u]]
                 if not dom:
                     return False
                 narrowed[u] = dom
-        self.domains.append(narrowed)
+                if (size := dom.bit_count()) < fewest:
+                    nxt, fewest = u, size
+        self.levels.append((narrowed, nxt))
         self.image[v] = w
         return True
 
     def pop(self, v):
-        self.domains.pop()
+        self.levels.pop()
 
     def next_point(self):
         """The unmapped vertex with the fewest candidates, lowest first."""
-        top = self.domains[-1]
-        return min(top, key=lambda u: (len(top[u]), u), default=None)
+        return self.levels[-1][1]
 
     def solution(self):
         return list(self.image)
+
+
+def _bit_sets(labelled) -> dict:
+    """Each label's bit set of the points that carry it, from (point, label) pairs."""
+    out: dict = {}
+    for x, k in labelled:
+        out[k] = out.get(k, 0) | 1 << x
+    return out
 
 
 _ABSENT = object()

@@ -169,6 +169,31 @@ def test_a_bipartite_construct_searches_its_graph_once(tmp_path, capsys, monkeyp
     assert len(calls) == 1
 
 
+def test_a_vertices_construct_searches_its_digraph_once(tmp_path, capsys, monkeypatch):
+    """``construct`` on a ``vertices`` spec checks its witness against the
+    automorphism group the construction found, with no second search of
+    the same digraph."""
+    from tropgroups import constructors, permgroups
+
+    calls = []
+    search = permgroups.coloured_automorphisms
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    for module in (permgroups, constructors):
+        monkeypatch.setattr(module, "coloured_automorphisms", counted)
+    spec = {"vertices": 5, "edges": [[i, i % 5 + 1, "a"] for i in range(1, 6)]}
+    path = write(tmp_path, "spec.json", json.dumps(spec))
+    code, out = run_cli(["construct", path, "--json"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["verification"]["group_matches_target"]
+    assert report["description"]["factors"][0]["order"] == 5
+    assert len(calls) == 1
+
+
 def test_removed_flags_are_rejected(tmp_path, capsys):
     path = write(tmp_path, "f.txt", matrix_f().to_text() + "\n")
     for argv in (
@@ -253,8 +278,10 @@ def test_one_budget_covers_every_search_of_a_request(tmp_path, capsys, monkeypat
         ["--degree", "3", "(1,2)(2,1)"],
         ["--degree", "3", "(1,2)(1,3)"],
         ["--bidegree", "3", "2", "(1,2,3)|()"],
+        ["--bidegree", "2", "0", "(1,2)|()"],
+        ["--bidegree", "0", "2", "()|(1,2)"],
     ],
-    ids=["shared-point", "shared-point-product", "unfaithful-paired"],
+    ids=["shared-point", "shared-point-product", "unfaithful-paired", "empty-right", "empty-left"],
 )
 def test_bad_group_input_exits_2_whatever_the_max_order(capsys, gens):
     """Cycles that share a point, and a paired group with an element that
@@ -263,6 +290,23 @@ def test_bad_group_input_exits_2_whatever_the_max_order(capsys, gens):
     for cap in ([], ["--max-nodes", "1"]):
         code, out = run_cli(["closure", *gens, *cap], capsys)
         assert code == 2 and out == "", (gens, cap)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["closure", "--bidegree", "2", "0", "(1,2)|()"],
+        ["closure", "--bidegree", "2", "0"],
+        ["construct", "{spec}"],
+    ],
+    ids=["closure-generators", "closure-no-generators", "construct"],
+)
+def test_an_empty_side_is_named_as_such(tmp_path, capsys, argv):
+    """A paired group with no point on one side exits 2 naming the empty
+    side, with or without generators, and not as an unfaithful action."""
+    spec = write(tmp_path, "spec.json", json.dumps({"bidegree": [2, 0], "generators": [["(1,2)", "()"]]}))
+    assert main([a.format(spec=spec) for a in argv]) == 2
+    assert "both vertex sets must be nonempty" in capsys.readouterr().err
 
 
 def test_main_builds_one_parser(monkeypatch, capsys):

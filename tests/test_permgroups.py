@@ -252,6 +252,45 @@ def test_search_generators_are_pinned():
     assert digest == SEARCH_SWEEP_DIGEST
 
 
+def _circulant_bipartite(seed, n):
+    """A coloured bipartite graph on n + n vertices: the edge (i, j) has
+    the seeded colour of j - i mod n, or is absent, and both sides are
+    relabelled by seeded permutations."""
+    rng = random.Random(seed)
+    pattern = [rng.choice([None, 0, 1, 2]) for _ in range(n)]
+    left, right = rng.sample(range(n), n), rng.sample(range(n), n)
+    cells = [(i, j, pattern[(j - i) % n]) for i in range(n) for j in range(n)]
+    return ColouredBipartiteGraph(n, n, {(left[i], right[j]): c for i, j, c in cells if c is not None})
+
+
+@pytest.mark.parametrize(
+    "make, order, pushes, digest",
+    [
+        (lambda: two_closure(PermGroup(100, [Perm([(i + 1) % 100 for i in range(100)])])),
+         100, 10_000, "745c45f5f3bb42a2e2de38f403f359d272c4d67430e549b5a5a04e69bf021ebb"),
+        (lambda: coloured_bipartite_automorphisms(_circulant_bipartite(3, 36)),
+         36, 3_777, "51444e8f5608c140deec9a0c35948830f6b5a649fe79fd924a1f5400d4970db4"),
+        (lambda: two_closure(PermGroup.from_cycles(10, ALT4_10PT)), 12, 61, None),
+        (lambda: two_closure(PermGroup.from_cycles(12, ["(1,2)", "(1,3,5,7,9,11)(2,4,6,8,10,12)", "(1,3)(2,4)"])),
+         46_080, 334, None),
+    ],
+    ids=["C100", "circulant-36-36", "A4-10pt", "S2wrS6"],
+)
+def test_searches_past_one_machine_word_are_pinned(monkeypatch, make, order, pushes, digest):
+    """The automorphism search makes the same pushes and finds the same
+    generators on C_100, on a seeded coloured bipartite graph on 72 joint
+    vertices, both past 64 vertices, and on the 10-point A4 and the
+    S2 wr S6 closures."""
+    found = []
+    assert automorphism_pushes(monkeypatch, lambda: found.append(make())) == pushes
+    (group,) = found
+    assert group.order() == order
+    if digest is not None:
+        joint = group if isinstance(group, PermGroup) else group.joint
+        images = [g.images for g in joint.generators]
+        assert hashlib.sha256(repr(images).encode()).hexdigest() == digest
+
+
 def _digraph_search(d: ColouredDigraph):
     ecol = [[-1 if i == j else d.colours[(i, j)] for j in range(d.n)] for i in range(d.n)]
     return permgroups._AutomorphismSearch(d.n, ecol, [0] * d.n)
