@@ -347,7 +347,8 @@ def verify_flags(a: TropMatrix) -> dict:
         an.description, a.nrows, a.ncols
     )
 
-    if a.is_square() and is_idempotent(a):
+    # commuting_units takes full-rank idempotents; a reduced block need not be one
+    if a.is_square() and an.reduced == a and is_idempotent(a):
         idem_ok = True
         for cls, (elements, decode) in zip(an.partition.classes, sigmas):
             rep = an.restrictions[cls.representative]

@@ -18,16 +18,19 @@ it, found by ``permgroups.base_and_orbit`` one first-only completion per
 image of a base point that the generators found at that point do not
 already reach, never the whole group.  ``permgroups.complete`` makes
 every completion, extending the points in the order of ``_vertex_order``.
-Both spend ``permgroups``' search budget, one node per push; so does the
-independent check of this search, ``commuting_solutions``, in its own loop.
-Both return their units shifted to eigenvalue 0 on codes (``cycle_mean``).
+The independent check of this search on an idempotent E,
+``commuting_solutions``, lists every completion (``permgroups.completions``)
+of a search state of its own, which maps rows only, checks P @ E = E @ P in
+full against every mapped row, and shares none of the pruning below.  All
+spend ``permgroups``' search budget, one node per push, and return their
+units shifted to eigenvalue 0 on codes (``cycle_mean``).
 
-Pruning: a solution forces, for every row pair (i, i'), the multiset of
-columnwise differences of target rows (i, i') to equal that of source rows
-(sigma(i), sigma(i')) up to a constant shift, and dually for columns.
-Shift-normalised difference multisets are precomputed and compared during
-the search, and each vertex only tries images with a matching profile
-signature.
+Pruning of the pair search: a solution forces, for every row pair
+(i, i'), the multiset of columnwise differences of target rows (i, i') to
+equal that of source rows (sigma(i), sigma(i')) up to a constant shift,
+and dually for columns.  Shift-normalised difference multisets are
+precomputed and compared during the search, and each vertex only tries
+images with a matching profile signature.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from operator import add, neg, sub
 
 from .graphs import components, support_components
 from .matrix import MultipleEigenvalues, TropMatrix
-from .permgroups import base_and_orbit, complete, search_budget
+from .permgroups import base_and_orbit, complete, completions, search_budget
 from .semiring import ZERO, encode
 
 
@@ -286,111 +289,81 @@ def pair_solutions(target: TropMatrix, source: TropMatrix, *, first_only: bool =
     ]
 
 
+class _CommutingSearch:
+    """The live partial map of the rows of a square matrix E, row i to
+    sigma(i) with scaling lam_i, on which P @ E = E @ P holds: lam_i +
+    E[sigma(i)][sigma(i2)] = E[i][i2] + lam_i2, both sides finite together.
+    Rows are mapped in the breadth-first order of the symmetrised
+    off-diagonal support from the row with most neighbours, lowest first,
+    so each row after that anchor (scaling 0) meets one mapped before it.
+    """
+
+    name = "commutation search"
+
+    def __init__(self, e: TropMatrix):
+        if not e.is_square():
+            raise ValueError("commutation search needs a square matrix")
+        n = e.nrows
+        ((self.zero,), *self.e), self.decode = encode((ZERO,), *e.entries)
+        supp = _support(self.e)
+
+        def neighbours(i):
+            return [j for j in range(n) if j != i and (supp[i][j] or supp[j][i])]
+
+        anchor = max(range(n), key=lambda i: (len(neighbours(i)), -i))
+        self.order = components([anchor], neighbours)[0]
+        if len(self.order) != n:
+            raise NotConnected("finite-entry graph of the matrix is disconnected")
+        self.budget = search_budget.current()
+        self.sigma = [-1] * n
+        self.lam: list = [None] * n
+        self.used = [False] * n
+        self.mapped: list[int] = []
+
+    def candidates(self, i):
+        """The unused rows with the diagonal code of row i."""
+        e = self.e
+        return [r for r in range(len(e)) if not self.used[r] and e[r][r] == e[i][i]]
+
+    def push(self, i, r) -> bool:
+        """Map row i to r if the equation holds, both ways, between i and
+        every mapped row, for one scaling of i."""
+        e, sigma, lam = self.e, self.sigma, self.lam
+        s = None if self.mapped else self.zero
+        for i2 in self.mapped:
+            r2 = sigma[i2]
+            # lam_i is lam_i2 + (E[i][i2] - E[r][r2]), and lam_i2 - (E[i2][i] - E[r2][r])
+            for x, y, op in ((e[i][i2], e[r][r2], add), (e[i2][i], e[r2][r], sub)):
+                if (x is None) != (y is None):
+                    return False
+                if x is not None:
+                    cand = tuple(map(op, lam[i2], map(sub, x, y)))
+                    if s is not None and s != cand:
+                        return False
+                    s = cand
+        sigma[i], lam[i] = r, s
+        self.used[r] = True
+        self.mapped.append(i)
+        return True
+
+    def pop(self, i):
+        self.mapped.pop()
+        self.used[self.sigma[i]] = False
+
+    def next_point(self):
+        """The next row of the order, None once all are mapped."""
+        k = len(self.mapped)
+        return self.order[k] if k < len(self.order) else None
+
+    def solution(self):
+        """(sigma, lam) of the full map, lam shifted to eigenvalue 0."""
+        return (tuple(self.sigma), *_eigenvalue_zero(self.decode, self.sigma, self.lam))
+
+
 def commuting_solutions(e: TropMatrix):
     """All (sigma, lam) with P @ E = E @ P, one per pattern, shifted to
-    eigenvalue 0.
-
-    The same propagation as the pair search, with the column assignment
-    tied to the row assignment.  Requires the symmetrised off-diagonal
-    support to be connected.
+    eigenvalue 0 and sorted by pattern: every completion of a
+    ``_CommutingSearch``.  Requires the symmetrised off-diagonal support
+    to be connected.
     """
-    if not e.is_square():
-        raise ValueError("commutation search needs a square matrix")
-    n = e.nrows
-    if n == 1:
-        return [((0,), (ZERO,))]
-    ((zero,), *E), decode = encode((ZERO,), *e.entries)
-    supp = _support(E)
-
-    adj = [
-        [i != j and (supp[i][j] or supp[j][i]) for j in range(n)] for i in range(n)
-    ]
-    if len(components(range(n), lambda v: [w for w in range(n) if adj[v][w]])) != 1:
-        raise NotConnected("finite-entry graph of the matrix is disconnected")
-
-    rprof = _pair_profiles(E, {})
-    cprof = _pair_profiles(list(zip(*E)), {})
-    rdeg = [sum(r) for r in supp]
-    cdeg = [sum(supp[i][j] for i in range(n)) for j in range(n)]
-    rsig = _signatures(rprof, rdeg, n)
-    csig = _signatures(cprof, cdeg, n)
-    cands = [
-        [
-            r
-            for r in range(n)
-            if rsig[r] == rsig[i] and csig[r] == csig[i] and supp[r][r] == supp[i][i]
-            and (not supp[i][i] or E[r][r] == E[i][i])
-        ]
-        for i in range(n)
-    ]
-
-    anchor = max(range(n), key=lambda i: (sum(adj[i]), -i))
-    order = [anchor]
-    used = [False] * n
-    used[anchor] = True
-    cnt = [1 if adj[anchor][i] else 0 for i in range(n)]
-    while len(order) < n:
-        nxt = max(
-            (i for i in range(n) if not used[i]), key=lambda i: (cnt[i], -i)
-        )
-        order.append(nxt)
-        used[nxt] = True
-        for i in range(n):
-            if adj[nxt][i] and not used[i]:
-                cnt[i] += 1
-
-    sigma = [-1] * n
-    lam: list = [None] * n
-    used_img = [False] * n
-    solutions = []
-    budget = search_budget.current()
-
-    def scaling(level: int, i: int, r: int):
-        """The scaling of row i mapped to r that agrees with the profiles,
-        supports and scalings of the rows mapped before it, or None."""
-        lam_i = zero if level == 0 else None
-        for i2 in order[:level]:
-            r2 = sigma[i2]
-            if rprof[(i, i2)] != rprof[(r, r2)] or cprof[(i, i2)] != cprof[(r, r2)]:
-                return None
-            if supp[i][i2] != supp[r][r2] or supp[i2][i] != supp[r2][r]:
-                return None
-            fits = []
-            if supp[i][i2]:
-                fits.append(tuple(map(sub, map(add, E[i][i2], lam[i2]), E[r][r2])))
-            if supp[i2][i]:
-                fits.append(tuple(map(add, map(sub, lam[i2], E[i2][i]), E[r2][r])))
-            for cand in fits:
-                if lam_i is None:
-                    lam_i = cand
-                elif lam_i != cand:
-                    return None
-        return lam_i
-
-    # depth first; the rows mapped so far wait on a stack with their
-    # untried images, so the depth does not grow the interpreter's stack
-    stack = [iter(cands[order[0]])]
-    while stack:
-        level = len(stack) - 1
-        i = order[level]
-        for r in stack[-1]:
-            if used_img[r]:
-                continue
-            budget.spend("commutation search")
-            lam_i = scaling(level, i, r)
-            if lam_i is not None:
-                break
-        else:
-            stack.pop()
-            if stack:
-                used_img[sigma[order[level - 1]]] = False
-            continue
-        sigma[i], lam[i] = r, lam_i
-        if level + 1 == n:
-            solutions.append((tuple(sigma), *_eigenvalue_zero(decode, sigma, lam)))
-        else:
-            used_img[r] = True
-            stack.append(iter(cands[order[level + 1]]))
-
-    solutions.sort(key=lambda s: s[0])
-    return solutions
+    return sorted(completions(_CommutingSearch(e)), key=lambda s: s[0])

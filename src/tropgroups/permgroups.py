@@ -36,18 +36,20 @@ group itself is never listed), narrowing each vertex's candidate images
 as the map grows.  Those images are held as an int bit set, narrowed by
 one AND per unmapped vertex for each vertex mapped, and the point to map
 next (fewest images, then lowest) is found while narrowing and kept with
-the level.  That loop, ``base_and_orbit``, and its depth-first
-``complete`` also drive the pair search of ``pairsearch``, which finds
-generators of the unit stabilizer Sigma the same way, on an explicit
-stack, but skips the images of a base point already in its orbit under
-the generators found there.  A 2-closure tries every image, so it keeps
-each first completion as a generator.  The 2-closedness checks start from
-the group G they test, which lies inside its 2-closure: at each base
-point they skip the images G's own stabilizer reaches, read off G's Sims
-table, and count the closure's order from the orbits that G and the
-completions found span together.  All searches
-and listings in a ``search_budget`` block spend from its budget; one
-outside every block has DEFAULT_MAX_NODES nodes of its own.
+the level.  That loop, ``base_and_orbit``, and the one depth-first
+walk, ``completions``, on an explicit stack (``complete`` is its first
+item), also drive the pair search of ``pairsearch``, which finds
+generators of the unit stabilizer Sigma the same way but skips the
+images of a base point already in its orbit under the generators found
+there; the walk alone lists the units commuting with an idempotent.  A
+2-closure tries every image, so it keeps each first completion as a
+generator.  The 2-closedness checks start from the group G they test,
+which lies inside its 2-closure: at each base point they skip the images
+G's own stabilizer reaches, read off G's Sims table, and count the
+closure's order from the orbits that G and the completions found span
+together.  All searches and listings in a ``search_budget`` block spend
+from its budget; one outside every block has DEFAULT_MAX_NODES nodes of
+its own.
 
 Groups of different orders are not isomorphic, and equal permutation
 groups are recognised as isomorphic from their tables.  Otherwise two
@@ -637,28 +639,39 @@ def _push(search, v, w) -> bool:
     return search.push(v, w)
 
 
-def complete(search):
-    """Depth-first completion of the live partial map of ``search`` (see
-    ``base_and_orbit``): the first solution found, trying the candidates of
-    each next point in their order, or None; the map is left as it was.
-    The points mapped so far wait on a stack with their untried images."""
+def completions(search):
+    """Every completion of the live partial map of ``search`` (see
+    ``base_and_orbit``), depth first, trying the candidates of each next
+    point in their order; the map is as it was once the walk ends or is
+    closed.  The points mapped so far wait on a stack with their untried
+    images."""
     stack, v = [], search.next_point()
     untried = iter(search.candidates(v) if v is not None else ())
-    while v is not None:
-        for w in untried:
-            if _push(search, v, w):
-                stack.append((v, untried))
-                v = search.next_point()
-                untried = iter(search.candidates(v) if v is not None else ())
-                break
-        else:
-            if not stack:
-                return None
-            v, untried = stack.pop()
+    try:
+        while True:
+            if v is None:
+                yield search.solution()
+            for w in untried:
+                if _push(search, v, w):
+                    stack.append((v, untried))
+                    v = search.next_point()
+                    untried = iter(search.candidates(v) if v is not None else ())
+                    break
+            else:
+                if not stack:
+                    return
+                v, untried = stack.pop()
+                search.pop(v)
+    finally:
+        for v, _ in reversed(stack):
             search.pop(v)
-    found = search.solution()
-    for v, _ in reversed(stack):
-        search.pop(v)
+
+
+def complete(search):
+    """The first of ``completions``, or None; the map is left as it was."""
+    walk = completions(search)
+    found = next(walk, None)
+    walk.close()
     return found
 
 
@@ -666,14 +679,12 @@ class _AutomorphismSearch:
     """Backtracking automorphism engine over an edge-coloured structure on
     nv vertices, driven by ``base_and_orbit``.
 
-    ``ecol`` is a dense nv x nv matrix of integer edge colours (any value
-    is fine on the diagonal; use a reserved value for absent edges);
-    ``init`` is an initial vertex colouring (used to separate the sides of
-    a bipartite structure).
+    ``key[v][u]`` numbers the pair of edge colours (v to u, u to v), and
+    is -1, which no pair has, on the diagonal; ``init`` is an initial
+    vertex colouring (used to separate the sides of a bipartite structure).
 
-    Each pair of colours (v to u, u to v) is numbered once, ``key[v][u]``,
-    and ``fit[w]`` maps each number k to the bit set of the x whose pair
-    to and from w is k.  ``levels`` holds, per level, each unmapped
+    ``fit[w]`` maps each number k to the bit set of the x whose pair to
+    and from w is k.  ``levels`` holds, per level, each unmapped
     vertex's images that agree with the map as a bit set: its refined
     colour class, narrowed by every ``push`` with one AND (forward
     checking, Haralick and Elliott, *Artificial Intelligence* 14, 1980, on
@@ -683,15 +694,10 @@ class _AutomorphismSearch:
 
     name = "automorphism search"
 
-    def __init__(self, nv, ecol, init):
+    def __init__(self, nv, key, init):
         self.budget = search_budget.current()
         self.nv = nv
-        ids: dict = {}
-        self.key = [  # -1 on the diagonal, which no push asks for
-            [-1 if u == v else ids.setdefault((c, ecol[u][v]), len(ids))
-             for u, c in enumerate(row)]
-            for v, row in enumerate(ecol)
-        ]
+        self.key = key
         self.fit = [_bit_sets(enumerate(row)) for row in self.key]
         colour = self._refine(list(init))
         classes = _bit_sets(enumerate(colour))
@@ -754,7 +760,7 @@ def _bit_sets(labelled) -> dict:
     return out
 
 
-_ABSENT = object()
+_ABSENT, _UNLISTED = object(), object()
 
 
 def _automorphisms(nv: int, colours, init: list[int], known: Optional[PermGroup] = None):
@@ -762,13 +768,18 @@ def _automorphisms(nv: int, colours, init: list[int], known: Optional[PermGroup]
     the vertex colours `init` and the edge colours, with `known` a subgroup
     of it on the same vertices, if given, whose own images the search
     skips (see ``base_and_orbit``).  `colours` yields ((u, v), colour)
-    pairs; colours are numbered by first occurrence, an absent edge
-    (_ABSENT) is -2 and a pair not listed is -1."""
-    ids: dict = {}
-    ecol = [[-1] * nv for _ in range(nv)]
+    pairs, an absent edge coloured _ABSENT; a pair not listed is
+    _UNLISTED.  Each pair of colours (v to u, u to v) is numbered by first
+    occurrence."""
+    col = [[_UNLISTED] * nv for _ in range(nv)]
     for (u, v), c in colours:
-        ecol[u][v] = -2 if c is _ABSENT else ids.setdefault(c, len(ids))
-    search = _AutomorphismSearch(nv, ecol, init)
+        col[u][v] = c
+    ids: dict = {}
+    key = [  # -1 on the diagonal, which no push asks for
+        [-1 if u == v else ids.setdefault((c, col[u][v]), len(ids)) for u, c in enumerate(row)]
+        for v, row in enumerate(col)
+    ]
+    search = _AutomorphismSearch(nv, key, init)
     if known is None:
         return base_and_orbit(search, range(nv))
     gens, order = base_and_orbit(search, range(nv), getitem, known._sims())

@@ -272,6 +272,56 @@ def test_one_budget_covers_every_search_of_a_request(tmp_path, capsys, monkeypat
     assert f"search exceeded the budget of {total - 1} nodes" in err
 
 
+def test_one_budget_covers_every_search_of_a_verify_request(tmp_path, capsys, monkeypatch):
+    """--max-nodes bounds every search and listing of a verify request on
+    an idempotent together: verify F runs on exactly the nodes they spend,
+    one fewer stops it with the search named, and the commutation search
+    spends one node per push of its search state."""
+    from tropgroups.permgroups import search_budget
+
+    path = write(tmp_path, "f.txt", matrix_f().to_text() + "\n")
+    spends, pushes = [], []
+    with monkeypatch.context() as m:
+        spend, push = search_budget.spend, pairsearch._CommutingSearch.push
+
+        def counted_spend(self, search, nodes=1):
+            spends.append((search, nodes))
+            return spend(self, search, nodes)
+
+        m.setattr(search_budget, "spend", counted_spend)
+        m.setattr(pairsearch._CommutingSearch, "push", lambda *a: pushes.append(a) or push(*a))
+        assert run_cli(["verify", path, "--json"], capsys)[0] == 0
+    total = sum(nodes for _, nodes in spends)
+    assert {name for name, _ in spends} >= {"pair search", "commutation search"}
+    assert len(pushes) == sum(nodes for name, nodes in spends if name == "commutation search")
+    assert run_cli(["verify", path, "--max-nodes", str(total)], capsys)[0] == 0
+    assert main(["verify", path, "--max-nodes", str(total - 1)]) == 3
+    err = capsys.readouterr().err
+    assert f"commutation search exceeded the budget of {total - 1} nodes" in err
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[-7, -4, -6, -4, -6], [-3, 0, -2, 0, -2], [-8, -5, -7, -5, -7], [-6, -3, -5, -3, -5],
+         [-5, -2, -4, -2, -4]],
+        [[0, 0], [0, 0]],
+    ],
+    ids=["rank-1", "all-zero"],
+)
+def test_verify_checks_commuting_units_on_full_rank_idempotents_only(tmp_path, capsys, rows):
+    """An idempotent that is not full rank verifies with every flag true:
+    its reduced block, [[-7]] and [[0]] here, need not be idempotent, so
+    the commuting units, which need a full-rank idempotent, are not
+    compared."""
+    path = write(tmp_path, "e.txt", TropMatrix.from_rows(rows).to_text() + "\n")
+    code, out = run_cli(["verify", path, "--json"], capsys)
+    assert code == 0
+    flags = json.loads(out)["verification"]
+    assert all(flags.values())
+    assert "idempotent_restrictions" not in flags
+
+
 @pytest.mark.parametrize(
     "gens",
     [

@@ -291,9 +291,21 @@ def test_searches_past_one_machine_word_are_pinned(monkeypatch, make, order, pus
         assert hashlib.sha256(repr(images).encode()).hexdigest() == digest
 
 
+def _keyed_search(ecol, init):
+    """The automorphism search of the dense edge colours ``ecol``, each
+    pair of colours (v to u, u to v) numbered by first occurrence and the
+    diagonal -1, as ``_automorphisms`` numbers them."""
+    ids: dict = {}
+    key = [
+        [-1 if u == v else ids.setdefault((c, ecol[u][v]), len(ids)) for u, c in enumerate(row)]
+        for v, row in enumerate(ecol)
+    ]
+    return permgroups._AutomorphismSearch(len(ecol), key, init)
+
+
 def _digraph_search(d: ColouredDigraph):
     ecol = [[-1 if i == j else d.colours[(i, j)] for j in range(d.n)] for i in range(d.n)]
-    return permgroups._AutomorphismSearch(d.n, ecol, [0] * d.n)
+    return _keyed_search(ecol, [0] * d.n)
 
 
 def _bipartite_search(b: ColouredBipartiteGraph):
@@ -302,7 +314,7 @@ def _bipartite_search(b: ColouredBipartiteGraph):
     for i in range(n):
         for j in range(m):
             ecol[i][n + j] = b.edges.get((i, j), -2)
-    return permgroups._AutomorphismSearch(n + m, ecol, [0] * n + [1] * m)
+    return _keyed_search(ecol, [0] * n + [1] * m)
 
 
 def _search_run(search, act):

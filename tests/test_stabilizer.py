@@ -231,6 +231,85 @@ def test_commutation_search_does_not_recurse():
     assert len(solutions) == 30
 
 
+def _random_commuting_idempotent(rng, n, tag):
+    """A connected full-rank idempotent on n points with units commuting
+    with it: the Kleene star of a matrix with zero diagonal, constant on
+    the orbits of a random permutation on the ordered pairs, each orbit
+    -inf or a negative fraction plus an infinitesimal term (every cycle is
+    negative, so the star has independent columns), conjugated by a
+    diagonal of fractions with infinitesimal terms.  Tags from ``tag``."""
+    from fractions import Fraction
+
+    from tropgroups.components import connected_components
+    from tropgroups.matrix import idempotent_power
+
+    def scalar(lo, hi):
+        nonlocal tag
+        tag += 1
+        return val(Fraction(rng.randint(lo, hi), rng.randint(1, 3))) + eps(tag, rng.choice([-1, 1]))
+
+    while True:
+        g = rng.sample(range(n), n)
+        rows = [[val(0) if i == j else None for j in range(n)] for i in range(n)]
+        for i, j in itertools.product(range(n), repeat=2):
+            x = NEG_INF if rng.random() < 0.4 else scalar(-6, -1)
+            a, b = i, j
+            while rows[a][b] is None:  # the orbit of (i, j) under g
+                rows[a][b], a, b = x, g[a], g[b]
+        star = idempotent_power(TropMatrix.from_rows(rows))
+        d = [scalar(-3, 3) for _ in range(n)]
+        e = TropMatrix.from_rows(
+            [[x if x is NEG_INF else d[i] + x - d[j] for j, x in enumerate(row)]
+             for i, row in enumerate(star.entries)]
+        )
+        if len(connected_components(e)) == 1:
+            assert has_full_rank(e)
+            return e, tag
+
+
+def brute_force_commuting(e):
+    """Every (sigma, lam) with P @ E = E @ P, over all n! patterns: lam is
+    solved from the equation lam_i + E[sigma(i)][sigma(j)] = E[i][j] +
+    lam_j outward from lam_0 = 0, the product checked on scalars, and lam
+    shifted to eigenvalue 0."""
+    n, rows = e.nrows, e.entries
+    out = set()
+    for sigma in itertools.permutations(range(n)):
+        lam = [val(0)] + [None] * (n - 1)
+        for _ in range(n):
+            for i, j in itertools.product(range(n), repeat=2):
+                a, b = rows[i][j], rows[sigma[i]][sigma[j]]
+                if a is NEG_INF or b is NEG_INF:
+                    continue
+                if lam[i] is None and lam[j] is not None:
+                    lam[i] = a + lam[j] - b
+                elif lam[j] is None and lam[i] is not None:
+                    lam[j] = lam[i] + b - a
+        if any(x is None for x in lam):  # some finite entry maps to -inf
+            continue
+        p = MonomialMatrix(sigma, lam)
+        if p.left_apply(e) == p.right_apply(e):
+            ev = monomial_eigenvalue(p)
+            out.add((sigma, tuple(x - ev for x in lam)))
+    return out
+
+
+def test_commuting_solutions_match_brute_force():
+    """The commutation search finds every unit commuting with seeded
+    connected full-rank idempotents of up to five points, with -inf
+    entries, fractions and infinitesimal terms, sorted by pattern."""
+    from tropgroups.pairsearch import commuting_solutions
+
+    rng, tag, units = random.Random(20), 0, 0
+    for k in range(40):
+        e, tag = _random_commuting_idempotent(rng, 1 + k % 5, tag)
+        solutions = commuting_solutions(e)
+        assert set(solutions) == brute_force_commuting(e)
+        assert [s for s, _ in solutions] == sorted(s for s, _ in solutions)
+        units += len(solutions)
+    assert units > 80
+
+
 def test_right_mate_matches_search():
     f = matrix_f()
     for el in stabilizer_pairs(f):
