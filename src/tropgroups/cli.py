@@ -13,7 +13,7 @@ import hashlib
 import json
 import sys
 import time
-from operator import add, neg
+from operator import add
 from typing import Optional
 
 from .constructors import (
@@ -30,12 +30,13 @@ from .matrix import (
     is_idempotent,
     parse_matrix,
 )
-from .pairsearch import cycle_mean
+from .pairsearch import _CommutingSearch, cycle_mean
 from .permgroups import (
     DEFAULT_MAX_NODES,
     PairedPermGroup,
     Perm,
     PermGroup,
+    base_and_orbit,
     format_cycles,
     paired_two_closure,
     parse_cycles,
@@ -47,11 +48,11 @@ from .spaces import h_related, has_full_rank
 from .stabilizer import (
     analyze_matrix,
     classification_conditions,
-    commuting_units,
     group_description,
+    normalize_eigenvectors,
     require_idempotent,
-    _connected_sigma,
-    _sigma_listing,
+    _sigma_generators,
+    _sigma_units,
 )
 
 PARSE_ERROR = 2
@@ -269,26 +270,41 @@ def _pair_equation(entries, s, p, t, q) -> bool:
     return True
 
 
-def _plus(x, y):
-    return tuple(map(add, x, y))
+def _commutes_as_sigma(e: TropMatrix, sigma: PermGroup, u, v) -> bool:
+    """Whether the units commuting with the idempotent E are its Sigma, of
+    pattern group ``sigma`` and eigenvector units U, V: the commuting group,
+    found by the base-and-orbit walk without a listing, has Sigma's order,
+    each group's generators lie in the other, and each commuting generator
+    scales as the Sigma unit of its pattern, which covers every unit, as
+    both sides map patterns to units homomorphically."""
+    search = _CommutingSearch(e)
+    found, order = base_and_orbit(search, search.order, act=lambda f, i: f[0][i])
+    comm = PermGroup(e.nrows, [Perm._of(s) for s, _ in found])
+    # P @ E = E @ P makes (P, P) the stabilizer pair of P
+    units, _entries, decode = _sigma_units(e, [(g, g) for g in comm.generators], u, v)
+    return (
+        order == sigma.order()
+        and all(map(sigma.contains, comm.generators))
+        and all(map(comm.contains, sigma.generators))
+        and all(tuple(map(decode, p)) == lam for (_s, p, _t, _q), (_, lam) in zip(units, found))
+    )
 
 
 def verify_flags(a: TropMatrix) -> dict:
     """The full invariant suite on one matrix; every flag must be true.
 
-    Every stage is read from one ``Analysis``.  Each Sigma is listed on
-    integer codes from its factor's pattern group, the one the analysis
-    reported (``_sigma_listing``), so every check made on each element
-    compares codes.  ``h_related(P @ A, A)`` and the eigenvector normal form
-    are checked on the generators of each factor only, on scalars.  That is
-    exact: P is a unit, so P @ A has the row space of A, and the pair
-    equation P @ A = A @ Q, checked on every element, gives C(P @ A) = C(A)
-    because Q is a unit too.  Eigenvalue 0 is a zero code sum on every cycle
-    of P and of Q.  Closure is checked as generator times element, inverses
-    and the order, as lookups of (pattern, codes) keys; position agreement,
-    that two elements with the same image of a point scale it alike, as a
-    zero scaling code at every fixed point, which is the same once closure
-    holds (x^-1 @ y runs over Sigma).
+    Every stage is read from one ``Analysis``, and every check of Sigma
+    runs on the generators of each factor's pattern group, the one the
+    analysis reported, as units on integer codes (``_sigma_units``); no
+    group is listed.  Generators suffice: each check is kept by products
+    and inverses.  The pair equation P @ A = A @ Q, eigenvalue 0 as a zero
+    code sum on every cycle of P and of Q, position agreement as a zero
+    scaling code at every fixed point, ``h_related(P @ A, A)`` and the
+    eigenvector normal form run on each generator; closure is the order
+    of the left patterns' group, which must be the factor's.  On a
+    full-rank idempotent, the units commuting with each restriction form
+    a group found by a search of its own (``_commutes_as_sigma``), checked
+    last so that the commutation search is the last search to spend.
     """
     flags: dict[str, bool] = {}
     flags["format_round_trip"] = parse_matrix(a.to_text()) == a
@@ -299,44 +315,27 @@ def verify_flags(a: TropMatrix) -> dict:
     )
 
     pair_ok = eigen_ok = closure_ok = agree_ok = h_ok = norm_ok = True
-    sigmas = []
     for cls, (u, v, b), factor in zip(
         an.partition.classes, an.normalisations, an.description.factors
     ):
         rep = an.restrictions[cls.representative]
-        elements, entries, zero, decode = _sigma_listing(rep, factor.paired, u, v)
-        sigmas.append((elements, decode))
-        gens = {g.images for g, _ in factor.paired.generators}
-        keys = {(s, p) for s, p, _, _ in elements}
-        gen_keys = [(s, p) for s, p, _, _ in elements if s in gens]
-        n = rep.nrows
-        closure_ok &= (tuple(range(n)), (zero,) * n) in keys
-        closure_ok &= len(keys) == len(elements) == factor.order
-        for s, p, t, q in elements:
+        units, entries, decode = _sigma_units(rep, factor.paired.generators, u, v)
+        closure_ok &= factor.paired.left_group().order() == factor.order
+        for s, p, t, q in units:
             pair_ok &= _pair_equation(entries, s, p, t, q)
             try:
                 eigen_ok &= not any(cycle_mean(s, p)[1])
                 eigen_ok &= not any(cycle_mean(t, q)[1])
             except MultipleEigenvalues:
                 eigen_ok = False
-            inv_s, inv_p = [0] * n, [zero] * n
-            for i, x in enumerate(s):
-                inv_s[x], inv_p[x] = i, tuple(map(neg, p[i]))
-            closure_ok &= (tuple(inv_s), tuple(inv_p)) in keys
-            closure_ok &= all(
-                (tuple(map(s.__getitem__, gs)), tuple(map(_plus, gp, map(p.__getitem__, gs))))
-                in keys
-                for gs, gp in gen_keys
+            agree_ok &= not any(any(p[i]) for i, x in enumerate(s) if x == i)
+            pm = MonomialMatrix(s, tuple(map(decode, p)))
+            h_ok &= h_related(pm.left_apply(rep), rep)
+            # in normal form the pair acts on B by plain permutations
+            norm_ok &= all(
+                tuple(b.entries[s[i]][t[k]] for k in range(b.ncols)) == row
+                for i, row in enumerate(b.entries)
             )
-            agree_ok &= all(p[i] == zero for i, x in enumerate(s) if x == i)
-            if s in gens:
-                pm = MonomialMatrix(s, tuple(map(decode, p)))
-                h_ok &= h_related(pm.left_apply(rep), rep)
-                # in normal form the pair acts on B by plain permutations
-                norm_ok &= all(
-                    tuple(b.entries[s[i]][t[k]] for k in range(b.ncols)) == row
-                    for i, row in enumerate(b.entries)
-                )
     flags["pair_equations"] = pair_ok
     flags["single_eigenvalue"] = eigen_ok
     flags["sigma_closure"] = closure_ok
@@ -347,19 +346,22 @@ def verify_flags(a: TropMatrix) -> dict:
         an.description, a.nrows, a.ncols
     )
 
-    # commuting_units takes full-rank idempotents; a reduced block need not be one
+    # the commutation search takes full-rank idempotents; a reduced block need not be one
     if a.is_square() and an.reduced == a and is_idempotent(a):
         idem_ok = True
-        for cls, (elements, decode) in zip(an.partition.classes, sigmas):
-            rep = an.restrictions[cls.representative]
-            listed = {(s, tuple(map(decode, p))) for s, p, _, _ in elements}
-            for r in (an.restrictions[idx] for idx in cls.members):
+        for cls, norm, factor in zip(
+            an.partition.classes, an.normalisations, an.description.factors
+        ):
+            for idx in cls.members:
+                r = an.restrictions[idx]
                 idem_ok &= r == a or is_idempotent(r)
-                comm = {(el.P.sigma, el.P.scalings) for el in commuting_units(r)}
-                own = listed if r == rep else {
-                    (el.P.sigma, el.P.scalings) for el in _connected_sigma(r)
-                }
-                idem_ok &= comm == own
+                if idx == cls.representative:
+                    (u, v, _b), sigma = norm, factor.finite_part
+                else:
+                    gens = _sigma_generators(r)
+                    u, v, _b = normalize_eigenvectors(r, gens)
+                    sigma = PermGroup(r.nrows, [Perm._of(g.P.sigma) for g in gens])
+                idem_ok &= _commutes_as_sigma(r, sigma, u, v)
         flags["idempotent_restrictions"] = idem_ok
     return flags
 

@@ -18,12 +18,13 @@ it, found by ``permgroups.base_and_orbit`` one first-only completion per
 image of a base point that the generators found at that point do not
 already reach, never the whole group.  ``permgroups.complete`` makes
 every completion, extending the points in the order of ``_vertex_order``.
-The independent check of this search on an idempotent E,
-``commuting_solutions``, lists every completion (``permgroups.completions``)
-of a search state of its own, which maps rows only, checks P @ E = E @ P in
-full against every mapped row, and shares none of the pruning below.  All
-spend ``permgroups``' search budget, one node per push, and return their
-units shifted to eigenvalue 0 on codes (``cycle_mean``).
+The independent check of this search on an idempotent E is a search
+state of its own, ``_CommutingSearch``, which maps rows only, checks
+P @ E = E @ P in full against every mapped row, and shares none of the
+pruning below: ``base_and_orbit`` over it gives generators and the order
+of the commuting group, and ``commuting_solutions`` lists every
+completion.  All spend ``permgroups``' search budget, one node per push,
+and return their units shifted to eigenvalue 0 on codes (``cycle_mean``).
 
 Pruning of the pair search: a solution forces, for every row pair
 (i, i'), the multiset of columnwise differences of target rows (i, i') to

@@ -150,13 +150,13 @@ class Perm:
         return f"Perm({format_cycles(self)!r})"
 
 
-_CYCLE = re.compile(r"\(([^()]*)\)")
+_CYCLE = re.compile(r"\(\s*((?:[0-9]+\s*(?:,\s*[0-9]+\s*)*)?)\)\s*")
 
 
 def parse_cycles(text: str, degree: int) -> Perm:
-    """Parse 1-indexed cycle notation; the identity is ``()`` or `````` .
-    The cycles must be disjoint."""
-    s = re.sub(r"\s+", "", text)
+    """Parse 1-indexed cycle notation of decimal points; the identity is
+    ``()`` or `````` .  The cycles must be disjoint."""
+    s = text.strip()
     images = list(range(degree))
     used: set[int] = set()
     pos = 0

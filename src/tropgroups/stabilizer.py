@@ -6,10 +6,11 @@ finite-entry graph of A is connected every element has a single eigenvalue
 (the common cycle mean of its pattern) and the group splits as a scaling
 line times the finite group Sigma of eigenvalue-0 elements.  The pair search
 yields generators of Sigma; the analysis reads its order and reported
-generators off the Sims table of their patterns' group, and where the
-elements are needed that group is listed, with the scalings read off the
-common eigenvectors that ``normalize_eigenvectors`` finds, as integer
-codes (``_sigma_listing``).
+generators off the Sims table of their patterns' group.  The unit of any
+pattern pair of that group has its scalings read off the common
+eigenvectors that ``normalize_eigenvectors`` finds, as integer codes
+(``_sigma_units``): ``verify`` takes the generators' units, and
+``stabilizer_pairs`` lists the group for all of them.
 
 Disconnected matrices decompose along component classes: the full group is
 a direct product over classes of wreath-type factors, one (R x G_alpha) per
@@ -85,27 +86,22 @@ def _sigma_generators(a: TropMatrix) -> list[StabilizerElement]:
     ]
 
 
-def _sigma_listing(
-    a: TropMatrix, group: PairedPermGroup, u: MonomialMatrix, v: MonomialMatrix
-):
-    """Every element of the Sigma whose pattern pairs form ``group``, on
+def _sigma_units(a: TropMatrix, pairs, u: MonomialMatrix, v: MonomialMatrix):
+    """The Sigma element of each pattern pair (g, h) in ``pairs``, on
     integer codes, given the units U, V of ``normalize_eigenvectors``.
 
-    Returns (elements, entries, zero, decode): one ``encode`` covers the
-    entries of A and the scalings of U and V, ``entries`` are the codes of
-    A's rows and ``zero`` that of 0.  Each element is (s, p, t, q), the
-    pair U^-1 @ s @ U, V @ t @ V^-1 of units: patterns s, t and scaling
-    codes p, q.  The listing is ``group``'s own, kept on it."""
-    ((zero,), du, dv, *entries), decode = encode(
-        (ZERO,), u.scalings, v.scalings, *a.entries
-    )
-    elements = []
-    for g, h in group.elements():
+    Returns (units, entries, decode): one ``encode`` covers the scalings
+    of U and V and the entries of A, and ``entries`` are the codes of A's
+    rows.  Each unit is (s, p, t, q), the pair U^-1 @ s @ U, V @ t @ V^-1:
+    patterns s, t and scaling codes p, q."""
+    (du, dv, *entries), decode = encode(u.scalings, v.scalings, *a.entries)
+    units = []
+    for g, h in pairs:
         s, t = g.images, h.images
         p = tuple(tuple(map(sub, du[x], du[i])) for i, x in enumerate(s))
         q = tuple(tuple(map(sub, dv[j], dv[y])) for j, y in enumerate(t))
-        elements.append((s, p, t, q))
-    return elements, entries, zero, decode
+        units.append((s, p, t, q))
+    return units, entries, decode
 
 
 def _connected_sigma(a: TropMatrix) -> list[StabilizerElement]:
@@ -115,7 +111,7 @@ def _connected_sigma(a: TropMatrix) -> list[StabilizerElement]:
     u, v, _b = normalize_eigenvectors(a, gens)
     pairs = [(Perm._of(g.P.sigma), Perm._of(g.Q.sigma)) for g in gens]
     group = PairedPermGroup(a.shape, pairs)
-    elements, _entries, _zero, decode = _sigma_listing(a, group, u, v)
+    units, _entries, decode = _sigma_units(a, group.elements(), u, v)
     return _sorted_elements(
         [
             StabilizerElement(
@@ -123,7 +119,7 @@ def _connected_sigma(a: TropMatrix) -> list[StabilizerElement]:
                 MonomialMatrix(t, tuple(map(decode, q))),
                 ZERO,
             )
-            for s, p, t, q in elements
+            for s, p, t, q in units
         ]
     )
 

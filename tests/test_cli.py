@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from tropgroups.cli import main, verify_flags
 from tropgroups.components import connected_components
 from tropgroups.constructors import construct_idempotent
 from tropgroups.matrix import TropMatrix, parse_matrix
-from tropgroups.permgroups import PermGroup
+from tropgroups.permgroups import PermGroup, search_budget
 
 
 def run_cli(args, capsys):
@@ -330,13 +331,26 @@ def test_verify_checks_commuting_units_on_full_rank_idempotents_only(tmp_path, c
         ["--bidegree", "3", "2", "(1,2,3)|()"],
         ["--bidegree", "2", "0", "(1,2)|()"],
         ["--bidegree", "0", "2", "()|(1,2)"],
+        ["--degree", "12", "(1_0,2)"],
+        ["--degree", "3", "(+1,2)"],
+        ["--degree", "3", "(1,2,)"],
     ],
-    ids=["shared-point", "shared-point-product", "unfaithful-paired", "empty-right", "empty-left"],
+    ids=[
+        "shared-point",
+        "shared-point-product",
+        "unfaithful-paired",
+        "empty-right",
+        "empty-left",
+        "underscore-point",
+        "signed-point",
+        "empty-point",
+    ],
 )
 def test_bad_group_input_exits_2_whatever_the_max_order(capsys, gens):
-    """Cycles that share a point, and a paired group with an element that
-    is the identity on one side only, are bad input, also where the budget
-    would not cover the 2-closure search."""
+    """Cycles that share a point or have a point that is not a digit
+    string, and a paired group with an element that is the identity on one
+    side only, are bad input, also where the budget would not cover the
+    2-closure search."""
     for cap in ([], ["--max-nodes", "1"]):
         code, out = run_cli(["closure", *gens, *cap], capsys)
         assert code == 2 and out == "", (gens, cap)
@@ -515,44 +529,49 @@ def test_verify_flags_report_only_multiple_eigenvalues_as_false(monkeypatch):
 
 
 def _flags_with_one_code_shifted(monkeypatch, side, at_fixed_point):
-    """The false flags of F when one scaling code on ``side`` ("P" or
-    "Q") of one non-generator Sigma element is shifted by 1, at a fixed
-    point of that side's pattern or at a moved point."""
+    """The false flags of F when every call of ``_sigma_units`` shifts by 1
+    one scaling code on ``side`` ("P" or "Q") of the first generator unit
+    it gives whose pattern on that side moves a point, at a fixed point of
+    that pattern or at a moved point.  verify calls it for the factor's
+    generators and for the commuting generators."""
     from tropgroups import cli
 
-    orig = cli._sigma_listing
-    factor = cli.analyze_matrix(matrix_f()).description.factors[0]
-    gens = {g.images for g, _ in factor.paired.generators}
+    orig = cli._sigma_units
+    shifted = []
 
     def bump(codes, i):
         return codes[:i] + ((codes[i][0] + 1, *codes[i][1:]),) + codes[i + 1 :]
 
     def perturbed(*args):
-        elements, *rest = orig(*args)
-        for k, (s, p, t, q) in enumerate(elements):
+        units, *rest = orig(*args)
+        for k, (s, p, t, q) in enumerate(units):
             pattern = s if side == "P" else t
             fixed = [i for i, x in enumerate(pattern) if x == i]
             moved = [i for i, x in enumerate(pattern) if x != i]
             spots = fixed if at_fixed_point else moved
-            if s not in gens and spots and moved:
+            if spots and moved:
                 i = spots[0]
                 bad = (s, bump(p, i), t, q) if side == "P" else (s, p, t, bump(q, i))
-                return [*elements[:k], bad, *elements[k + 1 :]], *rest
-        raise AssertionError("no element to perturb")
+                shifted.append(bad)
+                return [*units[:k], bad, *units[k + 1 :]], *rest
+        return units, *rest
 
-    monkeypatch.setattr(cli, "_sigma_listing", perturbed)
-    return {name for name, ok in verify_flags(matrix_f()).items() if not ok}
+    monkeypatch.setattr(cli, "_sigma_units", perturbed)
+    broken = {name for name, ok in verify_flags(matrix_f()).items() if not ok}
+    assert shifted, "no unit to perturb"
+    return broken
 
 
 @pytest.mark.parametrize("at_fixed_point", [True, False])
 def test_verify_flags_catch_a_perturbed_sigma_element(monkeypatch, at_fixed_point):
-    """Shift one P scaling code of one non-generator Sigma element of F:
-    the flags that read every element turn false, and position agreement
+    """Shift one P scaling code of one generator unit of F: every flag
+    that reads P's codes turns false (the comparison with the commuting
+    units reads the unit of a commuting generator), and position agreement
     only when the scaling sits at a fixed point of the pattern."""
     broken = {
         "pair_equations",
         "single_eigenvalue",
-        "sigma_closure",
+        "h_related",
         "idempotent_restrictions",
     }
     if at_fixed_point:
@@ -561,27 +580,89 @@ def test_verify_flags_catch_a_perturbed_sigma_element(monkeypatch, at_fixed_poin
 
 
 def test_verify_flags_catch_a_perturbed_q_scaling(monkeypatch):
-    """Shift one Q scaling code of one non-generator Sigma element of F:
-    closure, position agreement and the comparison with the commuting
-    units read P only, so just the pair equations and the eigenvalue turn
-    false."""
+    """Shift one Q scaling code of one generator unit of F: h_related,
+    position agreement and the comparison with the commuting units read P
+    only, so just the pair equations and the eigenvalue turn false."""
     assert _flags_with_one_code_shifted(monkeypatch, "Q", False) == {
         "pair_equations",
         "single_eigenvalue",
     }
 
 
+def _symmetric_witness(n):
+    """The idempotent that construct_idempotent builds for S_n, generated
+    by (1,..,n) and (1,2)."""
+    cycle = "(" + ",".join(map(str, range(1, n + 1))) + ")"
+    return construct_idempotent(PermGroup.from_cycles(n, [cycle, "(1,2)"]))
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_verify_checks_a_large_symmetric_group_on_generators(n):
+    """verify lists neither Sigma nor the commuting units: the S_9 and
+    S_12 witnesses (9! and 12! elements) verify with every flag true
+    inside one budget of 100,000 nodes."""
+    with search_budget(100_000):
+        flags = verify_flags(_symmetric_witness(n))
+    assert "idempotent_restrictions" in flags
+    assert all(flags.values()), flags
+
+
+def _false_flags(a):
+    return {name for name, ok in verify_flags(a).items() if not ok}
+
+
+def test_verify_flags_catch_seeded_mutations(monkeypatch):
+    """Two faults seeded into the analysis that verify reads: a pair
+    search that drops the last candidate of every point with more than
+    one finds too small a Sigma, which only the comparison with the
+    commuting units sees; a first eigenvector scaling of U shifted by 1
+    breaks the units of every generator that moves point 0."""
+    from tropgroups import cli, stabilizer
+    from tropgroups.matrix import MonomialMatrix
+    from tropgroups.semiring import val
+
+    from helpers import alt4_squared
+
+    with monkeypatch.context() as m:
+        candidates = pairsearch._PairSearch.candidates
+
+        def fewer(self, point):
+            found = candidates(self, point)
+            return found[:-1] if len(found) > 1 else found
+
+        m.setattr(pairsearch._PairSearch, "candidates", fewer)
+        for a in (matrix_f(), matrix_e(), _symmetric_witness(5)):
+            assert _false_flags(a) == {"idempotent_restrictions"}, a
+
+    normalize = stabilizer.normalize_eigenvectors
+
+    def shifted(*args):
+        u, v, b = normalize(*args)
+        return MonomialMatrix(u.sigma, (u.scalings[0] + val(1), *u.scalings[1:])), v, b
+
+    for mod in (cli, stabilizer):
+        monkeypatch.setattr(mod, "normalize_eigenvectors", shifted)
+    assert _false_flags(matrix_f()) == {"h_related", "idempotent_restrictions", "pair_equations"}
+    assert _false_flags(alt4_squared()) == {"h_related", "pair_equations"}
+
+
 def test_reports_are_byte_identical(tmp_path):
+    """A report on stdout depends neither on the run nor on the seed of
+    str hashing, which orders sets and dicts of strings: analyze, verify
+    and closure each print the same bytes under PYTHONHASHSEED 0, 1 and 0."""
     path = write(tmp_path, "f.txt", matrix_f().to_text() + "\n")
-    outs = set()
-    for _ in range(2):
-        proc = subprocess.run(
-            [sys.executable, "-m", "tropgroups", "analyze", path, "--json"],
-            capture_output=True,
-            check=True,
-        )
-        outs.add(proc.stdout)
-    assert len(outs) == 1
+    closure = ["--bidegree", "4", "4", "(1,2,3)|(1,2,3)", "(1,2)(3,4)|(1,2)(3,4)"]
+    for argv in (["analyze", path], ["verify", path], ["closure", *closure]):
+        outs = set()
+        for seed in ("0", "1", "0"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "tropgroups", *argv, "--json"],
+                capture_output=True,
+                check=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            outs.add(proc.stdout)
+        assert len(outs) == 1, argv
 
 
 def test_each_stage_runs_once_per_command(tmp_path, monkeypatch, capsys):
@@ -620,10 +701,9 @@ def test_each_stage_runs_once_per_command(tmp_path, monkeypatch, capsys):
         assert len(set(calls)) == len(calls), argv
 
 
-def test_verify_checks_full_rank_once_per_matrix_besides_commuting_units(monkeypatch):
+def test_verify_checks_full_rank_once_per_matrix(monkeypatch):
     """On a connected matrix the one restriction is the reduction itself,
-    so only the reduction and the input guard of commuting_units call
-    has_full_rank."""
+    so only the reduction calls has_full_rank."""
     from tropgroups import cli, stabilizer
 
     calls = []
@@ -637,12 +717,12 @@ def test_verify_checks_full_rank_once_per_matrix_besides_commuting_units(monkeyp
         monkeypatch.setattr(mod, "has_full_rank", counted)
     flags = verify_flags(matrix_f())
     assert all(flags.values())
-    assert calls == [matrix_f(), matrix_f()]
+    assert calls == [matrix_f()]
 
 
-def test_verify_checks_idempotency_once_besides_commuting_units(monkeypatch):
+def test_verify_checks_idempotency_once(monkeypatch):
     """F is idempotent and its one restriction is F itself, so only the
-    input check and the input guard of commuting_units multiply."""
+    input check multiplies."""
     from tropgroups import cli, matrix, stabilizer
 
     calls = []
@@ -656,7 +736,7 @@ def test_verify_checks_idempotency_once_besides_commuting_units(monkeypatch):
         monkeypatch.setattr(mod, "is_idempotent", counted)
     flags = verify_flags(matrix_f())
     assert all(flags.values())
-    assert calls == [matrix_f(), matrix_f()]
+    assert calls == [matrix_f()]
 
 
 def test_construct_checks_the_witness_idempotent_once(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -61,6 +62,7 @@ def test_cycle_notation_round_trip():
     assert parse_cycles("()", 4) == Perm.identity(4)
     assert format_cycles(Perm.identity(3)) == "()"
     assert parse_cycles(" ( 1 , 2 ) ", 2) == Perm((1, 0))
+    assert parse_cycles(" (1, 3) ( 2 ,4 ) ", 4) == Perm((2, 3, 0, 1))
     with pytest.raises(ValueError):
         parse_cycles("(1,5)", 4)
     with pytest.raises(ValueError):
@@ -71,6 +73,11 @@ def test_cycle_notation_round_trip():
         with pytest.raises(ValueError, match="point 1 is in two cycles"):
             parse_cycles(text, 3)
     assert parse_cycles("(1,2)(3,4)", 4) == Perm((1, 0, 3, 2))
+    # points are digit strings, not whatever int() reads; the error names
+    # the text and where its bad cycle starts
+    for text, pos in (("(1_0,2)", 0), ("(3,4) (+1,2)", 6), ("(1,2,)", 0), ("(1 0,2)", 0)):
+        with pytest.raises(ValueError, match=re.escape(f"notation {text!r} at {pos}")):
+            parse_cycles(text, 12)
 
 
 def test_perm_mul_matches_matrix_convention():
