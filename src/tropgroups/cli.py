@@ -13,7 +13,6 @@ import hashlib
 import json
 import sys
 import time
-from operator import add
 from typing import Optional
 
 from .constructors import (
@@ -265,7 +264,7 @@ def _pair_equation(entries, s, p, t, q) -> bool:
             if x is None or y is None:
                 if x is not y:
                     return False
-            elif tuple(map(add, lam, x)) != tuple(map(add, y, mu)):
+            elif lam + x != y + mu:
                 return False
     return True
 
@@ -295,7 +294,7 @@ def verify_flags(a: TropMatrix) -> dict:
 
     Every stage is read from one ``Analysis``, and every check of Sigma
     runs on the generators of each factor's pattern group, the one the
-    analysis reported, as units on integer codes (``_sigma_units``); no
+    analysis reported, as units on int codes (``_sigma_units``); no
     group is listed.  Generators suffice: each check is kept by products
     and inverses.  The pair equation P @ A = A @ Q, eigenvalue 0 as a zero
     code sum on every cycle of P and of Q, position agreement as a zero
@@ -324,11 +323,11 @@ def verify_flags(a: TropMatrix) -> dict:
         for s, p, t, q in units:
             pair_ok &= _pair_equation(entries, s, p, t, q)
             try:
-                eigen_ok &= not any(cycle_mean(s, p)[1])
-                eigen_ok &= not any(cycle_mean(t, q)[1])
+                eigen_ok &= not cycle_mean(s, p)[1]
+                eigen_ok &= not cycle_mean(t, q)[1]
             except MultipleEigenvalues:
                 eigen_ok = False
-            agree_ok &= not any(any(p[i]) for i, x in enumerate(s) if x == i)
+            agree_ok &= not any(p[i] for i, x in enumerate(s) if x == i)
             pm = MonomialMatrix(s, tuple(map(decode, p)))
             h_ok &= h_related(pm.left_apply(rep), rep)
             # in normal form the pair acts on B by plain permutations

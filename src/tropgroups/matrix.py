@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from operator import add
 from typing import Iterable, Sequence
 
 from .graphs import components
@@ -164,7 +163,7 @@ def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
         row = []
         for bcol in bcols:
             best = max(
-                (tuple(map(add, x, bcol[k])) for k, x in terms if bcol[k] is not None),
+                (x + bcol[k] for k, x in terms if bcol[k] is not None),
                 default=None,
             )
             row.append(decode(best))
@@ -174,9 +173,9 @@ def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
 
 def _shift(x: TropScalar, c, s, decode) -> TropScalar:
     """The scalar x, of code c, times the scalar of the finite code s."""
-    if c is None or not any(s):
+    if c is None or not s:
         return x
-    return decode(tuple(map(add, c, s)))
+    return decode(c + s)
 
 
 class MonomialMatrix:

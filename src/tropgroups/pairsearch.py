@@ -36,12 +36,10 @@ images with a matching profile signature.
 
 from __future__ import annotations
 
-from operator import add, neg, sub
-
 from .graphs import components, support_components
 from .matrix import MultipleEigenvalues, TropMatrix
 from .permgroups import base_and_orbit, complete, completions, search_budget
-from .semiring import ZERO, encode
+from .semiring import encode
 
 
 def _support(codes):
@@ -68,12 +66,12 @@ def _pair_profiles(vectors, intern):
                 elif b is None:
                     only_u += 1
                 else:
-                    diffs.append(tuple(map(sub, a, b)))
+                    diffs.append(a - b)
             diffs.sort()
             if diffs:
                 lo, hi = diffs[0], diffs[-1]
-                fwd = tuple(tuple(map(sub, d, lo)) for d in diffs)
-                back = tuple(tuple(map(sub, hi, d)) for d in reversed(diffs))
+                fwd = tuple(d - lo for d in diffs)
+                back = tuple(hi - d for d in reversed(diffs))
             else:
                 fwd = back = ()
             prof[x, y] = intern.setdefault((only_u, only_v, fwd), len(intern))
@@ -89,11 +87,12 @@ def _signatures(prof, degs, k):
     return sigs
 
 
-def cycle_mean(sigma, codes) -> tuple[int, tuple[int, ...]]:
+def cycle_mean(sigma, codes) -> tuple[int, int]:
     """(k, S) for the unit of pattern sigma and scaling codes ``codes``:
     k is the length of the cycle of sigma through point 0 and S the code
     sum of the scalings along it, so the unit's eigenvalue is S/k.
-    Raises MultipleEigenvalues when another cycle's mean differs."""
+    Raises MultipleEigenvalues when another cycle's mean differs, naming
+    the two cycles by a point (counted from 1) and their lengths."""
     mean = None
     seen = [False] * len(sigma)
     for start in range(len(sigma)):
@@ -102,13 +101,14 @@ def cycle_mean(sigma, codes) -> tuple[int, tuple[int, ...]]:
         total, k, i = codes[start], 1, sigma[start]
         while i != start:
             seen[i] = True
-            total = tuple(map(add, total, codes[i]))
+            total += codes[i]
             k, i = k + 1, sigma[i]
         if mean is None:
             mean = k, total
-        elif any(mean[0] * t != k * s for s, t in zip(mean[1], total)):
+        elif mean[0] * total != k * mean[1]:
             raise MultipleEigenvalues(
-                f"cycle means differ: codes {mean[1]}/{mean[0]} vs {total}/{k}"
+                f"cycle means differ: the cycle through point 1 (length {mean[0]})"
+                f" vs the cycle through point {start + 1} (length {k})"
             )
     return mean
 
@@ -118,10 +118,10 @@ def _eigenvalue_zero(decode, sigma, *scalings):
     codes and returned as scalars, each x shifted to x - S/k by the unit's
     ``cycle_mean``: the code k*x - S decoded with the divisor k."""
     k, total = cycle_mean(sigma, scalings[0])
-    if not any(total):
+    if not total:
         return [tuple(map(decode, xs)) for xs in scalings]
     return [
-        tuple(decode(tuple(k * c - s for c, s in zip(x, total)), k) for x in xs)
+        tuple(decode(k * x - total, k) for x in xs)
         for xs in scalings
     ]
 
@@ -171,9 +171,7 @@ class _PairSearch:
         if target.shape != source.shape:
             raise ValueError("target and source must have equal shape")
         n = target.nrows
-        ((self.zero,), *codes), self.decode = encode(
-            (ZERO,), *target.entries, *source.entries
-        )
+        codes, self.decode = encode(*target.entries, *source.entries)
         self.a = (codes[:n], list(zip(*codes[:n])))
         self.b = (codes[n:], list(zip(*codes[n:])))
         supp = [_support(a) for a in self.a]
@@ -220,14 +218,14 @@ class _PairSearch:
         other = 1 - side
         row_a, row_b = self.a[side][x], self.b[side][y]
         o_img, o_scal = self.image[other], self.scaling[other]
-        # the first point anchors the scalings at 0
-        s = None if self.assigned[0] or self.assigned[1] else self.zero
+        # the first point anchors the scalings at 0, the zero code of any basis
+        s = None if self.assigned[0] or self.assigned[1] else 0
         for x2 in self.assigned[other]:
             ea, eb = row_a[x2], row_b[o_img[x2]]
             if (ea is None) != (eb is None):
                 return False
             if ea is not None:
-                cand = tuple(map(sub, map(sub, ea, eb), o_scal[x2]))
+                cand = ea - eb - o_scal[x2]
                 if s is None:
                     s = cand
                 elif s != cand:
@@ -259,7 +257,7 @@ class _PairSearch:
         """A ``solution()`` as (sigma, tau, lam, mu) with mu = -nu,
         scalings as scalars, shifted to eigenvalue 0 if asked."""
         sigma, tau, lam, nu = found
-        mu = tuple(tuple(map(neg, x)) for x in nu)
+        mu = tuple(-x for x in nu)
         if eigenvalue_zero:
             return (sigma, tau, *_eigenvalue_zero(self.decode, sigma, lam, mu))
         return sigma, tau, tuple(map(self.decode, lam)), tuple(map(self.decode, mu))
@@ -305,7 +303,7 @@ class _CommutingSearch:
         if not e.is_square():
             raise ValueError("commutation search needs a square matrix")
         n = e.nrows
-        ((self.zero,), *self.e), self.decode = encode((ZERO,), *e.entries)
+        self.e, self.decode = encode(*e.entries)
         supp = _support(self.e)
 
         def neighbours(i):
@@ -330,15 +328,15 @@ class _CommutingSearch:
         """Map row i to r if the equation holds, both ways, between i and
         every mapped row, for one scaling of i."""
         e, sigma, lam = self.e, self.sigma, self.lam
-        s = None if self.mapped else self.zero
+        s = None if self.mapped else 0
         for i2 in self.mapped:
             r2 = sigma[i2]
-            # lam_i is lam_i2 + (E[i][i2] - E[r][r2]), and lam_i2 - (E[i2][i] - E[r2][r])
-            for x, y, op in ((e[i][i2], e[r][r2], add), (e[i2][i], e[r2][r], sub)):
+            # lam_i is lam_i2 + (E[i][i2] - E[r][r2]), and lam_i2 + (E[r2][r] - E[i2][i])
+            for x, y in ((e[i][i2], e[r][r2]), (e[r2][r], e[i2][i])):
                 if (x is None) != (y is None):
                     return False
                 if x is not None:
-                    cand = tuple(map(op, lam[i2], map(sub, x, y)))
+                    cand = lam[i2] + x - y
                     if s is not None and s != cand:
                         return False
                     s = cand

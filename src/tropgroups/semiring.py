@@ -16,20 +16,33 @@ Text grammar: ``-inf`` | a sum of signed terms, each a rational ``p`` /
 ``p/q`` or an infinitesimal term ``[coeff]e<tag>``, e.g. ``-1+e3`` or
 ``9/10-2e1+e2``.
 
-Code space.  ``encode`` compiles the scalars of one operation to tuples of
-ints over one basis: the sorted union of their tags and the lcm D of all
-their denominators.  A finite scalar becomes (D*std, D*c_t1, .., D*c_tk)
-and ``-inf`` becomes ``None``.  Python's tuple order is then the scalar
-order, and elementwise ``+``/``-`` are the tropical product and its
-residual, so the hot loops of ``matrix``, ``spaces`` and ``pairsearch``
-run on codes and build ``Value``s only at the boundary, through the
-``decode`` that ``encode`` returns.  Three points need care:
+Code space.  ``encode`` compiles the scalars of one operation to ints
+over one basis: the sorted union of their tags and the lcm D of all their
+denominators.  A finite scalar has the fields (D*std, D*c_t1, .., D*c_tk),
+packed into the one int c0*B^k + c1*B^(k-1) + .. + ck with B = 2^w (so
+the scalar 0 has the code 0 in every basis), and ``-inf`` becomes
+``None``.  The field width w is the bit length of a bound on every
+|field| of the call (its largest numerator times D) plus 64 spare bits,
+so the sum of fewer than 2^62 codes, or a small multiple of one, still
+has every signed field inside (-B/2, B/2).  Packing is linear, so ``+``, ``-`` and multiplication by an int act field by field:
+they are the tropical product, its residual and powers.  Int order is the
+lex order of the fields, which is the scalar order: at the first field
+where two codes differ the gap is at least one unit of that field's
+place, more than all the lower fields together can make up.  So the hot
+loops of ``matrix``, ``spaces`` and ``pairsearch`` run on plain ints and
+build ``Value``s only at the boundary, through the ``decode`` that
+``encode`` returns.  Four points need care:
 
 - a code ``None`` never leaves code space as a scalar (``decode`` turns it
   into ``NEG_INF``), and ``NEG_INF`` never enters it;
+- codes of different ``encode`` calls have different bases and widths and
+  are never mixed;
 - division happens only in ``decode``, by a cycle length: a cycle mean is
   kept as the code sum S over the cycle and its length k, and x - S/k is
-  decoded as the code k*x - S divided by k;
+  decoded as the code k*x - S divided by k.  Whether k divides is asked
+  of each unpacked field, never of the packed int: with B = 4 the fields
+  (1, 2) pack to 6, which 3 divides, though neither field is a multiple
+  of 3;
 - ``free_basis_check`` is linear algebra over the rationals and stays on
   ``Fraction``.
 """
@@ -290,7 +303,11 @@ def free_basis_check(vals: Sequence[Value]) -> bool:
 
 # -- code space --
 
-Code = Optional[tuple[int, ...]]
+Code = Optional[int]
+
+# spare bits above the bound on the fields of an ``encode`` call: sums of
+# fewer than 2^62 codes keep every field inside its slot
+_SPARE_BITS = 64
 
 
 def encode(
@@ -312,35 +329,52 @@ def encode(
     finite = {id(x): x for g in groups for x in g if x is not NEG_INF}
     dens = {x.std.denominator for x in finite.values()}
     tags = set()
+    # the bitwise or of the numerators' magnitudes has the bit length of
+    # the largest, and each field is at most that numerator times D
+    top = 0
     for x in finite.values():
+        top |= abs(x.std.numerator)
         for t, c in x.eps:
             tags.add(t)
             dens.add(c.denominator)
+            top |= abs(c.numerator)
     den = lcm(*dens) if dens else 1
     pos = {t: k for k, t in enumerate(sorted(tags), 1)}
     width = len(pos) + 1
+    shift = top.bit_length() + den.bit_length() + _SPARE_BITS
+    half, mask = 1 << (shift - 1), (1 << shift) - 1
+    high = shift * (width - 1)
+    place = {t: high - shift * k for t, k in pos.items()}
     code_of: dict = {id(NEG_INF): None}
     table: dict = {None: NEG_INF}
     for key, x in finite.items():
-        row = [0] * width
-        row[0] = x.std.numerator * (den // x.std.denominator)
+        code = x.std.numerator * (den // x.std.denominator) << high
         for t, c in x.eps:
-            row[pos[t]] = c.numerator * (den // c.denominator)
-        code = tuple(row)
+            code += c.numerator * (den // c.denominator) << place[t]
         code_of[key] = code
         table.setdefault(code, x)
     codes = [tuple(map(code_of.__getitem__, map(id, g))) for g in groups]
 
+    def fields(code: int) -> list[int]:
+        """The signed fields of a code, high field first, taken off as
+        centred remainders from the low field up."""
+        out = [0] * width
+        for i in range(width - 1, -1, -1):
+            out[i] = c = ((code + half) & mask) - half
+            code = (code - c) >> shift
+        return out
+
     def decode(code: Code, k: int = 1) -> TropScalar:
-        if k != 1 and not any(c % k for c in code):
-            code, k = tuple(c // k for c in code), 1
+        if k != 1 and not any(c % k for c in fields(code)):
+            code, k = code // k, 1
         key = code if k == 1 else (code, k)
         x = table.get(key)
         if x is None:
             d = den * k
+            row = fields(code)
             x = Value(
-                Fraction(code[0], d),
-                [(t, Fraction(code[i], d)) for t, i in pos.items() if code[i]],
+                Fraction(row[0], d),
+                [(t, Fraction(row[i], d)) for t, i in pos.items() if row[i]],
             )
             table[key] = x
         return x

@@ -5,7 +5,7 @@ solution lambda_j = min over rows i with A_ij finite of (x_i - A_ij) is the
 componentwise-largest candidate, so x is in the span iff A (x) lambda = x,
 that is, iff every finite coordinate of x attains the minimum for some
 column (Butkovič, *Max-linear Systems*, ch. 3).  The tests run on the
-integer codes of ``semiring.encode``.
+int codes of ``semiring.encode``.
 
 Conventions with -inf entries: a generator column that is entirely -inf
 gets coefficient -inf, and a generator that is finite at a coordinate where
@@ -16,7 +16,6 @@ choices, so the principal-solution test stays exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
 from typing import Optional, Sequence
 
 from .matrix import TropMatrix
@@ -47,7 +46,7 @@ def _principal(x, cols) -> Optional[list]:
             if xi is None:
                 lam, argmin = None, []
                 break
-            d = tuple(map(sub, xi, aij))
+            d = xi - aij
             if lam is None or d < lam:
                 lam, argmin = d, [i]
             elif d == lam:
@@ -107,7 +106,7 @@ def _scaling_gap(u, v):
             return None
         if x is None:
             continue
-        d = tuple(map(sub, x, y))
+        d = x - y
         if lam is None:
             lam = d
         elif lam != d:

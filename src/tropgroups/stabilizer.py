@@ -8,7 +8,7 @@ line times the finite group Sigma of eigenvalue-0 elements.  The pair search
 yields generators of Sigma; the analysis reads its order and reported
 generators off the Sims table of their patterns' group.  The unit of any
 pattern pair of that group has its scalings read off the common
-eigenvectors that ``normalize_eigenvectors`` finds, as integer codes
+eigenvectors that ``normalize_eigenvectors`` finds, as int codes
 (``_sigma_units``): ``verify`` takes the generators' units, and
 ``stabilizer_pairs`` lists the group for all of them.
 
@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import factorial
-from operator import add, neg, sub
 from typing import Optional
 
 from .components import (
@@ -88,7 +87,7 @@ def _sigma_generators(a: TropMatrix) -> list[StabilizerElement]:
 
 def _sigma_units(a: TropMatrix, pairs, u: MonomialMatrix, v: MonomialMatrix):
     """The Sigma element of each pattern pair (g, h) in ``pairs``, on
-    integer codes, given the units U, V of ``normalize_eigenvectors``.
+    int codes, given the units U, V of ``normalize_eigenvectors``.
 
     Returns (units, entries, decode): one ``encode`` covers the scalings
     of U and V and the entries of A, and ``entries`` are the codes of A's
@@ -98,8 +97,8 @@ def _sigma_units(a: TropMatrix, pairs, u: MonomialMatrix, v: MonomialMatrix):
     units = []
     for g, h in pairs:
         s, t = g.images, h.images
-        p = tuple(tuple(map(sub, du[x], du[i])) for i, x in enumerate(s))
-        q = tuple(tuple(map(sub, dv[j], dv[y])) for j, y in enumerate(t))
+        p = tuple(du[x] - du[i] for i, x in enumerate(s))
+        q = tuple(dv[j] - dv[y] for j, y in enumerate(t))
         units.append((s, p, t, q))
     return units, entries, decode
 
@@ -222,23 +221,19 @@ def commuting_units(e: TropMatrix) -> list[StabilizerElement]:
     return _sorted_elements([StabilizerElement(p, p, ZERO) for p in units])
 
 
-def _neg(code):
-    return tuple(map(neg, code))
-
-
-def _propagate(size: int, zero, maps) -> list:
-    """The code vector w that is ``zero`` at the least point of each orbit
+def _propagate(size: int, maps) -> list:
+    """The code vector w that is 0 at the least point of each orbit
     and has w[s[x]] = w[x] + d[x] for every (s, d) in ``maps``, checked at
     every point for every map."""
     w: list = [None] * size
     for k in range(size):
         if w[k] is not None:
             continue
-        w[k] = zero
+        w[k] = 0
         reached = [k]
         for x in reached:
             for s, d in maps:
-                cand = tuple(map(add, w[x], d[x]))
+                cand = w[x] + d[x]
                 if w[s[x]] is None:
                     w[s[x]] = cand
                     reached.append(s[x])
@@ -269,14 +264,12 @@ def normalize_eigenvectors(
         elements = _sigma_generators(a)
 
     n, m = a.shape
-    ((zero,), *codes), decode = encode(
-        (ZERO,), *(s for el in elements for s in (el.P.scalings, el.Q.scalings))
-    )
-    p_maps = [(el.P.sigma, list(map(_neg, c))) for el, c in zip(elements, codes[::2])]
+    codes, decode = encode(*(s for el in elements for s in (el.P.scalings, el.Q.scalings)))
+    p_maps = [(el.P.sigma, [-x for x in c]) for el, c in zip(elements, codes[::2])]
     q_maps = [(el.Q.sigma, c) for el, c in zip(elements, codes[1::2])]
-    u, v = _propagate(n, zero, p_maps), _propagate(m, zero, q_maps)
-    u_diag = MonomialMatrix(tuple(range(n)), [decode(_neg(x)) for x in u])
-    v_diag = MonomialMatrix(tuple(range(m)), [decode(_neg(x)) for x in v])
+    u, v = _propagate(n, p_maps), _propagate(m, q_maps)
+    u_diag = MonomialMatrix(tuple(range(n)), [decode(-x) for x in u])
+    v_diag = MonomialMatrix(tuple(range(m)), [decode(-x) for x in v])
     return u_diag, v_diag, v_diag.right_apply(u_diag.left_apply(a))
 
 

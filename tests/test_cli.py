@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,8 @@ from tropgroups.cli import main, verify_flags
 from tropgroups.components import connected_components
 from tropgroups.constructors import construct_idempotent
 from tropgroups.matrix import TropMatrix, parse_matrix
-from tropgroups.permgroups import PermGroup, search_budget
+from tropgroups.permgroups import PermGroup, parse_cycles, search_budget
+from tropgroups.semiring import Value, format_scalar
 
 
 def run_cli(args, capsys):
@@ -477,6 +479,38 @@ def test_generic_circulant_above_twenty_points(tmp_path, capsys):
     assert all(json.loads(out)["verification"].values())
 
 
+def test_generic_circulant_with_wide_codes(tmp_path, capsys):
+    """A 40x40 circulant with distinct seeded entries, each with a
+    fractional standard part and one to three fractional infinitesimal
+    terms, so that every code packs up to six wide fields: analyze finds
+    one factor of order 40 holding the cyclic shift, and verify sets
+    every flag, inside 10,000 nodes (verify spends 8,821)."""
+    n = 40
+    rng = random.Random(40)
+
+    def entry():
+        terms = {
+            t: Fraction(rng.randint(-99, 99) or 1, rng.choice([1, 2, 9]))
+            for t in rng.sample(range(1, 6), rng.randint(1, 3))
+        }
+        std = Fraction(rng.randint(-(10**6), 10**6), rng.choice([1, 3, 7, 10007]))
+        return format_scalar(Value(std, terms))
+
+    c = [entry() for _ in range(n)]
+    assert len(set(c)) == n
+    rows = [[c[(j - i) % n] for j in range(n)] for i in range(n)]
+    path = write(tmp_path, "c40.json", json.dumps({"rows": n, "cols": n, "entries": rows}))
+    code, out = run_cli(["analyze", path, "--json", "--max-nodes", "10000"], capsys)
+    assert code == 0
+    (factor,) = json.loads(out)["description"]["factors"]
+    assert factor["order"] == n
+    shift = "(" + ",".join(map(str, range(1, n + 1))) + ")"
+    assert PermGroup.from_cycles(n, factor["generators"]).contains(parse_cycles(shift, n))
+    code, out = run_cli(["verify", path, "--json", "--max-nodes", "10000"], capsys)
+    assert code == 0
+    assert all(json.loads(out)["verification"].values())
+
+
 def test_construct_and_approximate(tmp_path, capsys):
     spec = write(
         tmp_path, "s2.json", json.dumps({"degree": 2, "generators": ["(1,2)"]})
@@ -540,7 +574,8 @@ def _flags_with_one_code_shifted(monkeypatch, side, at_fixed_point):
     shifted = []
 
     def bump(codes, i):
-        return codes[:i] + ((codes[i][0] + 1, *codes[i][1:]),) + codes[i + 1 :]
+        # + 1 on the packed int is + 1 on its lowest field: a nonzero shift
+        return codes[:i] + (codes[i] + 1,) + codes[i + 1 :]
 
     def perturbed(*args):
         units, *rest = orig(*args)

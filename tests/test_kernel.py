@@ -1,4 +1,4 @@
-"""The integer code kernel against plain scalar references.
+"""The int code kernel against plain scalar references.
 
 Random matrices mix -inf, fractions with several denominators and
 several infinitesimal tags, drawn from a small pool per case so that
@@ -10,6 +10,7 @@ in ``helpers`` and ``monomial_eigenvalue`` run on ``Value``.
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -173,7 +174,11 @@ def test_eigenvalue_shift_on_codes_matches_scalar_shift():
         for ours, ref in zip(shifted[0] + shifted[1], expected[0] + expected[1]):
             assert hash(ours) == hash(ref)
         k, total = cycle_mean(sigma, lam_codes)
-        undivided += any((k * c - t) % k for x in lam_codes for c, t in zip(x, total))
+        # per field, k * x - S is a multiple of k iff the field of S is:
+        # the fields of S are D times the coordinates of its scalar
+        den = lcm(*(c.denominator for y in lam + mu for c in (y.std, *dict(y.eps).values())))
+        s = decode(total)
+        undivided += any(den * c % k for c in (s.std, *dict(s.eps).values()))
 
         if len(lengths) > 1:
             multiple += 1
@@ -193,9 +198,26 @@ def test_lazily_hashed_scalars_hash_equal_when_equal():
     x = Value(Fraction(1, 3), {2: Fraction(-1, 7)})
     h = hash(x)
     (codes,), decode = encode([x, Value(1)])
-    y = decode(tuple(3 * c for c in codes[0]), 3)
+    y = decode(3 * codes[0], 3)
     z = Value(1, {2: Fraction(-3, 7)}).div_int(3)
     assert y is x  # divisible: the encoded scalar itself
     assert z == x and hash(z) == h
     w = decode(codes[0], 3)
     assert w == x.div_int(3) and hash(x.div_int(3)) == hash(w)
+
+
+def test_cycle_means_that_differ_are_named_by_cycle_not_by_code():
+    """Two cycles of different means raise MultipleEigenvalues, and the
+    message names each cycle by a point and its length: no packed code,
+    nor a sum of codes, shows in the text."""
+    lam = [Value(Fraction(1, 2), {1: 3}), Value(0, {2: Fraction(-5, 7)}), Value(3, {1: -1})]
+    (codes,), _ = encode(lam)
+    with pytest.raises(MultipleEigenvalues) as caught:
+        cycle_mean((1, 0, 2), codes)
+    text = str(caught.value)
+    assert text == (
+        "cycle means differ: the cycle through point 1 (length 2)"
+        " vs the cycle through point 3 (length 1)"
+    )
+    for code in (*codes, codes[0] + codes[1]):
+        assert str(code) not in text and str(-code) not in text

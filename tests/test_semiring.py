@@ -1,6 +1,5 @@
 import itertools
 from fractions import Fraction
-from operator import add, sub
 
 import pytest
 from hypothesis import given, settings
@@ -59,21 +58,104 @@ far_values = st.builds(
 @settings(deadline=None, max_examples=300)
 @given(values, values, scalars, st.lists(st.one_of(st.just(NEG_INF), far_values)))
 def test_encode_is_an_order_and_product_preserving_bijection(x, y, z, far):
-    """Codes compare like scalars, elementwise + and - are the product and
-    its residual, and decode inverts encode, also for a second group with
+    """Codes compare like scalars, + and - on the packed ints are the
+    product and its residual, and decode inverts encode, also for a second group with
     disjoint tags that shares the basis."""
     ((cx, cy, cz), cfar), decode = encode((x, y, z), far)
     assert (cx < cy) == (x < y) and (cx == cy) == (x == y)
     assert (cz is None) == (z is NEG_INF)
     if z is not NEG_INF:
         assert (cx < cz) == (x < z) and (cz < cy) == (z < y)
-    assert decode(tuple(map(add, cx, cy))) == x + y
-    assert decode(tuple(map(sub, cx, cy))) == x - y
+    assert decode(cx + cy) == x + y
+    assert decode(cx - cy) == x - y
     assert decode(cz) == z and decode(None) is NEG_INF
     assert [decode(c) for c in cfar] == far
     ((cx, cy, cs, cd),), _ = encode((x, y, x + y, x - y))
-    assert tuple(map(add, cx, cy)) == cs and tuple(map(sub, cx, cy)) == cd
+    assert cx + cy == cs and cx - cy == cd
 
+
+
+# wide scalars: large numerators and denominators, negative fields, up to
+# four fields
+wide_rationals = st.fractions(
+    min_value=Fraction(-(10**9)), max_value=Fraction(10**9), max_denominator=97
+)
+wide_values = st.builds(
+    Value,
+    wide_rationals,
+    st.dictionaries(st.integers(min_value=1, max_value=5), wide_rationals, max_size=3),
+)
+
+
+def _assert_same_order(pairs):
+    """Codes and scalars sort alike: in code order, consecutive scalars
+    are equal exactly where the codes are, and increase elsewhere."""
+    pairs = sorted(pairs, key=lambda p: p[0])
+    for (c1, v1), (c2, v2) in zip(pairs, pairs[1:]):
+        assert (c1 == c2) == (v1 == v2)
+        assert c1 == c2 or v1 < v2
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(wide_values, min_size=1, max_size=6), st.data())
+def test_packed_codes_keep_the_longest_chains_of_sums_in_their_fields(pool, data):
+    """The longest chains of sums the program forms on codes of one
+    ``encode`` call, over scalars that include the largest field of the
+    basis in both signs: a cycle sum S of n codes (``cycle_mean``), k*x - S
+    with k <= n decoded with the divisor k (``_eigenvalue_zero``), a path
+    of n - 1 negated steps (``_propagate`` in ``normalize_eigenvectors``)
+    and the scalings nu = ea - eb - nu' of ``_PairSearch.push`` along
+    2n points.  Each result decodes to the ``Value`` computed alongside,
+    and the codes sort as those values do."""
+    top = max(abs(c) for x in pool for c in (x.std, *dict(x.eps).values()))
+    tags = sorted({t for x in pool for t, _ in x.eps}) or [1]
+    pool = pool + [Value(top, {t: -top for t in tags}), Value(-top, {t: top for t in tags})]
+    (codes,), decode = encode(pool)
+    n = data.draw(st.integers(min_value=1, max_value=24), label="n")
+    index = st.integers(min_value=0, max_value=len(pool) - 1)
+    pairs = list(zip(codes, pool))
+
+    cycle = data.draw(st.lists(index, min_size=n, max_size=n), label="cycle")
+    total, s = 0, Value(0)
+    for i in cycle:
+        total, s = total + codes[i], s + pool[i]
+    assert decode(total) == s
+    pairs.append((total, s))
+
+    k = data.draw(st.integers(min_value=1, max_value=n), label="k")
+    part, p = sum(codes[i] for i in cycle[:k]), sum((pool[i] for i in cycle[:k]), Value(0))
+    j = data.draw(index, label="x")
+    assert decode(k * codes[j] - part, k) == pool[j] - p.div_int(k)
+    pairs.append((k * codes[j] - part, pool[j].mul_int(k) - p))
+
+    w, u = 0, Value(0)
+    for i in data.draw(st.lists(index, min_size=n - 1, max_size=n - 1), label="path"):
+        w, u = w + -codes[i], u - pool[i]
+        pairs.append((w, u))
+    assert decode(-w) == -u
+
+    nu, v = 0, Value(0)
+    for a, b in data.draw(st.lists(st.tuples(index, index), max_size=2 * n), label="push"):
+        nu, v = codes[a] - codes[b] - nu, pool[a] - pool[b] - v
+        pairs.append((nu, v))
+    assert decode(nu) == v
+    _assert_same_order(pairs)
+
+
+def test_divisibility_is_tested_per_field():
+    """A code whose packed int a divisor k divides, though a field of it
+    is not a multiple of k, decodes to the exact quotient: fields (1, 2)
+    and k = 3.  The field width depends on the largest field of the call,
+    so a second scalar is chosen to make 3 divide the packed int."""
+    x = Value(1, {1: 2})
+    for extra in range(1, 9):
+        (codes,), decode = encode([x, Value(extra)])
+        if codes[0] % 3 == 0:
+            break
+    else:
+        pytest.fail("no field width made 3 divide the packed (1, 2)")
+    assert decode(codes[0], 3) == Value(Fraction(1, 3), {1: Fraction(2, 3)})
+    assert decode(codes[0]) is x
 
 def test_trop_add_examples():
     assert trop_add(NEG_INF, val(3)) == val(3)
