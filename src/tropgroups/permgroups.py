@@ -19,8 +19,9 @@ list.
 
 Every element list comes from ``_span``, which adds the generators one at
 a time and skips each one already reached, so redundant generators (a
-strong generating set has many) cost one lookup.  It works on image
-tuples.  A listing spends its size, read off the Sims table, from the
+strong generating set has many) cost one lookup; the isomorphism test
+grows its spans one generator at a time with the same ``_extend``.  It
+works on image tuples.  A listing spends its size, read off the Sims table, from the
 search budget before it starts (see ``search_budget``), so a group too
 large for the budget is refused without listing any of it.  Orbits of
 points and of pairs come from the one traversal in ``graphs.components``.
@@ -57,13 +58,15 @@ groups G and H of the same order are isomorphic exactly when some
 list of images of a generating sequence of G, spanning H, makes the
 subgroup of G x H generated by the pairs (generator, image) the graph of a
 bijection.  Both projections of that subgroup are onto, so it is a graph
-exactly when it has at most |G| elements.
+exactly when its order, read off its Sims table, is |G| (Seress, ch. 9).
+The search for the images lists H but never G: G's side is its greedy
+sequence and its table, and a candidate image must keep the orders and
+commutations the generator has with the ones before it.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from contextvars import ContextVar
 from itertools import islice
 from math import factorial, lcm, prod
@@ -120,7 +123,7 @@ class Perm:
         the corresponding permutation matrices)."""
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        return Perm(tuple(other.images[x] for x in self.images))
+        return Perm._of(tuple(map(other.images.__getitem__, self.images)))
 
     def inverse(self) -> "Perm":
         return Perm._of(_inverse(self.images))
@@ -133,9 +136,19 @@ class Perm:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each rotated to start at its least point,
-        sorted by that point."""
-        orbits = components(range(self.degree), lambda i: (self.images[i],))
-        return [tuple(c) for c in orbits if len(c) > 1]
+        sorted by that point, in one pass over the images."""
+        images = self.images
+        seen = bytearray(len(images))
+        out = []
+        for i, j in enumerate(images):
+            if j != i and not seen[i]:
+                cycle = [i]
+                while j != i:
+                    seen[j] = 1
+                    cycle.append(j)
+                    j = images[j]
+                out.append(tuple(cycle))
+        return out
 
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images
@@ -189,22 +202,17 @@ def format_cycles(p: Perm) -> str:
 
 
 def _span(
-    generators: Iterable[tuple[int, ...]],
-    identity: tuple[int, ...],
-    stop: Optional[int] = None,
+    generators: Iterable[tuple[int, ...]], identity: tuple[int, ...]
 ) -> list[tuple[int, ...]]:
     """The elements of the group the image tuples generate, in no promised
     order: the generators are added one at a time, and one the list has
-    reached is skipped.  With ``stop``, the listing ends as soon as it
-    holds ``stop`` elements.  It spends nothing: ``elements`` spends the
-    order before it lists, and the isomorphism test spans subgroups of a
-    group it has listed, and stops its last listing at |G| + 1."""
+    reached is skipped.  It spends nothing: ``elements`` spends the order
+    before it lists, and the isomorphism test spans subgroups of a group
+    it has listed."""
     out, seen, gens = [identity], {identity}, []
     for g in generators:
-        if len(out) == stop:
-            break
         if g not in seen:
-            _extend(out, seen, gens, [g], stop)
+            _extend(out, seen, gens, [g], None)
     return out
 
 
@@ -867,55 +875,72 @@ def _is_abelian(g: PermGroup) -> bool:
     return all(a * b == b * a for a in g.generators for b in g.generators)
 
 
+def _same_group(g: PermGroup, h: PermGroup) -> bool:
+    """Whether g and h, of equal orders, are the same permutation group:
+    same degree, every generator of g in h."""
+    return g.degree == h.degree and all(map(h.contains, g.generators))
+
+
 def groups_isomorphic(g: PermGroup, h: PermGroup) -> bool:
     """Exact abstract-group isomorphism: at once for groups of different
-    orders and for equal permutation groups (same degree, every generator
-    of G in H), else by listing both groups, which spends their orders
-    from the search budget.
+    orders, for equal permutation groups and for an abelian group against
+    a non-abelian one, else by a search that lists H, spending its order
+    from the search budget, and never lists G.
 
-    After the element orders and commutativity agree, images in H are
-    chosen for the greedy generating sequence of G one at a time, each
-    candidate image spending one node, and each prefix spanning a subgroup
-    of H as large as the matching prefix spans in G.  A full choice is an
-    isomorphism iff the pairs (generator, image) span at most |G| elements
-    of G x H (see the module docstring); that listing stops at |G| + 1.
+    Images in H are chosen for the greedy generating sequence g_0, g_1, ..
+    of G one at a time, each candidate image h of g_k spending one node.
+    A candidate is tried only if it keeps what every isomorphism keeps of
+    g_k against the images h_i already chosen: its order, the order of
+    each product h_i h and whether h commutes with each h_i; and only if
+    the prefix then spans a subgroup of H as large as the matching prefix
+    spans in G, grown from the previous prefix's span.  A full choice is
+    an isomorphism iff the pairs (g_i, h_i) generate a subgroup of G x H
+    of order |G| (see the module docstring), read off its Sims table.
     """
     order = g.order()
     if order != h.order():
         return False
-    if g.degree == h.degree and all(map(h.contains, g.generators)):
+    if _same_group(g, h):
         return True
+    if _is_abelian(g) != _is_abelian(h):
+        return False
     budget = search_budget.current()
-    ge = g.elements()
     # H's elements by element order, each order computed once
     h_by_order: dict[int, list[Perm]] = {}
     for x in sorted(h.elements()):
         h_by_order.setdefault(x.order(), []).append(x)
-    if Counter(map(Perm.order, ge)) != Counter({k: len(xs) for k, xs in h_by_order.items()}):
-        return False
-    if _is_abelian(g) != _is_abelian(h):
-        return False
 
     seq = _greedy_generators(g._sims())
     gens = [Perm._of(x) for x, _ in seq]
-    h_ident = tuple(range(h.degree))
-    joint_ident = tuple(range(g.degree + h.degree))
+    # each g_k's order, and the order of g_i g_k and whether they commute, i < k
+    profiles = [
+        (x.order(), [((y * x).order(), y * x == x * y) for y in gens[:k]])
+        for k, x in enumerate(gens)
+    ]
 
-    def assign(k: int, images: list[Perm], span: set) -> bool:
+    def keeps(k: int, images: list[Perm], cand: Perm) -> bool:
+        return all(
+            ((y * cand).order(), y * cand == cand * y) == kept
+            for y, kept in zip(images, profiles[k][1])
+        )
+
+    def assign(k: int, images: list[Perm], span: list, seen: set) -> bool:
         if k == len(gens):
-            return len(_span(map(_join, gens, images), joint_ident, order + 1)) <= order
-        for cand in h_by_order.get(gens[k].order(), ()):
+            joined = list(map(_join, gens, images))
+            return prod(map(len, _sims_table(joined, g.degree + h.degree))) == order
+        size = seq[k][1]
+        for cand in h_by_order.get(profiles[k][0], ()):
             budget.spend("isomorphism test")
-            if cand.images in span:
+            if cand.images in seen or not keeps(k, images, cand):
                 continue
-            chosen = images + [cand]
-            new_span = _span([x.images for x in chosen], h_ident)
-            if len(new_span) == seq[k][1]:
-                if assign(k + 1, chosen, set(new_span)):
-                    return True
+            grown, reached = list(span), set(seen)
+            _extend(grown, reached, [x.images for x in images], [cand.images], size + 1)
+            if len(grown) == size and assign(k + 1, images + [cand], grown, reached):
+                return True
         return False
 
-    return assign(0, [], {h_ident})
+    ident = tuple(range(h.degree))
+    return assign(0, [], [ident], {ident})
 
 
 # -- a small catalogue of recognisable groups --
@@ -941,14 +966,21 @@ _CATALOGUE = [
 def identify_group(g: PermGroup) -> Optional[str]:
     """A standard name for the abstract group: C_k (``1``, ``S2`` for k =
     1, 2) for an abelian group whose exponent, the lcm of the generator
-    orders, is its order k; else from the catalogue; else S_k or A_k for a
-    group of order k! or k!/2 that moves k points.  The order is known or
-    read from the Sims table, whatever its size."""
+    orders, is its order k; else from the catalogue, first the entry of
+    its order it equals as a permutation group, then the one it is
+    isomorphic to; else S_k or A_k for a group of order k! or k!/2 that
+    moves k points.  The order is known or read from the Sims table,
+    whatever its size."""
     order = g.order()
     if _is_abelian(g) and lcm(*(p.order() for p in g.generators)) == order:
         return {1: "1", 2: "S2"}.get(order, f"C{order}")
-    for name, h in _CATALOGUE:
-        if h.order() == order and groups_isomorphic(g, h):
+    # the entries are pairwise non-isomorphic, so the one g equals is its name
+    same_order = [(name, h) for name, h in _CATALOGUE if h.order() == order]
+    for name, h in same_order:
+        if _same_group(g, h):
+            return name
+    for name, h in same_order:
+        if groups_isomorphic(g, h):
             return name
     k = len({i for p in g.generators for i, x in enumerate(p.images) if i != x})
     if order == factorial(k):

@@ -30,6 +30,7 @@ from tropgroups.permgroups import (
     format_cycles,
     groups_isomorphic,
     parse_cycles,
+    search_budget,
 )
 
 
@@ -284,6 +285,28 @@ def test_isomorphism_matches_a_brute_force_oracle(first, second):
     expected = brute_force_isomorphic(g, h)
     assert groups_isomorphic(PermGroup(*g), PermGroup(*h)) == expected
     assert brute_force_isomorphic(g, g)
+
+
+# equal orders, both non-abelian, told apart by how many elements have
+# each order: G is not listed, so only the search can tell them apart now
+HISTOGRAM_ONLY = {
+    "S4/A4xC2": (CATALOGUE["S4"], direct((4, alternating(4)), (2, [cyc(2)]))),
+    "S5/A5xC2": (CATALOGUE["S5"], direct((5, alternating(5)), (2, [cyc(2)]))),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(HISTOGRAM_ONLY))
+def test_pairs_the_element_orders_told_apart_match_the_oracle(pair):
+    """Both directions agree with the brute-force oracle, each within
+    5,000 nodes, listing H (at most 120 elements) included."""
+    g, h = HISTOGRAM_ONLY[pair]
+    G, H = sympy_group(*g), sympy_group(*h)
+    assert G.order() == H.order() and not G.is_abelian and not H.is_abelian
+    assert sorted(x.order() for x in G.elements) != sorted(x.order() for x in H.elements)
+    for first, second in [(g, h), (h, g)]:
+        with search_budget(5000):
+            found = groups_isomorphic(PermGroup(*first), PermGroup(*second))
+        assert not found and not brute_force_isomorphic(first, second)
 
 
 # -- the Sims table --

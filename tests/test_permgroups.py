@@ -513,25 +513,40 @@ def test_paired_two_closure_reuses_the_order_closure(monkeypatch):
     assert len(calls) == 0
 
 
-def test_groups_isomorphic_examples():
-    a = PermGroup.from_cycles(2, ["(1,2)"])
-    b = PermGroup.from_cycles(4, ["(3,4)"])
-    assert groups_isomorphic(a, b)
+def _listed(monkeypatch) -> list:
+    """The PermGroup objects listed from here on, one entry per call."""
+    listed, orig = [], PermGroup.elements
+    monkeypatch.setattr(PermGroup, "elements", lambda g: listed.append(g) or orig(g))
+    return listed
+
+
+def test_groups_isomorphic_examples(monkeypatch):
+    """Both directions of each pair; only the second group is ever listed."""
+    listed = _listed(monkeypatch)
+
+    def check(g, h, expected):
+        for first, second in [(g, h), (h, g)]:
+            listed.clear()
+            assert groups_isomorphic(first, second) == expected
+            assert all(x is second for x in listed)
+
+    check(PermGroup.from_cycles(2, ["(1,2)"]), PermGroup.from_cycles(4, ["(3,4)"]), True)
     c4 = PermGroup.from_cycles(4, ["(1,2,3,4)"])
     klein = PermGroup.from_cycles(4, ["(1,2)", "(3,4)"])
-    assert not groups_isomorphic(c4, klein)
+    check(c4, klein, False)
     d4 = PermGroup.from_cycles(4, ["(1,2,3,4)", "(1,3)"])
     d4_regular = PermGroup.from_cycles(
         8, ["(1,2,3,4)(5,6,7,8)", "(1,5)(2,8)(3,7)(4,6)"]
     )
     assert d4_regular.order() == 8
-    assert groups_isomorphic(d4, d4_regular)
+    check(d4, d4_regular, True)
     q8_like = PermGroup.from_cycles(8, ["(1,2,3,4)(5,6,7,8)", "(1,5,3,7)(2,8,4,6)"])
     assert q8_like.order() == 8
-    assert not groups_isomorphic(d4, q8_like)
+    check(d4, q8_like, False)
     s3 = PermGroup.from_cycles(3, ["(1,2,3)", "(1,2)"])
     c6 = PermGroup.from_cycles(6, ["(1,2,3,4,5,6)"])
-    assert not groups_isomorphic(s3, c6)
+    check(s3, c6, False)
+    assert listed == []  # an abelian group against a non-abelian one lists neither
 
 
 def test_groups_of_unequal_orders_are_not_isomorphic_without_listing(monkeypatch):
@@ -559,17 +574,74 @@ def _s4_cubed(degree, shift):
 
 
 def test_groups_isomorphic_above_ten_thousand_elements():
-    """Both copies of S4 x S4 x S4 are listed and matched: the test is
-    bounded by the search budget alone, not by the order.  Listing the two
-    spends 2 * 13824 nodes, and a budget of exactly that leaves nothing
-    for the candidate images."""
+    """Copies of S4 x S4 x S4 are matched: the test is bounded by the
+    search budget alone, not by the order.  Only the second group is
+    listed, which spends 13824 nodes, and a budget of exactly that leaves
+    nothing for the candidate images."""
     g = _s4_cubed(12, 0)
     assert g.order() == 13824
     assert groups_isomorphic(g, _s4_cubed(13, 0))
     assert groups_isomorphic(g, _s4_cubed(13, 1))
-    with search_budget(2 * 13824):
+    with search_budget(13824):
         with pytest.raises(SearchBudgetExceeded, match="isomorphism test exceeded"):
             groups_isomorphic(g, _s4_cubed(13, 1))
+
+
+def _relabelled_and_padded(h: PermGroup, extra: int) -> PermGroup:
+    """h on ``extra`` more points, which it fixes, with every point then
+    renamed i -> degree - 1 - i."""
+    n = h.degree + extra
+    padded = [p.images + tuple(range(h.degree, n)) for p in h.generators]
+    return PermGroup(n, [Perm([n - 1 - x for x in reversed(p)]) for p in padded])
+
+
+@pytest.mark.parametrize("name", [name for name, _ in permgroups._CATALOGUE])
+def test_each_catalogue_entry_relabelled_and_padded_gets_its_own_name(name):
+    """On more points than the entry, so not the same permutation group:
+    the name comes from the isomorphism search."""
+    entry = dict(permgroups._CATALOGUE)[name]
+    g = _relabelled_and_padded(entry, 3)
+    assert (g.degree, g.order()) == (entry.degree + 3, entry.order())
+    assert identify_group(g) == name
+
+
+def test_catalogue_entries_are_pairwise_non_isomorphic():
+    """``identify_group`` names a group by the entry it equals before it
+    searches, which gives the same name only because no two entries are
+    isomorphic.  Entries of equal orders differ in commutativity or in how
+    many elements have each order, counted on their listings."""
+
+    def invariants(h):
+        xs = h.elements()
+        return all(x * y == y * x for x in xs for y in xs), sorted(x.order() for x in xs)
+
+    for (a, g), (b, h) in itertools.combinations(permgroups._CATALOGUE, 2):
+        assert not groups_isomorphic(g, h), (a, b)
+        assert not groups_isomorphic(h, g), (b, a)
+        if g.order() == h.order():
+            assert invariants(g) != invariants(h), (a, b)
+
+
+def test_the_sixteen_point_factor_is_named_listing_only_the_catalogue_entry(monkeypatch):
+    """The A4 x A4 factor of the paper's 16 x 16 matrix lies on 16 points,
+    the catalogue's A4xA4 on 8: naming it lists that entry and nothing
+    else."""
+    from tropgroups.stabilizer import group_description
+
+    factor = group_description(alt4_squared()).factors[0].finite_part
+    assert (factor.degree, factor.order()) == (16, 144)
+    entry = dict(permgroups._CATALOGUE)["A4xA4"]
+    listed = _listed(monkeypatch)
+    assert identify_group(factor) == "A4xA4"
+    assert listed and all(x is entry for x in listed)
+
+
+def test_a_relabelled_catalogue_group_is_named_without_a_search(monkeypatch):
+    """A4 on the same four points, relabelled, is the catalogue's A4 itself:
+    the containment pass names it before D6, of the same order, is tried."""
+    listed = _listed(monkeypatch)
+    assert identify_group(PermGroup.from_cycles(4, ["(2,3,4)", "(1,3)(2,4)"])) == "A4"
+    assert listed == []
 
 
 S5 = ["(1,2,3,4,5)", "(1,2)"]
