@@ -410,8 +410,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("closure", help="2-closure of a permutation group")
     p.add_argument("generators", nargs="*", help="cycle notation; pairs as 'l|r'")
-    p.add_argument("--degree", type=int)
-    p.add_argument("--bidegree", type=int, nargs=2, metavar=("N", "M"))
+    sides = p.add_mutually_exclusive_group()
+    sides.add_argument("--degree", type=int)
+    sides.add_argument("--bidegree", type=int, nargs=2, metavar=("N", "M"))
     p.add_argument("--json", action="store_true")
     p.add_argument("--max-nodes", type=_budget, default=DEFAULT_MAX_NODES)
     p.set_defaults(func=cmd_closure)

@@ -26,19 +26,23 @@ of the commuting group, and ``commuting_solutions`` lists every
 completion.  All spend ``permgroups``' search budget, one node per push,
 and return their units shifted to eigenvalue 0 on codes (``cycle_mean``).
 
-Pruning of the pair search: a solution forces, for every row pair
-(i, i'), the multiset of columnwise differences of target rows (i, i') to
-equal that of source rows (sigma(i), sigma(i')) up to a constant shift,
-and dually for columns.  Shift-normalised difference multisets are
-precomputed and compared during the search, and each vertex only tries
-images with a matching profile signature.
+Pruning of the pair search: it is the automorphism search of
+``permgroups`` on the n + m joint points (rows, then columns), mapping
+the target's pair colours onto the source's.  Two rows (two columns) are
+coloured by their shift-normalised multiset of columnwise (rowwise)
+differences, which every solution keeps (``_pair_profiles``), and a row
+and a column by whether their entry is finite.  The refinement of those
+colours and one AND per unmapped point and push do all the pruning but
+the scaling fit, the one check that ``push`` adds.
 """
 
 from __future__ import annotations
 
+from operator import getitem
+
 from .graphs import components, support_components
 from .matrix import MultipleEigenvalues, TropMatrix
-from .permgroups import base_and_orbit, complete, completions, search_budget
+from .permgroups import _AutomorphismSearch, base_and_orbit, complete, completions, search_budget
 from .semiring import encode
 
 
@@ -47,44 +51,49 @@ def _support(codes):
 
 
 def _pair_profiles(vectors, intern):
-    """Profile id for every ordered pair of parallel code vectors.
+    """Profile ids of the ordered pairs of parallel code vectors, as rows
+    with -1 on the diagonal.
 
     The profile of (u, v) is (count finite-only-in-u, finite-only-in-v,
     min-normalised multiset of differences u - v where both are finite);
-    that of (v, u) is read off the same differences, negated.
+    that of (v, u) is read off the same differences, negated, so each id
+    also names the profile of the reversed pair.
     """
     k = len(vectors)
-    prof = {}
+    prof = [[-1] * k for _ in range(k)]
+    finite = [len(u) - u.count(None) for u in vectors]
     for x in range(k):
         u = vectors[x]
         for y in range(x + 1, k):
-            diffs = []
-            only_u = only_v = 0
-            for a, b in zip(u, vectors[y]):
-                if a is None:
-                    only_v += b is not None
-                elif b is None:
-                    only_u += 1
-                else:
-                    diffs.append(a - b)
+            diffs = [a - b for a, b in zip(u, vectors[y]) if a is not None and b is not None]
+            only_u, only_v = finite[x] - len(diffs), finite[y] - len(diffs)
             diffs.sort()
             if diffs:
                 lo, hi = diffs[0], diffs[-1]
-                fwd = tuple(d - lo for d in diffs)
-                back = tuple(hi - d for d in reversed(diffs))
+                fwd = tuple([d - lo for d in diffs])
+                back = tuple([hi - d for d in reversed(diffs)])
             else:
                 fwd = back = ()
-            prof[x, y] = intern.setdefault((only_u, only_v, fwd), len(intern))
-            prof[y, x] = intern.setdefault((only_v, only_u, back), len(intern))
+            prof[x][y] = intern.setdefault((only_u, only_v, fwd), len(intern))
+            prof[y][x] = intern.setdefault((only_v, only_u, back), len(intern))
     return prof
 
 
-def _signatures(prof, degs, k):
-    sigs = []
-    for x in range(k):
-        rel = sorted(prof[(x, y)] for y in range(k) if y != x)
-        sigs.append((degs[x], tuple(rel)))
-    return sigs
+# the keys of a row and a column, by whether their entry is finite: no
+# pair of one side has them
+_EMPTY, _FINITE = -2, -3
+
+
+def _joint_key(codes, intern):
+    """The pair colours of the n + m joint points of a matrix of codes
+    (rows, then column j at n + j): two rows or two columns are coloured
+    by their profile id, a row and a column by whether their entry is
+    finite, and the diagonal is -1."""
+    cols = list(zip(*codes))
+    cross = [[_EMPTY if x is None else _FINITE for x in row] for row in codes]
+    return [p + c for p, c in zip(_pair_profiles(codes, intern), cross)] + [
+        [*c, *p] for c, p in zip(zip(*cross), _pair_profiles(cols, intern))
+    ]
 
 
 def cycle_mean(sigma, codes) -> tuple[int, int]:
@@ -130,39 +139,42 @@ class NotConnected(ValueError):
     """The finite-entry graph of the matrix is not connected."""
 
 
-def _vertex_order(supp):
-    """Points (side, index), side 0 for rows and 1 for columns, in search
-    order: anchor at the column with most finite entries, then grow the
-    assigned region greedily, preferring points with many assigned
-    neighbours, alternating sides on ties, then rows, then low indices.
-    ``supp[side][x][y]`` tells whether point x of that side meets point y
-    of the other in a finite entry."""
-    cnt = [[0] * len(supp[0]), [0] * len(supp[1])]
-    left = [(side, x) for side in (0, 1) for x in range(len(supp[side]))]
-    point = (1, max(range(len(supp[1])), key=lambda j: (sum(supp[1][j]), -j)))
+def _vertex_order(cross, n):
+    """The joint points (rows, then column j at n + j) in search order:
+    anchor at the column with most finite entries, then grow the assigned
+    region greedily, preferring points with many assigned neighbours,
+    alternating sides on ties, then low indices, then rows.  ``cross[v]``
+    holds v's entries with the other side, None where not finite."""
+    cnt = [0] * len(cross)
+    left = list(range(len(cross)))
+
+    def rank(v):  # against the point placed last
+        side = v >= n
+        return cnt[v], side != (point >= n), n * side - v, not side
+
+    point = max(left[n:], key=lambda v: (len(cross[v]) - cross[v].count(None), -v))
     order = []
     while True:
         order.append(point)
         left.remove(point)
-        side, x = point
-        for y, finite in enumerate(supp[side][x]):
-            cnt[1 - side][y] += finite
+        for u, x in enumerate(cross[point]):
+            cnt[u] += x is not None
         if not left:
             return order
-        point = max(left, key=lambda p: (cnt[p[0]][p[1]], p[0] != side, -p[1], -p[0]))
+        point = max(left, key=rank)
 
 
-class _PairSearch:
-    """The live partial assignment of a joint row/column search.
+class _PairSearch(_AutomorphismSearch):
+    """The live partial map of a joint row/column search: the search for
+    maps of the target's pair colours (``_joint_key``) onto the source's,
+    on the n + m joint points, that also fit scalings.
 
-    Points are (side, index), side 0 for rows and 1 for columns, and each
-    side keeps its own view of the matrices (columns transposed).  With
-    the column scalings nu = -mu the equation of one entry,
+    With the column scalings nu = -mu the equation of one entry,
 
         lam_i + nu_j = A[i][j] - B[sigma(i)][tau(j)],
 
-    reads the same from either side, so one ``push`` assigns a row or a
-    column.
+    reads the same from a row and from a column, so one ``push`` maps a
+    point of either side, in the static order of ``_vertex_order``.
     """
 
     name = "pair search"
@@ -170,103 +182,74 @@ class _PairSearch:
     def __init__(self, target: TropMatrix, source: TropMatrix):
         if target.shape != source.shape:
             raise ValueError("target and source must have equal shape")
-        n = target.nrows
+        n, m = target.shape
         codes, self.decode = encode(*target.entries, *source.entries)
-        self.a = (codes[:n], list(zip(*codes[:n])))
-        self.b = (codes[n:], list(zip(*codes[n:])))
-        supp = [_support(a) for a in self.a]
-        if len(support_components(supp[0])) != 1:
+        a, b = codes[:n], codes[n:]
+        if len(support_components(_support(a))) != 1:
             raise NotConnected("target support graph is disconnected")
-        self.budget = search_budget.current()
-        self.prof, self.cands = [], []
-        for side, (a, b) in enumerate(zip(self.a, self.b)):
-            intern: dict = {}
-            k = len(a)
-            prof_a = _pair_profiles(a, intern)
-            sig_a = _signatures(prof_a, [sum(r) for r in supp[side]], k)
-            if b == a:  # one matrix: its profiles serve both sides
-                prof_b, sig_b = prof_a, sig_a
-            else:
-                prof_b = _pair_profiles(b, intern)
-                sig_b = _signatures(prof_b, [sum(r) for r in _support(b)], k)
-            self.prof.append((prof_a, prof_b))
-            self.cands.append(
-                [[(side, y) for y in range(k) if sig_b[y] == sig_a[x]] for x in range(k)]
-            )
-        self.order = _vertex_order(supp)
-        self.image = [[-1] * len(a) for a in self.a]
-        self.scaling: list = [[None] * len(a) for a in self.a]
-        self.used = [[False] * len(a) for a in self.a]
-        self.assigned: tuple[list[int], list[int]] = ([], [])
+        intern: dict = {}
+        key = _joint_key(a, intern)
+        onto = None if b == a else _joint_key(b, intern)  # None: one matrix, one key
+        super().__init__(n + m, key, [0] * n + [1] * m, onto)
+        self.n = n
+        cross = _cross(a)
+        self.order = _vertex_order(cross, n)
+        # each point's finite target entries (place in the order, point
+        # met, code), in search order, and each point's source entries
+        self.meets = [[] for _ in range(n + m)]
+        for k, u in enumerate(self.order):
+            for v, x in enumerate(cross[u]):
+                if x is not None:
+                    self.meets[v].append((k, u, x))
+        self.source = cross if onto is None else _cross(b)
+        self.scaling: list = [None] * (n + m)
 
-    def candidates(self, point):
-        side, x = point
-        return self.cands[side][x]
-
-    def push(self, point, image) -> bool:
-        """Assign ``point`` to ``image`` if that agrees with the profiles,
-        supports and scalings of every assigned point."""
-        side, x = point
-        y = image[1]
-        if self.used[side][y]:
-            return False
-        prof_a, prof_b = self.prof[side]
-        img = self.image[side]
-        for x2 in self.assigned[side]:
-            if prof_a[(x, x2)] != prof_b[(y, img[x2])]:
-                return False
-        other = 1 - side
-        row_a, row_b = self.a[side][x], self.b[side][y]
-        o_img, o_scal = self.image[other], self.scaling[other]
+    def push(self, v, w) -> bool:
+        """Map v to w if one scaling of v fits every finite entry it meets
+        in a mapped point, and narrow the other domains (``_map``)."""
+        depth = len(self.levels) - 1
         # the first point anchors the scalings at 0, the zero code of any basis
-        s = None if self.assigned[0] or self.assigned[1] else 0
-        for x2 in self.assigned[other]:
-            ea, eb = row_a[x2], row_b[o_img[x2]]
-            if (ea is None) != (eb is None):
+        s = None if depth else 0
+        row_b, image, scaling = self.source[w], self.image, self.scaling
+        for k, u, ea in self.meets[v]:
+            if k >= depth:
+                break
+            # w is in v's domain, so the source entry is finite too
+            cand = ea - row_b[image[u]] - scaling[u]
+            if s is None:
+                s = cand
+            elif s != cand:
                 return False
-            if ea is not None:
-                cand = ea - eb - o_scal[x2]
-                if s is None:
-                    s = cand
-                elif s != cand:
-                    return False
-        if s is None:
+        if not self._map(v, w):
             return False
-        img[x] = y
-        self.scaling[side][x] = s
-        self.used[side][y] = True
-        self.assigned[side].append(x)
+        scaling[v] = s
         return True
 
-    def pop(self, point):
-        side, x = point
-        self.assigned[side].pop()
-        self.used[side][self.image[side][x]] = False
-
     def next_point(self):
-        """The next point of the search order, None once all are assigned."""
-        level = len(self.assigned[0]) + len(self.assigned[1])
-        return self.order[level] if level < len(self.order) else None
+        """The next point of the search order, None once all are mapped."""
+        depth = len(self.levels) - 1
+        return self.order[depth] if depth < self.nv else None
 
     def solution(self):
-        """(sigma, tau, lam, nu) of the full assignment, scalings as codes."""
-        (sigma, tau), (lam, nu) = self.image, self.scaling
-        return tuple(sigma), tuple(tau), tuple(lam), tuple(nu)
+        """The joint images of the full map, then its joint scalings as codes."""
+        return (*self.image, *self.scaling)
 
     def decoded(self, found, eigenvalue_zero: bool):
         """A ``solution()`` as (sigma, tau, lam, mu) with mu = -nu,
         scalings as scalars, shifted to eigenvalue 0 if asked."""
-        sigma, tau, lam, nu = found
-        mu = tuple(-x for x in nu)
+        n, nv = self.n, self.nv
+        sigma, tau = found[:n], tuple(y - n for y in found[n:nv])
+        lam, mu = found[nv:nv + n], tuple(-x for x in found[nv + n:])
         if eigenvalue_zero:
             return (sigma, tau, *_eigenvalue_zero(self.decode, sigma, lam, mu))
         return sigma, tau, tuple(map(self.decode, lam)), tuple(map(self.decode, mu))
 
 
-def _image(found, point):
-    """The image of a point (side, index) under a ``solution()``."""
-    side, x = point
-    return side, found[side][x]
+def _cross(codes):
+    """Each joint point's row of entries with the points of the other
+    side, None at the points of its own side and where no entry is finite."""
+    n, m = len(codes), len(codes[0])
+    return [[None] * n + list(row) for row in codes] + [[*col] + [None] * m for col in zip(*codes)]
 
 
 def pair_solutions(target: TropMatrix, source: TropMatrix, *, first_only: bool = False):
@@ -284,7 +267,7 @@ def pair_solutions(target: TropMatrix, source: TropMatrix, *, first_only: bool =
         return [] if first is None else [search.decoded(first, eigenvalue_zero=False)]
     return [
         search.decoded(f, eigenvalue_zero=True)
-        for f in base_and_orbit(search, search.order, act=_image)[0]
+        for f in base_and_orbit(search, search.order, act=getitem)[0]
     ]
 
 

@@ -37,20 +37,21 @@ group itself is never listed), narrowing each vertex's candidate images
 as the map grows.  Those images are held as an int bit set, narrowed by
 one AND per unmapped vertex for each vertex mapped, and the point to map
 next (fewest images, then lowest) is found while narrowing and kept with
-the level.  That loop, ``base_and_orbit``, and the one depth-first
-walk, ``completions``, on an explicit stack (``complete`` is its first
-item), also drive the pair search of ``pairsearch``, which finds
-generators of the unit stabilizer Sigma the same way but skips the
-images of a base point already in its orbit under the generators found
-there; the walk alone lists the units commuting with an idempotent.  A
-2-closure tries every image, so it keeps each first completion as a
-generator.  The 2-closedness checks start from the group G they test,
-which lies inside its 2-closure: at each base point they skip the images
-G's own stabilizer reaches, read off G's Sims table, and count the
-closure's order from the orbits that G and the completions found span
-together.  All searches and listings in a ``search_budget`` block spend
-from its budget; one outside every block has DEFAULT_MAX_NODES nodes of
-its own.
+the level.  The pair search of ``pairsearch`` is this engine on the
+pair colours of a matrix's rows and columns, with a scaling fit added to
+each push.  That loop, ``base_and_orbit``, and the one depth-first walk,
+``completions``, on an explicit stack (``complete`` is its first item),
+drive both; the pair search finds generators of the unit stabilizer
+Sigma the same way but skips the images of a base point already in its
+orbit under the generators found there; the walk alone lists the units
+commuting with an idempotent.  A 2-closure tries every image, so it
+keeps each first completion as a generator.  The 2-closedness checks
+start from the group G they test, which lies inside its 2-closure: at
+each base point they skip the images G's own stabilizer reaches, read
+off G's Sims table, and count the closure's order from the orbits that G
+and the completions found span together.  All searches and listings in a
+``search_budget`` block spend from its budget; one outside every block
+has DEFAULT_MAX_NODES nodes of its own.
 
 Groups of different orders are not isomorphic, and equal permutation
 groups are recognised as isomorphic from their tables.  Otherwise two
@@ -690,11 +691,13 @@ class _AutomorphismSearch:
     ``key[v][u]`` numbers the pair of edge colours (v to u, u to v), and
     is -1, which no pair has, on the diagonal; ``init`` is an initial
     vertex colouring (used to separate the sides of a bipartite structure).
+    With ``onto``, a second key numbered alike, the search maps ``key``
+    onto it, the two refined side by side so that their colours compare.
 
     ``fit[w]`` maps each number k to the bit set of the x whose pair to
-    and from w is k.  ``levels`` holds, per level, each unmapped
-    vertex's images that agree with the map as a bit set: its refined
-    colour class, narrowed by every ``push`` with one AND (forward
+    and from w is k in ``onto`` (or ``key``).  ``levels`` holds, per level,
+    each unmapped vertex's images that agree with the map as a bit set: its
+    refined colour class, narrowed by every ``push`` with one AND (forward
     checking, Haralick and Elliott, *Artificial Intelligence* 14, 1980, on
     the bit sets of McKay and Piperno, *J. Symbolic Comput.* 60, 2014);
     and the level's next point, found while narrowing.
@@ -702,25 +705,35 @@ class _AutomorphismSearch:
 
     name = "automorphism search"
 
-    def __init__(self, nv, key, init):
+    def __init__(self, nv, key, init, onto=None):
         self.budget = search_budget.current()
         self.nv = nv
         self.key = key
-        self.fit = [_bit_sets(enumerate(row)) for row in self.key]
-        colour = self._refine(list(init))
-        classes = _bit_sets(enumerate(colour))
-        top = {v: classes[c] for v, c in enumerate(colour)}
+        bits = [1 << x for x in range(nv)]
+        keys = [key] if onto is None else [key, onto]
+        colour = self._refine(keys, list(init) * len(keys))
+        colour, onto_colour = colour[:nv], colour[-nv:]
+        self.fit = [_bit_sets(row, bits) for row in keys[-1]]
+        classes = _bit_sets(onto_colour, bits)
+        top = {v: classes.get(c, 0) for v, c in enumerate(colour)}
         self.levels = [(top, min(top, key=lambda u: (top[u].bit_count(), u), default=None))]
         self.image = list(range(nv))  # read only where every vertex is mapped
 
-    def _refine(self, colour):
+    @staticmethod
+    def _refine(keys, colour):
+        """The stable refinement of ``colour``, the vertex colours of the
+        structures ``keys`` on nv vertices each, listed one after the other:
+        each round splits classes by the multiset of (colour, key) pairs,
+        and none splits once the number of classes stays the same."""
+        nv, count = len(keys[0]), len(set(colour))
         while True:
-            sigs = [(c, tuple(sorted(zip(colour, row)))) for c, row in zip(colour, self.key)]
-            ids = {s: k for k, s in enumerate(sorted(set(sigs)))}
-            fresh = [ids[s] for s in sigs]
-            if fresh == colour:
+            parts = [colour[k:k + nv] for k in range(0, len(colour), nv)]
+            ids: dict = {}
+            colour = [ids.setdefault((c, tuple(sorted(zip(part, row)))), len(ids))
+                      for part, key in zip(parts, keys) for c, row in zip(part, key)]
+            if len(ids) == count:
                 return colour
-            colour = fresh
+            count = len(ids)
 
     def candidates(self, v):
         """v's images, ascending."""
@@ -749,6 +762,8 @@ class _AutomorphismSearch:
         self.image[v] = w
         return True
 
+    _map = push  # the narrowing step, for a subclass whose own push adds to it
+
     def pop(self, v):
         self.levels.pop()
 
@@ -760,11 +775,11 @@ class _AutomorphismSearch:
         return list(self.image)
 
 
-def _bit_sets(labelled) -> dict:
-    """Each label's bit set of the points that carry it, from (point, label) pairs."""
+def _bit_sets(labels, bits) -> dict:
+    """Each label's bit set of the points that carry it, point x's bit bits[x]."""
     out: dict = {}
-    for x, k in labelled:
-        out[k] = out.get(k, 0) | 1 << x
+    for k, b in zip(labels, bits):
+        out[k] = out.get(k, 0) | b
     return out
 
 

@@ -209,6 +209,19 @@ def test_removed_flags_are_rejected(tmp_path, capsys):
         assert exc.value.code == 2
 
 
+def test_closure_takes_one_of_degree_and_bidegree(capsys):
+    """A group given both a degree and a bidegree is bad input, as a
+    construction spec that names two kinds is, whichever flag comes first."""
+    for argv in (
+        ["closure", "--degree", "4", "--bidegree", "2", "2", "(1,2)|(1,2)"],
+        ["closure", "--bidegree", "2", "2", "--degree", "4", "(1,2)"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_budget_exceeded_exit_code(tmp_path, capsys):
     path = write(tmp_path, "f.txt", matrix_f().to_text() + "\n")
     code, _ = run_cli(["analyze", path, "--max-nodes", "1"], capsys)
@@ -648,10 +661,10 @@ def _false_flags(a):
 
 def test_verify_flags_catch_seeded_mutations(monkeypatch):
     """Two faults seeded into the analysis that verify reads: a pair
-    search that drops the last candidate of every point with more than
-    one finds too small a Sigma, which only the comparison with the
-    commuting units sees; a first eigenvector scaling of U shifted by 1
-    breaks the units of every generator that moves point 0."""
+    search whose first point keeps only its first image finds too small a
+    Sigma, which only the comparison with the commuting units sees; a
+    first eigenvector scaling of U shifted by 1 breaks the units of every
+    generator that moves point 0."""
     from tropgroups import cli, stabilizer
     from tropgroups.matrix import MonomialMatrix
     from tropgroups.semiring import val
@@ -663,7 +676,7 @@ def test_verify_flags_catch_seeded_mutations(monkeypatch):
 
         def fewer(self, point):
             found = candidates(self, point)
-            return found[:-1] if len(found) > 1 else found
+            return found[:1] if point == self.order[0] else found
 
         m.setattr(pairsearch._PairSearch, "candidates", fewer)
         for a in (matrix_f(), matrix_e(), _symmetric_witness(5)):
