@@ -48,8 +48,8 @@ from .stabilizer import (
     analyze_matrix,
     classification_conditions,
     group_description,
-    normalize_eigenvectors,
     require_idempotent,
+    _eigenvector_units,
     _sigma_generators,
     _sigma_units,
 )
@@ -299,7 +299,8 @@ def verify_flags(a: TropMatrix) -> dict:
     and inverses.  The pair equation P @ A = A @ Q, eigenvalue 0 as a zero
     code sum on every cycle of P and of Q, position agreement as a zero
     scaling code at every fixed point, ``h_related(P @ A, A)`` and the
-    eigenvector normal form run on each generator; closure is the order
+    eigenvector normal form (``an.normalisations``, whose B only this
+    check reads) run on each generator; closure is the order
     of the left patterns' group, which must be the factor's.  On a
     full-rank idempotent, the units commuting with each restriction form
     a group found by a search of its own (``_commutes_as_sigma``), checked
@@ -348,17 +349,17 @@ def verify_flags(a: TropMatrix) -> dict:
     # the commutation search takes full-rank idempotents; a reduced block need not be one
     if a.is_square() and an.reduced == a and is_idempotent(a):
         idem_ok = True
-        for cls, norm, factor in zip(
-            an.partition.classes, an.normalisations, an.description.factors
+        for cls, units, factor in zip(
+            an.partition.classes, an.units, an.description.factors
         ):
             for idx in cls.members:
                 r = an.restrictions[idx]
                 idem_ok &= r == a or is_idempotent(r)
                 if idx == cls.representative:
-                    (u, v, _b), sigma = norm, factor.finite_part
+                    (u, v), sigma = units, factor.finite_part
                 else:
                     gens = _sigma_generators(r)
-                    u, v, _b = normalize_eigenvectors(r, gens)
+                    u, v = _eigenvector_units(r, gens)
                     sigma = PermGroup(r.nrows, [Perm._of(g.P.sigma) for g in gens])
                 idem_ok &= _commutes_as_sigma(r, sigma, u, v)
         flags["idempotent_restrictions"] = idem_ok

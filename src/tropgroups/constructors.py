@@ -473,7 +473,8 @@ def _spec_list(value, what: str, length: Optional[int] = None) -> list:
 
 def _spec_edges(data: dict, n: int, m: Optional[int] = None) -> dict:
     """The 0-based edges of a spec: from 1..n to 1..m, or between distinct
-    points of 1..n when m is None; errors name an edge as the spec does."""
+    points of 1..n when m is None, each listed once; errors name an edge
+    as the spec does."""
     edges = {}
     for item in _spec_list(data.get("edges", []), "edges"):
         i, j, colour = _spec_list(item, "an edge", 3)
@@ -484,6 +485,8 @@ def _spec_edges(data: dict, n: int, m: Optional[int] = None) -> dict:
             raise ValueError(f"edge ({i}, {j}) out of range")
         if m is None and i == j:
             raise ValueError(f"edge ({i}, {j}) is a loop")
+        if (i - 1, j - 1) in edges:
+            raise ValueError(f"edge ({i}, {j}) is listed twice")
         edges[(i - 1, j - 1)] = colour
     return edges
 

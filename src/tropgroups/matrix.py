@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
+from operator import eq
 from typing import Iterable, Sequence
 
 from .graphs import components
@@ -151,24 +153,23 @@ class TropMatrix:
         return f"TropMatrix({self.nrows}x{self.ncols}: {self.to_text()!r})"
 
 
+def _product_codes(arows, bcols):
+    """The entries of a product on codes, row by row: max_k (a_ik + b_kj)
+    for the rows of A and the columns of B, None where no term is finite."""
+    for arow in arows:
+        terms = [(k, x) for k, x in enumerate(arow) if x is not None]
+        for bcol in bcols:
+            yield max((x + bcol[k] for k, x in terms if bcol[k] is not None), default=None)
+
+
 def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """Tropical matrix product: (AB)_ij = max_k (A_ik + B_kj)."""
     if a.ncols != b.nrows:
         raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
     codes, decode = encode(*a.entries, *b.entries)
-    bcols = list(zip(*codes[a.nrows :]))
-    out = []
-    for arow in codes[: a.nrows]:
-        terms = [(k, x) for k, x in enumerate(arow) if x is not None]
-        row = []
-        for bcol in bcols:
-            best = max(
-                (x + bcol[k] for k, x in terms if bcol[k] is not None),
-                default=None,
-            )
-            row.append(decode(best))
-        out.append(row)
-    return TropMatrix(out)
+    flat = list(map(decode, _product_codes(codes[: a.nrows], list(zip(*codes[a.nrows :])))))
+    m = b.ncols
+    return TropMatrix([flat[k : k + m] for k in range(0, len(flat), m)])
 
 
 def _shift(x: TropScalar, c, s, decode) -> TropScalar:
@@ -334,9 +335,12 @@ def monomial_eigenvalue(p: MonomialMatrix) -> Value:
 
 
 def is_idempotent(e: TropMatrix) -> bool:
+    """Whether E @ E = E, on codes, up to the first entry that differs."""
     if not e.is_square():
         raise ValueError("idempotency is defined for square matrices")
-    return mat_mul(e, e) == e
+    codes, _decode = encode(*e.entries)
+    products = _product_codes(codes, list(zip(*codes)))
+    return all(map(eq, products, chain.from_iterable(codes)))
 
 
 def idempotent_power(a: TropMatrix, max_squarings: int = 64) -> TropMatrix:

@@ -30,17 +30,23 @@ Pruning of the pair search: it is the automorphism search of
 ``permgroups`` on the n + m joint points (rows, then columns), mapping
 the target's pair colours onto the source's.  Two rows (two columns) are
 coloured by their shift-normalised multiset of columnwise (rowwise)
-differences, which every solution keeps (``_pair_profiles``), and a row
-and a column by whether their entry is finite.  The refinement of those
-colours and one AND per unmapped point and push do all the pruning but
-the scaling fit, the one check that ``push`` adds.
+differences, which every solution keeps (``_pair_profiles``, keyed by
+the gaps of the sorted differences), and a row and a column by whether
+their entry is finite.  The refinement of those colours and one AND per
+unmapped point and push do all the pruning but the scaling fit, the one
+check that ``push`` adds.
+
+Set-up is one pass per matrix: a source equal to the target is encoded
+and keyed once, and the connectivity of the target's support is read
+off the search order (``_vertex_order``), whose points after the first
+each meet one placed before them exactly when the support is connected.
 """
 
 from __future__ import annotations
 
-from operator import getitem
+from operator import getitem, sub
 
-from .graphs import components, support_components
+from .graphs import components
 from .matrix import MultipleEigenvalues, TropMatrix
 from .permgroups import _AutomorphismSearch, base_and_orbit, complete, completions, search_budget
 from .semiring import encode
@@ -54,10 +60,14 @@ def _pair_profiles(vectors, intern):
     """Profile ids of the ordered pairs of parallel code vectors, as rows
     with -1 on the diagonal.
 
-    The profile of (u, v) is (count finite-only-in-u, finite-only-in-v,
-    min-normalised multiset of differences u - v where both are finite);
-    that of (v, u) is read off the same differences, negated, so each id
-    also names the profile of the reversed pair.
+    The profile of (u, v) names the count of entries finite only in u,
+    that finite only in v, and the min-normalised multiset of the
+    differences u - v where both are finite; it is keyed by those two
+    counts, the number of differences and the gaps between them, sorted.
+    The count keeps a disjoint pair apart from a pair with one common
+    entry, whose gaps are empty too.  The reversed pair (v, u) has the
+    same differences negated, so the gaps reversed, and each id also
+    names the profile of the reversed pair.
     """
     k = len(vectors)
     prof = [[-1] * k for _ in range(k)]
@@ -66,16 +76,12 @@ def _pair_profiles(vectors, intern):
         u = vectors[x]
         for y in range(x + 1, k):
             diffs = [a - b for a, b in zip(u, vectors[y]) if a is not None and b is not None]
-            only_u, only_v = finite[x] - len(diffs), finite[y] - len(diffs)
             diffs.sort()
-            if diffs:
-                lo, hi = diffs[0], diffs[-1]
-                fwd = tuple([d - lo for d in diffs])
-                back = tuple([hi - d for d in reversed(diffs)])
-            else:
-                fwd = back = ()
-            prof[x][y] = intern.setdefault((only_u, only_v, fwd), len(intern))
-            prof[y][x] = intern.setdefault((only_v, only_u, back), len(intern))
+            c = len(diffs)
+            gaps = tuple(map(sub, diffs[1:], diffs))
+            only_u, only_v = finite[x] - c, finite[y] - c
+            prof[x][y] = intern.setdefault((only_u, only_v, c, gaps), len(intern))
+            prof[y][x] = intern.setdefault((only_v, only_u, c, gaps[::-1]), len(intern))
     return prof
 
 
@@ -144,7 +150,9 @@ def _vertex_order(cross, n):
     anchor at the column with most finite entries, then grow the assigned
     region greedily, preferring points with many assigned neighbours,
     alternating sides on ties, then low indices, then rows.  ``cross[v]``
-    holds v's entries with the other side, None where not finite."""
+    holds v's entries with the other side, None where not finite.  Raises
+    NotConnected when the finite entries do not join every point, which
+    shows as a next point with no placed neighbour."""
     cnt = [0] * len(cross)
     left = list(range(len(cross)))
 
@@ -162,6 +170,8 @@ def _vertex_order(cross, n):
         if not left:
             return order
         point = max(left, key=rank)
+        if not cnt[point]:  # no point left meets a placed one
+            raise NotConnected("target support graph is disconnected")
 
 
 class _PairSearch(_AutomorphismSearch):
@@ -183,17 +193,19 @@ class _PairSearch(_AutomorphismSearch):
         if target.shape != source.shape:
             raise ValueError("target and source must have equal shape")
         n, m = target.shape
-        codes, self.decode = encode(*target.entries, *source.entries)
-        a, b = codes[:n], codes[n:]
-        if len(support_components(_support(a))) != 1:
-            raise NotConnected("target support graph is disconnected")
-        intern: dict = {}
-        key = _joint_key(a, intern)
-        onto = None if b == a else _joint_key(b, intern)  # None: one matrix, one key
-        super().__init__(n + m, key, [0] * n + [1] * m, onto)
-        self.n = n
+        if source == target:  # one matrix: one encoding, one key
+            a, self.decode = encode(*target.entries)
+            b = a
+        else:
+            codes, self.decode = encode(*target.entries, *source.entries)
+            a, b = codes[:n], codes[n:]
         cross = _cross(a)
         self.order = _vertex_order(cross, n)
+        intern: dict = {}
+        key = _joint_key(a, intern)
+        onto = None if b is a else _joint_key(b, intern)
+        super().__init__(n + m, key, [0] * n + [1] * m, onto)
+        self.n = n
         # each point's finite target entries (place in the order, point
         # met, code), in search order, and each point's source entries
         self.meets = [[] for _ in range(n + m)]

@@ -8,9 +8,11 @@ line times the finite group Sigma of eigenvalue-0 elements.  The pair search
 yields generators of Sigma; the analysis reads its order and reported
 generators off the Sims table of their patterns' group.  The unit of any
 pattern pair of that group has its scalings read off the common
-eigenvectors that ``normalize_eigenvectors`` finds, as int codes
-(``_sigma_units``): ``verify`` takes the generators' units, and
-``stabilizer_pairs`` lists the group for all of them.
+eigenvectors, the diagonal units U, V that ``_eigenvector_units`` finds,
+as int codes (``_sigma_units``): ``verify`` takes the generators' units,
+and ``stabilizer_pairs`` lists the group for all of them.  The normal form
+B = U @ A @ V of ``normalize_eigenvectors``, on which Sigma acts by plain
+permutations, is built only where it is read (``_normal_form``).
 
 Disconnected matrices decompose along component classes: the full group is
 a direct product over classes of wreath-type factors, one (R x G_alpha) per
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 from typing import Optional
 
@@ -32,9 +35,9 @@ from .components import (
     Component,
     ComponentPartition,
     class_partition,
-    connected_components,
     _restrict_unchecked,
 )
+from .graphs import support_components
 from .matrix import (
     MonomialMatrix,
     TropMatrix,
@@ -51,7 +54,7 @@ from .permgroups import (
     is_paired_two_closed,
     search_budget,
 )
-from .semiring import ZERO, Value, encode
+from .semiring import NEG_INF, ZERO, Value, encode
 from .spaces import has_full_rank, reduce_full_rank, _scaling_gap
 
 
@@ -87,7 +90,7 @@ def _sigma_generators(a: TropMatrix) -> list[StabilizerElement]:
 
 def _sigma_units(a: TropMatrix, pairs, u: MonomialMatrix, v: MonomialMatrix):
     """The Sigma element of each pattern pair (g, h) in ``pairs``, on
-    int codes, given the units U, V of ``normalize_eigenvectors``.
+    int codes, given the units U, V of ``_eigenvector_units``.
 
     Returns (units, entries, decode): one ``encode`` covers the scalings
     of U and V and the entries of A, and ``entries`` are the codes of A's
@@ -107,7 +110,7 @@ def _connected_sigma(a: TropMatrix) -> list[StabilizerElement]:
     """All stabilizer pairs of a connected full-rank matrix with eigenvalue
     0, one per pattern pair."""
     gens = _sigma_generators(a)
-    u, v, _b = normalize_eigenvectors(a, gens)
+    u, v = _eigenvector_units(a, gens)
     pairs = [(Perm._of(g.P.sigma), Perm._of(g.Q.sigma)) for g in gens]
     group = PairedPermGroup(a.shape, pairs)
     units, _entries, decode = _sigma_units(a, group.elements(), u, v)
@@ -249,14 +252,28 @@ def normalize_eigenvectors(
     all-zero vectors: every Sigma element of B is a plain permutation.
 
     ``elements`` may be all of Sigma or only generators of it (the default
-    is generators from the pair search).  The common right eigenvector u,
-    with u_i = lam_i + u_sigma(i) for every element, is propagated along
-    the elements from each least not-yet-covered coordinate, and the left
-    eigenvector v, with v_tau(j) = v_j + mu_j, likewise.  Both equations
-    are checked at every point for every element; they are exactly the
-    conditions for U and V to conjugate each element to a permutation.
+    is generators from the pair search).  U and V are those of
+    ``_eigenvector_units``, which the analysis keeps; B is ``_normal_form``.
     """
-    if len(connected_components(a)) != 1:
+    u, v = _eigenvector_units(a, elements)
+    return u, v, _normal_form(a, u, v)
+
+
+def _eigenvector_units(
+    a: TropMatrix, elements: Optional[list[StabilizerElement]] = None
+) -> tuple[MonomialMatrix, MonomialMatrix]:
+    """The units U, V of ``normalize_eigenvectors``, without B.
+
+    The common right eigenvector u, with u_i = lam_i + u_sigma(i) for
+    every element, is propagated along the elements from each least
+    not-yet-covered coordinate, and the left eigenvector v, with
+    v_tau(j) = v_j + mu_j, likewise.  Both equations are checked at every
+    point for every element; they are exactly the conditions for U and V
+    to conjugate each element to a permutation.  The support of A must be
+    connected (an all--inf row or column is a component of its own).
+    """
+    support = [[x is not NEG_INF for x in row] for row in a.entries]
+    if len(support_components(support)) != 1:
         raise NotConnected("eigenvector normalisation needs a connected matrix")
     if elements is None:
         if not has_full_rank(a):
@@ -270,7 +287,12 @@ def normalize_eigenvectors(
     u, v = _propagate(n, p_maps), _propagate(m, q_maps)
     u_diag = MonomialMatrix(tuple(range(n)), [decode(-x) for x in u])
     v_diag = MonomialMatrix(tuple(range(m)), [decode(-x) for x in v])
-    return u_diag, v_diag, v_diag.right_apply(u_diag.left_apply(a))
+    return u_diag, v_diag
+
+
+def _normal_form(a: TropMatrix, u: MonomialMatrix, v: MonomialMatrix) -> TropMatrix:
+    """B = U @ A @ V, the one builder of a normal form."""
+    return v.right_apply(u.left_apply(a))
 
 
 @dataclass(frozen=True)
@@ -368,10 +390,12 @@ class Analysis:
 
     ``reduced`` is the full-rank core on ``kept_rows`` x ``kept_cols``;
     ``restrictions`` holds one block of it per component of ``partition``;
-    ``normalisations`` and ``description.factors`` hold one entry per
-    class: the (U, V, B) that ``normalize_eigenvectors`` finds for the
+    ``units`` and ``description.factors`` hold one entry per class: the
+    eigenvector units (U, V) that ``_eigenvector_units`` finds for the
     class representative, and the wreath-type factor, whose ``paired`` is
-    the group of the patterns of its Sigma.
+    the group of the patterns of its Sigma.  ``normalisations`` adds each
+    class's normal form B = U @ A @ V to its units; it is built on first
+    read, since the reports read only the factors.
     """
 
     reduced: TropMatrix
@@ -379,22 +403,30 @@ class Analysis:
     kept_cols: tuple[int, ...]
     partition: ComponentPartition
     restrictions: tuple[TropMatrix, ...]
-    normalisations: tuple[tuple[MonomialMatrix, MonomialMatrix, TropMatrix], ...]
+    units: tuple[tuple[MonomialMatrix, MonomialMatrix], ...]
     description: GroupDescription
+
+    @cached_property
+    def normalisations(self) -> tuple[tuple[MonomialMatrix, MonomialMatrix, TropMatrix], ...]:
+        """(U, V, B) per class, B of the class representative."""
+        return tuple(
+            (u, v, _normal_form(self.restrictions[cls.representative], u, v))
+            for cls, (u, v) in zip(self.partition.classes, self.units)
+        )
 
 
 def analyze_matrix(a: TropMatrix) -> Analysis:
     """Reduce to full rank, split into component classes, compute
-    generators of the Sigma of each class representative, normalise its
-    eigenvectors, and describe one finite factor per class."""
+    generators of the Sigma of each class representative, find its
+    eigenvector units, and describe one finite factor per class."""
     z, rows, cols = reduce_full_rank(a)
     part = class_partition(z)
     restrictions = tuple(_restrict_unchecked(z, c) for c in part.components)
-    normalisations, factors = [], []
+    units, factors = [], []
     for cls in part.classes:
         rep = restrictions[cls.representative]
         gens = _sigma_generators(rep)
-        normalisations.append(normalize_eigenvectors(rep, gens))
+        units.append(_eigenvector_units(rep, gens))
         pairs = [(Perm._of(g.P.sigma), Perm._of(g.Q.sigma)) for g in gens]
         paired = PairedPermGroup(rep.shape, pairs).greedy()
         comp = part.components[cls.representative]
@@ -405,7 +437,7 @@ def analyze_matrix(a: TropMatrix) -> Analysis:
         kept_cols=tuple(cols),
         partition=part,
         restrictions=restrictions,
-        normalisations=tuple(normalisations),
+        units=tuple(units),
         description=GroupDescription(tuple(factors)),
     )
 

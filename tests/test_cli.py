@@ -96,6 +96,11 @@ def test_bad_matrix_input_exits_2_without_traceback(tmp_path, text):
         ({"omega": 2, "theta": 2, "edges": [[1, 3, "a"]]}, "edge (1, 3) out of range"),
         ({"vertices": 2, "edges": [[1, 1, "a"]]}, "edge (1, 1) is a loop"),
         ({"vertices": 2, "edges": [[1, 3, "a"]]}, "edge (1, 3) out of range"),
+        ({"vertices": 2, "edges": [[1, 2, "a"], [1, 2, "b"]]}, "edge (1, 2) is listed twice"),
+        (
+            {"omega": 2, "theta": 2, "edges": [[2, 1, "a"], [1, 1, "a"], [2, 1, "a"]]},
+            "edge (2, 1) is listed twice",
+        ),
         ({"degree": 3, "vertices": 3}, "not ['vertices', 'degree']"),
         ({"degree": 3, "generator": ["(1,2,3)"]}, "unknown key 'generator': a 'degree' spec"),
         ({"vertices": 3, "edge": [[1, 2, "a"]]}, "unknown key 'edge': a 'vertices' spec"),
@@ -117,6 +122,8 @@ def test_bad_matrix_input_exits_2_without_traceback(tmp_path, text):
         "bipartite-edge-out-of-range",
         "digraph-loop",
         "digraph-edge-out-of-range",
+        "digraph-edge-twice",
+        "bipartite-edge-twice",
         "two-kinds",
         "degree-misspelt-key",
         "vertices-misspelt-key",
@@ -664,7 +671,7 @@ def test_verify_flags_catch_seeded_mutations(monkeypatch):
     search whose first point keeps only its first image finds too small a
     Sigma, which only the comparison with the commuting units sees; a
     first eigenvector scaling of U shifted by 1 breaks the units of every
-    generator that moves point 0."""
+    generator that moves point 0, and the normal form built from it."""
     from tropgroups import cli, stabilizer
     from tropgroups.matrix import MonomialMatrix
     from tropgroups.semiring import val
@@ -682,16 +689,25 @@ def test_verify_flags_catch_seeded_mutations(monkeypatch):
         for a in (matrix_f(), matrix_e(), _symmetric_witness(5)):
             assert _false_flags(a) == {"idempotent_restrictions"}, a
 
-    normalize = stabilizer.normalize_eigenvectors
+    units = stabilizer._eigenvector_units
 
     def shifted(*args):
-        u, v, b = normalize(*args)
-        return MonomialMatrix(u.sigma, (u.scalings[0] + val(1), *u.scalings[1:])), v, b
+        u, v = units(*args)
+        return MonomialMatrix(u.sigma, (u.scalings[0] + val(1), *u.scalings[1:])), v
 
     for mod in (cli, stabilizer):
-        monkeypatch.setattr(mod, "normalize_eigenvectors", shifted)
-    assert _false_flags(matrix_f()) == {"h_related", "idempotent_restrictions", "pair_equations"}
-    assert _false_flags(alt4_squared()) == {"h_related", "pair_equations"}
+        monkeypatch.setattr(mod, "_eigenvector_units", shifted)
+    assert _false_flags(matrix_f()) == {
+        "eigenvector_normalisation",
+        "h_related",
+        "idempotent_restrictions",
+        "pair_equations",
+    }
+    assert _false_flags(alt4_squared()) == {
+        "eigenvector_normalisation",
+        "h_related",
+        "pair_equations",
+    }
 
 
 def test_reports_are_byte_identical(tmp_path):
@@ -747,6 +763,35 @@ def test_each_stage_runs_once_per_command(tmp_path, monkeypatch, capsys):
         assert code == 0
         assert {name for name, _, _ in calls} >= {"reduce_full_rank", "pair_solutions"}
         assert len(set(calls)) == len(calls), argv
+
+
+def test_only_verify_builds_the_normal_form(tmp_path, capsys, monkeypatch):
+    """B = U @ A @ V is built only where it is read: analyze of F, of the
+    16x16 A4 x A4 matrix and of a block idempotent and a 'degree' construct
+    build none, and verify of F builds one for its one class."""
+    from tropgroups import stabilizer
+
+    from helpers import alt4_squared
+
+    built = []
+    normal_form = stabilizer._normal_form
+
+    def counted(a, u, v):
+        built.append(a)
+        return normal_form(a, u, v)
+
+    monkeypatch.setattr(stabilizer, "_normal_form", counted)
+    blocks = TropMatrix.from_rows(
+        [[0, -1, "-inf"], [-1, 0, "-inf"], ["-inf", "-inf", 0]]
+    )
+    for name, a in (("f", matrix_f()), ("a4sq", alt4_squared()), ("blocks", blocks)):
+        path = write(tmp_path, name + ".txt", a.to_text() + "\n")
+        assert run_cli(["analyze", path, "--json"], capsys)[0] == 0
+    spec = write(tmp_path, "s.json", json.dumps({"degree": 3, "generators": ["(1,2,3)"]}))
+    assert run_cli(["construct", spec, "--json"], capsys)[0] == 0
+    assert built == []
+    assert all(verify_flags(matrix_f()).values())
+    assert built == [matrix_f()]
 
 
 def test_verify_checks_full_rank_once_per_matrix(monkeypatch):

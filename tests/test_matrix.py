@@ -186,6 +186,47 @@ def test_idempotent_power_examples():
         idempotent_power(grows, max_squarings=8)
 
 
+def test_is_idempotent_on_codes_matches_the_product(monkeypatch):
+    """is_idempotent agrees with E @ E == E by the reference product on
+    seeded matrices, idempotent powers among them, and it builds no
+    matrix and decodes no code."""
+    from tropgroups import matrix
+
+    from helpers import ref_mat_mul
+
+    rng = random.Random(5)
+    cases = []
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        pool = [NEG_INF, Value(0), val(-1), val(-2) + eps(1), val(1), A_VAL]
+        a = TropMatrix([[rng.choice(pool) for _ in range(n)] for _ in range(n)])
+        cases.append(a)
+        try:
+            cases.append(idempotent_power(a, max_squarings=6))
+        except NoIdempotentPower:
+            pass
+    expected = [ref_mat_mul(a, a) == a for a in cases]
+    assert 10 < sum(expected) < len(cases) - 10
+
+    encode = matrix.encode
+
+    def no_decode(*groups):
+        codes, _decode = encode(*groups)
+
+        def decode(*args):
+            raise AssertionError("a code was decoded")
+
+        return codes, decode
+
+    def no_matrix(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(matrix, "encode", no_decode)
+    monkeypatch.setattr(matrix, "mat_mul", no_matrix)
+    monkeypatch.setattr(TropMatrix, "__init__", no_matrix)
+    assert [is_idempotent(a) for a in cases] == expected
+
+
 def test_idempotent_power_reaches_kleene_star():
     # diagonal zero, nonpositive cycles: powers stabilise at the star
     a = TropMatrix.from_rows([[0, -1, NEG_INF], [NEG_INF, 0, -1], [-1, NEG_INF, 0]])

@@ -17,7 +17,7 @@ from helpers import (
 )
 from tropgroups.constructors import alt4_column_matrix, assemble_blocks, construct_idempotent
 from tropgroups.matrix import MonomialMatrix, TropMatrix, monomial_eigenvalue
-from tropgroups.pairsearch import NotConnected, pair_solutions
+from tropgroups.pairsearch import NotConnected, _pair_profiles, pair_solutions
 from tropgroups.permgroups import PermGroup, groups_isomorphic
 from tropgroups.semiring import NEG_INF, Value, eps, val
 from tropgroups.spaces import h_related, has_full_rank, reduce_full_rank
@@ -34,6 +34,7 @@ from tropgroups.stabilizer import (
     normalize_eigenvectors,
     right_mate,
     stabilizer_pairs,
+    StabilizerElement,
     _sigma_generators,
 )
 from tropgroups.permgroups import PairedPermGroup, Perm
@@ -424,6 +425,76 @@ def test_pair_solutions_generators_need_equal_matrices():
     assert len(pair_solutions(other, f, first_only=True)) == 1
     with pytest.raises(ValueError):
         pair_solutions(other, f)
+
+
+def _profile(u, v):
+    """The pair profile by its definition: the counts of entries finite
+    only in u and only in v, and the multiset of the differences u - v
+    where both are finite, shifted to least element 0."""
+    both = [(a, b) for a, b in zip(u, v) if a is not None and b is not None]
+    diffs = sorted(a - b for a, b in both)
+    only_u = sum(a is not None for a in u) - len(both)
+    only_v = sum(b is not None for b in v) - len(both)
+    return only_u, only_v, tuple(d - diffs[0] for d in diffs)
+
+
+def test_pair_profiles_name_the_multiset_classes():
+    """Two ordered pairs of vectors get one profile id exactly when their
+    profiles by definition agree, across two sets of vectors that share
+    the id table; a disjoint pair and a pair with one common entry, with
+    equal one-sided counts, get two ids."""
+    rng = random.Random(11)
+    disjoint = [(0, None, None), (None, 0, None)]
+    one_common = [(0, None, 5), (None, 0, 5)]
+    for _ in range(40):
+        length = rng.randint(1, 6)
+        sets = [
+            [
+                tuple(None if rng.random() < 0.4 else rng.randrange(-2, 3) for _ in range(length))
+                for _ in range(rng.randint(1, 6))
+            ]
+            for _ in range(2)
+        ]
+        sets.append(disjoint + one_common if length == 3 else [])
+        intern: dict = {}
+        named = {}
+        for vectors in sets:
+            ids = _pair_profiles(vectors, intern)
+            for x, y in itertools.permutations(range(len(vectors)), 2):
+                named.setdefault(ids[x][y], set()).add(_profile(vectors[x], vectors[y]))
+            assert all(ids[x][x] == -1 for x in range(len(vectors)))
+        assert all(len(profiles) == 1 for profiles in named.values())
+        assert len(named) == len({p for profiles in named.values() for p in profiles})
+    ids = _pair_profiles(disjoint + one_common, {})
+    assert ids[0][1] != ids[2][3]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, "-inf"], ["-inf", 0]],
+        [[0, 1], [2, 3], ["-inf", "-inf"]],
+        [[0, "-inf", 1], [2, "-inf", 3]],
+    ],
+    ids=["two-blocks", "empty-row", "empty-column"],
+)
+def test_disconnected_supports_raise_not_connected(rows):
+    """A disconnected support, or an all--inf row or column, makes the
+    pair search (one matrix, or a target and a distinct source) and the
+    eigenvector units (with or without elements) raise NotConnected."""
+    a = TropMatrix.from_rows(rows)
+    other = TropMatrix([a.entries[-1], *a.entries[:-1]])
+    assert other != a
+    n, m = a.shape
+    ident = StabilizerElement(MonomialMatrix.identity(n), MonomialMatrix.identity(m), Value(0))
+    for call in (
+        lambda: pair_solutions(a, a),
+        lambda: pair_solutions(a, other, first_only=True),
+        lambda: normalize_eigenvectors(a),
+        lambda: normalize_eigenvectors(a, [ident]),
+    ):
+        with pytest.raises(NotConnected):
+            call()
 
 
 def test_normalize_eigenvectors_trivial_cases():
