@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from .constructors import (
@@ -62,9 +63,31 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _to_json(x, indent: str = "") -> str:
+    """``json.dumps(x, indent=2, sort_keys=True)`` for reports, with strings left to
+    the C escaper (with an indent, the standard library encodes in Python)."""
+    t = type(x)
+    if t is str:
+        return _quote(x)
+    if t is int:
+        return int.__repr__(x)
+    if t is dict or t is list or t is tuple:
+        if not x:
+            return "{}" if t is dict else "[]"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if t is dict:
+            body = sep.join([_quote(k) + ": " + _to_json(x[k], inner) for k in sorted(x)])
+            return "{\n" + inner + body + "\n" + indent + "}"
+        return "[\n" + inner + sep.join([_to_json(v, inner) for v in x]) + "\n" + indent + "]"
+    if x is None or t is bool:
+        return "null" if x is None else "true" if x else "false"
+    return int.__repr__(x)
+
+
 def _print_report(report: dict, as_json: bool, human_lines: list[str]) -> None:
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_to_json(report))
     else:
         for line in human_lines:
             print(line)
@@ -319,7 +342,8 @@ def verify_flags(a: TropMatrix) -> dict:
         an.partition.classes, an.normalisations, an.description.factors
     ):
         rep = an.restrictions[cls.representative]
-        units, entries, decode = _sigma_units(rep, factor.paired.generators, u, v)
+        units, entries, basis = _sigma_units(rep, factor.paired.generators, u, v)
+        bc = b.codes
         closure_ok &= factor.paired.left_group().order() == factor.order
         for s, p, t, q in units:
             pair_ok &= _pair_equation(entries, s, p, t, q)
@@ -329,12 +353,10 @@ def verify_flags(a: TropMatrix) -> dict:
             except MultipleEigenvalues:
                 eigen_ok = False
             agree_ok &= not any(p[i] for i, x in enumerate(s) if x == i)
-            pm = MonomialMatrix(s, tuple(map(decode, p)))
-            h_ok &= h_related(pm.left_apply(rep), rep)
+            h_ok &= h_related(MonomialMatrix._derived(s, p, basis).left_apply(rep), rep)
             # in normal form the pair acts on B by plain permutations
             norm_ok &= all(
-                tuple(b.entries[s[i]][t[k]] for k in range(b.ncols)) == row
-                for i, row in enumerate(b.entries)
+                tuple(map(bc[x].__getitem__, t)) == row for x, row in zip(s, bc)
             )
     flags["pair_equations"] = pair_ok
     flags["single_eigenvalue"] = eigen_ok

@@ -17,7 +17,7 @@ from typing import Optional
 from .graphs import ColouredBipartiteGraph, support_components
 from .matrix import MonomialMatrix, TropMatrix
 from .pairsearch import pair_solutions
-from .semiring import NEG_INF, is_finite
+from .semiring import NEG_INF
 from .spaces import col_space_equal
 
 
@@ -38,11 +38,12 @@ class Component:
 
 
 def _check_non_degenerate(a: TropMatrix) -> None:
-    for i in range(a.nrows):
-        if all(x is NEG_INF for x in a.entries[i]):
+    codes = a.codes
+    for i, row in enumerate(codes):
+        if all(x is None for x in row):
             raise DegenerateRowOrColumn(f"row {i + 1} has no finite entry")
-    for j in range(a.ncols):
-        if all(a.entries[i][j] is NEG_INF for i in range(a.nrows)):
+    for j, col in enumerate(zip(*codes)):
+        if all(x is None for x in col):
             raise DegenerateRowOrColumn(f"column {j + 1} has no finite entry")
 
 
@@ -50,10 +51,10 @@ def bipartite_graph(a: TropMatrix) -> ColouredBipartiteGraph:
     """The coloured bipartite graph of the finite entries of the matrix."""
     _check_non_degenerate(a)
     edges = {
-        (i, j): a.entries[i][j]
-        for i in range(a.nrows)
-        for j in range(a.ncols)
-        if is_finite(a.entries[i][j])
+        (i, j): x
+        for i, row in enumerate(a.entries)
+        for j, x in enumerate(row)
+        if x is not NEG_INF
     }
     return ColouredBipartiteGraph(a.nrows, a.ncols, edges)
 
@@ -62,7 +63,7 @@ def connected_components(a: TropMatrix) -> list[Component]:
     """Components of the underlying undirected graph, ordered by their
     smallest row index."""
     _check_non_degenerate(a)
-    support = [[is_finite(x) for x in row] for row in a.entries]
+    support = [[x is not None for x in row] for row in a.codes]
     return [Component(tuple(r), tuple(c)) for r, c in support_components(support)]
 
 
@@ -74,20 +75,15 @@ def restrict(a: TropMatrix, component: Component) -> TropMatrix:
 
 
 def _restrict_unchecked(a: TropMatrix, component: Component) -> TropMatrix:
-    return TropMatrix(
-        [[a.entries[i][j] for j in component.cols] for i in component.rows]
-    )
+    return a.submatrix(component.rows, component.cols)
 
 
 def _first_pair_solution(target: TropMatrix, source: TropMatrix) -> Optional[MonomialMatrix]:
     """A unit P with P @ source = target @ Q for some unit Q, if any."""
     if target.shape != source.shape:
         return None
-    sols = pair_solutions(target, source, first_only=True)
-    if not sols:
-        return None
-    sigma, _tau, lam, _mu = sols[0]
-    return MonomialMatrix(sigma, lam)
+    sols = pair_solutions(target, source, first_only=True, units=True)
+    return sols[0][0] if sols else None
 
 
 def col_space_isomorphic(a: TropMatrix, b: TropMatrix) -> Optional[MonomialMatrix]:
@@ -103,15 +99,10 @@ def col_space_isomorphic(a: TropMatrix, b: TropMatrix) -> Optional[MonomialMatri
     comps_b = connected_components(b)
     if len(comps_a) == 1 and len(comps_b) == 1:
         return _first_pair_solution(a, b)
-    if len(comps_a) != len(comps_b):
-        return None
-    if sorted((len(c.rows), len(c.cols)) for c in comps_a) != sorted(
-        (len(c.rows), len(c.cols)) for c in comps_b
-    ):
-        return None
     restr_b = [_restrict_unchecked(b, c) for c in comps_b]
     # unit equivalence of blocks is an equivalence relation, so the first
-    # unused equivalent block always extends to a full matching
+    # unused equivalent block always extends to a full matching, and blocks
+    # of equal shapes cover all of B once all of A is matched
     unused = list(range(len(comps_b)))
     matching = []
     for ca in comps_a:

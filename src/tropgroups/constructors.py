@@ -51,7 +51,7 @@ from .permgroups import (
     paired_orbit_colouring,
     parse_cycles,
 )
-from .semiring import NEG_INF, Value, eps, is_finite, free_basis_check, trop_sum
+from .semiring import NEG_INF, Value, eps, is_finite, free_basis_check
 from .spaces import has_full_rank
 from .stabilizer import NotFullRank, NotIdempotent
 
@@ -430,26 +430,20 @@ def finite_approximant(e: TropMatrix, m: int) -> TropMatrix:
         raise NotIdempotent("approximants are defined for idempotents")
     if not has_full_rank(e):
         raise NotFullRank("approximants are defined for full-rank idempotents")
-    total = Value(0)
-    for row in e.entries:
-        for x in row:
-            if is_finite(x):
-                total = total + abs(x)
-    n_const = -total - Value(1)
-    repl = n_const.mul_int(m)
+    codes, decode = e.codes, e.basis
+    total = decode(sum(abs(x) for row in codes for x in row if x is not None))
+    repl = (-total - Value(1)).mul_int(m)
     substituted = TropMatrix(
         [[x if is_finite(x) else repl for x in row] for row in e.entries]
     )
     f = idempotent_power(substituted)
-    row_max = [trop_sum(e.row(i)) for i in range(e.nrows)]
-    col_max = [trop_sum(e.col(j)) for j in range(e.ncols)]
-    for i in range(e.nrows):
-        for j in range(e.ncols):
-            expected = (
-                e.entries[i][j]
-                if is_finite(e.entries[i][j])
-                else row_max[i] + repl + col_max[j]
-            )
+    row_max, col_max = (
+        [decode(max((x for x in v if x is not None), default=None)) for v in vs]
+        for vs in (codes, zip(*codes))
+    )
+    for i, row in enumerate(e.entries):
+        for j, x in enumerate(row):
+            expected = x if is_finite(x) else row_max[i] + repl + col_max[j]
             if f.entries[i][j] != expected:
                 raise AssertionError("approximant disagrees with its closed form")
     return f

@@ -5,6 +5,13 @@ matrix is stored as a permutation plus a scaling per row; its expansion has
 exactly one finite entry in every row and column, which characterises the
 invertible elements of the matrix monoid.
 
+Both hold int codes over one ``semiring.Basis`` and decode ``entries`` or
+``scalings`` only when read.  A parsed matrix packs each distinct token
+straight into a code; one built from scalars encodes them once, on first
+use.  Submatrices, transposes and unit products P @ A, A @ Q share their
+parent's basis, and ``_joint`` is where two bases meet (``semiring``
+gives the rules).  Equality and hashing read values, whatever the bases.
+
 Text format: one row per line, entries whitespace-separated in the scalar
 grammar; blank lines and ``#`` comments are ignored.  JSON alternative:
 ``{"rows": r, "cols": c, "entries": [[..], ..]}`` with scalars as strings.
@@ -18,16 +25,15 @@ from itertools import chain
 from operator import eq
 from typing import Iterable, Sequence
 
-from .graphs import components
 from .semiring import (
     NEG_INF,
+    ZERO,
+    Basis,
     TropScalar,
     Value,
-    as_scalar,
     encode,
     format_scalar,
-    is_finite,
-    trop_mul,
+    scalar_fields,
 )
 
 
@@ -43,60 +49,74 @@ class NoIdempotentPower(RuntimeError):
     """Iterated squaring did not reach an idempotent within the cap."""
 
 
-class TropMatrix:
-    """A dense r x c matrix over the tropical semiring."""
+_set = object.__setattr__
 
-    __slots__ = ("entries", "nrows", "ncols", "_hash")
+
+class TropMatrix:
+    """A dense r x c matrix over the tropical semiring: its entries as
+    scalars (``_entries``), as codes over a basis, or both."""
+
+    __slots__ = ("_entries", "_codes", "_basis", "nrows", "ncols", "_hash")
 
     def __init__(self, entries: Iterable[Iterable[TropScalar]]):
         rows = tuple(tuple(row) for row in entries)
+        bad = [x for row in rows for x in row if x is not NEG_INF and not isinstance(x, Value)]
+        if bad:
+            raise TypeError(f"not a tropical scalar: {bad[0]!r}")
+        self._init(rows, None, None)
+
+    def _init(self, entries, codes, basis) -> None:
+        rows = entries or codes
         if not rows or not rows[0]:
             raise ValueError("matrix must have at least one row and one column")
-        ncols = len(rows[0])
-        for row in rows:
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for x in row:
-                if x is not NEG_INF and not isinstance(x, Value):
-                    raise TypeError(f"not a tropical scalar: {x!r}")
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "_hash", None)  # computed on first use
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("ragged rows")
+        for name, v in zip(self.__slots__, (entries, codes, basis, len(rows), len(rows[0]), None)):
+            _set(self, name, v)
+
+    @classmethod
+    def _derived(cls, codes, basis: Basis) -> "TropMatrix":
+        """The matrix of rows of codes over ``basis``."""
+        m = object.__new__(cls)
+        m._init(None, tuple(map(tuple, codes)), basis)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("TropMatrix is immutable")
 
+    @property
+    def entries(self) -> tuple[tuple[TropScalar, ...], ...]:
+        if self._entries is None:
+            decode = self._basis
+            _set(self, "_entries", tuple(tuple(map(decode, row)) for row in self._codes))
+        return self._entries
+
+    @property
+    def codes(self) -> tuple[tuple, ...]:
+        """The rows of codes over ``basis``."""
+        return _joint(self)[0][0]
+
+    @property
+    def basis(self) -> Basis:
+        return _joint(self)[1]
+
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "TropMatrix":
         """Build from any mix of Value / NEG_INF / int / Fraction / str.
-        Equal tokens become one scalar object, which ``encode`` and row
-        comparisons then meet once."""
-        shared: dict = {}
-
-        def scalar(x):
-            if not isinstance(x, (str, int, Fraction)):
-                return as_scalar(x)
-            s = shared.get(x)
-            if s is None:
-                s = shared[x] = as_scalar(x)
-            return s
-
-        return cls([[scalar(x) for x in row] for row in rows])
+        Each distinct token is read once and packed straight into a code;
+        a Value given is the entry read at its code."""
+        rows = [list(row) for row in rows]
+        fields = {x: scalar_fields(x) for x in dict.fromkeys(chain.from_iterable(rows))}
+        basis = Basis(f for f in fields.values() if f is not None)
+        code = {x: None if f is None else basis.pack(*f) for x, f in fields.items()}
+        for x in fields:
+            if isinstance(x, Value):
+                basis.table.setdefault(code[x], x)
+        return cls._derived([map(code.__getitem__, row) for row in rows], basis)
 
     @classmethod
     def identity(cls, n: int) -> "TropMatrix":
-        zero = Value(0)
-        return cls(
-            [[zero if i == j else NEG_INF for j in range(n)] for i in range(n)]
-        )
-
-    @classmethod
-    def diagonal(cls, values: Sequence[Value]) -> "TropMatrix":
-        n = len(values)
-        return cls(
-            [[values[i] if i == j else NEG_INF for j in range(n)] for i in range(n)]
-        )
+        return cls([[ZERO if i == j else NEG_INF for j in range(n)] for i in range(n)])
 
     def __getitem__(self, ij: tuple[int, int]) -> TropScalar:
         i, j = ij
@@ -115,42 +135,79 @@ class TropMatrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
+    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "TropMatrix":
+        """The entries at the given rows and columns, in that order."""
+        codes = self.codes
+        return TropMatrix._derived([[codes[i][j] for j in cols] for i in rows], self._basis)
+
     def transpose(self) -> "TropMatrix":
-        return TropMatrix(
-            [[self.entries[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        )
+        return TropMatrix._derived(zip(*self.codes), self._basis)
 
     def scale(self, lam: TropScalar) -> "TropMatrix":
-        return TropMatrix([[trop_mul(lam, x) for x in row] for row in self.entries])
+        """lam (x) A."""
+        (rows, ((c,),)), basis = _joint(self, TropMatrix([[lam]]))
+        return TropMatrix._derived(
+            [[None if x is None or c is None else x + c for x in row] for row in rows], basis
+        )
 
     def __matmul__(self, other: "TropMatrix") -> "TropMatrix":
         return mat_mul(self, other)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TropMatrix) and self.entries == other.entries
+        if not isinstance(other, TropMatrix) or self.shape != other.shape:
+            return False
+        if self._codes is not None and other._codes is not None:
+            if self._basis is other._basis or self._basis.key == other._basis.key:
+                return self._codes == other._codes
+        return self.entries == other.entries
 
     def __hash__(self) -> int:
+        """The hash of the order pattern of the entries, which every basis keeps."""
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self.entries))
+            flat = list(chain.from_iterable(self.codes))
+            rank = {x: r for r, x in enumerate(sorted(set(flat) - {None}))}
+            _set(self, "_hash", hash((self.shape, *(rank.get(x, -1) for x in flat))))
         return self._hash
 
     def all_neg_inf(self) -> bool:
-        return all(x is NEG_INF for row in self.entries for x in row)
+        return all(x is None for row in self.codes for x in row)
+
+    def _texts(self) -> list[list[str]]:
+        """The rows of entries in the text grammar, each scalar object
+        formatted once."""
+        memo: dict = {}
+        return [
+            [memo.get(id(x)) or memo.setdefault(id(x), format_scalar(x)) for x in row]
+            for row in self.entries
+        ]
 
     def to_text(self) -> str:
-        return "\n".join(
-            " ".join(format_scalar(x) for x in row) for row in self.entries
-        )
+        return "\n".join(map(" ".join, self._texts()))
 
     def to_json_dict(self) -> dict:
-        return {
-            "rows": self.nrows,
-            "cols": self.ncols,
-            "entries": [[format_scalar(x) for x in row] for row in self.entries],
-        }
+        return {"rows": self.nrows, "cols": self.ncols, "entries": self._texts()}
 
     def __repr__(self) -> str:
         return f"TropMatrix({self.nrows}x{self.ncols}: {self.to_text()!r})"
+
+
+def _joint(*items):
+    """The codes of the given matrices and units (a unit's: the one row of
+    its scalings) over one basis, and that basis: their own when their
+    bases share one key, else those of one joint ``encode`` of their
+    scalars, which each of them keeps from then on."""
+    mats = [getattr(x, "_row", x) for x in items]
+    first = mats[0]._basis
+    if first is None or not all(
+        m._basis is first or m._basis is not None and m._basis.key == first.key for m in mats
+    ):
+        codes, first = encode(*chain.from_iterable(m.entries for m in mats))
+        k = 0
+        for m in mats:
+            _set(m, "_codes", tuple(codes[k : k + m.nrows]))
+            _set(m, "_basis", first)
+            k += m.nrows
+    return [m._codes if m is x else m._codes[0] for m, x in zip(mats, items)], first
 
 
 def _product_codes(arows, bcols):
@@ -163,92 +220,92 @@ def _product_codes(arows, bcols):
 
 
 def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
-    """Tropical matrix product: (AB)_ij = max_k (A_ik + B_kj)."""
+    """Tropical matrix product: (AB)_ij = max_k (A_ik + B_kj).  The
+    product holds scalars, not the codes of its factors' basis: it encodes
+    afresh when its codes are read."""
     if a.ncols != b.nrows:
         raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    codes, decode = encode(*a.entries, *b.entries)
-    flat = list(map(decode, _product_codes(codes[: a.nrows], list(zip(*codes[a.nrows :])))))
+    (ac, bc), decode = _joint(a, b)
+    flat = list(map(decode, _product_codes(ac, list(zip(*bc)))))
     m = b.ncols
     return TropMatrix([flat[k : k + m] for k in range(0, len(flat), m)])
-
-
-def _shift(x: TropScalar, c, s, decode) -> TropScalar:
-    """The scalar x, of code c, times the scalar of the finite code s."""
-    if c is None or not s:
-        return x
-    return decode(c + s)
 
 
 class MonomialMatrix:
     """A unit: permutation pattern sigma with a finite scaling per row.
 
     The expansion has the scaling of row i at position (i, sigma(i)).
-    Permutations are stored 0-indexed as image tuples.
+    Permutations are stored 0-indexed as image tuples, and the scalings
+    as the one row of a ``TropMatrix``.
     """
 
-    __slots__ = ("sigma", "scalings", "_hash")
+    __slots__ = ("sigma", "_row")
 
     def __init__(self, sigma: Sequence[int], scalings: Sequence[Value]):
-        sigma = tuple(sigma)
-        scalings = tuple(scalings)
+        sigma, scalings = tuple(sigma), tuple(scalings)
         n = len(sigma)
         if sorted(sigma) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {sigma}")
         if len(scalings) != n:
             raise ValueError("one scaling required per row")
-        for s in scalings:
-            if not isinstance(s, Value):
-                raise TypeError("scalings must be finite scalars")
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "scalings", scalings)
-        object.__setattr__(self, "_hash", None)  # computed on first use
+        if not all(isinstance(s, Value) for s in scalings):
+            raise TypeError("scalings must be finite scalars")
+        _set(self, "sigma", sigma)
+        _set(self, "_row", TropMatrix([scalings]))
+
+    @classmethod
+    def _derived(cls, sigma, codes, basis: Basis) -> "MonomialMatrix":
+        """The unit of pattern sigma and finite scaling codes over ``basis``."""
+        p = object.__new__(cls)
+        _set(p, "sigma", tuple(sigma))
+        _set(p, "_row", TropMatrix._derived([codes], basis))
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("MonomialMatrix is immutable")
 
+    scalings = property(lambda self: self._row.entries[0])
+    codes = property(lambda self: self._row.codes[0], doc="The scaling codes over ``basis``.")
+    basis = property(lambda self: self._row.basis)
+
     @classmethod
     def identity(cls, n: int) -> "MonomialMatrix":
-        zero = Value(0)
-        return cls(tuple(range(n)), (zero,) * n)
+        return cls(range(n), (ZERO,) * n)
 
     @classmethod
     def from_trop_matrix(cls, m: TropMatrix) -> "MonomialMatrix":
         if not m.is_square():
             raise NotMonomial("units are square")
-        n = m.nrows
         sigma = []
-        scalings = []
-        for i in range(n):
-            finite = [j for j in range(n) if is_finite(m.entries[i][j])]
+        for i, row in enumerate(m.codes):
+            finite = [j for j, x in enumerate(row) if x is not None]
             if len(finite) != 1:
                 raise NotMonomial(f"row {i} has {len(finite)} finite entries")
             sigma.append(finite[0])
-            scalings.append(m.entries[i][finite[0]])
-        if sorted(sigma) != list(range(n)):
+        if sorted(sigma) != list(range(m.nrows)):
             raise NotMonomial("some column has more than one finite entry")
-        return cls(sigma, scalings)
+        return cls._derived(sigma, (row[j] for row, j in zip(m.codes, sigma)), m.basis)
 
     @property
     def degree(self) -> int:
         return len(self.sigma)
 
     def expand(self) -> TropMatrix:
-        n = self.degree
-        rows = [[NEG_INF] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][self.sigma[i]] = self.scalings[i]
-        return TropMatrix(rows)
+        rows = [[None] * self.degree for _ in self.sigma]
+        for row, x, c in zip(rows, self.sigma, self.codes):
+            row[x] = c
+        return TropMatrix._derived(rows, self.basis)
 
     def __matmul__(self, other):
         if isinstance(other, MonomialMatrix):
             if self.degree != other.degree:
                 raise ValueError("degree mismatch")
-            sigma = tuple(other.sigma[self.sigma[i]] for i in range(self.degree))
-            scalings = tuple(
-                self.scalings[i] + other.scalings[self.sigma[i]]
-                for i in range(self.degree)
+            (a, b), basis = _joint(self, other)
+            return MonomialMatrix._derived(
+                (other.sigma[x] for x in self.sigma),
+                (a[i] + b[x] for i, x in enumerate(self.sigma)),
+                basis,
             )
-            return MonomialMatrix(sigma, scalings)
         if isinstance(other, TropMatrix):
             return self.left_apply(other)
         return NotImplemented
@@ -262,83 +319,85 @@ class MonomialMatrix:
         """P @ A: row i of the result is scalings[i] + row sigma(i) of A."""
         if self.degree != a.nrows:
             raise ValueError("dimension mismatch")
-        (scal, *rows), decode = encode(self.scalings, *a.entries)
-        return TropMatrix(
+        (scal, rows), basis = _joint(self, a)
+        return TropMatrix._derived(
             [
-                [_shift(x, c, s, decode) for x, c in zip(a.entries[k], rows[k])]
+                rows[k] if not s else [None if x is None else x + s for x in rows[k]]
                 for k, s in zip(self.sigma, scal)
-            ]
+            ],
+            basis,
         )
 
     def right_apply(self, a: TropMatrix) -> TropMatrix:
         """A @ P: column sigma(i) of the result is scalings[i] + column i of A."""
         if self.degree != a.ncols:
             raise ValueError("dimension mismatch")
-        pre = [0] * self.degree
-        for k in range(self.degree):
-            pre[self.sigma[k]] = k
-        (scal, *rows), decode = encode(self.scalings, *a.entries)
-        return TropMatrix(
-            [
-                [_shift(row[k], crow[k], scal[k], decode) for k in pre]
-                for row, crow in zip(a.entries, rows)
-            ]
+        (scal, rows), basis = _joint(self, a)
+        pre = self.invert().sigma
+        return TropMatrix._derived(
+            [[None if row[k] is None else row[k] + scal[k] for k in pre] for row in rows],
+            basis,
         )
-
-    def scale(self, lam: Value) -> "MonomialMatrix":
-        return MonomialMatrix(self.sigma, tuple(lam + s for s in self.scalings))
 
     def invert(self) -> "MonomialMatrix":
-        n = self.degree
-        sigma_inv = [0] * n
-        scal_inv = [None] * n
-        for i in range(n):
-            sigma_inv[self.sigma[i]] = i
-            scal_inv[self.sigma[i]] = -self.scalings[i]
-        return MonomialMatrix(tuple(sigma_inv), tuple(scal_inv))
+        sigma_inv, scal_inv = [0] * self.degree, [0] * self.degree
+        for i, (x, c) in enumerate(zip(self.sigma, self.codes)):
+            sigma_inv[x], scal_inv[x] = i, -c
+        return MonomialMatrix._derived(sigma_inv, scal_inv, self.basis)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MonomialMatrix)
-            and self.sigma == other.sigma
-            and self.scalings == other.scalings
-        )
+        same = isinstance(other, MonomialMatrix)
+        return same and (self.sigma, self._row) == (other.sigma, other._row)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.sigma, self.scalings)))
-        return self._hash
+        return hash((self.sigma, self._row))
 
     def __repr__(self) -> str:
         body = ", ".join(
-            f"{i}->{self.sigma[i]}:{format_scalar(self.scalings[i])}"
-            for i in range(self.degree)
+            f"{i}->{x}:{format_scalar(s)}"
+            for i, (x, s) in enumerate(zip(self.sigma, self.scalings))
         )
         return f"MonomialMatrix({body})"
 
 
-def monomial_eigenvalue(p: MonomialMatrix) -> Value:
-    """The common cycle mean of the weighted cycles of a unit.
-
-    Raises MultipleEigenvalues when the cycle means differ.
-    """
+def cycle_mean(sigma, codes) -> tuple[int, int]:
+    """(k, S) for the unit of pattern sigma and scaling codes ``codes``:
+    k is the length of the cycle of sigma through point 0 and S the code
+    sum of the scalings along it, so the unit's eigenvalue is S/k.
+    Raises MultipleEigenvalues when another cycle's mean differs, naming
+    the two cycles by a point (counted from 1) and their lengths."""
     mean = None
-    for cycle in components(range(p.degree), lambda i: (p.sigma[i],)):
-        this = sum((p.scalings[i] for i in cycle), Value(0)).div_int(len(cycle))
+    seen = [False] * len(sigma)
+    for start in range(len(sigma)):
+        if seen[start]:
+            continue
+        total, k, i = codes[start], 1, sigma[start]
+        while i != start:
+            seen[i] = True
+            total += codes[i]
+            k, i = k + 1, sigma[i]
         if mean is None:
-            mean = this
-        elif mean != this:
+            mean = k, total
+        elif mean[0] * total != k * mean[1]:
             raise MultipleEigenvalues(
-                f"cycle means differ: {format_scalar(mean)} vs {format_scalar(this)}"
+                f"cycle means differ: the cycle through point 1 (length {mean[0]})"
+                f" vs the cycle through point {start + 1} (length {k})"
             )
     return mean
+
+
+def monomial_eigenvalue(p: MonomialMatrix) -> Value:
+    """The common cycle mean of the weighted cycles of a unit; raises
+    MultipleEigenvalues when the cycle means differ."""
+    k, total = cycle_mean(p.sigma, p.codes)
+    return p.basis(total, k)
 
 
 def is_idempotent(e: TropMatrix) -> bool:
     """Whether E @ E = E, on codes, up to the first entry that differs."""
     if not e.is_square():
         raise ValueError("idempotency is defined for square matrices")
-    codes, _decode = encode(*e.entries)
+    codes = e.codes
     products = _product_codes(codes, list(zip(*codes)))
     return all(map(eq, products, chain.from_iterable(codes)))
 
@@ -360,12 +419,8 @@ def idempotent_power(a: TropMatrix, max_squarings: int = 64) -> TropMatrix:
 
 
 def parse_matrix_text(text: str) -> TropMatrix:
-    rows = []
-    for line in text.splitlines():
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        rows.append(body.split())
+    rows = [line.split("#", 1)[0].split() for line in text.splitlines()]
+    rows = [row for row in rows if row]
     if not rows:
         raise ValueError("no matrix rows found")
     return TropMatrix.from_rows(rows)

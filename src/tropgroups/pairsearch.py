@@ -36,8 +36,9 @@ their entry is finite.  The refinement of those colours and one AND per
 unmapped point and push do all the pruning but the scaling fit, the one
 check that ``push`` adds.
 
-Set-up is one pass per matrix: a source equal to the target is encoded
-and keyed once, and the connectivity of the target's support is read
+Set-up is one pass per matrix: the search reads the codes of its
+matrices (one basis for both), a source equal to the target is keyed
+once, and the connectivity of the target's support is read
 off the search order (``_vertex_order``), whose points after the first
 each meet one placed before them exactly when the support is connected.
 """
@@ -47,13 +48,8 @@ from __future__ import annotations
 from operator import getitem, sub
 
 from .graphs import components
-from .matrix import MultipleEigenvalues, TropMatrix
+from .matrix import MonomialMatrix, TropMatrix, _joint, cycle_mean
 from .permgroups import _AutomorphismSearch, base_and_orbit, complete, completions, search_budget
-from .semiring import encode
-
-
-def _support(codes):
-    return [[x is not None for x in row] for row in codes]
 
 
 def _pair_profiles(vectors, intern):
@@ -102,43 +98,22 @@ def _joint_key(codes, intern):
     ]
 
 
-def cycle_mean(sigma, codes) -> tuple[int, int]:
-    """(k, S) for the unit of pattern sigma and scaling codes ``codes``:
-    k is the length of the cycle of sigma through point 0 and S the code
-    sum of the scalings along it, so the unit's eigenvalue is S/k.
-    Raises MultipleEigenvalues when another cycle's mean differs, naming
-    the two cycles by a point (counted from 1) and their lengths."""
-    mean = None
-    seen = [False] * len(sigma)
-    for start in range(len(sigma)):
-        if seen[start]:
-            continue
-        total, k, i = codes[start], 1, sigma[start]
-        while i != start:
-            seen[i] = True
-            total += codes[i]
-            k, i = k + 1, sigma[i]
-        if mean is None:
-            mean = k, total
-        elif mean[0] * total != k * mean[1]:
-            raise MultipleEigenvalues(
-                f"cycle means differ: the cycle through point 1 (length {mean[0]})"
-                f" vs the cycle through point {start + 1} (length {k})"
-            )
-    return mean
+def _eigenvalue_zero_codes(basis, sigma, *scalings):
+    """(k, codes): the scalings of a unit of pattern sigma, and of its
+    mate, shifted by the unit's ``cycle_mean`` S/k to x - S/k, each kept as
+    a code to be decoded with the divisor k: x - S/k itself and k = 1 where
+    k divides every field of S, else k*x - S."""
+    k, total = cycle_mean(sigma, scalings[0])
+    if not any(c % k for c in basis.fields(total)):
+        s = total // k
+        return 1, [tuple(x - s for x in xs) for xs in scalings]
+    return k, [tuple(k * x - total for x in xs) for xs in scalings]
 
 
 def _eigenvalue_zero(decode, sigma, *scalings):
-    """The scalings of a unit of pattern sigma, and of its mate, given as
-    codes and returned as scalars, each x shifted to x - S/k by the unit's
-    ``cycle_mean``: the code k*x - S decoded with the divisor k."""
-    k, total = cycle_mean(sigma, scalings[0])
-    if not total:
-        return [tuple(map(decode, xs)) for xs in scalings]
-    return [
-        tuple(decode(k * x - total, k) for x in xs)
-        for xs in scalings
-    ]
+    """The scalings of ``_eigenvalue_zero_codes`` as scalars."""
+    k, shifted = _eigenvalue_zero_codes(decode, sigma, *scalings)
+    return [tuple(decode(x, k) for x in xs) for xs in shifted]
 
 
 class NotConnected(ValueError):
@@ -193,12 +168,9 @@ class _PairSearch(_AutomorphismSearch):
         if target.shape != source.shape:
             raise ValueError("target and source must have equal shape")
         n, m = target.shape
-        if source == target:  # one matrix: one encoding, one key
-            a, self.decode = encode(*target.entries)
+        (a, b), self.basis = _joint(target, source)
+        if b == a:  # one matrix: one key
             b = a
-        else:
-            codes, self.decode = encode(*target.entries, *source.entries)
-            a, b = codes[:n], codes[n:]
         cross = _cross(a)
         self.order = _vertex_order(cross, n)
         intern: dict = {}
@@ -246,15 +218,22 @@ class _PairSearch(_AutomorphismSearch):
         """The joint images of the full map, then its joint scalings as codes."""
         return (*self.image, *self.scaling)
 
-    def decoded(self, found, eigenvalue_zero: bool):
-        """A ``solution()`` as (sigma, tau, lam, mu) with mu = -nu,
-        scalings as scalars, shifted to eigenvalue 0 if asked."""
-        n, nv = self.n, self.nv
+    def units(self, found, eigenvalue_zero: bool):
+        """A ``solution()`` as the unit pair (P, Q) of patterns sigma, tau
+        and scalings lam, mu = -nu, shifted to eigenvalue 0 if asked: over
+        the search's basis, or as scalars where the shift does not divide
+        in it."""
+        n, nv, basis = self.n, self.nv, self.basis
         sigma, tau = found[:n], tuple(y - n for y in found[n:nv])
-        lam, mu = found[nv:nv + n], tuple(-x for x in found[nv + n:])
+        k, scalings = 1, (found[nv:nv + n], tuple(-x for x in found[nv + n:]))
         if eigenvalue_zero:
-            return (sigma, tau, *_eigenvalue_zero(self.decode, sigma, lam, mu))
-        return sigma, tau, tuple(map(self.decode, lam)), tuple(map(self.decode, mu))
+            k, scalings = _eigenvalue_zero_codes(basis, sigma, *scalings)
+        if k == 1:
+            return tuple(map(MonomialMatrix._derived, (sigma, tau), scalings, (basis, basis)))
+        return tuple(
+            MonomialMatrix(pattern, [basis(x, k) for x in xs])
+            for pattern, xs in zip((sigma, tau), scalings)
+        )
 
 
 def _cross(codes):
@@ -264,23 +243,26 @@ def _cross(codes):
     return [[None] * n + list(row) for row in codes] + [[*col] + [None] * m for col in zip(*codes)]
 
 
-def pair_solutions(target: TropMatrix, source: TropMatrix, *, first_only: bool = False):
+def pair_solutions(
+    target: TropMatrix, source: TropMatrix, *, first_only: bool = False, units: bool = False
+):
     """Solutions (sigma, tau, lam, mu) of P @ source = target @ Q.  With
     ``first_only``, the first one found, if any, mu anchored to 0 at the
     search root.  Otherwise target and source must be equal, and the
     result generates the group of feasible pattern pairs, each pair
-    shifted by the eigenvalue of P to eigenvalue 0.  Requires the target
-    support graph to be connected."""
+    shifted by the eigenvalue of P to eigenvalue 0.  With ``units``, each
+    solution is the pair (P, Q) of ``_PairSearch.units``.  Requires the
+    target support graph to be connected."""
     if not first_only and target != source:
         raise ValueError("generators need equal target and source")
     search = _PairSearch(target, source)
     if first_only:
         first = complete(search)
-        return [] if first is None else [search.decoded(first, eigenvalue_zero=False)]
-    return [
-        search.decoded(f, eigenvalue_zero=True)
-        for f in base_and_orbit(search, search.order, act=getitem)[0]
-    ]
+        found = [] if first is None else [search.units(first, eigenvalue_zero=False)]
+    else:
+        gens = base_and_orbit(search, search.order, act=getitem)[0]
+        found = [search.units(f, eigenvalue_zero=True) for f in gens]
+    return found if units else [(p.sigma, q.sigma, p.scalings, q.scalings) for p, q in found]
 
 
 class _CommutingSearch:
@@ -298,8 +280,8 @@ class _CommutingSearch:
         if not e.is_square():
             raise ValueError("commutation search needs a square matrix")
         n = e.nrows
-        self.e, self.decode = encode(*e.entries)
-        supp = _support(self.e)
+        self.e, self.decode = e.codes, e.basis
+        supp = [[x is not None for x in row] for row in self.e]
 
         def neighbours(i):
             return [j for j in range(n) if j != i and (supp[i][j] or supp[j][i])]

@@ -16,52 +16,47 @@ Text grammar: ``-inf`` | a sum of signed terms, each a rational ``p`` /
 ``p/q`` or an infinitesimal term ``[coeff]e<tag>``, e.g. ``-1+e3`` or
 ``9/10-2e1+e2``.
 
-Code space.  ``encode`` compiles the scalars of one operation to ints
-over one basis: the sorted union of their tags and the lcm D of all their
-denominators.  A finite scalar has the fields (D*std, D*c_t1, .., D*c_tk),
-packed into the one int c0*B^k + c1*B^(k-1) + .. + ck with B = 2^w (so
-the scalar 0 has the code 0 in every basis), and ``-inf`` becomes
-``None``.  The field width w is the bit length of a bound on every
-|field| of the call (its largest numerator times D) plus 64 spare bits,
-so the sum of fewer than 2^62 codes, or a small multiple of one, still
-has every signed field inside (-B/2, B/2).  Packing is linear, so ``+``, ``-`` and multiplication by an int act field by field:
-they are the tropical product, its residual and powers.  Int order is the
-lex order of the fields, which is the scalar order: at the first field
-where two codes differ the gap is at least one unit of that field's
-place, more than all the lower fields together can make up.  So the hot
-loops of ``matrix``, ``spaces`` and ``pairsearch`` run on plain ints and
-build ``Value``s only at the boundary, through the ``decode`` that
-``encode`` returns.  Four points need care:
+Code space.  A ``Basis`` packs scalars into ints.  Over the sorted union
+of their tags and the lcm D of their denominators a finite scalar has the
+fields (D*std, D*c_t1, .., D*c_tk), packed into c0*B^k + .. + ck with
+B = 2^w (the scalar 0 has the code 0 in every basis); ``-inf`` becomes
+``None``.  The width w is the bit length of a bound on every |field| of
+the basis's scalars plus 64 spare bits.  Packing is linear, so ``+``,
+``-`` and multiplication by an int act field by field (the tropical
+product, its residual and powers), and int order is the lex order of the
+fields, which is the scalar order: where two codes first differ the gap
+is one unit of that field's place, more than the lower fields can make
+up.  Calling a basis decodes.  The rules that keep codes exact:
 
-- a code ``None`` never leaves code space as a scalar (``decode`` turns it
-  into ``NEG_INF``), and ``NEG_INF`` never enters it;
-- codes of different ``encode`` calls have different bases and widths and
-  are never mixed;
-- division happens only in ``decode``, by a cycle length: a cycle mean is
-  kept as the code sum S over the cycle and its length k, and x - S/k is
-  decoded as the code k*x - S divided by k.  Whether k divides is asked
-  of each unpacked field, never of the packed int: with B = 4 the fields
-  (1, 2) pack to 6, which 3 divides, though neither field is a multiple
-  of 3;
-- ``free_basis_check`` is linear algebra over the rationals and stays on
-  ``Fraction``.
+- a matrix owns a basis (``matrix.TropMatrix``), packed from its tokens
+  or by one ``encode`` of its scalars; derived matrices share it; two
+  bases meet only through one joint ``encode``, and bases of equal
+  ``key`` share their codes;
+- width: a basis holds sums of fewer than 2^62 of its codes.  Unit
+  products add at most three codes and stay in the basis; a matrix
+  product is encoded afresh, since iterated squaring doubles its sums;
+- division happens only in decoding, by a cycle length: x - S/k stays
+  the code k*x - S with the divisor k, unless k divides every field of
+  S.  Whether k divides is asked of each unpacked field, never of the
+  packed int: with B = 4 the fields (1, 2) pack to 6, which 3 divides;
+- a code ``None`` never leaves code space as a scalar, and ``NEG_INF``
+  never enters it; ``free_basis_check`` stays on ``Fraction``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import total_ordering
+from functools import reduce, total_ordering
 from math import lcm
-from typing import Callable, Iterable, Optional, Sequence, Union
+from operator import or_
+from typing import Iterable, Optional, Sequence, Union
 
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
@@ -106,9 +101,7 @@ class Value:
         return Value(-self.std, tuple((t, -c) for t, c in self.eps))
 
     def __sub__(self, other: "Value") -> "Value":
-        if not isinstance(other, Value):
-            return NotImplemented
-        return self + (-other)
+        return self + (-other) if isinstance(other, Value) else NotImplemented
 
     def __abs__(self) -> "Value":
         return -self if self < ZERO else self
@@ -124,26 +117,12 @@ class Value:
     # -- total order: standard part, then eps coordinates by tag --
 
     def _cmp(self, other: "Value") -> int:
-        if self.std != other.std:
-            return -1 if self.std < other.std else 1
-        a, b = self.eps, other.eps
-        i = j = 0
-        while i < len(a) or j < len(b):
-            ta = a[i][0] if i < len(a) else None
-            tb = b[j][0] if j < len(b) else None
-            if tb is None or (ta is not None and ta < tb):
-                ca, cb = a[i][1], Fraction(0)
-                i += 1
-            elif ta is None or tb < ta:
-                ca, cb = Fraction(0), b[j][1]
-                j += 1
-            else:
-                ca, cb = a[i][1], b[j][1]
-                i += 1
-                j += 1
-            if ca != cb:
-                return -1 if ca < cb else 1
-        return 0
+        d = self.std - other.std
+        if not d:
+            a, b = dict(self.eps), dict(other.eps)
+            diffs = (a.get(t, 0) - b.get(t, 0) for t in sorted(a.keys() | b.keys()))
+            d = next(filter(None, diffs), 0)
+        return (d > 0) - (d < 0)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Value) and self.std == other.std and self.eps == other.eps
@@ -207,16 +186,10 @@ def is_finite(x: TropScalar) -> bool:
 
 def val(x) -> Value:
     """Coerce an int, Fraction or string to a finite scalar."""
-    if isinstance(x, Value):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Value(x)
-    if isinstance(x, str):
-        s = parse_scalar(x)
-        if s is NEG_INF:
-            raise ValueError("-inf is not a finite scalar")
-        return s
-    raise TypeError(f"cannot interpret {x!r} as a finite scalar")
+    f = scalar_fields(x)
+    if f is None:
+        raise ValueError("-inf is not a finite scalar")
+    return x if isinstance(x, Value) else Value(*f)
 
 
 def eps(tag: int, coeff=1) -> Value:
@@ -224,41 +197,21 @@ def eps(tag: int, coeff=1) -> Value:
     return Value(0, ((tag, _frac(coeff)),))
 
 
-def as_scalar(x) -> TropScalar:
-    """Coerce to a scalar; accepts NEG_INF, Value, int, Fraction, str."""
-    if x is NEG_INF or isinstance(x, Value):
-        return x
-    if isinstance(x, str):
-        return parse_scalar(x)
-    if isinstance(x, (int, Fraction)):
-        return Value(x)
-    raise TypeError(f"cannot interpret {x!r} as a tropical scalar")
-
-
 # -- semiring operations --
 
 
 def trop_add(a: TropScalar, b: TropScalar) -> TropScalar:
     """Tropical sum: the maximum of the two scalars."""
-    if a is NEG_INF:
-        return b
-    if b is NEG_INF:
-        return a
-    return a if a._cmp(b) >= 0 else b
+    return b if a is NEG_INF or b is not NEG_INF and a._cmp(b) < 0 else a
 
 
 def trop_mul(a: TropScalar, b: TropScalar) -> TropScalar:
     """Tropical product: classical addition, absorbed by -inf."""
-    if a is NEG_INF or b is NEG_INF:
-        return NEG_INF
-    return a + b
+    return NEG_INF if a is NEG_INF or b is NEG_INF else a + b
 
 
 def trop_sum(items: Iterable[TropScalar]) -> TropScalar:
-    acc: TropScalar = NEG_INF
-    for x in items:
-        acc = trop_add(acc, x)
-    return acc
+    return reduce(trop_add, items, NEG_INF)
 
 
 def free_basis_check(vals: Sequence[Value]) -> bool:
@@ -269,117 +222,110 @@ def free_basis_check(vals: Sequence[Value]) -> bool:
     on the (standard, infinitesimal-coordinate) vectors.
     """
     vals = list(vals)
-    if not vals:
-        return True
     tags = sorted({t for v in vals for t, _ in v.eps})
-    pos = {t: i + 1 for i, t in enumerate(tags)}
-    width = 1 + len(tags)
-    rows = []
-    for v in vals:
-        row = [Fraction(0)] * width
-        row[0] = v.std
-        for t, c in v.eps:
-            row[pos[t]] = c
-        rows.append(row)
+    rows = [[v.std, *map(dict(v.eps).get, tags, [0] * len(tags))] for v in vals]
     rank = 0
-    col = 0
-    n = len(rows)
-    while rank < n and col < width:
-        piv = next((r for r in range(rank, n) if rows[r][col] != 0), None)
+    for col in range(len(tags) + 1):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if piv is None:
-            col += 1
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank][col]
-        for r in range(rank + 1, n):
-            if rows[r][col] != 0:
-                f = rows[r][col] / lead
-                for c in range(col, width):
-                    rows[r][c] -= f * rows[rank][c]
+        lead = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col]:
+                f = rows[r][col] / lead[col]
+                rows[r][col:] = [x - f * y for x, y in zip(rows[r][col:], lead[col:])]
         rank += 1
-        col += 1
-    return rank == len(vals)
+    return rank == len(rows)
 
 
 # -- code space --
 
 Code = Optional[int]
 
-# spare bits above the bound on the fields of an ``encode`` call: sums of
-# fewer than 2^62 codes keep every field inside its slot
+# spare bits above the bound on the fields of a basis: sums of fewer than
+# 2^62 codes keep every field inside its slot
 _SPARE_BITS = 64
 
 
-def encode(
-    *groups: Iterable[TropScalar],
-) -> tuple[list[tuple[Code, ...]], Callable[[Code], TropScalar]]:
-    """The codes of the scalars of each group over one shared basis, and
-    the ``decode`` that maps a code of that basis back to its scalar.
+class Basis:
+    """The packing of scalars into codes: the sorted tags, the lcm ``den``
+    of the denominators and the field width of one set of scalars, and the
+    scalars decoded so far.  Called on a code, it decodes it; ``key``
+    names the packing, so bases of equal keys share their codes."""
 
-    ``decode`` returns an encoded scalar itself for the code of each
-    encoded scalar (the first one, when equal scalars are held in distinct
-    objects) and builds every other ``Value`` once per call of ``encode``.
-    ``decode(code, k)`` is the scalar of the code divided by the positive
-    integer k, which need not divide it.
-    """
-    groups = [tuple(g) for g in groups]
-    # keyed by identity, which is cheaper than comparing fractions: an
-    # equal scalar in another object is encoded again, but a parsed
-    # matrix holds one object per distinct token (``TropMatrix.from_rows``)
-    finite = {id(x): x for g in groups for x in g if x is not NEG_INF}
-    dens = {x.std.denominator for x in finite.values()}
-    tags = set()
-    # the bitwise or of the numerators' magnitudes has the bit length of
-    # the largest, and each field is at most that numerator times D
-    top = 0
-    for x in finite.values():
-        top |= abs(x.std.numerator)
-        for t, c in x.eps:
-            tags.add(t)
-            dens.add(c.denominator)
-            top |= abs(c.numerator)
-    den = lcm(*dens) if dens else 1
-    pos = {t: k for k, t in enumerate(sorted(tags), 1)}
-    width = len(pos) + 1
-    shift = top.bit_length() + den.bit_length() + _SPARE_BITS
-    half, mask = 1 << (shift - 1), (1 << shift) - 1
-    high = shift * (width - 1)
-    place = {t: high - shift * k for t, k in pos.items()}
-    code_of: dict = {id(NEG_INF): None}
-    table: dict = {None: NEG_INF}
-    for key, x in finite.items():
-        code = x.std.numerator * (den // x.std.denominator) << high
-        for t, c in x.eps:
-            code += c.numerator * (den // c.denominator) << place[t]
-        code_of[key] = code
-        table.setdefault(code, x)
-    codes = [tuple(map(code_of.__getitem__, map(id, g))) for g in groups]
+    __slots__ = ("den", "pos", "shift", "key", "table")
 
-    def fields(code: int) -> list[int]:
+    def __init__(self, fields: Iterable[tuple[Fraction, tuple]]):
+        fields = list(fields)
+        rationals = [q for std, coeffs in fields for q in (std, *(c for _, c in coeffs))]
+        tags = {t for _, coeffs in fields for t, _ in coeffs}
+        # the bitwise or of the numerators' magnitudes has the bit length of
+        # the largest, and each field is at most that numerator times D
+        top = reduce(or_, (abs(q.numerator) for q in rationals), 0)
+        self.den = lcm(1, *{q.denominator for q in rationals})
+        self.pos = {t: k for k, t in enumerate(sorted(tags), 1)}
+        self.shift = top.bit_length() + self.den.bit_length() + _SPARE_BITS
+        self.key = (self.den, tuple(self.pos), self.shift)
+        self.table: dict = {None: NEG_INF}
+
+    def pack(self, std: Fraction, coeffs) -> int:
+        """The code of the scalar of standard part ``std`` and
+        infinitesimal terms ``coeffs``."""
+        den, shift, high = self.den, self.shift, self.shift * len(self.pos)
+        code = std.numerator * (den // std.denominator) << high
+        for t, c in coeffs:
+            code += c.numerator * (den // c.denominator) << high - shift * self.pos[t]
+        return code
+
+    def fields(self, code: int) -> list[int]:
         """The signed fields of a code, high field first, taken off as
         centred remainders from the low field up."""
-        out = [0] * width
-        for i in range(width - 1, -1, -1):
+        shift = self.shift
+        half, mask = 1 << (shift - 1), (1 << shift) - 1
+        out = [0] * (len(self.pos) + 1)
+        for i in range(len(out) - 1, -1, -1):
             out[i] = c = ((code + half) & mask) - half
             code = (code - c) >> shift
         return out
 
-    def decode(code: Code, k: int = 1) -> TropScalar:
-        if k != 1 and not any(c % k for c in fields(code)):
+    def __call__(self, code: Code, k: int = 1) -> TropScalar:
+        """The scalar of a code, divided by the positive integer k, which
+        need not divide it; built once per code and divisor."""
+        if k != 1 and not any(c % k for c in self.fields(code)):
             code, k = code // k, 1
         key = code if k == 1 else (code, k)
-        x = table.get(key)
+        x = self.table.get(key)
         if x is None:
-            d = den * k
-            row = fields(code)
+            d = self.den * k
+            row = self.fields(code)
             x = Value(
                 Fraction(row[0], d),
-                [(t, Fraction(row[i], d)) for t, i in pos.items() if row[i]],
+                [(t, Fraction(row[i], d)) for t, i in self.pos.items() if row[i]],
             )
-            table[key] = x
+            self.table[key] = x
         return x
 
-    return codes, decode
+
+def encode(*groups: Iterable[TropScalar]) -> tuple[list[tuple[Code, ...]], Basis]:
+    """The codes of the scalars of each group over one shared basis, and
+    that basis, which decodes them.
+
+    Decoding returns an encoded scalar itself for the code of each
+    encoded scalar (the first one, when equal scalars are held in distinct
+    objects) and builds every other ``Value`` once per basis.
+    """
+    groups = [tuple(g) for g in groups]
+    # keyed by identity, which is cheaper than comparing fractions: an
+    # equal scalar in another object is encoded again, but a matrix holds
+    # one object per distinct value
+    finite = {id(x): x for g in groups for x in g if x is not NEG_INF}
+    basis = Basis((x.std, x.eps) for x in finite.values())
+    code_of: dict = {id(NEG_INF): None}
+    for key, x in finite.items():
+        code_of[key] = code = basis.pack(x.std, x.eps)
+        basis.table.setdefault(code, x)
+    return [tuple(map(code_of.__getitem__, map(id, g))) for g in groups], basis
 
 
 # -- text format --
@@ -388,17 +334,35 @@ _TERM = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)?e(\d+)|(\d+(?:/\d+)?))")
 
 
 def _rational(token: str, text: str) -> Fraction:
+    """The rational of a token ``p`` or ``p/q`` (digit strings)."""
+    num, _, den = token.partition("/")
     try:
-        return Fraction(token)
+        return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in scalar {text!r}") from None
 
 
 def parse_scalar(text: str) -> TropScalar:
     """Parse the scalar grammar: ``-inf`` | signed rational and e-terms."""
-    s = text.strip()
+    f = scalar_fields(text)
+    return NEG_INF if f is None else Value(*f)
+
+
+def scalar_fields(x) -> Optional[tuple[Fraction, tuple]]:
+    """The standard part and the sorted nonzero (tag, coefficient) terms
+    of a scalar, an int, a Fraction or a text in the scalar grammar; None
+    for ``-inf``."""
+    if isinstance(x, Value):
+        return x.std, x.eps
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x), ()
+    if not isinstance(x, str):
+        if x is NEG_INF:
+            return None
+        raise TypeError(f"cannot interpret {x!r} as a tropical scalar")
+    text, s = x, x.strip()
     if s in ("-inf", "-Inf", "-INF"):
-        return NEG_INF
+        return None
     if not s:
         raise ValueError("empty scalar")
     if any(ch.isspace() for ch in s):
@@ -423,7 +387,7 @@ def parse_scalar(text: str) -> TropScalar:
             std += sgn * _rational(rat, text)
         pos = m.end()
         first = False
-    return Value(std, coeffs)
+    return std, tuple(sorted((t, c) for t, c in coeffs.items() if c))
 
 
 def _frac_str(q: Fraction) -> str:
@@ -440,11 +404,6 @@ def format_scalar(x: TropScalar) -> str:
     if x.std != 0 or not x.eps:
         parts.append(_frac_str(x.std))
     for tag, c in x.eps:
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        coeff = "" if mag == 1 else _frac_str(mag)
-        parts.append(f"{sign}{coeff}e{tag}")
-    out = "".join(parts)
-    if out.startswith("+"):
-        out = out[1:]
-    return out
+        coeff = "" if c in (1, -1) else _frac_str(abs(c))
+        parts.append(f"{'-' if c < 0 else '+'}{coeff}e{tag}")
+    return "".join(parts).removeprefix("+")

@@ -5,7 +5,8 @@ solution lambda_j = min over rows i with A_ij finite of (x_i - A_ij) is the
 componentwise-largest candidate, so x is in the span iff A (x) lambda = x,
 that is, iff every finite coordinate of x attains the minimum for some
 column (Butkovič, *Max-linear Systems*, ch. 3).  The tests run on the
-int codes of ``semiring.encode``.
+matrices' int codes (``TropMatrix.codes``); a reduction shares its
+input's basis.
 
 Conventions with -inf entries: a generator column that is entirely -inf
 gets coefficient -inf, and a generator that is finite at a coordinate where
@@ -18,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .matrix import TropMatrix
-from .semiring import TropScalar, encode
+from .matrix import TropMatrix, _joint
+from .semiring import TropScalar
 
 
 class ZeroMatrix(ValueError):
@@ -60,10 +61,10 @@ def _principal(x, cols) -> Optional[list]:
 
 def member(x: Sequence[TropScalar], a: TropMatrix) -> Optional[SpanWitness]:
     """Principal-solution membership test for x in the column span of A."""
-    x = tuple(x)
-    if len(x) != a.nrows:
+    x = TropMatrix([x])
+    if x.ncols != a.nrows:
         raise ValueError("vector length must match the number of rows")
-    (xc, *rows), decode = encode(x, *a.entries)
+    ((xc,), rows), decode = _joint(x, a)
     coeffs = _principal(xc, list(zip(*rows)))
     if coeffs is None:
         return None
@@ -78,8 +79,8 @@ def col_space_equal(a: TropMatrix, b: TropMatrix) -> bool:
     """True iff the columns of each matrix span the same subsemimodule."""
     if a.nrows != b.nrows:
         raise ValueError("column spaces live in spaces of equal dimension")
-    codes, _ = encode(*a.entries, *b.entries)
-    acols, bcols = list(zip(*codes[: a.nrows])), list(zip(*codes[a.nrows :]))
+    (ac, bc), _ = _joint(a, b)
+    acols, bcols = list(zip(*ac)), list(zip(*bc))
     return _spans_within(bcols, acols) and _spans_within(acols, bcols)
 
 
@@ -114,11 +115,10 @@ def _scaling_gap(u, v):
     return lam
 
 
-def _extremal_indices(vectors: list[tuple[TropScalar, ...]]) -> list[int]:
-    """Indices of a minimal generating subfamily, earliest index per
-    scaling-equivalence class, classes kept iff outside the span of the
-    other classes."""
-    codes, _ = encode(*vectors)
+def _extremal_indices(codes) -> list[int]:
+    """Indices of a minimal generating subfamily of code vectors, earliest
+    index per scaling-equivalence class, classes kept iff outside the span
+    of the other classes."""
     classes: list[list[int]] = []
     for idx, v in enumerate(codes):
         if all(x is None for x in v):
@@ -139,11 +139,11 @@ def _extremal_indices(vectors: list[tuple[TropScalar, ...]]) -> list[int]:
 
 
 def column_rank(a: TropMatrix) -> int:
-    return len(_extremal_indices([a.col(j) for j in range(a.ncols)]))
+    return len(_extremal_indices(list(zip(*a.codes))))
 
 
 def row_rank(a: TropMatrix) -> int:
-    return len(_extremal_indices(list(a.entries)))
+    return len(_extremal_indices(a.codes))
 
 
 def reduce_full_rank(x: TropMatrix) -> tuple[TropMatrix, list[int], list[int]]:
@@ -151,14 +151,14 @@ def reduce_full_rank(x: TropMatrix) -> tuple[TropMatrix, list[int], list[int]]:
 
     Returns (Z, kept_row_indices, kept_col_indices); Z has full row and
     column rank and its column/row spaces are isomorphic to those of x.
+    Z shares x's basis.
     """
     if x.all_neg_inf():
         raise ZeroMatrix("matrix has no finite entry")
-    row_keep = _extremal_indices(list(x.entries))
-    y = TropMatrix([x.row(i) for i in row_keep])
-    col_keep = _extremal_indices([y.col(j) for j in range(y.ncols)])
-    z = TropMatrix([[y.entries[i][j] for j in col_keep] for i in range(y.nrows)])
-    return z, row_keep, col_keep
+    codes = x.codes
+    row_keep = _extremal_indices(codes)
+    col_keep = _extremal_indices(list(zip(*(codes[i] for i in row_keep))))
+    return x.submatrix(row_keep, col_keep), row_keep, col_keep
 
 
 def has_full_rank(a: TropMatrix) -> bool:

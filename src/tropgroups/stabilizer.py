@@ -41,6 +41,7 @@ from .graphs import support_components
 from .matrix import (
     MonomialMatrix,
     TropMatrix,
+    _joint,
     is_idempotent,
     monomial_eigenvalue,
 )
@@ -54,7 +55,7 @@ from .permgroups import (
     is_paired_two_closed,
     search_budget,
 )
-from .semiring import NEG_INF, ZERO, Value, encode
+from .semiring import ZERO, Value
 from .spaces import has_full_rank, reduce_full_rank, _scaling_gap
 
 
@@ -82,28 +83,25 @@ def _sorted_elements(elements: list[StabilizerElement]) -> list[StabilizerElemen
 def _sigma_generators(a: TropMatrix) -> list[StabilizerElement]:
     """Generators of the Sigma of a connected full-rank matrix, each
     shifted to eigenvalue 0 by the pair search."""
-    return [
-        StabilizerElement(MonomialMatrix(sigma, lam), MonomialMatrix(tau, mu), ZERO)
-        for sigma, tau, lam, mu in pair_solutions(a, a)
-    ]
+    return [StabilizerElement(p, q, ZERO) for p, q in pair_solutions(a, a, units=True)]
 
 
 def _sigma_units(a: TropMatrix, pairs, u: MonomialMatrix, v: MonomialMatrix):
     """The Sigma element of each pattern pair (g, h) in ``pairs``, on
     int codes, given the units U, V of ``_eigenvector_units``.
 
-    Returns (units, entries, decode): one ``encode`` covers the scalings
-    of U and V and the entries of A, and ``entries`` are the codes of A's
-    rows.  Each unit is (s, p, t, q), the pair U^-1 @ s @ U, V @ t @ V^-1:
-    patterns s, t and scaling codes p, q."""
-    (du, dv, *entries), decode = encode(u.scalings, v.scalings, *a.entries)
+    Returns (units, entries, basis): U, V and A share ``basis`` (they do
+    once ``_eigenvector_units`` has run), and ``entries`` are the codes of
+    A's rows.  Each unit is (s, p, t, q), the pair U^-1 @ s @ U,
+    V @ t @ V^-1: patterns s, t and scaling codes p, q."""
+    (du, dv, entries), basis = _joint(u, v, a)
     units = []
     for g, h in pairs:
         s, t = g.images, h.images
         p = tuple(du[x] - du[i] for i, x in enumerate(s))
         q = tuple(dv[j] - dv[y] for j, y in enumerate(t))
         units.append((s, p, t, q))
-    return units, entries, decode
+    return units, entries, basis
 
 
 def _connected_sigma(a: TropMatrix) -> list[StabilizerElement]:
@@ -113,13 +111,11 @@ def _connected_sigma(a: TropMatrix) -> list[StabilizerElement]:
     u, v = _eigenvector_units(a, gens)
     pairs = [(Perm._of(g.P.sigma), Perm._of(g.Q.sigma)) for g in gens]
     group = PairedPermGroup(a.shape, pairs)
-    units, _entries, decode = _sigma_units(a, group.elements(), u, v)
+    units, _entries, basis = _sigma_units(a, group.elements(), u, v)
     return _sorted_elements(
         [
             StabilizerElement(
-                MonomialMatrix(s, tuple(map(decode, p))),
-                MonomialMatrix(t, tuple(map(decode, q))),
-                ZERO,
+                MonomialMatrix._derived(s, p, basis), MonomialMatrix._derived(t, q, basis), ZERO
             )
             for s, p, t, q in units
         ]
@@ -130,9 +126,8 @@ def right_mate(a: TropMatrix, p: MonomialMatrix) -> MonomialMatrix:
     """The unique unit Q with P @ A = A @ Q, for P in the stabilizer of a
     full-rank matrix.  Each column of P @ A is a scaling of exactly one
     column of A."""
-    b = p.left_apply(a)
-    codes, decode = encode(*b.entries, *a.entries)
-    bcols, acols = list(zip(*codes[: a.nrows])), list(zip(*codes[a.nrows :]))
+    (bc, ac), basis = _joint(p.left_apply(a), a)
+    bcols, acols = list(zip(*bc)), list(zip(*ac))
     tau = [-1] * a.ncols
     mu: list = [None] * a.ncols
     for j, bc in enumerate(bcols):
@@ -142,11 +137,11 @@ def right_mate(a: TropMatrix, p: MonomialMatrix) -> MonomialMatrix:
                 if tau[k] != -1:
                     raise ValueError("column image is ambiguous; not full rank")
                 tau[k] = j
-                mu[k] = decode(gap)
+                mu[k] = gap
                 break
         else:
             raise ValueError("P is not a stabilizer element of the matrix")
-    return MonomialMatrix(tau, mu)
+    return MonomialMatrix._derived(tau, mu, basis)
 
 
 def stabilizer_pairs(a: TropMatrix) -> list[StabilizerElement]:
@@ -272,7 +267,7 @@ def _eigenvector_units(
     to conjugate each element to a permutation.  The support of A must be
     connected (an all--inf row or column is a component of its own).
     """
-    support = [[x is not NEG_INF for x in row] for row in a.entries]
+    support = [[x is not None for x in row] for row in a.codes]
     if len(support_components(support)) != 1:
         raise NotConnected("eigenvector normalisation needs a connected matrix")
     if elements is None:
@@ -281,13 +276,15 @@ def _eigenvector_units(
         elements = _sigma_generators(a)
 
     n, m = a.shape
-    codes, decode = encode(*(s for el in elements for s in (el.P.scalings, el.Q.scalings)))
+    # A and the units share A's basis unless a shift to eigenvalue 0 did
+    # not divide in it: then one joint encode, which A keeps
+    (_, *codes), basis = _joint(a, *(x for el in elements for x in (el.P, el.Q)))
     p_maps = [(el.P.sigma, [-x for x in c]) for el, c in zip(elements, codes[::2])]
     q_maps = [(el.Q.sigma, c) for el, c in zip(elements, codes[1::2])]
     u, v = _propagate(n, p_maps), _propagate(m, q_maps)
-    u_diag = MonomialMatrix(tuple(range(n)), [decode(-x) for x in u])
-    v_diag = MonomialMatrix(tuple(range(m)), [decode(-x) for x in v])
-    return u_diag, v_diag
+    return tuple(
+        MonomialMatrix._derived(range(len(w)), [-x for x in w], basis) for w in (u, v)
+    )
 
 
 def _normal_form(a: TropMatrix, u: MonomialMatrix, v: MonomialMatrix) -> TropMatrix:

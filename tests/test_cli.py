@@ -848,3 +848,39 @@ def test_construct_checks_the_witness_idempotent_once(tmp_path, capsys, monkeypa
     code, out = run_cli(["construct", spec, "--json"], capsys)
     assert code == 0
     assert len(calls) == 1
+
+
+def test_the_sharpened_separation_witness(tmp_path, capsys):
+    """A4 on the 6 pairs of {1..4}, paired with A4 on 4 points and its C3
+    quotient: the 'bidegree' construct realises (R x A4) on a 6 x 7
+    matrix; with its first row repeated as row 7 the matrix reduces to
+    rows 1-6 and keeps the description and the classification
+    conditions; verify sets every flag on both; and the 6-point action
+    is not 2-closed (its 2-closure has order 24)."""
+    from tropgroups.stabilizer import analyze_matrix, classification_conditions
+
+    left, right = ["(1,4,2)(3,5,6)", "(2,5)(3,4)"], ["(1,2,3)(5,6,7)", "(1,2)(3,4)"]
+    pairs = [list(p) for p in zip(left, right)]
+    spec = write(tmp_path, "sep.json", json.dumps({"bidegree": [6, 7], "generators": pairs}))
+    out_path = str(tmp_path / "sep.txt")
+    code, out = run_cli(["construct", spec, "-o", out_path, "--json"], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["verification"]["group_matches_target"] is True
+    assert (report["matrix"]["rows"], report["matrix"]["cols"]) == (6, 7)
+    desc = report["description"]
+    assert (desc["formula"], desc["finite_order"]) == ("(R x A4)", 12)
+
+    rows = open(out_path).read().splitlines()
+    repeated = write(tmp_path, "sep7.txt", "\n".join(rows + rows[:1]) + "\n")
+    an = analyze_matrix(parse_matrix(open(repeated).read()))
+    assert an.kept_rows == tuple(range(6)) and an.kept_cols == tuple(range(7))
+    assert (an.description.formula(), an.description.finite_order) == ("(R x A4)", 12)
+    assert classification_conditions(an.description, 7, 7)
+    for path in (out_path, repeated):
+        code, out = run_cli(["verify", path, "--json"], capsys)
+        assert code == 0 and all(json.loads(out)["verification"].values())
+
+    code, out = run_cli(["closure", "--degree", "6", *left, "--json"], capsys)
+    closure = json.loads(out)
+    assert (closure["group_order"], closure["closure_order"]) == (12, 24)
+    assert closure["is_closed"] is False
