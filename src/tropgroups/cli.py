@@ -63,26 +63,42 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _to_json(x, indent: str = "") -> str:
-    """``json.dumps(x, indent=2, sort_keys=True)`` for reports, with strings left to
-    the C escaper (with an indent, the standard library encodes in Python)."""
+def _to_json(report) -> str:
+    """``json.dumps(report, indent=2, sort_keys=True)``, with strings left to the C
+    escaper (with an indent, the standard library encodes in Python).  The
+    pieces go to one list, joined once."""
+    out: list[str] = []
+    _json_pieces(report, "\n", out.append)
+    return "".join(out)
+
+
+def _json_pieces(x, newline: str, put) -> None:
     t = type(x)
     if t is str:
-        return _quote(x)
-    if t is int:
-        return int.__repr__(x)
-    if t is dict or t is list or t is tuple:
+        put(_quote(x))
+    elif t is dict or t is list or t is tuple:
         if not x:
-            return "{}" if t is dict else "[]"
-        inner = indent + "  "
-        sep = ",\n" + inner
+            put("{}" if t is dict else "[]")
+            return
+        inner = newline + "  "
         if t is dict:
-            body = sep.join([_quote(k) + ": " + _to_json(x[k], inner) for k in sorted(x)])
-            return "{\n" + inner + body + "\n" + indent + "}"
-        return "[\n" + inner + sep.join([_to_json(v, inner) for v in x]) + "\n" + indent + "]"
-    if x is None or t is bool:
-        return "null" if x is None else "true" if x else "false"
-    return int.__repr__(x)
+            sep = "{" + inner
+            for k in sorted(x):
+                put(sep + _quote(k) + ": ")
+                _json_pieces(x[k], inner, put)
+                sep = "," + inner
+            put(newline + "}")
+        else:
+            sep = "[" + inner
+            for v in x:
+                put(sep)
+                _json_pieces(v, inner, put)
+                sep = "," + inner
+            put(newline + "]")
+    elif x is None or t is bool:
+        put("null" if x is None else "true" if x else "false")
+    else:
+        put(int.__repr__(x))
 
 
 def _print_report(report: dict, as_json: bool, human_lines: list[str]) -> None:

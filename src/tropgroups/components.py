@@ -17,7 +17,7 @@ from typing import Optional
 from .graphs import ColouredBipartiteGraph, support_components
 from .matrix import MonomialMatrix, TropMatrix
 from .pairsearch import pair_solutions
-from .semiring import NEG_INF
+from .semiring import is_finite
 from .spaces import col_space_equal
 
 
@@ -51,10 +51,10 @@ def bipartite_graph(a: TropMatrix) -> ColouredBipartiteGraph:
     """The coloured bipartite graph of the finite entries of the matrix."""
     _check_non_degenerate(a)
     edges = {
-        (i, j): x
-        for i, row in enumerate(a.entries)
-        for j, x in enumerate(row)
-        if x is not NEG_INF
+        (i, j): a.entries[i][j]
+        for i in range(a.nrows)
+        for j in range(a.ncols)
+        if is_finite(a.entries[i][j])
     }
     return ColouredBipartiteGraph(a.nrows, a.ncols, edges)
 
@@ -82,8 +82,8 @@ def _first_pair_solution(target: TropMatrix, source: TropMatrix) -> Optional[Mon
     """A unit P with P @ source = target @ Q for some unit Q, if any."""
     if target.shape != source.shape:
         return None
-    sols = pair_solutions(target, source, first_only=True, units=True)
-    return sols[0][0] if sols else None
+    sols = pair_solutions(target, source, first_only=True)
+    return sols[0].units[0] if sols else None
 
 
 def col_space_isomorphic(a: TropMatrix, b: TropMatrix) -> Optional[MonomialMatrix]:
@@ -99,10 +99,15 @@ def col_space_isomorphic(a: TropMatrix, b: TropMatrix) -> Optional[MonomialMatri
     comps_b = connected_components(b)
     if len(comps_a) == 1 and len(comps_b) == 1:
         return _first_pair_solution(a, b)
+    if len(comps_a) != len(comps_b):
+        return None
+    if sorted((len(c.rows), len(c.cols)) for c in comps_a) != sorted(
+        (len(c.rows), len(c.cols)) for c in comps_b
+    ):
+        return None
     restr_b = [_restrict_unchecked(b, c) for c in comps_b]
     # unit equivalence of blocks is an equivalence relation, so the first
-    # unused equivalent block always extends to a full matching, and blocks
-    # of equal shapes cover all of B once all of A is matched
+    # unused equivalent block always extends to a full matching
     unused = list(range(len(comps_b)))
     matching = []
     for ca in comps_a:

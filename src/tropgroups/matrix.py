@@ -20,7 +20,6 @@ grammar; blank lines and ``#`` comments are ignored.  JSON alternative:
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from itertools import chain
 from operator import eq
 from typing import Iterable, Sequence
@@ -94,11 +93,15 @@ class TropMatrix:
     @property
     def codes(self) -> tuple[tuple, ...]:
         """The rows of codes over ``basis``."""
-        return _joint(self)[0][0]
+        if self._codes is None:
+            _joint(self)
+        return self._codes
 
     @property
     def basis(self) -> Basis:
-        return _joint(self)[1]
+        if self._basis is None:
+            _joint(self)
+        return self._basis
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "TropMatrix":
@@ -162,11 +165,8 @@ class TropMatrix:
         return self.entries == other.entries
 
     def __hash__(self) -> int:
-        """The hash of the order pattern of the entries, which every basis keeps."""
         if self._hash is None:
-            flat = list(chain.from_iterable(self.codes))
-            rank = {x: r for r, x in enumerate(sorted(set(flat) - {None}))}
-            _set(self, "_hash", hash((self.shape, *(rank.get(x, -1) for x in flat))))
+            _set(self, "_hash", hash(self.entries))
         return self._hash
 
     def all_neg_inf(self) -> bool:
@@ -242,14 +242,16 @@ class MonomialMatrix:
     __slots__ = ("sigma", "_row")
 
     def __init__(self, sigma: Sequence[int], scalings: Sequence[Value]):
-        sigma, scalings = tuple(sigma), tuple(scalings)
+        sigma = tuple(sigma)
+        scalings = tuple(scalings)
         n = len(sigma)
         if sorted(sigma) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {sigma}")
         if len(scalings) != n:
             raise ValueError("one scaling required per row")
-        if not all(isinstance(s, Value) for s in scalings):
-            raise TypeError("scalings must be finite scalars")
+        for s in scalings:
+            if not isinstance(s, Value):
+                raise TypeError("scalings must be finite scalars")
         _set(self, "sigma", sigma)
         _set(self, "_row", TropMatrix([scalings]))
 
@@ -354,8 +356,8 @@ class MonomialMatrix:
 
     def __repr__(self) -> str:
         body = ", ".join(
-            f"{i}->{x}:{format_scalar(s)}"
-            for i, (x, s) in enumerate(zip(self.sigma, self.scalings))
+            f"{i}->{self.sigma[i]}:{format_scalar(self.scalings[i])}"
+            for i in range(self.degree)
         )
         return f"MonomialMatrix({body})"
 
@@ -419,8 +421,12 @@ def idempotent_power(a: TropMatrix, max_squarings: int = 64) -> TropMatrix:
 
 
 def parse_matrix_text(text: str) -> TropMatrix:
-    rows = [line.split("#", 1)[0].split() for line in text.splitlines()]
-    rows = [row for row in rows if row]
+    rows = []
+    for line in text.splitlines():
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        rows.append(body.split())
     if not rows:
         raise ValueError("no matrix rows found")
     return TropMatrix.from_rows(rows)

@@ -243,16 +243,25 @@ def _cross(codes):
     return [[None] * n + list(row) for row in codes] + [[*col] + [None] * m for col in zip(*codes)]
 
 
-def pair_solutions(
-    target: TropMatrix, source: TropMatrix, *, first_only: bool = False, units: bool = False
-):
+class PairSolution(tuple):
+    """A solution (sigma, tau, lam, mu) of ``pair_solutions``.  Its
+    ``units`` are the unit pair (P, Q) it reads, over the search's basis
+    where the shift to eigenvalue 0 divides in it."""
+
+    def __new__(cls, units):
+        p, q = units
+        sol = super().__new__(cls, (p.sigma, q.sigma, p.scalings, q.scalings))
+        sol.units = units
+        return sol
+
+
+def pair_solutions(target: TropMatrix, source: TropMatrix, *, first_only: bool = False):
     """Solutions (sigma, tau, lam, mu) of P @ source = target @ Q.  With
     ``first_only``, the first one found, if any, mu anchored to 0 at the
     search root.  Otherwise target and source must be equal, and the
     result generates the group of feasible pattern pairs, each pair
-    shifted by the eigenvalue of P to eigenvalue 0.  With ``units``, each
-    solution is the pair (P, Q) of ``_PairSearch.units``.  Requires the
-    target support graph to be connected."""
+    shifted by the eigenvalue of P to eigenvalue 0.  Each solution is a
+    ``PairSolution``.  Requires the target support graph to be connected."""
     if not first_only and target != source:
         raise ValueError("generators need equal target and source")
     search = _PairSearch(target, source)
@@ -262,7 +271,7 @@ def pair_solutions(
     else:
         gens = base_and_orbit(search, search.order, act=getitem)[0]
         found = [search.units(f, eigenvalue_zero=True) for f in gens]
-    return found if units else [(p.sigma, q.sigma, p.scalings, q.scalings) for p, q in found]
+    return list(map(PairSolution, found))
 
 
 class _CommutingSearch:

@@ -56,7 +56,9 @@ from typing import Iterable, Optional, Sequence, Union
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
@@ -101,7 +103,9 @@ class Value:
         return Value(-self.std, tuple((t, -c) for t, c in self.eps))
 
     def __sub__(self, other: "Value") -> "Value":
-        return self + (-other) if isinstance(other, Value) else NotImplemented
+        if not isinstance(other, Value):
+            return NotImplemented
+        return self + (-other)
 
     def __abs__(self) -> "Value":
         return -self if self < ZERO else self
@@ -117,12 +121,26 @@ class Value:
     # -- total order: standard part, then eps coordinates by tag --
 
     def _cmp(self, other: "Value") -> int:
-        d = self.std - other.std
-        if not d:
-            a, b = dict(self.eps), dict(other.eps)
-            diffs = (a.get(t, 0) - b.get(t, 0) for t in sorted(a.keys() | b.keys()))
-            d = next(filter(None, diffs), 0)
-        return (d > 0) - (d < 0)
+        if self.std != other.std:
+            return -1 if self.std < other.std else 1
+        a, b = self.eps, other.eps
+        i = j = 0
+        while i < len(a) or j < len(b):
+            ta = a[i][0] if i < len(a) else None
+            tb = b[j][0] if j < len(b) else None
+            if tb is None or (ta is not None and ta < tb):
+                ca, cb = a[i][1], Fraction(0)
+                i += 1
+            elif ta is None or tb < ta:
+                ca, cb = Fraction(0), b[j][1]
+                j += 1
+            else:
+                ca, cb = a[i][1], b[j][1]
+                i += 1
+                j += 1
+            if ca != cb:
+                return -1 if ca < cb else 1
+        return 0
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Value) and self.std == other.std and self.eps == other.eps
@@ -186,10 +204,16 @@ def is_finite(x: TropScalar) -> bool:
 
 def val(x) -> Value:
     """Coerce an int, Fraction or string to a finite scalar."""
-    f = scalar_fields(x)
-    if f is None:
-        raise ValueError("-inf is not a finite scalar")
-    return x if isinstance(x, Value) else Value(*f)
+    if isinstance(x, Value):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return Value(x)
+    if isinstance(x, str):
+        s = parse_scalar(x)
+        if s is NEG_INF:
+            raise ValueError("-inf is not a finite scalar")
+        return s
+    raise TypeError(f"cannot interpret {x!r} as a finite scalar")
 
 
 def eps(tag: int, coeff=1) -> Value:
@@ -202,16 +226,25 @@ def eps(tag: int, coeff=1) -> Value:
 
 def trop_add(a: TropScalar, b: TropScalar) -> TropScalar:
     """Tropical sum: the maximum of the two scalars."""
-    return b if a is NEG_INF or b is not NEG_INF and a._cmp(b) < 0 else a
+    if a is NEG_INF:
+        return b
+    if b is NEG_INF:
+        return a
+    return a if a._cmp(b) >= 0 else b
 
 
 def trop_mul(a: TropScalar, b: TropScalar) -> TropScalar:
     """Tropical product: classical addition, absorbed by -inf."""
-    return NEG_INF if a is NEG_INF or b is NEG_INF else a + b
+    if a is NEG_INF or b is NEG_INF:
+        return NEG_INF
+    return a + b
 
 
 def trop_sum(items: Iterable[TropScalar]) -> TropScalar:
-    return reduce(trop_add, items, NEG_INF)
+    acc: TropScalar = NEG_INF
+    for x in items:
+        acc = trop_add(acc, x)
+    return acc
 
 
 def free_basis_check(vals: Sequence[Value]) -> bool:
@@ -222,21 +255,36 @@ def free_basis_check(vals: Sequence[Value]) -> bool:
     on the (standard, infinitesimal-coordinate) vectors.
     """
     vals = list(vals)
+    if not vals:
+        return True
     tags = sorted({t for v in vals for t, _ in v.eps})
-    rows = [[v.std, *map(dict(v.eps).get, tags, [0] * len(tags))] for v in vals]
+    pos = {t: i + 1 for i, t in enumerate(tags)}
+    width = 1 + len(tags)
+    rows = []
+    for v in vals:
+        row = [Fraction(0)] * width
+        row[0] = v.std
+        for t, c in v.eps:
+            row[pos[t]] = c
+        rows.append(row)
     rank = 0
-    for col in range(len(tags) + 1):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+    col = 0
+    n = len(rows)
+    while rank < n and col < width:
+        piv = next((r for r in range(rank, n) if rows[r][col] != 0), None)
         if piv is None:
+            col += 1
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                f = rows[r][col] / lead[col]
-                rows[r][col:] = [x - f * y for x, y in zip(rows[r][col:], lead[col:])]
+        lead = rows[rank][col]
+        for r in range(rank + 1, n):
+            if rows[r][col] != 0:
+                f = rows[r][col] / lead
+                for c in range(col, width):
+                    rows[r][c] -= f * rows[rank][c]
         rank += 1
-    return rank == len(rows)
+        col += 1
+    return rank == len(vals)
 
 
 # -- code space --
@@ -292,17 +340,18 @@ class Basis:
     def __call__(self, code: Code, k: int = 1) -> TropScalar:
         """The scalar of a code, divided by the positive integer k, which
         need not divide it; built once per code and divisor."""
-        if k != 1 and not any(c % k for c in self.fields(code)):
-            code, k = code // k, 1
         key = code if k == 1 else (code, k)
         x = self.table.get(key)
         if x is None:
-            d = self.den * k
             row = self.fields(code)
-            x = Value(
-                Fraction(row[0], d),
-                [(t, Fraction(row[i], d)) for t, i in self.pos.items() if row[i]],
-            )
+            if k != 1 and not any(c % k for c in row):
+                x = self(code // k)
+            else:
+                d = self.den * k
+                x = Value(
+                    Fraction(row[0], d),
+                    [(t, Fraction(row[i], d)) for t, i in self.pos.items() if row[i]],
+                )
             self.table[key] = x
         return x
 
@@ -404,6 +453,11 @@ def format_scalar(x: TropScalar) -> str:
     if x.std != 0 or not x.eps:
         parts.append(_frac_str(x.std))
     for tag, c in x.eps:
-        coeff = "" if c in (1, -1) else _frac_str(abs(c))
-        parts.append(f"{'-' if c < 0 else '+'}{coeff}e{tag}")
-    return "".join(parts).removeprefix("+")
+        sign = "-" if c < 0 else "+"
+        mag = abs(c)
+        coeff = "" if mag == 1 else _frac_str(mag)
+        parts.append(f"{sign}{coeff}e{tag}")
+    out = "".join(parts)
+    if out.startswith("+"):
+        out = out[1:]
+    return out

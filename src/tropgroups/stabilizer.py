@@ -83,17 +83,18 @@ def _sorted_elements(elements: list[StabilizerElement]) -> list[StabilizerElemen
 def _sigma_generators(a: TropMatrix) -> list[StabilizerElement]:
     """Generators of the Sigma of a connected full-rank matrix, each
     shifted to eigenvalue 0 by the pair search."""
-    return [StabilizerElement(p, q, ZERO) for p, q in pair_solutions(a, a, units=True)]
+    return [StabilizerElement(p, q, ZERO) for p, q in (s.units for s in pair_solutions(a, a))]
 
 
 def _sigma_units(a: TropMatrix, pairs, u: MonomialMatrix, v: MonomialMatrix):
     """The Sigma element of each pattern pair (g, h) in ``pairs``, on
     int codes, given the units U, V of ``_eigenvector_units``.
 
-    Returns (units, entries, basis): U, V and A share ``basis`` (they do
-    once ``_eigenvector_units`` has run), and ``entries`` are the codes of
-    A's rows.  Each unit is (s, p, t, q), the pair U^-1 @ s @ U,
-    V @ t @ V^-1: patterns s, t and scaling codes p, q."""
+    Returns (units, entries, basis): U, V and A share ``basis`` (after one
+    joint encode where their shifts to eigenvalue 0 did not divide in A's
+    basis), and ``entries`` are the codes of A's rows.  Each unit is
+    (s, p, t, q), the pair U^-1 @ s @ U, V @ t @ V^-1: patterns s, t and
+    scaling codes p, q."""
     (du, dv, entries), basis = _joint(u, v, a)
     units = []
     for g, h in pairs:
@@ -276,9 +277,11 @@ def _eigenvector_units(
         elements = _sigma_generators(a)
 
     n, m = a.shape
-    # A and the units share A's basis unless a shift to eigenvalue 0 did
-    # not divide in it: then one joint encode, which A keeps
-    (_, *codes), basis = _joint(a, *(x for el in elements for x in (el.P, el.Q)))
+    # the units share A's basis unless a shift to eigenvalue 0 did not
+    # divide in it: then one encode of their scalings, and A meets U and V
+    # only where it is used with them (``_normal_form``, ``_sigma_units``)
+    units = [x for el in elements for x in (el.P, el.Q)]
+    codes, basis = _joint(*units) if units else ([], a.basis)
     p_maps = [(el.P.sigma, [-x for x in c]) for el, c in zip(elements, codes[::2])]
     q_maps = [(el.Q.sigma, c) for el, c in zip(elements, codes[1::2])]
     u, v = _propagate(n, p_maps), _propagate(m, q_maps)
@@ -288,7 +291,9 @@ def _eigenvector_units(
 
 
 def _normal_form(a: TropMatrix, u: MonomialMatrix, v: MonomialMatrix) -> TropMatrix:
-    """B = U @ A @ V, the one builder of a normal form."""
+    """B = U @ A @ V, the one builder of a normal form.  A, U and V meet
+    in one basis first, so that the two products encode nothing."""
+    _joint(u, v, a)
     return v.right_apply(u.left_apply(a))
 
 

@@ -6,7 +6,8 @@ import itertools
 from tropgroups.constructors import alt4_column_matrix, assemble_blocks
 from tropgroups import permgroups
 from tropgroups.matrix import MonomialMatrix, TropMatrix
-from tropgroups.semiring import NEG_INF, eps, trop_mul, trop_sum, val
+from tropgroups.graphs import components
+from tropgroups.semiring import NEG_INF, Value, eps, trop_mul, trop_sum, val
 
 A_VAL = val(-1) + eps(1)
 B_VAL = val(-1) + eps(2)
@@ -77,6 +78,16 @@ def ref_mat_mul(a, b):
             for row in a.entries
         ]
     )
+
+
+def ref_monomial_eigenvalue(p):
+    """Reference: the common cycle mean of a unit, on scalars, each cycle's
+    sum divided by its length; None when the cycle means differ."""
+    means = {
+        sum((p.scalings[i] for i in cycle), Value(0)).div_int(len(cycle))
+        for cycle in components(range(p.degree), lambda i: (p.sigma[i],))
+    }
+    return means.pop() if len(means) == 1 else None
 
 
 def ref_member(x, a):

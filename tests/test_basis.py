@@ -16,14 +16,18 @@ from hypothesis import strategies as st
 
 from helpers import matrix_f, ref_col_space_equal, ref_mat_mul, ref_member
 from tropgroups import cli, matrix
+from tropgroups.constructors import construct_idempotent
 from tropgroups.matrix import (
+    MonomialMatrix,
     NoIdempotentPower,
     TropMatrix,
     idempotent_power,
     mat_mul,
     parse_matrix,
 )
-from tropgroups.semiring import NEG_INF, Value
+from tropgroups.pairsearch import pair_solutions
+from tropgroups.permgroups import PermGroup
+from tropgroups.semiring import NEG_INF, Value, eps
 from tropgroups.spaces import col_space_equal, h_related, member
 
 rationals = st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=4)
@@ -103,6 +107,33 @@ def test_squarings_outgrow_any_basis_they_could_inherit(a, top):
         idempotent_power(a, max_squarings=70)
 
 
+def test_scaled_copies_hash_apart():
+    """Scalar multiples of one matrix hold the same order pattern of codes
+    but not the same values, so they hash apart, and so do units that
+    differ by a constant scaling."""
+    a = parse_matrix("0 -inf 1/2\n2+e1 0 -1")
+    copies = [a.scale(Value(k)) for k in range(20)] + [a.scale(eps(1, k)) for k in range(1, 20)]
+    assert len({hash(x) for x in copies}) == len(copies)
+    units = [MonomialMatrix((1, 0), (Value(k), Value(k + 1))) for k in range(20)]
+    assert len({hash(p) for p in units}) == len(units)
+
+
+def test_pair_solutions_carry_their_units():
+    """Each solution (sigma, tau, lam, mu) keeps the unit pair it reads.
+    For a constructed witness the shift to eigenvalue 0 divides, and the
+    units share the matrix's basis; for some generators of F it does not,
+    and their units hold scalars."""
+    witness = construct_idempotent(PermGroup.from_cycles(4, ["(1,2,3,4)", "(1,3)"]))
+    for a, shares in ((witness, True), (matrix_f(), False)):
+        sols = pair_solutions(a, a) + pair_solutions(a, a, first_only=True)
+        assert len(sols) > 1
+        for sol in sols:
+            p, q = sol.units
+            assert (p, q) == (MonomialMatrix(sol[0], sol[2]), MonomialMatrix(sol[1], sol[3]))
+        shared = [p._row._basis is a.basis for sol in sols[:-1] for p in sol.units]
+        assert all(shared) if shares else not all(shared)
+
+
 def _encodes(monkeypatch, argv):
     """The number of ``encode`` calls one CLI request makes."""
     calls = []
@@ -121,11 +152,14 @@ def test_a_request_encodes_once_per_built_matrix_and_class(tmp_path, capsys, mon
     """verify of F parses two matrices (the input and its text round trip),
     which pack their codes without ``encode``, and analyses one class,
     whose shifts to eigenvalue 0 do not divide in the input's basis: one
-    joint encode of the class and its generators.  A 'degree' construct
-    encodes its witness matrix once, and its one class shares that basis."""
+    encode of its generators' scalings, which U and V share, and one joint
+    encode where verify meets the class with U and V.  A 'degree'
+    construct encodes its witness matrix once, and its one class shares
+    that basis."""
     f = tmp_path / "f.txt"
     f.write_text(matrix_f().to_text() + "\n")
-    assert _encodes(monkeypatch, ["verify", str(f), "--json"]) == 1
+    assert _encodes(monkeypatch, ["analyze", str(f), "--json"]) == 1
+    assert _encodes(monkeypatch, ["verify", str(f), "--json"]) == 2
     spec = tmp_path / "s.json"
     spec.write_text(json.dumps({"degree": 4, "generators": ["(1,2,3,4)", "(1,3)"]}))
     assert _encodes(monkeypatch, ["construct", str(spec), "--json"]) == 1

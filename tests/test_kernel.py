@@ -5,7 +5,7 @@ several infinitesimal tags, drawn from a small pool per case so that
 equal entries, equal differences and ties in the principal solution
 occur.  ``mat_mul``, ``member``, ``col_space_equal``, the first pair
 solution and the eigenvalue shift of a unit run on codes; the references
-in ``helpers`` and ``monomial_eigenvalue`` run on ``Value``.
+in ``helpers`` run on ``Value``.
 """
 
 import random
@@ -19,6 +19,7 @@ from helpers import (
     ref_col_space_equal,
     ref_mat_mul,
     ref_member,
+    ref_monomial_eigenvalue,
     ref_pair_solvable,
 )
 from tropgroups.graphs import support_components
@@ -152,8 +153,8 @@ def unit_with_cycles(rng, lengths, pool):
 
 
 def test_eigenvalue_shift_on_codes_matches_scalar_shift():
-    """``_eigenvalue_zero`` on codes against ``monomial_eigenvalue`` and
-    ``Value.__sub__``, for units with cycles of length 1 to 6 and tagged
+    """``_eigenvalue_zero`` and ``monomial_eigenvalue`` on codes against
+    the cycle means of ``ref_monomial_eigenvalue`` and ``Value.__sub__``, for units with cycles of length 1 to 6 and tagged
     fractional scalings: the shifted unit and its mate agree, including
     where the cycle length does not divide k*x - S, equal scalars hash
     equal however they were built, and cycles of unequal means raise
@@ -167,7 +168,8 @@ def test_eigenvalue_shift_on_codes_matches_scalar_shift():
         mu = rng.choices(pool, k=rng.randint(1, 6))
         (lam_codes, mu_codes), decode = encode(lam, mu)
 
-        ev = monomial_eigenvalue(MonomialMatrix(sigma, lam))
+        ev = ref_monomial_eigenvalue(MonomialMatrix(sigma, lam))
+        assert monomial_eigenvalue(MonomialMatrix(sigma, lam)) == ev
         shifted = _eigenvalue_zero(decode, sigma, lam_codes, mu_codes)
         expected = [tuple(x - ev for x in lam), tuple(x - ev for x in mu)]
         assert shifted == expected
@@ -185,6 +187,7 @@ def test_eigenvalue_shift_on_codes_matches_scalar_shift():
             i = rng.randrange(len(sigma))
             bad = lam[:i] + [lam[i] + Value(1)] + lam[i + 1 :]
             (bad_codes,), _ = encode(bad)
+            assert ref_monomial_eigenvalue(MonomialMatrix(sigma, bad)) is None
             with pytest.raises(MultipleEigenvalues):
                 monomial_eigenvalue(MonomialMatrix(sigma, bad))
             with pytest.raises(MultipleEigenvalues):

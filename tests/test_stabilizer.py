@@ -12,6 +12,7 @@ from helpers import (
     alt4_squared,
     matrix_e,
     matrix_f,
+    ref_monomial_eigenvalue,
     unit_p,
     unit_q,
 )
@@ -61,7 +62,7 @@ def brute_force_sigma(a):
             )
             if not ok:
                 continue
-            ev = monomial_eigenvalue(MonomialMatrix(sigma, lam))
+            ev = ref_monomial_eigenvalue(MonomialMatrix(sigma, lam))
             out.add(
                 (
                     sigma,
