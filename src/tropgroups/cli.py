@@ -28,6 +28,7 @@ from .matrix import (
     MultipleEigenvalues,
     TropMatrix,
     is_idempotent,
+    load_json,
     parse_matrix,
 )
 from .pairsearch import _CommutingSearch, cycle_mean
@@ -243,7 +244,7 @@ def cmd_construct(args) -> int:
 
     with open(args.spec, "rb") as fh:
         raw = fh.read()
-    spec = json.loads(raw.decode())
+    spec = load_json(raw.decode(), "construction spec")
     kind, obj = parse_construction_spec(spec)
     t0 = time.perf_counter()
     if kind == "bipartite":

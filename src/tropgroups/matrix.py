@@ -5,12 +5,11 @@ matrix is stored as a permutation plus a scaling per row; its expansion has
 exactly one finite entry in every row and column, which characterises the
 invertible elements of the matrix monoid.
 
-Both hold int codes over one ``semiring.Basis`` and decode ``entries`` or
-``scalings`` only when read.  A parsed matrix packs each distinct token
-straight into a code; one built from scalars encodes them once, on first
-use.  Submatrices, transposes and unit products P @ A, A @ Q share their
-parent's basis, and ``_joint`` is where two bases meet (``semiring``
-gives the rules).  Equality and hashing read values, whatever the bases.
+Both hold int codes over one ``semiring.Basis`` from the moment they are
+built, parsed or from scalars, by one ``encode``, and decode ``entries``
+or ``scalings`` only when read.  Submatrices, transposes and unit
+products P @ A, A @ Q share their parent's basis, and ``_joint`` is where
+two bases meet (``semiring`` gives the rules).  Equality and hashing read values, whatever the bases.
 
 Text format: one row per line, entries whitespace-separated in the scalar
 grammar; blank lines and ``#`` comments are ignored.  JSON alternative:
@@ -32,7 +31,6 @@ from .semiring import (
     Value,
     encode,
     format_scalar,
-    scalar_fields,
 )
 
 
@@ -52,32 +50,34 @@ _set = object.__setattr__
 
 
 class TropMatrix:
-    """A dense r x c matrix over the tropical semiring: its entries as
-    scalars (``_entries``), as codes over a basis, or both."""
+    """A dense r x c matrix over the tropical semiring: its rows of
+    ``codes`` over ``basis``, and its ``entries`` as scalars, decoded
+    when first read."""
 
-    __slots__ = ("_entries", "_codes", "_basis", "nrows", "ncols", "_hash")
+    __slots__ = ("_entries", "codes", "basis", "nrows", "ncols", "_hash")
 
     def __init__(self, entries: Iterable[Iterable[TropScalar]]):
         rows = tuple(tuple(row) for row in entries)
         bad = [x for row in rows for x in row if x is not NEG_INF and not isinstance(x, Value)]
         if bad:
             raise TypeError(f"not a tropical scalar: {bad[0]!r}")
-        self._init(rows, None, None)
+        self._init(*encode(*rows))
+        _set(self, "_entries", rows)
 
-    def _init(self, entries, codes, basis) -> None:
-        rows = entries or codes
-        if not rows or not rows[0]:
+    def _init(self, codes, basis: Basis) -> None:
+        codes = tuple(map(tuple, codes))
+        if not codes or not codes[0]:
             raise ValueError("matrix must have at least one row and one column")
-        if any(len(row) != len(rows[0]) for row in rows):
+        if any(len(row) != len(codes[0]) for row in codes):
             raise ValueError("ragged rows")
-        for name, v in zip(self.__slots__, (entries, codes, basis, len(rows), len(rows[0]), None)):
+        for name, v in zip(self.__slots__, (None, codes, basis, len(codes), len(codes[0]), None)):
             _set(self, name, v)
 
     @classmethod
     def _derived(cls, codes, basis: Basis) -> "TropMatrix":
         """The matrix of rows of codes over ``basis``."""
         m = object.__new__(cls)
-        m._init(None, tuple(map(tuple, codes)), basis)
+        m._init(codes, basis)
         return m
 
     def __setattr__(self, name, value):
@@ -86,36 +86,14 @@ class TropMatrix:
     @property
     def entries(self) -> tuple[tuple[TropScalar, ...], ...]:
         if self._entries is None:
-            decode = self._basis
-            _set(self, "_entries", tuple(tuple(map(decode, row)) for row in self._codes))
+            _set(self, "_entries", tuple(tuple(map(self.basis, row)) for row in self.codes))
         return self._entries
-
-    @property
-    def codes(self) -> tuple[tuple, ...]:
-        """The rows of codes over ``basis``."""
-        if self._codes is None:
-            _joint(self)
-        return self._codes
-
-    @property
-    def basis(self) -> Basis:
-        if self._basis is None:
-            _joint(self)
-        return self._basis
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "TropMatrix":
-        """Build from any mix of Value / NEG_INF / int / Fraction / str.
-        Each distinct token is read once and packed straight into a code;
-        a Value given is the entry read at its code."""
-        rows = [list(row) for row in rows]
-        fields = {x: scalar_fields(x) for x in dict.fromkeys(chain.from_iterable(rows))}
-        basis = Basis(f for f in fields.values() if f is not None)
-        code = {x: None if f is None else basis.pack(*f) for x, f in fields.items()}
-        for x in fields:
-            if isinstance(x, Value):
-                basis.table.setdefault(code[x], x)
-        return cls._derived([map(code.__getitem__, row) for row in rows], basis)
+        """Build from any mix of Value / NEG_INF / int / Fraction / str,
+        by one ``encode``."""
+        return cls._derived(*encode(*rows))
 
     @classmethod
     def identity(cls, n: int) -> "TropMatrix":
@@ -141,10 +119,10 @@ class TropMatrix:
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "TropMatrix":
         """The entries at the given rows and columns, in that order."""
         codes = self.codes
-        return TropMatrix._derived([[codes[i][j] for j in cols] for i in rows], self._basis)
+        return TropMatrix._derived([[codes[i][j] for j in cols] for i in rows], self.basis)
 
     def transpose(self) -> "TropMatrix":
-        return TropMatrix._derived(zip(*self.codes), self._basis)
+        return TropMatrix._derived(zip(*self.codes), self.basis)
 
     def scale(self, lam: TropScalar) -> "TropMatrix":
         """lam (x) A."""
@@ -159,9 +137,8 @@ class TropMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TropMatrix) or self.shape != other.shape:
             return False
-        if self._codes is not None and other._codes is not None:
-            if self._basis is other._basis or self._basis.key == other._basis.key:
-                return self._codes == other._codes
+        if self.basis is other.basis or self.basis.key == other.basis.key:
+            return self.codes == other.codes
         return self.entries == other.entries
 
     def __hash__(self) -> int:
@@ -197,17 +174,15 @@ def _joint(*items):
     bases share one key, else those of one joint ``encode`` of their
     scalars, which each of them keeps from then on."""
     mats = [getattr(x, "_row", x) for x in items]
-    first = mats[0]._basis
-    if first is None or not all(
-        m._basis is first or m._basis is not None and m._basis.key == first.key for m in mats
-    ):
+    first = mats[0].basis
+    if not all(m.basis is first or m.basis.key == first.key for m in mats):
         codes, first = encode(*chain.from_iterable(m.entries for m in mats))
         k = 0
         for m in mats:
-            _set(m, "_codes", tuple(codes[k : k + m.nrows]))
-            _set(m, "_basis", first)
+            _set(m, "codes", tuple(codes[k : k + m.nrows]))
+            _set(m, "basis", first)
             k += m.nrows
-    return [m._codes if m is x else m._codes[0] for m, x in zip(mats, items)], first
+    return [m.codes if m is x else m.codes[0] for m, x in zip(mats, items)], first
 
 
 def _product_codes(arows, bcols):
@@ -221,8 +196,7 @@ def _product_codes(arows, bcols):
 
 def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """Tropical matrix product: (AB)_ij = max_k (A_ik + B_kj).  The
-    product holds scalars, not the codes of its factors' basis: it encodes
-    afresh when its codes are read."""
+    product is encoded afresh, not kept in its factors' basis."""
     if a.ncols != b.nrows:
         raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
     (ac, bc), decode = _joint(a, b)
@@ -272,7 +246,7 @@ class MonomialMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "MonomialMatrix":
-        return cls(range(n), (ZERO,) * n)
+        return cls._derived(range(n), (0,) * n, Basis())
 
     @classmethod
     def from_trop_matrix(cls, m: TropMatrix) -> "MonomialMatrix":
@@ -392,7 +366,7 @@ def monomial_eigenvalue(p: MonomialMatrix) -> Value:
     """The common cycle mean of the weighted cycles of a unit; raises
     MultipleEigenvalues when the cycle means differ."""
     k, total = cycle_mean(p.sigma, p.codes)
-    return p.basis(total, k)
+    return p.basis.refined(k)(total)
 
 
 def is_idempotent(e: TropMatrix) -> bool:
@@ -432,12 +406,17 @@ def parse_matrix_text(text: str) -> TropMatrix:
     return TropMatrix.from_rows(rows)
 
 
+def load_json(text: str, what: str):
+    """``json.loads``, which names ``what`` in a ValueError on too deep a nesting."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply") from None
+
+
 def parse_matrix_json(data) -> TropMatrix:
     if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except RecursionError:
-            raise ValueError("JSON matrix is nested too deeply") from None
+        data = load_json(data, "JSON matrix")
     if not isinstance(data, dict) or "entries" not in data:
         raise ValueError("a JSON matrix is an object with an 'entries' list")
     entries = data["entries"]

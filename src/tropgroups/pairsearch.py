@@ -98,22 +98,16 @@ def _joint_key(codes, intern):
     ]
 
 
-def _eigenvalue_zero_codes(basis, sigma, *scalings):
-    """(k, codes): the scalings of a unit of pattern sigma, and of its
-    mate, shifted by the unit's ``cycle_mean`` S/k to x - S/k, each kept as
-    a code to be decoded with the divisor k: x - S/k itself and k = 1 where
-    k divides every field of S, else k*x - S."""
+def _eigenvalue_zero(basis, sigma, *scalings):
+    """(basis, codes): the scaling codes of a unit of pattern sigma, and
+    of its mate, shifted by the unit's ``cycle_mean`` S/k to x - S/k: the
+    codes x - S/k over ``basis`` where k divides every field of S, else
+    the codes k*x - S over ``basis.refined(k)``."""
     k, total = cycle_mean(sigma, scalings[0])
     if not any(c % k for c in basis.fields(total)):
         s = total // k
-        return 1, [tuple(x - s for x in xs) for xs in scalings]
-    return k, [tuple(k * x - total for x in xs) for xs in scalings]
-
-
-def _eigenvalue_zero(decode, sigma, *scalings):
-    """The scalings of ``_eigenvalue_zero_codes`` as scalars."""
-    k, shifted = _eigenvalue_zero_codes(decode, sigma, *scalings)
-    return [tuple(decode(x, k) for x in xs) for xs in shifted]
+        return basis, [tuple(x - s for x in xs) for xs in scalings]
+    return basis.refined(k), [tuple(k * x - total for x in xs) for xs in scalings]
 
 
 class NotConnected(ValueError):
@@ -220,20 +214,14 @@ class _PairSearch(_AutomorphismSearch):
 
     def units(self, found, eigenvalue_zero: bool):
         """A ``solution()`` as the unit pair (P, Q) of patterns sigma, tau
-        and scalings lam, mu = -nu, shifted to eigenvalue 0 if asked: over
-        the search's basis, or as scalars where the shift does not divide
-        in it."""
+        and scalings lam, mu = -nu, shifted to eigenvalue 0 if asked, over
+        the basis of the search or the one the shift returns."""
         n, nv, basis = self.n, self.nv, self.basis
         sigma, tau = found[:n], tuple(y - n for y in found[n:nv])
-        k, scalings = 1, (found[nv:nv + n], tuple(-x for x in found[nv + n:]))
+        scalings = (found[nv:nv + n], tuple(-x for x in found[nv + n:]))
         if eigenvalue_zero:
-            k, scalings = _eigenvalue_zero_codes(basis, sigma, *scalings)
-        if k == 1:
-            return tuple(map(MonomialMatrix._derived, (sigma, tau), scalings, (basis, basis)))
-        return tuple(
-            MonomialMatrix(pattern, [basis(x, k) for x in xs])
-            for pattern, xs in zip((sigma, tau), scalings)
-        )
+            basis, scalings = _eigenvalue_zero(basis, sigma, *scalings)
+        return tuple(map(MonomialMatrix._derived, (sigma, tau), scalings, (basis, basis)))
 
 
 def _cross(codes):
@@ -246,7 +234,8 @@ def _cross(codes):
 class PairSolution(tuple):
     """A solution (sigma, tau, lam, mu) of ``pair_solutions``.  Its
     ``units`` are the unit pair (P, Q) it reads, over the search's basis
-    where the shift to eigenvalue 0 divides in it."""
+    or, where the shift to eigenvalue 0 does not divide in it, a
+    refinement of that basis."""
 
     def __new__(cls, units):
         p, q = units
@@ -289,7 +278,7 @@ class _CommutingSearch:
         if not e.is_square():
             raise ValueError("commutation search needs a square matrix")
         n = e.nrows
-        self.e, self.decode = e.codes, e.basis
+        self.e, self.basis = e.codes, e.basis
         supp = [[x is not None for x in row] for row in self.e]
 
         def neighbours(i):
@@ -342,7 +331,8 @@ class _CommutingSearch:
 
     def solution(self):
         """(sigma, lam) of the full map, lam shifted to eigenvalue 0."""
-        return (tuple(self.sigma), *_eigenvalue_zero(self.decode, self.sigma, self.lam))
+        basis, (lam,) = _eigenvalue_zero(self.basis, self.sigma, self.lam)
+        return tuple(self.sigma), tuple(map(basis, lam))
 
 
 def commuting_solutions(e: TropMatrix):

@@ -28,17 +28,18 @@ fields, which is the scalar order: where two codes first differ the gap
 is one unit of that field's place, more than the lower fields can make
 up.  Calling a basis decodes.  The rules that keep codes exact:
 
-- a matrix owns a basis (``matrix.TropMatrix``), packed from its tokens
-  or by one ``encode`` of its scalars; derived matrices share it; two
-  bases meet only through one joint ``encode``, and bases of equal
-  ``key`` share their codes;
+- a code always lives in a basis: ``encode``, the one packer, gives every
+  matrix (``matrix.TropMatrix``) its basis as it is built; derived
+  matrices share it; two bases meet only through one joint ``encode``,
+  and bases of equal ``key`` share their codes;
 - width: a basis holds sums of fewer than 2^62 of its codes.  Unit
   products add at most three codes and stay in the basis; a matrix
   product is encoded afresh, since iterated squaring doubles its sums;
-- division happens only in decoding, by a cycle length: x - S/k stays
-  the code k*x - S with the divisor k, unless k divides every field of
-  S.  Whether k divides is asked of each unpacked field, never of the
-  packed int: with B = 4 the fields (1, 2) pack to 6, which 3 divides;
+- division by a cycle length k refines: x - S/k is the code k*x - S in
+  ``refined(k)`` (sums of k + 1 parent codes), or x - S/k in the basis
+  itself where k divides every field of S.  That is asked of each
+  unpacked field, never of the packed int: with B = 4 the fields (1, 2)
+  pack to 6, which 3 divides;
 - a code ``None`` never leaves code space as a scalar, and ``NEG_INF``
   never enters it; ``free_basis_check`` stays on ``Fraction``.
 """
@@ -48,6 +49,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import reduce, total_ordering
+from itertools import chain
 from math import lcm
 from operator import or_
 from typing import Iterable, Optional, Sequence, Union
@@ -297,25 +299,28 @@ _SPARE_BITS = 64
 
 
 class Basis:
-    """The packing of scalars into codes: the sorted tags, the lcm ``den``
-    of the denominators and the field width of one set of scalars, and the
-    scalars decoded so far.  Called on a code, it decodes it; ``key``
-    names the packing, so bases of equal keys share their codes."""
+    """The packing of scalars into codes: the lcm ``den`` of their
+    denominators, their sorted tags and the field width ``shift`` (by
+    default those of the scalar 0 alone), and the scalars decoded so far.
+    Called on a code, it decodes it; ``key`` names the packing, so bases
+    of equal keys share their codes."""
 
-    __slots__ = ("den", "pos", "shift", "key", "table")
+    __slots__ = ("den", "pos", "shift", "key", "table", "_refined")
 
-    def __init__(self, fields: Iterable[tuple[Fraction, tuple]]):
-        fields = list(fields)
-        rationals = [q for std, coeffs in fields for q in (std, *(c for _, c in coeffs))]
-        tags = {t for _, coeffs in fields for t, _ in coeffs}
-        # the bitwise or of the numerators' magnitudes has the bit length of
-        # the largest, and each field is at most that numerator times D
-        top = reduce(or_, (abs(q.numerator) for q in rationals), 0)
-        self.den = lcm(1, *{q.denominator for q in rationals})
-        self.pos = {t: k for k, t in enumerate(sorted(tags), 1)}
-        self.shift = top.bit_length() + self.den.bit_length() + _SPARE_BITS
-        self.key = (self.den, tuple(self.pos), self.shift)
-        self.table: dict = {None: NEG_INF}
+    def __init__(self, den: int = 1, tags: Iterable[int] = (), shift: int = 1 + _SPARE_BITS):
+        self.den, self.pos, self.shift = den, {t: k for k, t in enumerate(tags, 1)}, shift
+        self.key = (den, tuple(self.pos), shift)
+        self.table: dict = {None: NEG_INF, 0: ZERO}
+        self._refined: dict = {}
+
+    def refined(self, k: int) -> "Basis":
+        """This basis over the denominator k*D: the same tags and field
+        width, so that the code k*x - S of this basis reads x - S/k in it.
+        Built once per positive integer k; ``refined(1)`` is this basis."""
+        b = self if k == 1 else self._refined.get(k)
+        if b is None:
+            b = self._refined[k] = Basis(self.den * k, self.pos, self.shift)
+        return b
 
     def pack(self, std: Fraction, coeffs) -> int:
         """The code of the scalar of standard part ``std`` and
@@ -337,44 +342,44 @@ class Basis:
             code = (code - c) >> shift
         return out
 
-    def __call__(self, code: Code, k: int = 1) -> TropScalar:
-        """The scalar of a code, divided by the positive integer k, which
-        need not divide it; built once per code and divisor."""
-        key = code if k == 1 else (code, k)
-        x = self.table.get(key)
+    def __call__(self, code: Code) -> TropScalar:
+        """The scalar of a code, built once per code."""
+        x = self.table.get(code)
         if x is None:
-            row = self.fields(code)
-            if k != 1 and not any(c % k for c in row):
-                x = self(code // k)
-            else:
-                d = self.den * k
-                x = Value(
-                    Fraction(row[0], d),
-                    [(t, Fraction(row[i], d)) for t, i in self.pos.items() if row[i]],
-                )
-            self.table[key] = x
+            row, d = self.fields(code), self.den
+            x = self.table[code] = Value(
+                Fraction(row[0], d),
+                [(t, Fraction(row[i], d)) for t, i in self.pos.items() if row[i]],
+            )
         return x
 
 
-def encode(*groups: Iterable[TropScalar]) -> tuple[list[tuple[Code, ...]], Basis]:
-    """The codes of the scalars of each group over one shared basis, and
-    that basis, which decodes them.
+def encode(*groups: Iterable) -> tuple[list[tuple[Code, ...]], Basis]:
+    """The codes of the entries of each group over one shared basis, and
+    that basis, which decodes them.  An entry is any of ``scalar_fields``'
+    inputs, and each distinct one is read once: keyed by value, so equal
+    entries share one code.
 
-    Decoding returns an encoded scalar itself for the code of each
-    encoded scalar (the first one, when equal scalars are held in distinct
-    objects) and builds every other ``Value`` once per basis.
+    Decoding returns ``ZERO`` for the code 0, an encoded ``Value`` itself
+    for its code (the first one, when equal scalars are held in distinct
+    objects), and builds every other ``Value`` once per basis.
     """
     groups = [tuple(g) for g in groups]
-    # keyed by identity, which is cheaper than comparing fractions: an
-    # equal scalar in another object is encoded again, but a matrix holds
-    # one object per distinct value
-    finite = {id(x): x for g in groups for x in g if x is not NEG_INF}
-    basis = Basis((x.std, x.eps) for x in finite.values())
-    code_of: dict = {id(NEG_INF): None}
-    for key, x in finite.items():
-        code_of[key] = code = basis.pack(x.std, x.eps)
-        basis.table.setdefault(code, x)
-    return [tuple(map(code_of.__getitem__, map(id, g))) for g in groups], basis
+    fields = {x: scalar_fields(x) for x in dict.fromkeys(chain.from_iterable(groups))}
+    finite = [f for f in fields.values() if f is not None]
+    rationals = [q for std, coeffs in finite for q in (std, *(c for _, c in coeffs))]
+    # the bitwise or of the numerators' magnitudes has the bit length of
+    # the largest, and each field is at most that numerator times D
+    top = reduce(or_, (abs(q.numerator) for q in rationals), 0)
+    den = lcm(1, *{q.denominator for q in rationals})
+    tags = sorted({t for _, coeffs in finite for t, _ in coeffs})
+    basis = Basis(den, tags, top.bit_length() + den.bit_length() + _SPARE_BITS)
+    code_of = {}
+    for x, f in fields.items():
+        code_of[x] = code = None if f is None else basis.pack(*f)
+        if isinstance(x, Value):
+            basis.table.setdefault(code, x)
+    return [tuple(map(code_of.__getitem__, g)) for g in groups], basis
 
 
 # -- text format --

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .matrix import TropMatrix, _joint
-from .semiring import TropScalar
+from .semiring import TropScalar, encode
 
 
 class ZeroMatrix(ValueError):
@@ -61,10 +61,10 @@ def _principal(x, cols) -> Optional[list]:
 
 def member(x: Sequence[TropScalar], a: TropMatrix) -> Optional[SpanWitness]:
     """Principal-solution membership test for x in the column span of A."""
-    x = TropMatrix([x])
-    if x.ncols != a.nrows:
+    x = tuple(x)
+    if len(x) != a.nrows:
         raise ValueError("vector length must match the number of rows")
-    ((xc,), rows), decode = _joint(x, a)
+    (xc, *rows), decode = encode(x, *a.entries)
     coeffs = _principal(xc, list(zip(*rows)))
     if coeffs is None:
         return None

@@ -91,8 +91,8 @@ def _sigma_units(a: TropMatrix, pairs, u: MonomialMatrix, v: MonomialMatrix):
     int codes, given the units U, V of ``_eigenvector_units``.
 
     Returns (units, entries, basis): U, V and A share ``basis`` (after one
-    joint encode where their shifts to eigenvalue 0 did not divide in A's
-    basis), and ``entries`` are the codes of A's rows.  Each unit is
+    joint encode where U and V are over a refinement of A's basis), and
+    ``entries`` are the codes of A's rows.  Each unit is
     (s, p, t, q), the pair U^-1 @ s @ U, V @ t @ V^-1: patterns s, t and
     scaling codes p, q."""
     (du, dv, entries), basis = _joint(u, v, a)
@@ -277,9 +277,9 @@ def _eigenvector_units(
         elements = _sigma_generators(a)
 
     n, m = a.shape
-    # the units share A's basis unless a shift to eigenvalue 0 did not
-    # divide in it: then one encode of their scalings, and A meets U and V
-    # only where it is used with them (``_normal_form``, ``_sigma_units``)
+    # the units share A's basis or refinements of it, joined by one encode
+    # where they differ; A meets U and V only where it is used with them
+    # (``_normal_form``, ``_sigma_units``)
     units = [x for el in elements for x in (el.P, el.Q)]
     codes, basis = _joint(*units) if units else ([], a.basis)
     p_maps = [(el.P.sigma, [-x for x in c]) for el, c in zip(elements, codes[::2])]

@@ -8,6 +8,7 @@ squarings checks that products re-encode: their entries outgrow any basis
 they could inherit.  Counting tests pin how often a request encodes."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import matrix_f, ref_col_space_equal, ref_mat_mul, ref_member
-from tropgroups import cli, matrix
+from tropgroups import cli, matrix, spaces
 from tropgroups.constructors import construct_idempotent
 from tropgroups.matrix import (
     MonomialMatrix,
@@ -27,7 +28,7 @@ from tropgroups.matrix import (
 )
 from tropgroups.pairsearch import pair_solutions
 from tropgroups.permgroups import PermGroup
-from tropgroups.semiring import NEG_INF, Value, eps
+from tropgroups.semiring import NEG_INF, Basis, Value, eps
 from tropgroups.spaces import col_space_equal, h_related, member
 
 rationals = st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=4)
@@ -122,7 +123,7 @@ def test_pair_solutions_carry_their_units():
     """Each solution (sigma, tau, lam, mu) keeps the unit pair it reads.
     For a constructed witness the shift to eigenvalue 0 divides, and the
     units share the matrix's basis; for some generators of F it does not,
-    and their units hold scalars."""
+    and their units are over a refinement of that basis."""
     witness = construct_idempotent(PermGroup.from_cycles(4, ["(1,2,3,4)", "(1,3)"]))
     for a, shares in ((witness, True), (matrix_f(), False)):
         sols = pair_solutions(a, a) + pair_solutions(a, a, first_only=True)
@@ -130,37 +131,74 @@ def test_pair_solutions_carry_their_units():
         for sol in sols:
             p, q = sol.units
             assert (p, q) == (MonomialMatrix(sol[0], sol[2]), MonomialMatrix(sol[1], sol[3]))
-        shared = [p._row._basis is a.basis for sol in sols[:-1] for p in sol.units]
+        shared = [p.basis is a.basis for sol in sols[:-1] for p in sol.units]
         assert all(shared) if shares else not all(shared)
+        for sol in sols:
+            for p in sol.units:
+                assert p.basis is a.basis.refined(p.basis.den // a.basis.den)
+
+
+def test_every_construction_path_sets_codes_and_basis(monkeypatch):
+    """Every way to build a matrix or a unit sets its ``codes`` and
+    ``basis`` as it builds: reading them, or decoding the entries from
+    them, encodes nothing afterwards."""
+    a = TropMatrix([[Value(1), NEG_INF], [eps(1), Value(Fraction(1, 2))]])
+    built = [
+        a,
+        TropMatrix.from_rows([[1, "-inf"], ["e1", Fraction(1, 2)]]),
+        parse_matrix("1 -inf\ne1 1/2"),
+        parse_matrix('{"entries": [["1", "-inf"], ["e1", "1/2"]]}'),
+        TropMatrix._derived(a.codes, a.basis),
+        mat_mul(a, a),
+        MonomialMatrix((1, 0), [Value(1), eps(2)]),
+        MonomialMatrix.identity(3),
+        MonomialMatrix._derived((1, 0), a.codes[1][::-1], a.basis),
+    ]
+
+    def encode(*groups):
+        raise AssertionError("a read encoded")
+
+    monkeypatch.setattr(matrix, "encode", encode)
+    for m in built:
+        row = getattr(m, "_row", m)
+        assert isinstance(row.basis, Basis) and len(row.codes) == row.nrows
+        assert row.entries == tuple(tuple(map(row.basis, r)) for r in row.codes)
+    assert built[0] == built[1] == built[2] == built[3] == built[4]
 
 
 def _encodes(monkeypatch, argv):
-    """The number of ``encode`` calls one CLI request makes."""
+    """The numbers of ``encode`` calls one CLI request makes outside
+    parsing and in it (under ``parse_matrix``)."""
     calls = []
     encode = matrix.encode
 
     def counted(*groups):
-        calls.append(len(groups))
+        frame, parsing = sys._getframe(1), False
+        while frame is not None:
+            parsing |= frame.f_code.co_name == "parse_matrix"
+            frame = frame.f_back
+        calls.append(parsing)
         return encode(*groups)
 
-    monkeypatch.setattr(matrix, "encode", counted)
+    for module in (matrix, spaces):
+        monkeypatch.setattr(module, "encode", counted)
     assert cli.main(argv) == 0
-    return len(calls)
+    return calls.count(False), calls.count(True)
 
 
 def test_a_request_encodes_once_per_built_matrix_and_class(tmp_path, capsys, monkeypatch):
     """verify of F parses two matrices (the input and its text round trip),
-    which pack their codes without ``encode``, and analyses one class,
-    whose shifts to eigenvalue 0 do not divide in the input's basis: one
-    encode of its generators' scalings, which U and V share, and one joint
-    encode where verify meets the class with U and V.  A 'degree'
-    construct encodes its witness matrix once, and its one class shares
-    that basis."""
+    one encode each, and analyses one class, whose shifts to eigenvalue 0
+    do not divide in the input's basis: one encode of its generators'
+    scalings, which are over refinements of that basis and which U and V
+    share, and one joint encode where verify meets the class with U and V.
+    A 'degree' construct encodes its witness matrix once, and its one
+    class shares that basis."""
     f = tmp_path / "f.txt"
     f.write_text(matrix_f().to_text() + "\n")
-    assert _encodes(monkeypatch, ["analyze", str(f), "--json"]) == 1
-    assert _encodes(monkeypatch, ["verify", str(f), "--json"]) == 2
+    assert _encodes(monkeypatch, ["analyze", str(f), "--json"]) == (1, 1)
+    assert _encodes(monkeypatch, ["verify", str(f), "--json"]) == (2, 2)
     spec = tmp_path / "s.json"
     spec.write_text(json.dumps({"degree": 4, "generators": ["(1,2,3,4)", "(1,3)"]}))
-    assert _encodes(monkeypatch, ["construct", str(spec), "--json"]) == 1
+    assert _encodes(monkeypatch, ["construct", str(spec), "--json"]) == (1, 0)
     capsys.readouterr()

@@ -86,6 +86,27 @@ def test_bad_matrix_input_exits_2_without_traceback(tmp_path, text):
 
 
 @pytest.mark.parametrize(
+    "command, text, what",
+    [
+        ("analyze", '{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}", "JSON matrix"),
+        ("construct", "[" * 100_000 + "]" * 100_000, "construction spec"),
+    ],
+    ids=["matrix", "spec"],
+)
+def test_deeply_nested_json_exits_2_and_says_so(tmp_path, command, text, what):
+    """A JSON input nested past the parser's recursion limit, a matrix or
+    a construction spec, is a bad input like any other."""
+    path = write(tmp_path, "deep.json", text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropgroups", command, path],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {what} is nested too deeply\n"
+
+
+@pytest.mark.parametrize(
     "spec, message",
     [
         ({"vertices": 2, "edges": 5}, "edges must be a list"),

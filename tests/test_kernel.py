@@ -170,17 +170,20 @@ def test_eigenvalue_shift_on_codes_matches_scalar_shift():
 
         ev = ref_monomial_eigenvalue(MonomialMatrix(sigma, lam))
         assert monomial_eigenvalue(MonomialMatrix(sigma, lam)) == ev
-        shifted = _eigenvalue_zero(decode, sigma, lam_codes, mu_codes)
+        basis, codes = _eigenvalue_zero(decode, sigma, lam_codes, mu_codes)
+        shifted = [tuple(map(basis, xs)) for xs in codes]
         expected = [tuple(x - ev for x in lam), tuple(x - ev for x in mu)]
         assert shifted == expected
         for ours, ref in zip(shifted[0] + shifted[1], expected[0] + expected[1]):
             assert hash(ours) == hash(ref)
         k, total = cycle_mean(sigma, lam_codes)
+        before = undivided
         # per field, k * x - S is a multiple of k iff the field of S is:
         # the fields of S are D times the coordinates of its scalar
         den = lcm(*(c.denominator for y in lam + mu for c in (y.std, *dict(y.eps).values())))
         s = decode(total)
         undivided += any(den * c % k for c in (s.std, *dict(s.eps).values()))
+        assert basis is (decode.refined(k) if undivided > before else decode)
 
         if len(lengths) > 1:
             multiple += 1
@@ -201,11 +204,13 @@ def test_lazily_hashed_scalars_hash_equal_when_equal():
     x = Value(Fraction(1, 3), {2: Fraction(-1, 7)})
     h = hash(x)
     (codes,), decode = encode([x, Value(1)])
-    y = decode(3 * codes[0], 3)
+    # a 3-cycle of scaling sum 3x: the shift by x divides, so the codes stay
+    # in the parent basis, and the mate's scaling 2x shifts to x's code
+    basis, (_, (y,)) = _eigenvalue_zero(decode, (1, 2, 0), (3 * codes[0], 0, 0), (2 * codes[0],))
     z = Value(1, {2: Fraction(-3, 7)}).div_int(3)
-    assert y is x  # divisible: the encoded scalar itself
+    assert basis is decode and basis(y) is x  # divisible: the encoded scalar itself
     assert z == x and hash(z) == h
-    w = decode(codes[0], 3)
+    w = decode.refined(3)(codes[0])
     assert w == x.div_int(3) and hash(x.div_int(3)) == hash(w)
 
 

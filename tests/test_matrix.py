@@ -272,26 +272,29 @@ def test_equal_tokens_share_one_scalar():
     assert built[0, 2] is A_VAL  # a scalar passes through as it is
 
 
-def test_encode_meets_one_object_per_distinct_token(monkeypatch):
-    """``encode`` keys its scalars by identity, so over a parsed matrix it
-    encodes each distinct token once, however often the token occurs."""
-    import builtins
-
+def test_scalar_fields_runs_once_per_distinct_token(monkeypatch):
+    """``encode`` keys its entries by value, so parsing a matrix reads each
+    distinct token once, however often the token occurs, and encoding the
+    parsed scalars reads each distinct scalar once."""
     from tropgroups import semiring
 
     m = alt4_squared()
-    again = parse_matrix(m.to_text())
+    text = m.to_text()
+    tokens = {tok for line in text.splitlines() for tok in line.split()}
+    read = []
+    fields = semiring.scalar_fields
+
+    def counted(x):
+        read.append(x)
+        return fields(x)
+
+    monkeypatch.setattr(semiring, "scalar_fields", counted)
+    again = parse_matrix(text)
     assert again == m
-    tokens = {tok for line in m.to_text().splitlines() for tok in line.split()}
-    seen = set()
-
-    def identity(x):
-        seen.add(builtins.id(x))
-        return builtins.id(x)
-
-    monkeypatch.setattr(semiring, "id", identity, raising=False)
+    assert sorted(read) == sorted(tokens) and len(tokens) == 5
+    read.clear()
     semiring.encode(*again.entries)
-    assert len(seen - {builtins.id(NEG_INF)}) == len(tokens) == 5
+    assert len(read) == len(set(read)) == 5
 
 
 @given(st.integers(min_value=1, max_value=4))

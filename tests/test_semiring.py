@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropgroups.pairsearch import _eigenvalue_zero
 from tropgroups.semiring import (
     NEG_INF,
     Value,
@@ -102,7 +103,7 @@ def test_packed_codes_keep_the_longest_chains_of_sums_in_their_fields(pool, data
     """The longest chains of sums the program forms on codes of one
     ``encode`` call, over scalars that include the largest field of the
     basis in both signs: a cycle sum S of n codes (``cycle_mean``), k*x - S
-    with k <= n decoded with the divisor k (``_eigenvalue_zero``), a path
+    with k <= n decoded in the refined basis (``_eigenvalue_zero``), a path
     of n - 1 negated steps (``_propagate`` in ``normalize_eigenvectors``)
     and the scalings nu = ea - eb - nu' of ``_PairSearch.push`` along
     2n points.  Each result decodes to the ``Value`` computed alongside,
@@ -125,7 +126,7 @@ def test_packed_codes_keep_the_longest_chains_of_sums_in_their_fields(pool, data
     k = data.draw(st.integers(min_value=1, max_value=n), label="k")
     part, p = sum(codes[i] for i in cycle[:k]), sum((pool[i] for i in cycle[:k]), Value(0))
     j = data.draw(index, label="x")
-    assert decode(k * codes[j] - part, k) == pool[j] - p.div_int(k)
+    assert decode.refined(k)(k * codes[j] - part) == pool[j] - p.div_int(k)
     pairs.append((k * codes[j] - part, pool[j].mul_int(k) - p))
 
     w, u = 0, Value(0)
@@ -146,7 +147,9 @@ def test_divisibility_is_tested_per_field():
     """A code whose packed int a divisor k divides, though a field of it
     is not a multiple of k, decodes to the exact quotient: fields (1, 2)
     and k = 3.  The field width depends on the largest field of the call,
-    so a second scalar is chosen to make 3 divide the packed int."""
+    so a second scalar is chosen to make 3 divide the packed int.  The
+    shift to eigenvalue 0 of a 3-cycle of that scaling sum asks each
+    field, so it moves to the refined basis."""
     x = Value(1, {1: 2})
     for extra in range(1, 9):
         (codes,), decode = encode([x, Value(extra)])
@@ -154,8 +157,45 @@ def test_divisibility_is_tested_per_field():
             break
     else:
         pytest.fail("no field width made 3 divide the packed (1, 2)")
-    assert decode(codes[0], 3) == Value(Fraction(1, 3), {1: Fraction(2, 3)})
+    third = Value(Fraction(1, 3), {1: Fraction(2, 3)})
+    assert decode.refined(3)(codes[0]) == third
     assert decode(codes[0]) is x
+    basis, (lam,) = _eigenvalue_zero(decode, (1, 2, 0), (codes[0], 0, 0))
+    assert basis is decode.refined(3)
+    assert list(map(basis, lam)) == [x - third, -third, -third]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(wide_values, min_size=1, max_size=6), st.data())
+def test_refined_basis_divides_the_longest_chains_of_sums(pool, data):
+    """``basis.refined(k)`` reads the code k*x - S as x - S/k and S as
+    ``Value.div_int(S, k)``, for S a sum of up to 24 codes over scalars
+    that include the largest field of the basis in both signs and any
+    k <= n: the longest chains the shift to eigenvalue 0 forms."""
+    top = max(abs(c) for x in pool for c in (x.std, *dict(x.eps).values()))
+    tags = sorted({t for x in pool for t, _ in x.eps}) or [1]
+    pool = pool + [Value(top, {t: -top for t in tags}), Value(-top, {t: top for t in tags})]
+    (codes,), basis = encode(pool)
+    n = data.draw(st.integers(min_value=1, max_value=24), label="n")
+    index = st.integers(min_value=0, max_value=len(pool) - 1)
+    chain = data.draw(st.lists(index, min_size=n, max_size=n), label="chain")
+    total, s = sum(codes[i] for i in chain), sum((pool[i] for i in chain), Value(0))
+    k = data.draw(st.integers(min_value=1, max_value=n), label="k")
+    j = data.draw(index, label="x")
+    refined = basis.refined(k)
+    assert refined(k * codes[j] - total) == pool[j] - s.div_int(k)
+    assert refined(total) == s.div_int(k)
+
+
+def test_refined_bases_are_built_once_per_divisor():
+    """``refined(k)`` is one basis per k, ``refined(1)`` is the basis
+    itself, and a refinement keeps the tags and width but not the key."""
+    (_,), basis = encode([Value(1, {2: Fraction(1, 3)}), Value(-2, {5: 1})])
+    assert basis.refined(1) is basis
+    third = basis.refined(3)
+    assert basis.refined(3) is third and third.refined(1) is third
+    assert (third.den, third.pos, third.shift) == (3 * basis.den, basis.pos, basis.shift)
+    assert third.key != basis.key and basis.refined(2).key not in (basis.key, third.key)
 
 def test_trop_add_examples():
     assert trop_add(NEG_INF, val(3)) == val(3)
