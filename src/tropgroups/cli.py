@@ -24,7 +24,6 @@ from .constructors import (
 )
 from .errors import SearchBudgetExceeded
 from .matrix import (
-    MonomialMatrix,
     MultipleEigenvalues,
     TropMatrix,
     is_idempotent,
@@ -51,8 +50,7 @@ from .stabilizer import (
     classification_conditions,
     group_description,
     require_idempotent,
-    _eigenvector_units,
-    _sigma_generators,
+    _block_sigma,
     _sigma_units,
 )
 
@@ -296,19 +294,6 @@ def cmd_approximate(args) -> int:
     return 0
 
 
-def _pair_equation(entries, s, p, t, q) -> bool:
-    """P @ A = A @ Q on codes, for A of row codes ``entries``: each
-    p_i + A[s(i)][t(k)] equals A[i][k] + q_k, both finite or neither."""
-    for row, x_row, lam in zip(entries, s, p):
-        for x, y, mu in zip(map(entries[x_row].__getitem__, t), row, q):
-            if x is None or y is None:
-                if x is not y:
-                    return False
-            elif lam + x != y + mu:
-                return False
-    return True
-
-
 def _commutes_as_sigma(e: TropMatrix, sigma: PermGroup, u, v) -> bool:
     """Whether the units commuting with the idempotent E are its Sigma, of
     pattern group ``sigma`` and eigenvector units U, V: the commuting group,
@@ -320,12 +305,12 @@ def _commutes_as_sigma(e: TropMatrix, sigma: PermGroup, u, v) -> bool:
     found, order = base_and_orbit(search, search.order, act=lambda f, i: f[0][i])
     comm = PermGroup(e.nrows, [Perm._of(s) for s, _ in found])
     # P @ E = E @ P makes (P, P) the stabilizer pair of P
-    units, _entries, decode = _sigma_units(e, [(g, g) for g in comm.generators], u, v)
+    units = _sigma_units(e, [(g, g) for g in comm.generators], u, v)
     return (
         order == sigma.order()
         and all(map(sigma.contains, comm.generators))
         and all(map(comm.contains, sigma.generators))
-        and all(tuple(map(decode, p)) == lam for (_s, p, _t, _q), (_, lam) in zip(units, found))
+        and all(p.scalings == lam for (p, _q), (_, lam) in zip(units, found))
     )
 
 
@@ -334,11 +319,12 @@ def verify_flags(a: TropMatrix) -> dict:
 
     Every stage is read from one ``Analysis``, and every check of Sigma
     runs on the generators of each factor's pattern group, the one the
-    analysis reported, as units on int codes (``_sigma_units``); no
-    group is listed.  Generators suffice: each check is kept by products
-    and inverses.  The pair equation P @ A = A @ Q, eigenvalue 0 as a zero
-    code sum on every cycle of P and of Q, position agreement as a zero
-    scaling code at every fixed point, ``h_related(P @ A, A)`` and the
+    analysis reported, as unit pairs (P, Q) over the block's basis
+    (``_sigma_units``); no group is listed.  Generators suffice: each
+    check is kept by products and inverses.  The pair equation
+    P @ A = A @ Q and ``h_related(P @ A, A)`` on one product P @ A,
+    eigenvalue 0 as a zero code sum on every cycle of P and of Q, position
+    agreement as a zero scaling code at every fixed point, and the
     eigenvector normal form (``an.normalisations``, whose B only this
     check reads) run on each generator; closure is the order
     of the left patterns' group, which must be the factor's.  On a
@@ -359,18 +345,19 @@ def verify_flags(a: TropMatrix) -> dict:
         an.partition.classes, an.normalisations, an.description.factors
     ):
         rep = an.restrictions[cls.representative]
-        units, entries, basis = _sigma_units(rep, factor.paired.generators, u, v)
         bc = b.codes
         closure_ok &= factor.paired.left_group().order() == factor.order
-        for s, p, t, q in units:
-            pair_ok &= _pair_equation(entries, s, p, t, q)
+        for p, q in _sigma_units(rep, factor.paired.generators, u, v):
+            s, t = p.sigma, q.sigma
+            pa = p.left_apply(rep)
+            pair_ok &= pa == q.right_apply(rep)
             try:
-                eigen_ok &= not cycle_mean(s, p)[1]
-                eigen_ok &= not cycle_mean(t, q)[1]
+                eigen_ok &= not cycle_mean(s, p.codes)[1]
+                eigen_ok &= not cycle_mean(t, q.codes)[1]
             except MultipleEigenvalues:
                 eigen_ok = False
-            agree_ok &= not any(p[i] for i, x in enumerate(s) if x == i)
-            h_ok &= h_related(MonomialMatrix._derived(s, p, basis).left_apply(rep), rep)
+            agree_ok &= not any(c for i, (x, c) in enumerate(zip(s, p.codes)) if x == i)
+            h_ok &= h_related(pa, rep)
             # in normal form the pair acts on B by plain permutations
             norm_ok &= all(
                 tuple(map(bc[x].__getitem__, t)) == row for x, row in zip(s, bc)
@@ -397,9 +384,8 @@ def verify_flags(a: TropMatrix) -> dict:
                 if idx == cls.representative:
                     (u, v), sigma = units, factor.finite_part
                 else:
-                    gens = _sigma_generators(r)
-                    u, v = _eigenvector_units(r, gens)
-                    sigma = PermGroup(r.nrows, [Perm._of(g.P.sigma) for g in gens])
+                    group, (u, v) = _block_sigma(r)
+                    sigma = group.left_group()
                 idem_ok &= _commutes_as_sigma(r, sigma, u, v)
         flags["idempotent_restrictions"] = idem_ok
     return flags

@@ -309,7 +309,7 @@ class MonomialMatrix:
         if self.degree != a.ncols:
             raise ValueError("dimension mismatch")
         (scal, rows), basis = _joint(self, a)
-        pre = self.invert().sigma
+        pre = sorted(range(self.degree), key=self.sigma.__getitem__)  # sigma^-1
         return TropMatrix._derived(
             [[None if row[k] is None else row[k] + scal[k] for k in pre] for row in rows],
             basis,
@@ -379,15 +379,15 @@ def is_idempotent(e: TropMatrix) -> bool:
 
 
 def idempotent_power(a: TropMatrix, max_squarings: int = 64) -> TropMatrix:
-    """Iterated squaring until a fixed point E = E @ E is reached."""
+    """Iterated squaring until a fixed point E = E @ E is reached, each
+    power checked on codes (``is_idempotent``) before it is squared."""
     if not a.is_square():
         raise ValueError("square matrix required")
     b = a
     for _ in range(max_squarings):
-        b2 = mat_mul(b, b)
-        if b2 == b:
+        if is_idempotent(b):
             return b
-        b = b2
+        b = mat_mul(b, b)
     raise NoIdempotentPower(f"no idempotent power within {max_squarings} squarings")
 
 

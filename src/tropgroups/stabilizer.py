@@ -4,13 +4,15 @@ For a full-rank matrix A, the units P with C(P @ A) = C(A) form a group;
 each such P pairs with a unique unit Q satisfying P @ A = A @ Q.  When the
 finite-entry graph of A is connected every element has a single eigenvalue
 (the common cycle mean of its pattern) and the group splits as a scaling
-line times the finite group Sigma of eigenvalue-0 elements.  The pair search
-yields generators of Sigma; the analysis reads its order and reported
-generators off the Sims table of their patterns' group.  The unit of any
-pattern pair of that group has its scalings read off the common
-eigenvectors, the diagonal units U, V that ``_eigenvector_units`` finds,
-as int codes (``_sigma_units``): ``verify`` takes the generators' units,
-and ``stabilizer_pairs`` lists the group for all of them.  The normal form
+line times the finite group Sigma of eigenvalue-0 elements.  A Sigma
+element is its unit pair (P, Q), two ``MonomialMatrix``es over one basis;
+the public ``StabilizerElement`` adds the eigenvalue.  ``_block_sigma``
+serves each connected block: the pair search's generators of Sigma give
+the pattern group, off whose Sims table the analysis reads Sigma's order
+and reported generators, and the common eigenvectors, the diagonal units
+U, V of ``_eigenvector_units``.  ``_sigma_units`` scales any pattern pair
+of that group by U and V into its unit pair: ``verify`` takes the
+generators' pairs, and ``stabilizer_pairs`` lists the group.  The normal form
 B = U @ A @ V of ``normalize_eigenvectors``, on which Sigma acts by plain
 permutations, is built only where it is read (``_normal_form``).
 
@@ -80,47 +82,37 @@ def _sorted_elements(elements: list[StabilizerElement]) -> list[StabilizerElemen
     return sorted(elements, key=lambda e: (e.P.sigma, e.Q.sigma, e.P.scalings))
 
 
-def _sigma_generators(a: TropMatrix) -> list[StabilizerElement]:
-    """Generators of the Sigma of a connected full-rank matrix, each
-    shifted to eigenvalue 0 by the pair search."""
-    return [StabilizerElement(p, q, ZERO) for p, q in (s.units for s in pair_solutions(a, a))]
+def _block_sigma(a: TropMatrix) -> tuple[PairedPermGroup, tuple[MonomialMatrix, MonomialMatrix]]:
+    """The pattern group of the Sigma of a connected full-rank block, on
+    the pattern pairs of the pair search's generators, and the block's
+    eigenvector units (U, V) from those generators' unit pairs."""
+    gens = [s.units for s in pair_solutions(a, a)]
+    pairs = [(Perm._of(p.sigma), Perm._of(q.sigma)) for p, q in gens]
+    return PairedPermGroup(a.shape, pairs), _eigenvector_units(a, gens)
 
 
 def _sigma_units(a: TropMatrix, pairs, u: MonomialMatrix, v: MonomialMatrix):
-    """The Sigma element of each pattern pair (g, h) in ``pairs``, on
-    int codes, given the units U, V of ``_eigenvector_units``.
-
-    Returns (units, entries, basis): U, V and A share ``basis`` (after one
-    joint encode where U and V are over a refinement of A's basis), and
-    ``entries`` are the codes of A's rows.  Each unit is
-    (s, p, t, q), the pair U^-1 @ s @ U, V @ t @ V^-1: patterns s, t and
-    scaling codes p, q."""
-    (du, dv, entries), basis = _joint(u, v, a)
-    units = []
-    for g, h in pairs:
-        s, t = g.images, h.images
-        p = tuple(du[x] - du[i] for i, x in enumerate(s))
-        q = tuple(dv[j] - dv[y] for j, y in enumerate(t))
-        units.append((s, p, t, q))
-    return units, entries, basis
+    """The Sigma element (P, Q) of each pattern pair (g, h) in ``pairs``,
+    P = U^-1 @ g @ U and Q = V @ h @ V^-1, given the units U, V of
+    ``_eigenvector_units``.  U, V and A meet in one basis first (one
+    joint encode where U and V are over a refinement of A's basis), which
+    every P and Q shares, so that their products with A encode nothing."""
+    (du, dv, _), basis = _joint(u, v, a)
+    return [
+        (
+            MonomialMatrix._derived(s, [du[x] - du[i] for i, x in enumerate(s)], basis),
+            MonomialMatrix._derived(t, [dv[j] - dv[y] for j, y in enumerate(t)], basis),
+        )
+        for s, t in ((g.images, h.images) for g, h in pairs)
+    ]
 
 
 def _connected_sigma(a: TropMatrix) -> list[StabilizerElement]:
     """All stabilizer pairs of a connected full-rank matrix with eigenvalue
     0, one per pattern pair."""
-    gens = _sigma_generators(a)
-    u, v = _eigenvector_units(a, gens)
-    pairs = [(Perm._of(g.P.sigma), Perm._of(g.Q.sigma)) for g in gens]
-    group = PairedPermGroup(a.shape, pairs)
-    units, _entries, basis = _sigma_units(a, group.elements(), u, v)
-    return _sorted_elements(
-        [
-            StabilizerElement(
-                MonomialMatrix._derived(s, p, basis), MonomialMatrix._derived(t, q, basis), ZERO
-            )
-            for s, p, t, q in units
-        ]
-    )
+    group, (u, v) = _block_sigma(a)
+    units = _sigma_units(a, group.elements(), u, v)
+    return _sorted_elements([StabilizerElement(p, q, ZERO) for p, q in units])
 
 
 def right_mate(a: TropMatrix, p: MonomialMatrix) -> MonomialMatrix:
@@ -251,39 +243,42 @@ def normalize_eigenvectors(
     is generators from the pair search).  U and V are those of
     ``_eigenvector_units``, which the analysis keeps; B is ``_normal_form``.
     """
-    u, v = _eigenvector_units(a, elements)
+    pairs = None if elements is None else [(el.P, el.Q) for el in elements]
+    u, v = _eigenvector_units(a, pairs)
     return u, v, _normal_form(a, u, v)
 
 
 def _eigenvector_units(
-    a: TropMatrix, elements: Optional[list[StabilizerElement]] = None
+    a: TropMatrix, pairs: Optional[list[tuple[MonomialMatrix, MonomialMatrix]]] = None
 ) -> tuple[MonomialMatrix, MonomialMatrix]:
-    """The units U, V of ``normalize_eigenvectors``, without B.
+    """The units U, V of ``normalize_eigenvectors``, without B, from the
+    unit pairs (P, Q) of Sigma elements, or from the pair search's
+    generators when ``pairs`` is None.
 
     The common right eigenvector u, with u_i = lam_i + u_sigma(i) for
-    every element, is propagated along the elements from each least
+    every pair, is propagated along the pairs from each least
     not-yet-covered coordinate, and the left eigenvector v, with
     v_tau(j) = v_j + mu_j, likewise.  Both equations are checked at every
-    point for every element; they are exactly the conditions for U and V
-    to conjugate each element to a permutation.  The support of A must be
+    point for every pair; they are exactly the conditions for U and V
+    to conjugate each pair to a permutation.  The support of A must be
     connected (an all--inf row or column is a component of its own).
     """
     support = [[x is not None for x in row] for row in a.codes]
     if len(support_components(support)) != 1:
         raise NotConnected("eigenvector normalisation needs a connected matrix")
-    if elements is None:
+    if pairs is None:
         if not has_full_rank(a):
             raise NotFullRank("eigenvector normalisation requires full rank")
-        elements = _sigma_generators(a)
+        pairs = [s.units for s in pair_solutions(a, a)]
 
     n, m = a.shape
     # the units share A's basis or refinements of it, joined by one encode
     # where they differ; A meets U and V only where it is used with them
     # (``_normal_form``, ``_sigma_units``)
-    units = [x for el in elements for x in (el.P, el.Q)]
+    units = [x for pair in pairs for x in pair]
     codes, basis = _joint(*units) if units else ([], a.basis)
-    p_maps = [(el.P.sigma, [-x for x in c]) for el, c in zip(elements, codes[::2])]
-    q_maps = [(el.Q.sigma, c) for el, c in zip(elements, codes[1::2])]
+    p_maps = [(p.sigma, [-x for x in c]) for (p, _), c in zip(pairs, codes[::2])]
+    q_maps = [(q.sigma, c) for (_, q), c in zip(pairs, codes[1::2])]
     u, v = _propagate(n, p_maps), _propagate(m, q_maps)
     return tuple(
         MonomialMatrix._derived(range(len(w)), [-x for x in w], basis) for w in (u, v)
@@ -426,13 +421,10 @@ def analyze_matrix(a: TropMatrix) -> Analysis:
     restrictions = tuple(_restrict_unchecked(z, c) for c in part.components)
     units, factors = [], []
     for cls in part.classes:
-        rep = restrictions[cls.representative]
-        gens = _sigma_generators(rep)
-        units.append(_eigenvector_units(rep, gens))
-        pairs = [(Perm._of(g.P.sigma), Perm._of(g.Q.sigma)) for g in gens]
-        paired = PairedPermGroup(rep.shape, pairs).greedy()
+        group, uv = _block_sigma(restrictions[cls.representative])
+        units.append(uv)
         comp = part.components[cls.representative]
-        factors.append(make_factor(paired, len(cls.members), comp))
+        factors.append(make_factor(group.greedy(), len(cls.members), comp))
     return Analysis(
         reduced=z,
         kept_rows=tuple(rows),

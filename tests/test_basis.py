@@ -193,7 +193,10 @@ def test_a_request_encodes_once_per_built_matrix_and_class(tmp_path, capsys, mon
     scalings, which are over refinements of that basis and which U and V
     share, and one joint encode where verify meets the class with U and V.
     A 'degree' construct encodes its witness matrix once, and its one
-    class shares that basis."""
+    class shares that basis.  approximate encodes the substituted matrix
+    and each square it needs, not the last square, which equals its
+    input: F's substituted matrix is idempotent, and that of G, whose
+    third row holds a 1 off the diagonal, needs one square."""
     f = tmp_path / "f.txt"
     f.write_text(matrix_f().to_text() + "\n")
     assert _encodes(monkeypatch, ["analyze", str(f), "--json"]) == (1, 1)
@@ -201,4 +204,8 @@ def test_a_request_encodes_once_per_built_matrix_and_class(tmp_path, capsys, mon
     spec = tmp_path / "s.json"
     spec.write_text(json.dumps({"degree": 4, "generators": ["(1,2,3,4)", "(1,3)"]}))
     assert _encodes(monkeypatch, ["construct", str(spec), "--json"]) == (1, 0)
+    assert _encodes(monkeypatch, ["approximate", str(f), "2", "--json"]) == (1, 1)
+    g = tmp_path / "g.txt"
+    g.write_text("0 -inf -inf\n-inf 0 -inf\n-inf 1 0\n")
+    assert _encodes(monkeypatch, ["approximate", str(g), "1", "--json"]) == (2, 1)
     capsys.readouterr()

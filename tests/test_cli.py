@@ -605,32 +605,35 @@ def test_verify_flags_report_only_multiple_eigenvalues_as_false(monkeypatch):
 
 def _flags_with_one_code_shifted(monkeypatch, side, at_fixed_point):
     """The false flags of F when every call of ``_sigma_units`` shifts by 1
-    one scaling code on ``side`` ("P" or "Q") of the first generator unit
-    it gives whose pattern on that side moves a point, at a fixed point of
-    that pattern or at a moved point.  verify calls it for the factor's
+    one scaling code on ``side`` ("P" or "Q") of the first unit pair it
+    gives whose unit on that side moves a point, at a fixed point of that
+    unit's pattern or at a moved point.  verify calls it for the factor's
     generators and for the commuting generators."""
     from tropgroups import cli
+    from tropgroups.matrix import MonomialMatrix
 
     orig = cli._sigma_units
     shifted = []
 
-    def bump(codes, i):
+    def bump(unit, i):
         # + 1 on the packed int is + 1 on its lowest field: a nonzero shift
-        return codes[:i] + (codes[i] + 1,) + codes[i + 1 :]
+        codes = list(unit.codes)
+        codes[i] += 1
+        return MonomialMatrix._derived(unit.sigma, codes, unit.basis)
 
     def perturbed(*args):
-        units, *rest = orig(*args)
-        for k, (s, p, t, q) in enumerate(units):
-            pattern = s if side == "P" else t
+        units = orig(*args)
+        for k, (p, q) in enumerate(units):
+            pattern = (p if side == "P" else q).sigma
             fixed = [i for i, x in enumerate(pattern) if x == i]
             moved = [i for i, x in enumerate(pattern) if x != i]
             spots = fixed if at_fixed_point else moved
             if spots and moved:
                 i = spots[0]
-                bad = (s, bump(p, i), t, q) if side == "P" else (s, p, t, bump(q, i))
+                bad = (bump(p, i), q) if side == "P" else (p, bump(q, i))
                 shifted.append(bad)
-                return [*units[:k], bad, *units[k + 1 :]], *rest
-        return units, *rest
+                return [*units[:k], bad, *units[k + 1 :]]
+        return units
 
     monkeypatch.setattr(cli, "_sigma_units", perturbed)
     broken = {name for name, ok in verify_flags(matrix_f()).items() if not ok}
@@ -672,6 +675,49 @@ def _symmetric_witness(n):
     return construct_idempotent(PermGroup.from_cycles(n, [cycle, "(1,2)"]))
 
 
+def _two_s3_blocks():
+    """The S3 witness repeated as two diagonal blocks, -inf between them."""
+    from tropgroups.constructors import assemble_blocks
+    from tropgroups.semiring import NEG_INF
+
+    return assemble_blocks([(_symmetric_witness(3), 2)], NEG_INF)
+
+
+def test_verify_checks_the_sigma_of_every_member_of_a_class(monkeypatch):
+    """Two S3 blocks form one class of two members: analyze reports
+    (R x S3) wr S_2, verify sets every flag, and the idempotent check
+    finds the Sigma of the member that is not the representative with
+    ``_block_sigma`` of its own.  That Sigma cut down to the group of
+    its first generator alone turns only ``idempotent_restrictions``
+    false."""
+    from tropgroups import cli
+    from tropgroups.permgroups import PairedPermGroup
+
+    a = _two_s3_blocks()
+    an = cli.analyze_matrix(a)
+    assert an.description.formula() == "(R x S3) wr S_2"
+    (cls,) = an.partition.classes
+    member = an.restrictions[cls.members[1]]
+    assert cls.members[1] != cls.representative
+
+    block_sigma, calls = cli._block_sigma, []
+
+    def counted(r):
+        calls.append(r)
+        return block_sigma(r)
+
+    def cut(r):
+        group, units = block_sigma(r)
+        return PairedPermGroup(group.degrees, group.generators[:1]), units
+
+    monkeypatch.setattr(cli, "_block_sigma", counted)
+    flags = verify_flags(a)
+    assert len(flags) == 11 and all(flags.values()), flags
+    assert calls == [member]
+    monkeypatch.setattr(cli, "_block_sigma", cut)
+    assert _false_flags(a) == {"idempotent_restrictions"}
+
+
 @pytest.mark.parametrize("n", [9, 12])
 def test_verify_checks_a_large_symmetric_group_on_generators(n):
     """verify lists neither Sigma nor the commuting units: the S_9 and
@@ -693,7 +739,7 @@ def test_verify_flags_catch_seeded_mutations(monkeypatch):
     Sigma, which only the comparison with the commuting units sees; a
     first eigenvector scaling of U shifted by 1 breaks the units of every
     generator that moves point 0, and the normal form built from it."""
-    from tropgroups import cli, stabilizer
+    from tropgroups import stabilizer
     from tropgroups.matrix import MonomialMatrix
     from tropgroups.semiring import val
 
@@ -716,8 +762,9 @@ def test_verify_flags_catch_seeded_mutations(monkeypatch):
         u, v = units(*args)
         return MonomialMatrix(u.sigma, (u.scalings[0] + val(1), *u.scalings[1:])), v
 
-    for mod in (cli, stabilizer):
-        monkeypatch.setattr(mod, "_eigenvector_units", shifted)
+    # _block_sigma reads the units for the analysis and for verify's
+    # other members of a class alike
+    monkeypatch.setattr(stabilizer, "_eigenvector_units", shifted)
     assert _false_flags(matrix_f()) == {
         "eigenvector_normalisation",
         "h_related",

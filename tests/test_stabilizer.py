@@ -36,7 +36,6 @@ from tropgroups.stabilizer import (
     right_mate,
     stabilizer_pairs,
     StabilizerElement,
-    _sigma_generators,
 )
 from tropgroups.permgroups import PairedPermGroup, Perm
 
@@ -361,7 +360,7 @@ def test_normalize_eigenvectors_from_generators_or_elements():
     for matrix in (matrix_e(), matrix_f(), reduce_full_rank(block16)[0]):
         an = analyze_matrix(matrix)
         assert an.reduced == matrix and len(an.normalisations) == 1
-        gens = _sigma_generators(matrix)
+        gens = [StabilizerElement(*sol.units, Value(0)) for sol in pair_solutions(matrix, matrix)]
         elements = stabilizer_pairs(matrix)
         assert len(gens) < len(elements)
         assert normalize_eigenvectors(matrix, gens) == normalize_eigenvectors(
