@@ -91,7 +91,6 @@ from .stabilizer import (
     make_factor,
     maximal_subgroup,
     normalize_eigenvectors,
-    right_mate,
     stabilizer_pairs,
 )
 from .constructors import (

@@ -134,7 +134,7 @@ def _component_json(part) -> list[dict]:
                 "rows": [i + 1 for i in comp.rows],
                 "cols": [j + 1 for j in comp.cols],
                 "class": cls_index,
-                "witness": _unit_json(part.classes[cls_index].witnesses[member_pos]),
+                "witness": _unit_json(part.classes[cls_index].witnesses[member_pos][0]),
             }
         )
     return out

@@ -78,12 +78,12 @@ def _restrict_unchecked(a: TropMatrix, component: Component) -> TropMatrix:
     return a.submatrix(component.rows, component.cols)
 
 
-def _first_pair_solution(target: TropMatrix, source: TropMatrix) -> Optional[MonomialMatrix]:
-    """A unit P with P @ source = target @ Q for some unit Q, if any."""
+def _first_pair_solution(target: TropMatrix, source: TropMatrix) -> Optional[tuple]:
+    """A unit pair (P, Q) with P @ source = target @ Q, if any."""
     if target.shape != source.shape:
         return None
     sols = pair_solutions(target, source, first_only=True)
-    return sols[0].units[0] if sols else None
+    return sols[0].units if sols else None
 
 
 def col_space_isomorphic(a: TropMatrix, b: TropMatrix) -> Optional[MonomialMatrix]:
@@ -98,7 +98,8 @@ def col_space_isomorphic(a: TropMatrix, b: TropMatrix) -> Optional[MonomialMatri
     comps_a = connected_components(a)
     comps_b = connected_components(b)
     if len(comps_a) == 1 and len(comps_b) == 1:
-        return _first_pair_solution(a, b)
+        pair = _first_pair_solution(a, b)
+        return pair and pair[0]
     if len(comps_a) != len(comps_b):
         return None
     if sorted((len(c.rows), len(c.cols)) for c in comps_a) != sorted(
@@ -113,10 +114,10 @@ def col_space_isomorphic(a: TropMatrix, b: TropMatrix) -> Optional[MonomialMatri
     for ca in comps_a:
         restr = _restrict_unchecked(a, ca)
         for j in unused:
-            local = _first_pair_solution(restr, restr_b[j])
-            if local is not None:
+            pair = _first_pair_solution(restr, restr_b[j])
+            if pair is not None:
                 unused.remove(j)
-                matching.append((ca, comps_b[j], local))
+                matching.append((ca, comps_b[j], pair[0]))
                 break
         else:
             return None
@@ -138,12 +139,15 @@ class ComponentClass:
     """Components with pairwise isomorphic restricted column spaces.
 
     ``members`` are indices into the component list; the representative is
-    the first member.  ``witnesses[k]`` is a unit U with
-    C(U @ A|_members[k]) = C(A|_representative).
+    the first member.  ``witnesses[k]`` is the unit pair (P, Q) of the pair
+    search with P @ A|_members[k] = A|_representative @ Q, the identity
+    pair for the representative.  The swaps of row i and column j of the
+    representative with row P.sigma[i] and column Q.sigma[j] of each member
+    and the representative's Sigma generate the class's canonical subgroup.
     """
 
     members: tuple[int, ...]
-    witnesses: tuple[MonomialMatrix, ...]
+    witnesses: tuple[tuple[MonomialMatrix, MonomialMatrix], ...]
 
     @property
     def representative(self) -> int:
@@ -164,8 +168,8 @@ def class_partition(a: TropMatrix) -> ComponentPartition:
     the searches made for it."""
     comps = connected_components(a)
     restrs = [_restrict_unchecked(a, c) for c in comps]
-    classes: list[tuple[list[int], list[MonomialMatrix]]] = []
-    searched: dict[tuple[int, TropMatrix], Optional[MonomialMatrix]] = {}
+    classes: list[tuple[list[int], list]] = []
+    searched: dict[tuple[int, TropMatrix], Optional[tuple]] = {}
     for idx, restr in enumerate(restrs):
         placed = False
         for members, witnesses in classes:
@@ -181,7 +185,7 @@ def class_partition(a: TropMatrix) -> ComponentPartition:
                 placed = True
                 break
         if not placed:
-            classes.append(([idx], [MonomialMatrix.identity(restr.nrows)]))
+            classes.append(([idx], [tuple(map(MonomialMatrix.identity, restr.shape))]))
     return ComponentPartition(
         tuple(comps),
         tuple(

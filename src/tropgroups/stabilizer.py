@@ -12,22 +12,25 @@ the pattern group, off whose Sims table the analysis reads Sigma's order
 and reported generators, and the common eigenvectors, the diagonal units
 U, V of ``_eigenvector_units``.  ``_sigma_units`` scales any pattern pair
 of that group by U and V into its unit pair: ``verify`` takes the
-generators' pairs, and ``stabilizer_pairs`` lists the group.  The normal form
-B = U @ A @ V of ``normalize_eigenvectors``, on which Sigma acts by plain
-permutations, is built only where it is read (``_normal_form``).
+generators' pairs, and ``stabilizer_pairs`` lists the group of ``_sigma``.
+The normal form B = U @ A @ V of ``normalize_eigenvectors``, on which Sigma
+acts by plain permutations, is built only where it is read
+(``_normal_form``).
 
 Disconnected matrices decompose along component classes: the full group is
 a direct product over classes of wreath-type factors, one (R x G_alpha) per
 isomorphism class of component column spaces, wrapped by the symmetric
-group permuting the h_alpha components of the class.  ``stabilizer_pairs``
-materialises the canonical finite subgroup built from per-class Sigma and
-the stored class witnesses; ``group_description`` records the factors
+group permuting the h_alpha components of the class.  Its canonical finite
+subgroup is one pattern group on all n + m points (``_sigma``), generated
+by each class representative's Sigma and by the swaps of the
+representative with each other member that the member's witness pair
+(P, Q) gives; ``stabilizer_pairs`` lists it as it lists a connected
+matrix's Sigma, and ``group_description`` records the factors
 symbolically.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
@@ -45,7 +48,6 @@ from .matrix import (
     TropMatrix,
     _joint,
     is_idempotent,
-    monomial_eigenvalue,
 )
 from .pairsearch import NotConnected, commuting_solutions, pair_solutions
 from .permgroups import (
@@ -55,10 +57,9 @@ from .permgroups import (
     format_cycles,
     identify_group,
     is_paired_two_closed,
-    search_budget,
 )
 from .semiring import ZERO, Value
-from .spaces import has_full_rank, reduce_full_rank, _scaling_gap
+from .spaces import has_full_rank, reduce_full_rank
 
 
 class NotFullRank(ValueError):
@@ -107,97 +108,64 @@ def _sigma_units(a: TropMatrix, pairs, u: MonomialMatrix, v: MonomialMatrix):
     ]
 
 
-def _connected_sigma(a: TropMatrix) -> list[StabilizerElement]:
-    """All stabilizer pairs of a connected full-rank matrix with eigenvalue
-    0, one per pattern pair."""
-    group, (u, v) = _block_sigma(a)
-    units = _sigma_units(a, group.elements(), u, v)
-    return _sorted_elements([StabilizerElement(p, q, ZERO) for p, q in units])
-
-
-def right_mate(a: TropMatrix, p: MonomialMatrix) -> MonomialMatrix:
-    """The unique unit Q with P @ A = A @ Q, for P in the stabilizer of a
-    full-rank matrix.  Each column of P @ A is a scaling of exactly one
-    column of A."""
-    (bc, ac), basis = _joint(p.left_apply(a), a)
-    bcols, acols = list(zip(*bc)), list(zip(*ac))
-    tau = [-1] * a.ncols
-    mu: list = [None] * a.ncols
-    for j, bc in enumerate(bcols):
-        for k, ac in enumerate(acols):
-            gap = _scaling_gap(bc, ac)
-            if gap is not None:
-                if tau[k] != -1:
-                    raise ValueError("column image is ambiguous; not full rank")
-                tau[k] = j
-                mu[k] = gap
-                break
-        else:
-            raise ValueError("P is not a stabilizer element of the matrix")
-    return MonomialMatrix._derived(tau, mu, basis)
-
-
 def stabilizer_pairs(a: TropMatrix) -> list[StabilizerElement]:
     """The finite group Sigma of eigenvalue-0 stabilizer pairs of a
     full-rank matrix.
 
     For a connected finite-entry graph this is the whole eigenvalue-0
-    subgroup.  Otherwise the canonical subgroup is assembled from the
-    per-class Sigma of the component representatives and the stored class
-    witnesses; it realises the product of the wreath factors.  Listing
-    Sigma spends its order from the search budget (``search_budget``)
-    before any element is built.
+    subgroup; otherwise it is the canonical subgroup of ``_sigma``, which
+    realises the product of the wreath factors.  Listing Sigma spends its
+    order from the search budget (``search_budget``) before any element
+    is built.
     """
     if not has_full_rank(a):
         raise NotFullRank("stabilizer pairs require a full-rank matrix")
-    part = class_partition(a)
-    if len(part.components) == 1:
-        return _connected_sigma(a)
-    return _assembled_sigma(a, part)
+    group, (u, v) = _sigma(a, class_partition(a))
+    units = _sigma_units(a, group.elements(), u, v)
+    return _sorted_elements([StabilizerElement(p, q, ZERO) for p, q in units])
 
 
-def _assembled_sigma(a: TropMatrix, part: ComponentPartition) -> list[StabilizerElement]:
-    per_class_sigma = []
-    total = 1
+def _sigma(a: TropMatrix, part: ComponentPartition):
+    """The pattern group of the canonical Sigma of a full-rank matrix on
+    its n + m joint points, and its diagonal units (U, V).  Its generators
+    are each class representative's ``_block_sigma`` generators and, for
+    each other member with witness (P, Q), the swap of representative row
+    i and column j with member row P.sigma[i] and column Q.sigma[j].  U and
+    V extend the representatives' units along the witnesses, by
+    u[P.sigma[i]] = u_rep[i] + p_i and v[Q.sigma[j]] = v_rep[j] - q_j."""
+    n, m = a.shape
+    gens, blocks = [], []
     for cls in part.classes:
-        rep = _restrict_unchecked(a, part.components[cls.representative])
-        sigma = _connected_sigma(rep)
-        per_class_sigma.append(sigma)
-        h = len(cls.members)
-        total *= len(sigma) ** h * factorial(h)
-    search_budget.current().spend("stabilizer listing", total)
-
-    n = a.nrows
-    elements = []
-    class_choices = []
-    for cls, sigma in zip(part.classes, per_class_sigma):
-        h = len(cls.members)
-        class_choices.append(
-            list(
-                itertools.product(
-                    itertools.permutations(range(h)),
-                    itertools.product(sigma, repeat=h),
-                )
-            )
-        )
-    for combo in itertools.product(*class_choices):
-        g_sigma = [-1] * n
-        g_scal: list = [None] * n
-        for cls, (pi, parts_choice) in zip(part.classes, combo):
-            for t, member in enumerate(cls.members):
-                u_i = cls.witnesses[t]
-                u_j = cls.witnesses[pi[t]]
-                s_t = parts_choice[t].P
-                block = u_i.invert() @ s_t @ u_j
-                rows_i = part.components[member].rows
-                rows_j = part.components[cls.members[pi[t]]].rows
-                for li, gi in enumerate(rows_i):
-                    g_sigma[gi] = rows_j[block.sigma[li]]
-                    g_scal[gi] = block.scalings[li]
-        p = MonomialMatrix(g_sigma, g_scal)
-        q = right_mate(a, p)
-        elements.append(StabilizerElement(p, q, monomial_eigenvalue(p)))
-    return _sorted_elements(elements)
+        rep = part.components[cls.representative]
+        group, uv = _block_sigma(_restrict_unchecked(a, rep))
+        for g, h in group.generators:
+            x = list(range(n + m))
+            for i, k in zip(rep.rows, g.images):
+                x[i] = rep.rows[k]
+            for j, k in zip(rep.cols, h.images):
+                x[n + j] = n + rep.cols[k]
+            gens.append(tuple(x))
+        for member, (p, q) in zip(cls.members, cls.witnesses):
+            comp = part.components[member]
+            blocks.append((comp, uv, p, q))
+            if member == cls.representative:
+                continue
+            x = list(range(n + m))
+            for i, k in zip(rep.rows, p.sigma):
+                x[i], x[comp.rows[k]] = comp.rows[k], i
+            for j, k in zip(rep.cols, q.sigma):
+                x[n + j], x[n + comp.cols[k]] = n + comp.cols[k], n + j
+            gens.append(tuple(x))
+    codes, basis = _joint(*(x for _, uv, p, q in blocks for x in (*uv, p, q)))
+    du, dv = [None] * n, [None] * m
+    for k, (comp, _, p, q) in enumerate(blocks):
+        cu, cv, cp, cq = codes[4 * k : 4 * k + 4]
+        for i, x in enumerate(p.sigma):
+            du[comp.rows[x]] = cu[i] + cp[i]
+        for j, y in enumerate(q.sigma):
+            dv[comp.cols[y]] = cv[j] - cq[j]
+    units = (MonomialMatrix._derived(range(len(d)), d, basis) for d in (du, dv))
+    return PairedPermGroup._of((n, m), gens), tuple(units)
 
 
 def commuting_units(e: TropMatrix) -> list[StabilizerElement]:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -20,7 +21,7 @@ from tropgroups.constructors import alt4_column_matrix, assemble_blocks, constru
 from tropgroups.matrix import MonomialMatrix, TropMatrix, monomial_eigenvalue
 from tropgroups.pairsearch import NotConnected, _pair_profiles, pair_solutions
 from tropgroups.permgroups import PermGroup, groups_isomorphic
-from tropgroups.semiring import NEG_INF, Value, eps, val
+from tropgroups.semiring import NEG_INF, Value, eps, format_scalar, val
 from tropgroups.spaces import h_related, has_full_rank, reduce_full_rank
 from tropgroups.stabilizer import (
     GroupDescription,
@@ -33,7 +34,6 @@ from tropgroups.stabilizer import (
     make_factor,
     maximal_subgroup,
     normalize_eigenvectors,
-    right_mate,
     stabilizer_pairs,
     StabilizerElement,
 )
@@ -196,6 +196,47 @@ def test_stabilizer_patterns_match_bipartite_automorphisms():
         }
 
 
+def _relabelled(rng, a):
+    rows, cols = list(range(a.nrows)), list(range(a.ncols))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return a.submatrix(rows, cols)
+
+
+# the sha256 of the formatted list below, as the listing that assembled
+# each element block by block from the class witnesses and recovered each
+# Q by a column scan returned it
+DISCONNECTED_SIGMA_SHA256 = "d7fee2a2e03ad0c009f07087f73edcc1c328c1ec0c4bfec354b2d8d434daabff"
+
+
+def test_disconnected_sigma_is_pinned():
+    """Sigma of seeded relabellings of block assemblies: every element is
+    a stabilizer pair of eigenvalue 0, the order is the product over
+    classes of |Sigma_alpha|^h_alpha * h_alpha!, and the elements, their
+    order and their scalings are pinned."""
+    s3 = construct_idempotent(PermGroup.from_cycles(3, ["(1,2,3)", "(1,2)"]))
+    d4 = construct_idempotent(PermGroup.from_cycles(4, ["(1,2,3,4)", "(1,3)"]))
+    cases = [
+        ([(s3, 2), (d4, 1)], [(6, 2), (8, 1)]),
+        ([(matrix_e(), 2), (matrix_f(), 1)], [(2, 2), (8, 1)]),
+        ([(alt4_columns(), 2)], [(12, 2)]),
+        ([(reduce_full_rank(SECTION4)[0], 1)], [(1, 1), (1, 1)]),
+        ([(TropMatrix.identity(4), 1)], [(1, 4)]),
+    ]
+    rng, digest = random.Random(29), hashlib.sha256()
+    for blocks, classes in cases:
+        a = _relabelled(rng, assemble_blocks(blocks, NEG_INF))
+        sigma = stabilizer_pairs(a)
+        assert len(sigma) == math.prod(g**h * math.factorial(h) for g, h in classes)
+        for el in sigma:
+            assert el.P.left_apply(a) == el.Q.right_apply(a)
+            assert el.eigenvalue == Value(0) == monomial_eigenvalue(el.P)
+            formatted = [el.P.sigma, el.Q.sigma]
+            formatted += [list(map(format_scalar, u.scalings)) for u in (el.P, el.Q)]
+            digest.update(repr(formatted).encode())
+    assert digest.hexdigest() == DISCONNECTED_SIGMA_SHA256
+
+
 def test_stabilizer_requires_full_rank():
     with pytest.raises(NotFullRank):
         stabilizer_pairs(TropMatrix.from_rows([[0, 0], [0, 0]]))
@@ -206,7 +247,7 @@ def test_assembled_stabilizer_above_the_listing_cap():
     more elements than the default budget of 2*10^6 nodes may list."""
     from tropgroups.errors import SearchBudgetExceeded
 
-    with pytest.raises(SearchBudgetExceeded, match="stabilizer listing exceeded"):
+    with pytest.raises(SearchBudgetExceeded, match="group listing exceeded"):
         stabilizer_pairs(TropMatrix.identity(10))
 
 
@@ -309,12 +350,6 @@ def test_commuting_solutions_match_brute_force():
         assert [s for s, _ in solutions] == sorted(s for s, _ in solutions)
         units += len(solutions)
     assert units > 80
-
-
-def test_right_mate_matches_search():
-    f = matrix_f()
-    for el in stabilizer_pairs(f):
-        assert right_mate(f, el.P) == el.Q
 
 
 def test_commuting_units_examples():
