@@ -44,12 +44,12 @@ each push.  That loop, ``base_and_orbit``, and the one depth-first walk,
 drive both; the pair search finds generators of the unit stabilizer
 Sigma the same way but skips the images of a base point already in its
 orbit under the generators found there; the walk alone lists the units
-commuting with an idempotent.  A 2-closure tries every image, so it
-keeps each first completion as a generator.  The 2-closedness checks
-start from the group G they test, which lies inside its 2-closure: at
-each base point they skip the images G's own stabilizer reaches, read
-off G's Sims table, and count the closure's order from the orbits that G
-and the completions found span together.  All searches and listings in a
+commuting with an idempotent.  A coloured graph's automorphism search
+tries every image and keeps each first completion as a generator.  A
+2-closure starts from the group G it closes: at each base point it skips
+the images G's own stabilizer reaches, read off G's Sims table, counts
+the order from the orbits that G and the completions span together, and
+returns G's generators, then those.  All searches and listings in a
 ``search_budget`` block spend from its budget; one outside every block
 has DEFAULT_MAX_NODES nodes of its own.
 
@@ -607,14 +607,14 @@ def base_and_orbit(search, base, act=None, known=None) -> tuple[list, int]:
     fix the earlier points), and a candidate already in it is counted
     without a search or a spend.  The generators still span the group, but
     fewer of them are found.  Without ``act`` every candidate is searched
-    and every completion is kept.
+    and every completion is kept, as in a coloured graph's search.
 
     ``known``, with ``act`` and the base 0, 1, .., is the Sims table of a
-    subgroup G of the group searched, on the same points.  Its row v is the
-    orbit of v under G's stabilizer of 0, .., v-1, so the orbit starts
-    there, and it grows under the table's representatives of the rows from
-    v on, which generate that stabilizer, as well as under the generators
-    found at v.  G's generators and the ones found span the group.
+    subgroup G of the group searched on the same points, as in a 2-closure.
+    Its row v is the orbit of v under G's stabilizer of 0, .., v-1, so the
+    orbit starts there, and it grows under the table's representatives of
+    the rows from v on, which generate that stabilizer, and under the
+    generators found at v.  G's generators and the ones found span the group.
     """
     generators: list = []
     order = 1
@@ -836,27 +836,25 @@ def coloured_bipartite_automorphisms(
 
 
 def two_closure(g: PermGroup) -> PermGroup:
-    """The largest group with the same orbits of ordered pairs."""
-    return coloured_automorphisms(pair_orbit_colouring(g))
+    """The largest group with g's orbits of ordered pairs, searched from g."""
+    return coloured_automorphisms(pair_orbit_colouring(g), known=g)
 
 
 def is_two_closed(g: PermGroup) -> bool:
-    """Whether g is its 2-closure, whose search starts from g."""
-    return g.order() == coloured_automorphisms(pair_orbit_colouring(g), known=g).order()
+    """Whether g is its 2-closure."""
+    return g.order() == two_closure(g).order()
 
 
 def paired_two_closure(g: PairedPermGroup) -> PairedPermGroup:
     """The largest subgroup of the product of the two symmetric groups
-    preserving the orbits on the product set."""
+    preserving g's orbits on the product set, searched from g."""
     g._checked()
-    return coloured_bipartite_automorphisms(paired_orbit_colouring(g))
+    return coloured_bipartite_automorphisms(paired_orbit_colouring(g), known=g)
 
 
 def is_paired_two_closed(g: PairedPermGroup) -> bool:
-    """Whether g is its paired 2-closure, whose search starts from g."""
-    g._checked()
-    closure = coloured_bipartite_automorphisms(paired_orbit_colouring(g), known=g)
-    return g.order() == closure.order()
+    """Whether g is its paired 2-closure."""
+    return g.order() == paired_two_closure(g).order()
 
 
 # -- irreducibility of coloured bipartite graphs --

@@ -353,9 +353,10 @@ def test_orders_and_membership_match_the_closure_on_every_subgroup_of_s5():
 
 def test_the_seeded_check_matches_the_closure_on_s5_and_the_catalogue(monkeypatch):
     """``is_two_closed``, whose search starts from the group it tests,
-    agrees with the order of the 2-closure on every subgroup of S_5 and on
-    the catalogue; 134 of the 156 subgroups are 2-closed, found in under
-    1,000 automorphism pushes (3,048 when every image is searched)."""
+    agrees with the order of the 2-closure found by the search that tries
+    every image, on every subgroup of S_5 and on the catalogue; 134 of the
+    156 subgroups are 2-closed, found in under 1,000 automorphism pushes
+    (3,048 when every image is searched)."""
     groups = [PermGroup(5, [Perm(x) for x in pair]) for pair in s5_subgroups().values()]
     closed = []
     pushes = automorphism_pushes(monkeypatch, lambda: closed.extend(map(permgroups.is_two_closed, groups)))
@@ -363,20 +364,86 @@ def test_the_seeded_check_matches_the_closure_on_s5_and_the_catalogue(monkeypatc
     assert pushes < 1000
     groups += [PermGroup(degree, gens) for degree, gens in CATALOGUE.values()]
     for g in groups:
-        expected = g.order() == permgroups.two_closure(g).order()
-        assert permgroups.is_two_closed(g) == expected
+        reference = permgroups.coloured_automorphisms(permgroups.pair_orbit_colouring(g))
+        assert permgroups.is_two_closed(g) == (g.order() == reference.order())
+
+
+def test_the_closure_matches_a_brute_force_closure_on_every_subgroup_of_s5():
+    """The 2-closure of each subgroup of S_5 is the set of the 120
+    elements of S_5 that map every orbital (orbit on ordered pairs of
+    points, the diagonal ones included) onto itself: the search finds its
+    order and only generators inside it."""
+    everything = list(itertools.permutations(range(5)))
+    closed = 0
+    for span, pair in s5_subgroups().items():
+        orbital = {(i, j): frozenset((h[i], h[j]) for h in span) for i in range(5) for j in range(5)}
+        brute = {p for p in everything if all((p[i], p[j]) in orbit for (i, j), orbit in orbital.items())}
+        closure = permgroups.two_closure(PermGroup(5, [Perm(x) for x in pair]))
+        assert closure.order() == len(brute)
+        assert all(g.images in brute for g in closure.generators)
+        closed += len(brute) == len(span)
+    assert closed == 134
+
+
+def _orbitals(points, gens):
+    """Orbit id of each pair in ``points`` under the maps ``gens`` of
+    pairs, found by relabelling until nothing changes."""
+    ids = {x: k for k, x in enumerate(points)}
+    changed = True
+    while changed:
+        changed = False
+        for x in points:
+            for g in gens:
+                low = min(ids[x], ids[g(x)])
+                if ids[x] != low or ids[g(x)] != low:
+                    ids[x] = ids[g(x)] = low
+                    changed = True
+    return ids
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE))
+def test_the_closure_extends_the_group_and_keeps_its_orbitals(name):
+    """The reported 2-closure lists g's generators first, every generator
+    maps each orbital of g onto itself, and the generators' own Sims table
+    has the closure's order."""
+    degree, gens = CATALOGUE[name]
+    g = PermGroup(degree, gens)
+    closure = permgroups.two_closure(g)
+    assert closure.generators[: len(g.generators)] == g.generators
+    pairs = [(i, j) for i in range(degree) for j in range(degree)]
+    ids = _orbitals(pairs, [lambda x, p=p: (p(x[0]), p(x[1])) for p in g.generators])
+    for p in closure.generators:
+        assert all(ids[(p(i), p(j))] == ids[(i, j)] for i, j in pairs)
+    assert PermGroup(degree, closure.generators).order() == closure.order()
+
+
+@pytest.mark.parametrize("name", sorted(PAIRED))
+def test_the_paired_closure_extends_the_group_and_keeps_its_orbitals(name):
+    """As for the plain closure, on the orbits of g on the product of its
+    two sides."""
+    n, m, pairs = PAIRED[name]
+    g = PairedPermGroup((n, m), pairs)
+    closure = permgroups.paired_two_closure(g)
+    assert closure.generators[: len(g.generators)] == g.generators
+    cells = [(i, j) for i in range(n) for j in range(m)]
+    ids = _orbitals(cells, [lambda x, p=p, q=q: (p(x[0]), q(x[1])) for p, q in g.generators])
+    for p, q in closure.generators:
+        assert all(ids[(p(i), q(j))] == ids[(i, j)] for i, j in cells)
+    assert PairedPermGroup((n, m), closure.generators).order() == closure.order()
 
 
 @pytest.mark.parametrize("name", sorted(PAIRED))
 def test_the_seeded_paired_check_matches_the_paired_closure(name, monkeypatch):
     """``is_paired_two_closed`` agrees with the order of the paired
-    2-closure on the paired catalogue, for the group as given and for its
-    ``greedy()`` copy, which hands on its Sims table: the check builds no
-    second table, and a fresh table of the same group gives the same order,
-    membership and greedy sequence."""
+    2-closure found by the search that tries every image, on the paired
+    catalogue, for the group as given and for its ``greedy()`` copy, which
+    hands on its Sims table: the check builds no second table, and a fresh
+    table of the same group gives the same order, membership and greedy
+    sequence."""
     n, m, pairs = PAIRED[name]
     g = PairedPermGroup((n, m), pairs)
-    expected = g.order() == permgroups.paired_two_closure(g).order()
+    reference = permgroups.coloured_bipartite_automorphisms(permgroups.paired_orbit_colouring(g))
+    expected = g.order() == reference.order()
     assert permgroups.is_paired_two_closed(g) == expected
     greedy = g.greedy()
     tables = []
@@ -603,3 +670,23 @@ def test_search_results_are_not_joined_again(monkeypatch, tmp_path, capsys):
     assert cli.main(["analyze", str(path), "--json"]) == 0
     assert len(calls) > len(pairs)
     assert not any(calls)
+
+
+def test_a_closure_request_searches_from_the_order_table(monkeypatch, capsys):
+    """``closure`` builds one Sims table for a plain group, of degree n,
+    and two for a paired one: the joint table on n + m points and the
+    right side's on m points, for the faithfulness check.  The 2-closure
+    search starts from the joint table and builds none of its own."""
+    build = permgroups._sims_table
+    degrees = []
+    monkeypatch.setattr(permgroups, "_sims_table", lambda gens, d: degrees.append(d) or build(gens, d))
+    degree, gens = CATALOGUE["A4on10"]
+    assert cli.main(["closure", "--degree", str(degree), *map(format_cycles, gens), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["closure_order"] == 12
+    assert degrees == [degree]
+    degrees.clear()
+    n, m, pairs = PAIRED["A4pairs"]
+    tokens = [f"{format_cycles(g)}|{format_cycles(h)}" for g, h in pairs]
+    assert cli.main(["closure", "--bidegree", str(n), str(m), *tokens, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["closure_order"] == 24
+    assert degrees == [n + m, m]

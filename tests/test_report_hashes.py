@@ -52,9 +52,9 @@ EXPECTED = {
     "analyze-F": "867d14a0742d4bab3ad9fa52f27adf9ab4f189132c5e7a921f682a89e2cef1bb",
     "analyze-section4": "f591976b7de54ac96cfef78622b5b63fb25ba27233465b4f5c2f80c44478e78c",
     "verify-F": "1b0b18d714f0063d033895dbf09d0e23a1217bd4030340730e407ad49f3daef6",
-    "closure-A4-10pt": "e8b4460e2e55c16cb3ef9305e948b1b3bd74ba57da6842f6636d2b92d45e0064",
-    "closure-bidegree-D4": "b43f1d5f21a5b30596811fb7c25da3d3d4ff2be70c953b892a513b825eb92217",
-    "closure-bidegree-S4-4x6": "fc57d6b10fe2380db26b9ded0403aa97564c7e736aada7fcb516e001eda220d2",
+    "closure-A4-10pt": "bfee04f717f2a67270441ca11cdb0046e5bb7da56ab0cce89522781363fe29a9",
+    "closure-bidegree-D4": "da532016615e4022b38da23b0858707aa22524f2171d593264cf3b8e9f66848a",
+    "closure-bidegree-S4-4x6": "89e0e286da288247015ab7ece6931ca099fd1cd24b2be33165aae195dea2fff9",
     "construct-degree-S3": "b8eb77b3086f78a79b2b3f7c747664b6ef6f106499721eca27d8bbd89c5b61b8",
 }
 
