@@ -3,7 +3,7 @@
 Reports are JSON objects printed to stdout with ``--json`` (sorted keys,
 two-space indent) and are byte-identical across repeated runs; timing goes
 to stderr only.  Exit codes: 0 success, 2 parse/input error, 3 search
-budget exceeded.
+budget exceeded, 141 stdout closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
+from contextlib import suppress
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
@@ -56,6 +58,7 @@ from .stabilizer import (
 
 PARSE_ERROR = 2
 BUDGET_ERROR = 3
+BROKEN_PIPE = 141
 
 
 def _digest(data: bytes) -> str:
@@ -101,11 +104,8 @@ def _json_pieces(x, newline: str, put) -> None:
 
 
 def _print_report(report: dict, as_json: bool, human_lines: list[str]) -> None:
-    if as_json:
-        print(_to_json(report))
-    else:
-        for line in human_lines:
-            print(line)
+    # flushed here, so that a closed stdout fails inside ``main``
+    print(_to_json(report) if as_json else "\n".join(human_lines), flush=True)
 
 
 def _read_matrix(path: str) -> tuple[TropMatrix, str]:
@@ -122,19 +122,17 @@ def _unit_json(unit) -> dict:
 
 
 def _component_json(part) -> list[dict]:
+    place = {idx: (k, p) for k, cls in enumerate(part.classes)
+             for idx, (p, _q) in zip(cls.members, cls.witnesses)}
     out = []
     for idx, comp in enumerate(part.components):
-        cls_index, member_pos = next(
-            (k, cls.members.index(idx))
-            for k, cls in enumerate(part.classes)
-            if idx in cls.members
-        )
+        cls_index, p = place[idx]
         out.append(
             {
                 "rows": [i + 1 for i in comp.rows],
                 "cols": [j + 1 for j in comp.cols],
                 "class": cls_index,
-                "witness": _unit_json(part.classes[cls_index].witnesses[member_pos][0]),
+                "witness": _unit_json(p),
             }
         )
     return out
@@ -481,6 +479,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SearchBudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return BUDGET_ERROR
+    except BrokenPipeError:  # the reader is gone: say nothing
+        with suppress(OSError):  # a StringIO stdout has no descriptor
+            fd = sys.stdout.fileno()
+            # the flush at exit writes what stdout still buffers to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return BROKEN_PIPE
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR

@@ -171,7 +171,6 @@ def class_partition(a: TropMatrix) -> ComponentPartition:
     classes: list[tuple[list[int], list]] = []
     searched: dict[tuple[int, TropMatrix], Optional[tuple]] = {}
     for idx, restr in enumerate(restrs):
-        placed = False
         for members, witnesses in classes:
             rep = restrs[members[0]]
             if rep.shape != restr.shape:
@@ -182,9 +181,8 @@ def class_partition(a: TropMatrix) -> ComponentPartition:
             if w is not None:
                 members.append(idx)
                 witnesses.append(w)
-                placed = True
                 break
-        if not placed:
+        else:
             classes.append(([idx], [tuple(map(MonomialMatrix.identity, restr.shape))]))
     return ComponentPartition(
         tuple(comps),

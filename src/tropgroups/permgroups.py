@@ -41,17 +41,17 @@ the level.  The pair search of ``pairsearch`` is this engine on the
 pair colours of a matrix's rows and columns, with a scaling fit added to
 each push.  That loop, ``base_and_orbit``, and the one depth-first walk,
 ``completions``, on an explicit stack (``complete`` is its first item),
-drive both; the pair search finds generators of the unit stabilizer
-Sigma the same way but skips the images of a base point already in its
-orbit under the generators found there; the walk alone lists the units
-commuting with an idempotent.  A coloured graph's automorphism search
-tries every image and keeps each first completion as a generator.  A
-2-closure starts from the group G it closes: at each base point it skips
-the images G's own stabilizer reaches, read off G's Sims table, counts
-the order from the orbits that G and the completions span together, and
-returns G's generators, then those.  All searches and listings in a
-``search_budget`` block spend from its budget; one outside every block
-has DEFAULT_MAX_NODES nodes of its own.
+drive both: the searches for generators of a coloured graph's
+automorphism group and of the unit stabilizer Sigma skip each image of a
+base point already in its orbit under the generators found there, and
+keep a first completion of each other one; the walk alone lists the
+units commuting with an idempotent.  A 2-closure starts from the group G
+it closes: at each base point it skips the images G's own stabilizer
+reaches, read off G's Sims table, counts the order from the orbits that
+G and the completions span together, and returns G's generators, then
+those.  All searches and listings in a ``search_budget`` block spend
+from its budget; one outside every block has DEFAULT_MAX_NODES nodes of
+its own.
 
 Groups of different orders are not isomorphic, and equal permutation
 groups are recognised as isomorphic from their tables.  Otherwise two
@@ -607,7 +607,7 @@ def base_and_orbit(search, base, act=None, known=None) -> tuple[list, int]:
     fix the earlier points), and a candidate already in it is counted
     without a search or a spend.  The generators still span the group, but
     fewer of them are found.  Without ``act`` every candidate is searched
-    and every completion is kept, as in a coloured graph's search.
+    and every completion is kept.
 
     ``known``, with ``act`` and the base 0, 1, .., is the Sims table of a
     subgroup G of the group searched on the same points, as in a 2-closure.
@@ -804,7 +804,7 @@ def _automorphisms(nv: int, colours, init: list[int], known: Optional[PermGroup]
     ]
     search = _AutomorphismSearch(nv, key, init)
     if known is None:
-        return base_and_orbit(search, range(nv))
+        return base_and_orbit(search, range(nv), getitem)
     gens, order = base_and_orbit(search, range(nv), getitem, known._sims())
     return [g.images for g in known.generators] + gens, order
 

@@ -123,26 +123,10 @@ class Value:
     # -- total order: standard part, then eps coordinates by tag --
 
     def _cmp(self, other: "Value") -> int:
-        if self.std != other.std:
-            return -1 if self.std < other.std else 1
-        a, b = self.eps, other.eps
-        i = j = 0
-        while i < len(a) or j < len(b):
-            ta = a[i][0] if i < len(a) else None
-            tb = b[j][0] if j < len(b) else None
-            if tb is None or (ta is not None and ta < tb):
-                ca, cb = a[i][1], Fraction(0)
-                i += 1
-            elif ta is None or tb < ta:
-                ca, cb = Fraction(0), b[j][1]
-                j += 1
-            else:
-                ca, cb = a[i][1], b[j][1]
-                i += 1
-                j += 1
-            if ca != cb:
-                return -1 if ca < cb else 1
-        return 0
+        """The sign of self - other: of its std, else of its lowest-tagged term."""
+        d = self - other
+        lead = d.std or (d.eps[0][1] if d.eps else 0)
+        return (lead > 0) - (lead < 0)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Value) and self.std == other.std and self.eps == other.eps
@@ -252,20 +236,20 @@ def trop_sum(items: Iterable[TropScalar]) -> TropScalar:
 def free_basis_check(vals: Sequence[Value]) -> bool:
     """True iff no nontrivial integer combination of the scalars vanishes.
 
-    With the rational-plus-infinitesimal representation this is linear
-    independence over the rationals, decided by exact Gaussian elimination
-    on the (standard, infinitesimal-coordinate) vectors.
+    That is linear independence over the rationals, decided by exact Gaussian
+    elimination on the (infinitesimal-coordinate, standard) vectors: a value
+    with a tag of its own, as the witness constructions place, is its own pivot.
     """
     vals = list(vals)
     if not vals:
         return True
     tags = sorted({t for v in vals for t, _ in v.eps})
-    pos = {t: i + 1 for i, t in enumerate(tags)}
+    pos = {t: i for i, t in enumerate(tags)}
     width = 1 + len(tags)
     rows = []
     for v in vals:
         row = [Fraction(0)] * width
-        row[0] = v.std
+        row[-1] = v.std
         for t, c in v.eps:
             row[pos[t]] = c
         rows.append(row)

@@ -97,39 +97,16 @@ def h_related(a: TropMatrix, b: TropMatrix) -> bool:
     return col_space_equal(a, b) and row_space_equal(a, b)
 
 
-def _scaling_gap(u, v):
-    """The finite code lam with u = lam (x) v, for codes u, v that are not
-    all -inf, or None when there is none (different -inf support or no
-    constant gap)."""
-    lam = None
-    for x, y in zip(u, v):
-        if (x is None) != (y is None):
-            return None
-        if x is None:
-            continue
-        d = x - y
-        if lam is None:
-            lam = d
-        elif lam != d:
-            return None
-    return lam
-
-
 def _extremal_indices(codes) -> list[int]:
-    """Indices of a minimal generating subfamily of code vectors, earliest
-    index per scaling-equivalence class, classes kept iff outside the span
-    of the other classes."""
-    classes: list[list[int]] = []
+    """Indices of a minimal generating subfamily of code vectors: the earliest
+    of each class of scaled copies (equal once less their first finite code),
+    kept iff outside the span of the other classes."""
+    first: dict = {}
     for idx, v in enumerate(codes):
-        if all(x is None for x in v):
-            continue
-        for cls in classes:
-            if _scaling_gap(v, codes[cls[0]]) is not None:
-                cls.append(idx)
-                break
-        else:
-            classes.append([idx])
-    reps = [cls[0] for cls in classes]
+        lead = next((x for x in v if x is not None), None)
+        if lead is not None:
+            first.setdefault(tuple(None if x is None else x - lead for x in v), idx)
+    reps = list(first.values())
     kept = []
     for k, rep in enumerate(reps):
         others = [codes[r] for i, r in enumerate(reps) if i != k]

@@ -86,6 +86,32 @@ def test_bad_matrix_input_exits_2_without_traceback(tmp_path, text):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["analyze", "{f}", "--json"], ["analyze", "{f}"], ["approximate", "{f}", "2", "--json"],
+     ["closure", "--degree", "4", "(1,2,3,4)"]],
+    ids=["analyze-json", "analyze", "approximate", "closure"],
+)
+def test_a_closed_stdout_exits_141_and_says_nothing(tmp_path, argv):
+    """A stdout pipe whose reader has gone is no input error: the command
+    exits 141 (128 + SIGPIPE), with nothing on stderr but its timing.  The
+    read end is closed before the child starts, so every write fails."""
+    path = write(tmp_path, "f.txt", matrix_f().to_text() + "\n")
+    read, write_end = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tropgroups", *(a.format(f=path) for a in argv)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert all(line.startswith("elapsed: ") for line in proc.stderr.splitlines()), proc.stderr
+
+
+@pytest.mark.parametrize(
     "command, text, what",
     [
         ("analyze", '{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}", "JSON matrix"),

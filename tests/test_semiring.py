@@ -240,6 +240,69 @@ def test_free_basis_agrees_with_integer_relation_oracle():
         assert free_basis_check(vals) == (not integer_relation_exists(vals))
 
 
+def _rank_standard_first(vals):
+    """The rank over the rationals of the (standard, infinitesimal-coordinate)
+    vectors of the values, by Gaussian elimination in that column order."""
+    tags = sorted({t for v in vals for t, _ in v.eps})
+    rows = [[v.std, *(dict(v.eps).get(t, Fraction(0)) for t in tags)] for v in vals]
+    rank = 0
+    for col in range(1 + len(tags)):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+# few tags and small integer fields, so that dependent families are common
+dense_values = st.builds(
+    Value,
+    st.integers(-2, 2),
+    st.dictionaries(st.integers(min_value=1, max_value=3), st.integers(-2, 2), max_size=3),
+)
+# a standard part and a fresh tag each, as the witness constructions place them
+placed_families = st.lists(rationals, max_size=8).map(
+    lambda stds: [val(q) + eps(k) for k, q in enumerate(stds, 1)]
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.lists(dense_values, max_size=6), placed_families), st.lists(dense_values, max_size=2))
+def test_free_basis_agrees_with_elimination_standard_part_first(family, extra):
+    """``free_basis_check`` gives the answer of elimination with the
+    standard part in the first column, on dense families and on fresh-tag
+    families with or without a few more values."""
+    vals = family + extra
+    assert free_basis_check(vals) == (_rank_standard_first(vals) == len(vals))
+
+
+# five tags; few values per field, so that equal standard parts and equal
+# leading coefficients are common
+five_tag_values = st.builds(
+    Value,
+    st.one_of(st.sampled_from([-1, 0, Fraction(1, 2), 1]), rationals),
+    st.dictionaries(st.integers(min_value=1, max_value=5), st.integers(-2, 2), max_size=5),
+)
+
+
+@settings(deadline=None, max_examples=500)
+@given(five_tag_values, five_tag_values)
+def test_cmp_is_the_lexicographic_order(a, b):
+    """``Value._cmp`` is the order of the keys (standard part, then the
+    coefficients by ascending tag, an absent tag counting 0)."""
+    tags = sorted({t for t, _ in a.eps + b.eps})
+
+    def key(v):
+        coeffs = dict(v.eps)
+        return (v.std, *(coeffs.get(t, 0) for t in tags))
+
+    assert a._cmp(b) == (key(a) > key(b)) - (key(a) < key(b))
+
+
 def test_value_div_int_examples():
     assert val(6).div_int(2) == val(3)
     a = val(-1) + eps(1)

@@ -2,11 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropgroups.matrix import TropMatrix
-from tropgroups.semiring import NEG_INF, val
+from tropgroups.semiring import NEG_INF, encode, eps, trop_add, trop_mul, val
 from tropgroups.spaces import (
     ZeroMatrix,
+    _extremal_indices,
     col_space_equal,
     column_rank,
     h_related,
@@ -154,3 +157,54 @@ def test_reduce_full_rank_output_has_full_rank():
         assert has_full_rank(z)
         checked += 1
     assert checked > 40
+
+
+def _reference_extremal(vecs):
+    """The earliest index of each class of vectors with equal -inf support
+    and a constant difference, all -inf vectors skipped, kept iff ``member``
+    puts it outside the span of the other classes' earliest vectors."""
+    def scaled(u, v):
+        if [x is NEG_INF for x in u] != [y is NEG_INF for y in v]:
+            return False
+        return len({x - y for x, y in zip(u, v) if x is not NEG_INF}) == 1
+
+    reps = []
+    for idx, v in enumerate(vecs):
+        if any(x is not NEG_INF for x in v) and not any(scaled(v, vecs[r]) for r in reps):
+            reps.append(idx)
+    kept = []
+    for r in reps:
+        others = [vecs[o] for o in reps if o != r]
+        if not others or member(vecs[r], TropMatrix.from_rows(zip(*others))) is None:
+            kept.append(r)
+    return kept
+
+
+entries = st.one_of(
+    st.just(NEG_INF),
+    st.integers(-3, 3).map(val),
+    st.builds(lambda s, c: val(s) + eps(1, c), st.integers(-2, 2), st.integers(-1, 1)),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 4), st.data())
+def test_extremal_indices_are_the_earliest_of_each_scaling_class_outside_the_rest(n, data):
+    """``_extremal_indices`` agrees with the pairwise definition on families
+    that hold scaled copies, max-combinations and all -inf vectors, put in
+    at drawn places."""
+    vecs = data.draw(st.lists(st.tuples(*[entries] * n), min_size=1, max_size=4))
+    for _ in range(data.draw(st.integers(0, 5))):
+        kind = data.draw(st.sampled_from(["scaled", "max", "zero"]))
+        if kind == "zero":
+            new = (NEG_INF,) * n
+        else:
+            c = val(data.draw(st.integers(-3, 3)))
+            new = tuple(trop_mul(c, x) for x in data.draw(st.sampled_from(vecs)))
+            if kind == "max":
+                d = val(data.draw(st.integers(-3, 3)))
+                other = data.draw(st.sampled_from(vecs))
+                new = tuple(trop_add(x, trop_mul(d, y)) for x, y in zip(new, other))
+        vecs.insert(data.draw(st.integers(0, len(vecs))), new)
+    codes, _ = encode(*vecs)
+    assert _extremal_indices(codes) == _reference_extremal(vecs)
