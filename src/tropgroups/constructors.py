@@ -342,7 +342,7 @@ def _idempotent(
     _, orbit_of, _ = _side(n, group.generators, True)
 
     def refined(i: int, j: int):
-        return (digraph.colours[(i, j)], orbit_of[i], orbit_of[j])
+        return (digraph.colour(i, j), orbit_of[i], orbit_of[j])
 
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     colours = list(dict.fromkeys(refined(i, j) for i, j in pairs))

@@ -102,18 +102,41 @@ class ColouredBipartiteGraph:
 
 
 class ColouredDigraph:
-    """Complete loopless digraph on n vertices with a colour per ordered pair."""
+    """Complete loopless digraph on n vertices with a colour per ordered pair.
 
-    __slots__ = ("n", "colours")
+    The colouring is held as n rows of int colour ids, ``rows[i][j]`` the
+    id of the pair (i, j) and -1 on the diagonal, and ``palette``, the
+    colour of each id.  A digraph built from a mapping numbers its colours
+    by first occurrence in row-major order; ``colours``, that mapping, and
+    ``colour(i, j)`` are read off the rows.
+    """
+
+    __slots__ = ("n", "rows", "palette")
 
     def __init__(self, n: int, colours: Mapping[tuple[int, int], Hashable]):
         if n < 1:
             raise ValueError("need at least one vertex")
-        want = {(i, j) for i in range(n) for j in range(n) if i != j}
-        if set(colours) != want:
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        if len(colours) != len(pairs) or not all(map(colours.__contains__, pairs)):
             raise ValueError("colouring must cover exactly the ordered pairs i != j")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "colours", dict(colours))
+        ids: dict = {}
+        rows = [
+            [-1 if i == j else ids.setdefault(colours[(i, j)], len(ids)) for j in range(n)]
+            for i in range(n)
+        ]
+        self._init(rows, tuple(ids))
+
+    @classmethod
+    def _of(cls, rows: list[list[int]], palette: Sequence[Hashable]) -> "ColouredDigraph":
+        """The digraph of colour id rows already known to be valid."""
+        out = object.__new__(cls)
+        out._init(rows, palette)
+        return out
+
+    def _init(self, rows, palette) -> None:
+        object.__setattr__(self, "n", len(rows))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "palette", palette)
 
     def __setattr__(self, name, value):
         raise AttributeError("ColouredDigraph is immutable")
@@ -129,8 +152,17 @@ class ColouredDigraph:
                     full.setdefault((i, j), fresh)
         return cls(n, full)
 
+    @property
+    def colours(self) -> dict:
+        """A new dict of the colour of each ordered pair (i, j), i != j."""
+        rows, palette = self.rows, self.palette
+        pairs = ((i, j) for i in range(self.n) for j in range(self.n) if i != j)
+        return {(i, j): palette[rows[i][j]] for i, j in pairs}
+
     def colour(self, i: int, j: int):
-        return self.colours[(i, j)]
+        if i == j:
+            raise KeyError((i, j))
+        return self.palette[self.rows[i][j]]
 
     def __eq__(self, other):
         return (
@@ -140,5 +172,4 @@ class ColouredDigraph:
         )
 
     def __repr__(self):
-        ncolours = len(set(self.colours.values()))
-        return f"ColouredDigraph(n={self.n}, colours={ncolours})"
+        return f"ColouredDigraph(n={self.n}, colours={len(self.palette)})"

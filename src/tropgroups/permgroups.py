@@ -24,22 +24,27 @@ grows its spans one generator at a time with the same ``_extend``.  It
 works on image tuples.  A listing spends its size, read off the Sims table, from the
 search budget before it starts (see ``search_budget``), so a group too
 large for the budget is refused without listing any of it.  Orbits of
-points and of pairs come from the one traversal in ``graphs.components``.
+points come from the one traversal in ``graphs.components``.  Orbits of
+pairs, the orbitals, come from ``_orbital_labels``, one int label per
+pair code, which spends its cells from the search budget before it
+builds any, so a 2-closure too large for the budget is refused at once.
 
 A group is 2-closed when it already contains every permutation preserving
 its orbits of ordered pairs, i.e. when it is the full automorphism group of
-the coloured complete digraph whose colours are those orbits.  The paired
-variant colours the product of two vertex sets and closes inside the
-product of the two symmetric groups.  Automorphism groups of coloured
-graphs are computed by backtracking over a colour-refined partition, one
-base point at a time, so only generators and the order are produced (the
-group itself is never listed), narrowing each vertex's candidate images
-as the map grows.  Those images are held as an int bit set, narrowed by
-one AND per unmapped vertex for each vertex mapped, and the point to map
-next (fewest images, then lowest) is found while narrowing and kept with
-the level.  The pair search of ``pairsearch`` is this engine on the
-pair colours of a matrix's rows and columns, with a scaling fit added to
-each push.  That loop, ``base_and_orbit``, and the one depth-first walk,
+the coloured complete digraph whose colours are those orbits, held as
+rows of colour ids and searched on int keys, one per pair of colours of
+(v, u) and (u, v).  The paired variant colours the product of two vertex
+sets and closes inside the product of the two symmetric groups.
+Automorphism groups of coloured graphs are computed by backtracking over
+a colour-refined partition, one base point at a time, so only generators
+and the order are produced (the group itself is never listed), narrowing
+each vertex's candidate images as the map grows.  Those images are held
+as an int bit set, narrowed by one AND per unmapped vertex for each
+vertex mapped, and the point to map next (fewest images, then lowest) is
+found while narrowing and kept with the level.  The pair search of
+``pairsearch`` is this engine on the pair colours of a matrix's rows and
+columns, with a scaling fit added to each push.  That loop,
+``base_and_orbit``, and the one depth-first walk,
 ``completions``, on an explicit stack (``complete`` is its first item),
 drive both: the searches for generators of a coloured graph's
 automorphism group and of the unit stabilizer Sigma skip each image of a
@@ -530,12 +535,39 @@ class PairedPermGroup:
 # -- orbit colourings --
 
 
-def _pair_orbit_ids(g: PermGroup, pairs: list) -> dict:
-    """Orbit id of every pair of points under the diagonal action of g,
-    numbered by the first pair of each orbit in the order given."""
-    gens = [p.images for p in g.generators]
-    orbits = components(pairs, lambda ab: [(p[ab[0]], p[ab[1]]) for p in gens])
-    return {x: k for k, orbit in enumerate(orbits) for x in orbit}
+def _orbital_labels(g: PermGroup, n: int, m: int, shift: int) -> tuple[list[int], int]:
+    """The orbit of each pair (i, shift + j), i < n, j < m, under the
+    diagonal action of g, as the label of its code i·m + j, and the number
+    of orbits.  With shift 0 (and n = m) these are all ordered pairs, and
+    the diagonal, whose pairs have orbits of their own, is labelled -1.
+
+    The orbits are numbered by their least code, that is by their least
+    pair in lexicographic order.  Each is found by a breadth-first walk
+    over the codes, the image of i·m + j under a generator p being
+    left[i] + p[shift + j] with left[i] = p[i]·m - shift, one such table
+    per generator.  The n·m cells, less the diagonal, are spent from the
+    search budget, as "orbital colouring", before any of them is built."""
+    cells = n * m - (n if shift == 0 else 0)
+    search_budget.current().spend("orbital colouring", cells)
+    label: list = [None] * (n * m)
+    if shift == 0:
+        label[:: n + 1] = [-1] * n
+    tables = [([x * m - shift for x in p.images[:n]], p.images[shift:]) for p in g.generators]
+    k = start = 0
+    while cells:
+        start = label.index(None, start)
+        label[start] = k
+        orbit = [start]
+        for code in orbit:  # reads the codes appended while it runs
+            i, j = divmod(code, m)
+            for left, right in tables:
+                image = left[i] + right[j]
+                if label[image] is None:
+                    label[image] = k
+                    orbit.append(image)
+        cells -= len(orbit)
+        k += 1
+    return label, k
 
 
 def pair_orbit_colouring(g: PermGroup) -> ColouredDigraph:
@@ -543,16 +575,19 @@ def pair_orbit_colouring(g: PermGroup) -> ColouredDigraph:
     diagonal action.  Orbit ids are numbered by the least pair they
     contain, in lexicographic order."""
     n = g.degree
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    return ColouredDigraph(n, _pair_orbit_ids(g, pairs))
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    label, count = _orbital_labels(g, n, n, 0)
+    return ColouredDigraph._of([label[i * n:(i + 1) * n] for i in range(n)], range(count))
 
 
 def paired_orbit_colouring(g: PairedPermGroup) -> ColouredBipartiteGraph:
     """Orbit colouring of the full product of the two vertex sets: the
     orbits of the pairs (i, n + j) under ``joint``."""
     n, m = g.degrees
-    ids = _pair_orbit_ids(g.joint, [(i, n + j) for i in range(n) for j in range(m)])
-    return ColouredBipartiteGraph(n, m, {(i, j - n): k for (i, j), k in ids.items()})
+    label, _ = _orbital_labels(g.joint, n, m, n)
+    cells = ((i, j) for i in range(n) for j in range(m))
+    return ColouredBipartiteGraph(n, m, dict(zip(cells, label)))
 
 
 # -- coloured-graph automorphisms --
@@ -776,32 +811,29 @@ class _AutomorphismSearch:
 
 
 def _bit_sets(labels, bits) -> dict:
-    """Each label's bit set of the points that carry it, point x's bit bits[x]."""
-    out: dict = {}
-    for k, b in zip(labels, bits):
-        out[k] = out.get(k, 0) | b
+    """Each label's bit set of the points that carry it, point x's bit bits[x]
+    (the same int where x is the only one, as in every row of a regular
+    group's key)."""
+    out = dict(zip(labels, bits))
+    if len(out) < len(bits):  # a label repeats
+        out = {}
+        for k, b in zip(labels, bits):
+            out[k] = out[k] | b if k in out else b
     return out
 
 
-_ABSENT, _UNLISTED = object(), object()
+_ABSENT = object()
 
 
-def _automorphisms(nv: int, colours, init: list[int], known: Optional[PermGroup] = None):
+def _automorphisms(key: list[list[int]], init: list[int], known: Optional[PermGroup] = None):
     """Generators and order of the group of vertex permutations keeping
-    the vertex colours `init` and the edge colours, with `known` a subgroup
-    of it on the same vertices, if given, whose own images the search
-    skips (see ``base_and_orbit``).  `colours` yields ((u, v), colour)
-    pairs, an absent edge coloured _ABSENT; a pair not listed is
-    _UNLISTED.  Each pair of colours (v to u, u to v) is numbered by first
-    occurrence."""
-    col = [[_UNLISTED] * nv for _ in range(nv)]
-    for (u, v), c in colours:
-        col[u][v] = c
-    ids: dict = {}
-    key = [  # -1 on the diagonal, which no push asks for
-        [-1 if u == v else ids.setdefault((c, col[u][v]), len(ids)) for u, c in enumerate(row)]
-        for v, row in enumerate(col)
-    ]
+    the vertex colours `init` and the int keys ``key[v][u]``, one per
+    pair of edge colours (v to u, u to v) and -1 on the diagonal, with
+    `known` a subgroup of it on the same vertices, if given, whose own
+    images the search skips (see ``base_and_orbit``).  What the search
+    does depends only on which keys are equal, so any one-to-one numbering
+    of the colour pairs makes the same pushes."""
+    nv = len(key)
     search = _AutomorphismSearch(nv, key, init)
     if known is None:
         return base_and_orbit(search, range(nv), getitem)
@@ -813,10 +845,13 @@ def coloured_automorphisms(d: ColouredDigraph, *, known: Optional[PermGroup] = N
     """All vertex permutations preserving the edge colours, as generators
     with the exact order attached.  With ``known``, a group of such
     permutations, the search skips what it already reaches, and its
-    generators come first."""
-    n = d.n
-    colours = (((i, j), d.colours[(i, j)]) for i in range(n) for j in range(n) if i != j)
-    gens, order = _automorphisms(n, colours, [0] * n, known)
+    generators come first.  The key of (v, u) is c(v, u)·k + c(u, v), for
+    colour ids c of k colours."""
+    n, rows, k = d.n, d.rows, len(d.palette)
+    key = [[a * k + b for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))]
+    for v in range(n):
+        key[v][v] = -1  # which no push asks for
+    gens, order = _automorphisms(key, [0] * n, known)
     return PermGroup(n, [Perm(g) for g in gens], known_order=order)
 
 
@@ -824,11 +859,22 @@ def coloured_bipartite_automorphisms(
     g: ColouredBipartiteGraph, *, known: Optional[PairedPermGroup] = None
 ) -> PairedPermGroup:
     """All side-preserving pair permutations preserving the edge colours;
-    ``known`` as for ``coloured_automorphisms``."""
+    ``known`` as for ``coloured_automorphisms``.  The n·m edge colours, an
+    absent edge one of them, are numbered once: the key of a left point to
+    a right one is its edge's number c, of a right point to a left one
+    c + k, for k colours, and of two points on one side 2k."""
     n, m = g.n, g.m
-    colours = (((i, n + j), g.edges.get((i, j), _ABSENT)) for i in range(n) for j in range(m))
+    ids: dict = {}
+    edge = [
+        [ids.setdefault(g.edges.get((i, j), _ABSENT), len(ids)) for j in range(m)] for i in range(n)
+    ]
+    k = len(ids)
+    key = [[2 * k] * n + row for row in edge]
+    key += ([k + c for c in col] + [2 * k] * m for col in zip(*edge))
+    for v in range(n + m):
+        key[v][v] = -1
     joint = None if known is None else known.joint
-    gens, order = _automorphisms(n + m, colours, [0] * n + [1] * m, joint)
+    gens, order = _automorphisms(key, [0] * n + [1] * m, joint)
     return PairedPermGroup._of((n, m), map(tuple, gens), order)
 
 

@@ -280,16 +280,29 @@ def test_budget_exceeded_exit_code(tmp_path, capsys):
     path = write(tmp_path, "f.txt", matrix_f().to_text() + "\n")
     code, _ = run_cli(["analyze", path, "--max-nodes", "1"], capsys)
     assert code == 3
-    # --max-nodes bounds the automorphism search of plain and paired closures alike
-    for gens in (
-        ["--degree", "4", "(1,2,3,4)"],
-        ["--degree", "4", "(1,2,3,4)", "(1,2)"],
-        ["--bidegree", "4", "4", "(1,2,3,4)|(1,2,3,4)"],
+    # --max-nodes bounds the orbital colouring and then the automorphism
+    # search of plain and paired closures alike; the colouring spends one
+    # node per cell, 4 * 3 plain and 4 * 4 paired
+    for gens, cells in (
+        (["--degree", "4", "(1,2,3,4)"], 12),
+        (["--degree", "4", "(1,2,3,4)", "(1,2)"], 12),
+        (["--bidegree", "4", "4", "(1,2,3,4)|(1,2,3,4)"], 16),
     ):
-        assert main(["closure", *gens, "--max-nodes", "1"]) == 3, gens
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "automorphism search exceeded the budget of 1 nodes" in captured.err
+        for nodes, spend in ((1, "orbital colouring"), (cells, "automorphism search")):
+            assert main(["closure", *gens, "--max-nodes", str(nodes)]) == 3, gens
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{spend} exceeded the budget of {nodes} nodes" in captured.err
+
+
+def test_a_closure_too_large_for_the_budget_is_refused_before_its_set_up(capsys):
+    """The orbital colouring of degree 100,000 would colour about 10^10
+    pairs; it spends them first, so the request exits 3 at once and names
+    the set-up spend."""
+    assert main(["closure", "--degree", "100000", "(1,2)"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "orbital colouring exceeded the budget of 2000000 nodes" in captured.err
 
 
 def test_readme_names_every_cli_option():
@@ -320,12 +333,13 @@ def test_readme_names_every_cli_option():
 
 def test_one_budget_covers_every_search_of_a_request(tmp_path, capsys, monkeypatch):
     """--max-nodes bounds the pushes of all pair and automorphism searches
-    of one request together: analyze F runs on exactly as many nodes as
-    its searches push, and one fewer stops it with the search named."""
-    from tropgroups.permgroups import _AutomorphismSearch
+    of one request together with the cells of its orbital colourings:
+    analyze F runs on exactly as many nodes as its searches push and its
+    colourings colour, and one fewer stops it with the search named."""
+    from tropgroups.permgroups import _AutomorphismSearch, search_budget
 
     path = write(tmp_path, "f.txt", matrix_f().to_text() + "\n")
-    pushes = []
+    pushes, cells = [], []
     with monkeypatch.context() as m:
         for cls in (pairsearch._PairSearch, _AutomorphismSearch):
             def counted(self, v, w, push=cls.push, kind=cls):
@@ -333,9 +347,17 @@ def test_one_budget_covers_every_search_of_a_request(tmp_path, capsys, monkeypat
                 return push(self, v, w)
 
             m.setattr(cls, "push", counted)
+        spend = search_budget.spend
+
+        def counted_spend(self, search, nodes=1):
+            if search == "orbital colouring":
+                cells.append(nodes)
+            return spend(self, search, nodes)
+
+        m.setattr(search_budget, "spend", counted_spend)
         assert run_cli(["analyze", path, "--json"], capsys)[0] == 0
-    total = len(pushes)
-    assert len(set(pushes)) == 2
+    total = len(pushes) + sum(cells)
+    assert len(set(pushes)) == 2 and cells
     assert run_cli(["analyze", path, "--max-nodes", str(total)], capsys)[0] == 0
     assert main(["analyze", path, "--max-nodes", str(total - 1)]) == 3
     err = capsys.readouterr().err
@@ -440,6 +462,12 @@ def test_an_empty_side_is_named_as_such(tmp_path, capsys, argv):
     spec = write(tmp_path, "spec.json", json.dumps({"bidegree": [2, 0], "generators": [["(1,2)", "()"]]}))
     assert main([a.format(spec=spec) for a in argv]) == 2
     assert "both vertex sets must be nonempty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_a_degree_below_1_is_named_as_such(capsys, degree):
+    assert main(["closure", "--degree", degree]) == 2
+    assert "need at least one vertex" in capsys.readouterr().err
 
 
 def test_main_builds_one_parser(monkeypatch, capsys):

@@ -12,7 +12,7 @@ from helpers import alt4_squared, automorphism_pushes
 from tropgroups import permgroups
 from tropgroups.cli import main
 from tropgroups.errors import SearchBudgetExceeded
-from tropgroups.graphs import ColouredBipartiteGraph, ColouredDigraph
+from tropgroups.graphs import ColouredBipartiteGraph, ColouredDigraph, components
 from tropgroups.permgroups import (
     NotFaithful,
     PairedPermGroup,
@@ -114,6 +114,97 @@ def test_pair_orbit_colouring_examples():
     assert sorted(len(v) for v in classes.values()) == [3, 3]
     trivial = pair_orbit_colouring(PermGroup.trivial(2))
     assert len(set(trivial.colours.values())) == 2
+
+
+def _brute_pair_orbits(elements, cells) -> dict:
+    """Oracle: the orbit of each cell (a pair of points) under the listed
+    image tuples, numbered by its first cell in the order given."""
+    label: dict = {}
+    for a, b in cells:
+        if (a, b) not in label:
+            k = len(set(label.values()))
+            for x in elements:
+                label[(x[a], x[b])] = k
+    return label
+
+
+def _transitive_group(rng, d):
+    """A relabelled cycle on d points, with a random second generator."""
+    r = Perm(rng.sample(range(d), d))
+    cycle = r.inverse() * Perm([(i + 1) % d for i in range(d)]) * r
+    return PermGroup(d, [cycle, Perm(rng.sample(range(d), d))][: rng.randint(1, 2)])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_orbital_colourings_are_the_brute_force_pair_orbits(seed):
+    """The orbital labels partition the pairs as a brute-force orbit
+    computation on the listed group does, with the same least-pair
+    numbering: transitive, intransitive, trivial and one-point groups, and
+    paired groups, some with unequal sides."""
+    rng = random.Random(seed)
+    groups = [PermGroup.trivial(1), PermGroup.trivial(rng.randint(2, 6))]
+    groups += [_transitive_group(rng, rng.randint(2, 8)) for _ in range(8)]
+    groups += [_random_group(rng, rng.randint(2, 10)) for _ in range(8)]
+    orbits = [
+        components(range(g.degree), lambda i, g=g: [p(i) for p in g.generators]) for g in groups
+    ]
+    assert any(len(o) > 1 for o in orbits[10:]) and all(len(o) == 1 for o in orbits[2:10])
+    for g in groups:
+        n = g.degree
+        cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+        want = _brute_pair_orbits([x.images for x in g.elements()], cells)
+        assert pair_orbit_colouring(g).colours == want
+    s3_on_signs = PairedPermGroup((3, 2), [(parse_cycles("(1,2,3)", 3), Perm([0, 1])),
+                                           (parse_cycles("(1,2)", 3), Perm([1, 0]))])
+    paired = [s3_on_signs, PairedPermGroup((1, 1), []), PairedPermGroup((2, 3), [])]
+    paired += [_random_paired(rng) for _ in range(12)]
+    assert any(g.degrees[0] != g.degrees[1] for g in paired[3:])
+    for g in paired:
+        n, m = g.degrees
+        cells = [(i, n + j) for i in range(n) for j in range(m)]
+        want = _brute_pair_orbits([x.images for x in g.joint.elements()], cells)
+        got = paired_orbit_colouring(g)
+        assert got.edges == {(i, j - n): k for (i, j), k in want.items()}
+
+
+def test_a_digraph_from_rows_is_the_digraph_of_its_mapping(monkeypatch):
+    """A colouring given as colour id rows and a palette equals the same
+    colouring given as a mapping, reads the same colours, and has the same
+    automorphism search: the same pushes, so the same generators."""
+    rng = random.Random(4)
+    palette = ["a", ("b",), 7, frozenset()]
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        k = rng.randint(1, len(palette))
+        rows = [[-1 if i == j else rng.randrange(k) for j in range(n)] for i in range(n)]
+        if rng.random() < 0.5:  # a symmetric colouring
+            rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        mapping = {(i, j): palette[rows[i][j]] for i in range(n) for j in range(n) if i != j}
+        from_rows = ColouredDigraph._of(rows, palette[:k])
+        from_mapping = ColouredDigraph(n, mapping)
+        assert from_rows == from_mapping
+        assert from_rows.colours == from_mapping.colours == mapping
+        for i, j in mapping:
+            assert from_rows.colour(i, j) == from_mapping.colour(i, j) == mapping[(i, j)]
+        with pytest.raises(KeyError):
+            from_rows.colour(0, 0)
+        found = []
+        pushes = [
+            automorphism_pushes(monkeypatch, lambda d=d: found.append(coloured_automorphisms(d)))
+            for d in (from_rows, from_mapping)
+        ]
+        a, b = found
+        assert pushes[0] == pushes[1]
+        assert a.order() == b.order()
+        assert [p.images for p in a.generators] == [p.images for p in b.generators]
+
+
+def test_a_colouring_must_cover_exactly_the_ordered_pairs():
+    full = {(i, j): 0 for i in range(3) for j in range(3) if i != j}
+    short = {k: v for k, v in full.items() if k != (0, 1)}
+    for bad in (short, {**full, (1, 1): 0}, {**full, (0, 3): 0}):
+        with pytest.raises(ValueError, match="exactly the ordered pairs"):
+            ColouredDigraph(3, bad)
 
 
 def test_coloured_automorphisms_single_colour():
@@ -305,6 +396,26 @@ def test_searches_past_one_machine_word_are_pinned(monkeypatch, make, order, pus
         joint = group if isinstance(group, PermGroup) else group.joint
         images = [g.images for g in joint.generators]
         assert hashlib.sha256(repr(images).encode()).hexdigest() == digest
+
+
+def test_the_closure_of_c1000_is_pinned(monkeypatch):
+    """C_1000 is regular, so 2-closed: its closure makes one push per base
+    point, and its orbital colouring spends one node per ordered pair of
+    distinct points before any of them is built."""
+    n = 1000
+    g = PermGroup(n, [Perm([(i + 1) % n for i in range(n)])])
+    spends, found = [], []
+    spend = search_budget.spend
+
+    def counted(self, search, nodes=1):
+        spends.append((search, nodes))
+        return spend(self, search, nodes)
+
+    monkeypatch.setattr(search_budget, "spend", counted)
+    assert automorphism_pushes(monkeypatch, lambda: found.append(two_closure(g))) == 1000
+    assert found[0].order() == 1000
+    assert spends[0] == ("orbital colouring", 999_000)
+    assert sum(nodes for name, nodes in spends if name == "orbital colouring") == 999_000
 
 
 def _keyed_search(ecol, init):
@@ -753,22 +864,26 @@ def test_is_irreducible():
 
 
 def test_searches_in_one_block_share_its_budget(monkeypatch):
-    """Two 2-closures inside one search_budget block spend from one count;
-    outside every block each has DEFAULT_MAX_NODES of its own."""
+    """Two 2-closures inside one search_budget block spend from one count,
+    the orbital colourings' cells and the searches' pushes; outside every
+    block each colouring and each search has DEFAULT_MAX_NODES of its own."""
     g = PermGroup.from_cycles(10, ALT4_10PT)
     nodes = automorphism_pushes(monkeypatch, lambda: two_closure(g))
-    with search_budget(2 * nodes):
+    cells = 10 * 9  # one colour per ordered pair of distinct points
+    with search_budget(2 * (cells + nodes)):
         two_closure(g)
         two_closure(g)
-    with search_budget(2 * nodes - 1):
+    with search_budget(2 * (cells + nodes) - 1):
         two_closure(g)
         with pytest.raises(SearchBudgetExceeded, match="automorphism search"):
             two_closure(g)
-    monkeypatch.setattr(permgroups, "DEFAULT_MAX_NODES", nodes)
+    assert nodes < cells
+    monkeypatch.setattr(permgroups, "DEFAULT_MAX_NODES", cells)
     two_closure(g)
     two_closure(g)
-    monkeypatch.setattr(permgroups, "DEFAULT_MAX_NODES", nodes - 1)
-    with pytest.raises(SearchBudgetExceeded, match=f"budget of {nodes - 1} nodes"):
+    monkeypatch.setattr(permgroups, "DEFAULT_MAX_NODES", cells - 1)
+    message = f"orbital colouring exceeded the budget of {cells - 1} nodes"
+    with pytest.raises(SearchBudgetExceeded, match=message):
         two_closure(g)
 
 

@@ -48,6 +48,20 @@ def test_tracer_sees_the_searches_of_one_cli_request(tmp_path, capsys):
     assert tracer.metric_value("permgroups.automorphisms.calls") >= 1
 
 
+def test_tracer_sees_the_search_of_a_plain_closure(capsys):
+    """``closure --degree`` reaches the wrapped automorphism search of a
+    plain 2-closure, which goes through ``coloured_automorphisms``."""
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        argv = ["closure", "--degree", "4", "(1,2,3)", "(1,2)(3,4)", "--json"]
+        assert tropgroups.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    tracer.end_round()
+    assert tracer.metric_value("permgroups.automorphisms.calls") >= 1
+
+
 def test_analysis_shifts_eigenvalues_on_codes(tmp_path, capsys):
     """``analyze F`` makes no ``Value`` sum, difference or negation: Sigma's
     generators reach eigenvalue 0 on integer codes, and scalars are built
