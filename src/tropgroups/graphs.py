@@ -160,15 +160,19 @@ class ColouredDigraph:
         return {(i, j): palette[rows[i][j]] for i, j in pairs}
 
     def colour(self, i: int, j: int):
-        if i == j:
+        if i == j or not (0 <= i < self.n and 0 <= j < self.n):
             raise KeyError((i, j))
         return self.palette[self.rows[i][j]]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ColouredDigraph)
-            and self.n == other.n
-            and self.colours == other.colours
+        if not isinstance(other, ColouredDigraph) or self.n != other.n:
+            return False
+        mine, theirs = self.palette, other.palette
+        return all(
+            mine[a] == theirs[b]
+            for row, other_row in zip(self.rows, other.rows)
+            for a, b in zip(row, other_row)
+            if a >= 0  # -1 only on both diagonals
         )
 
     def __repr__(self):

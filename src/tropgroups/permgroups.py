@@ -814,11 +814,9 @@ def _bit_sets(labels, bits) -> dict:
     """Each label's bit set of the points that carry it, point x's bit bits[x]
     (the same int where x is the only one, as in every row of a regular
     group's key)."""
-    out = dict(zip(labels, bits))
-    if len(out) < len(bits):  # a label repeats
-        out = {}
-        for k, b in zip(labels, bits):
-            out[k] = out[k] | b if k in out else b
+    out: dict = {}
+    for k, b in zip(labels, bits):
+        out[k] = out[k] | b if k in out else b
     return out
 
 

@@ -48,7 +48,7 @@ def brute_force_automorphisms(d: ColouredDigraph):
     out = []
     for images in itertools.permutations(range(d.n)):
         if all(
-            d.colours[(images[i], images[j])] == d.colours[(i, j)]
+            d.colour(images[i], images[j]) == d.colour(i, j)
             for i in range(d.n)
             for j in range(d.n)
             if i != j
@@ -186,8 +186,11 @@ def test_a_digraph_from_rows_is_the_digraph_of_its_mapping(monkeypatch):
         assert from_rows.colours == from_mapping.colours == mapping
         for i, j in mapping:
             assert from_rows.colour(i, j) == from_mapping.colour(i, j) == mapping[(i, j)]
-        with pytest.raises(KeyError):
-            from_rows.colour(0, 0)
+        for i, j in ((0, 0), (0, -1), (-1, 0), (0, n), (n, 0)):
+            with pytest.raises(KeyError):
+                from_rows.colour(i, j)
+        if n > 1:
+            assert from_rows != ColouredDigraph(n, {**mapping, (n - 1, 0): "fresh"})
         found = []
         pushes = [
             automorphism_pushes(monkeypatch, lambda d=d: found.append(coloured_automorphisms(d)))
@@ -431,7 +434,7 @@ def _keyed_search(ecol, init):
 
 
 def _digraph_search(d: ColouredDigraph):
-    ecol = [[-1 if i == j else d.colours[(i, j)] for j in range(d.n)] for i in range(d.n)]
+    ecol = [[-1 if i == j else d.colour(i, j) for j in range(d.n)] for i in range(d.n)]
     return _keyed_search(ecol, [0] * d.n)
 
 
@@ -866,7 +869,8 @@ def test_is_irreducible():
 def test_searches_in_one_block_share_its_budget(monkeypatch):
     """Two 2-closures inside one search_budget block spend from one count,
     the orbital colourings' cells and the searches' pushes; outside every
-    block each colouring and each search has DEFAULT_MAX_NODES of its own."""
+    block each colouring and each search has DEFAULT_MAX_NODES of its own,
+    so the search alone is still bounded by it."""
     g = PermGroup.from_cycles(10, ALT4_10PT)
     nodes = automorphism_pushes(monkeypatch, lambda: two_closure(g))
     cells = 10 * 9  # one colour per ordered pair of distinct points
@@ -881,10 +885,17 @@ def test_searches_in_one_block_share_its_budget(monkeypatch):
     monkeypatch.setattr(permgroups, "DEFAULT_MAX_NODES", cells)
     two_closure(g)
     two_closure(g)
+    d = pair_orbit_colouring(g)
     monkeypatch.setattr(permgroups, "DEFAULT_MAX_NODES", cells - 1)
     message = f"orbital colouring exceeded the budget of {cells - 1} nodes"
     with pytest.raises(SearchBudgetExceeded, match=message):
         two_closure(g)
+    monkeypatch.setattr(permgroups, "DEFAULT_MAX_NODES", nodes)
+    coloured_automorphisms(d, known=g)
+    monkeypatch.setattr(permgroups, "DEFAULT_MAX_NODES", nodes - 1)
+    message = f"automorphism search exceeded the budget of {nodes - 1} nodes"
+    with pytest.raises(SearchBudgetExceeded, match=message):
+        coloured_automorphisms(d, known=g)
 
 
 class _Chain:
