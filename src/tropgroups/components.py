@@ -17,7 +17,6 @@ from typing import Optional
 from .graphs import ColouredBipartiteGraph, support_components
 from .matrix import MonomialMatrix, TropMatrix
 from .pairsearch import pair_solutions
-from .semiring import is_finite
 from .spaces import col_space_equal
 
 
@@ -50,13 +49,9 @@ def _check_non_degenerate(a: TropMatrix) -> None:
 def bipartite_graph(a: TropMatrix) -> ColouredBipartiteGraph:
     """The coloured bipartite graph of the finite entries of the matrix."""
     _check_non_degenerate(a)
-    edges = {
-        (i, j): a.entries[i][j]
-        for i in range(a.nrows)
-        for j in range(a.ncols)
-        if is_finite(a.entries[i][j])
-    }
-    return ColouredBipartiteGraph(a.nrows, a.ncols, edges)
+    ids: dict = {}
+    rows = [[-1 if x is None else ids.setdefault(x, len(ids)) for x in row] for row in a.codes]
+    return ColouredBipartiteGraph._of(rows, tuple(map(a.basis, ids)))
 
 
 def connected_components(a: TropMatrix) -> list[Component]:

@@ -50,6 +50,7 @@ from .permgroups import (
     pair_orbit_colouring,
     paired_orbit_colouring,
     parse_cycles,
+    search_budget,
 )
 from .semiring import NEG_INF, Value, eps, is_finite, free_basis_check
 from .spaces import has_full_rank
@@ -181,7 +182,7 @@ def _from_bipartite(
     col_orbits, col_orbit_of, active_cols = _side(d.m, [h for _, h in aut.generators], trivial)
 
     def refined(i: int, j: int):
-        return (full.edges[(i, j)], row_orbit_of[i], col_orbit_of[j])
+        return (full.rows[i][j], row_orbit_of[i], col_orbit_of[j])
 
     # drop dominated orbits, rows before columns, until stable; with a
     # trivial group every orbit is a single point and all of them stay
@@ -200,9 +201,7 @@ def _from_bipartite(
     live_col_orbits = _live(col_orbits, active_cols)
     k, kp = len(live_row_orbits), len(live_col_orbits)
     if k > kp:
-        reversed_graph = ColouredBipartiteGraph(
-            d.m, d.n, {(j, i): c for (i, j), c in d.edges.items()}
-        )
+        reversed_graph = ColouredBipartiteGraph._of(list(map(list, zip(*d.rows))), d.palette)
         swapped = PairedPermGroup(
             (d.m, d.n), [(h, g) for g, h in aut.generators], known_order=aut.order()
         )
@@ -342,7 +341,7 @@ def _idempotent(
     _, orbit_of, _ = _side(n, group.generators, True)
 
     def refined(i: int, j: int):
-        return (digraph.colour(i, j), orbit_of[i], orbit_of[j])
+        return (digraph.rows[i][j], orbit_of[i], orbit_of[j])
 
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     colours = list(dict.fromkeys(refined(i, j) for i, j in pairs))
@@ -465,24 +464,38 @@ def _spec_list(value, what: str, length: Optional[int] = None) -> list:
     return value
 
 
-def _spec_edges(data: dict, n: int, m: Optional[int] = None) -> dict:
-    """The 0-based edges of a spec: from 1..n to 1..m, or between distinct
+def _spec_graph(data: dict, n: int, m: Optional[int] = None):
+    """The graph of a spec's edges: from 1..n to 1..m, or between distinct
     points of 1..n when m is None, each listed once; errors name an edge
-    as the spec does."""
-    edges = {}
+    as the spec does.  Once the edges are read, the n·m cells, n(n - 1)
+    without m, are spent from the search budget, as "spec colouring",
+    before any row is built.  Colours are numbered in the order the spec
+    first lists them, and a digraph's unlisted pairs get a fresh colour."""
+    width = n if m is None else m
+    listed, ids, edges = set(), {}, []
     for item in _spec_list(data.get("edges", []), "edges"):
         i, j, colour = _spec_list(item, "an edge", 3)
         if isinstance(colour, (list, dict)):
             raise ValueError("an edge colour must be a string, number, boolean or null")
         i, j = (_spec_int(x, "an edge end") for x in (i, j))
-        if not (1 <= i <= n and 1 <= j <= (n if m is None else m)):
+        if not (1 <= i <= n and 1 <= j <= width):
             raise ValueError(f"edge ({i}, {j}) out of range")
         if m is None and i == j:
             raise ValueError(f"edge ({i}, {j}) is a loop")
-        if (i - 1, j - 1) in edges:
+        if (i, j) in listed:
             raise ValueError(f"edge ({i}, {j}) is listed twice")
-        edges[(i - 1, j - 1)] = colour
-    return edges
+        listed.add((i, j))
+        edges.append((i - 1, j - 1, ids.setdefault(colour, len(ids))))
+    if n < 1 or width < 1:
+        empty = "need at least one vertex" if m is None else "both vertex sets must be nonempty"
+        raise ValueError(empty)
+    search_budget.current().spend("spec colouring", n * (n - 1 if m is None else m))
+    rows = [[-1] * width for _ in range(n)]
+    for i, j, c in edges:
+        rows[i][j] = c
+    if m is None:
+        return ColouredDigraph._of(rows, tuple(ids))._filled(loops=False)
+    return ColouredBipartiteGraph._of(rows, tuple(ids))
 
 
 def _spec_cycles(value, degree: int) -> Perm:
@@ -526,10 +539,10 @@ def parse_construction_spec(data: dict):
             raise ValueError(f"unknown key {key!r}: a {kind!r} spec takes {sorted(keys)}")
     if kind == "omega":
         n, m = _spec_int(data["omega"], "omega"), _spec_int(data.get("theta"), "theta")
-        return "bipartite", ColouredBipartiteGraph(n, m, _spec_edges(data, n, m))
+        return "bipartite", _spec_graph(data, n, m)
     if kind == "vertices":
         n = _spec_int(data["vertices"], "vertices")
-        return "idempotent", ColouredDigraph.from_partial(n, _spec_edges(data, n))
+        return "idempotent", _spec_graph(data, n)
     gens = _spec_list(data.get("generators", []), "generators")
     if kind == "bidegree":
         degrees = _spec_list(data["bidegree"], "bidegree", 2)

@@ -50,7 +50,64 @@ def support_components(support: Sequence[Sequence[bool]]) -> list[tuple[list, li
     ]
 
 
-class ColouredBipartiteGraph:
+class _ColouredRows:
+    """A colouring held as n rows of m int colour ids, ``rows[i][j]`` the
+    id of the edge (i, j) and -1 where there is none, and ``palette``, the
+    colour of each id.  A graph built from a mapping numbers its colours
+    by first occurrence in row-major order."""
+
+    __slots__ = ("n", "m", "rows", "palette")
+
+    @classmethod
+    def _of(cls, rows: list[list[int]], palette: Sequence[Hashable]):
+        """The graph of colour id rows already known to be valid."""
+        out = object.__new__(cls)
+        out._init(rows, palette)
+        return out
+
+    def _init(self, rows, palette) -> None:
+        for name, value in zip(_ColouredRows.__slots__, (len(rows), len(rows[0]), rows, palette)):
+            object.__setattr__(self, name, value)
+
+    def _number(self, n: int, m: int, colours: Mapping[tuple[int, int], Hashable]) -> None:
+        """Hold the colours of the cells (i, j) of n x m in ``colours``."""
+        ids: dict = {}
+        rows = [
+            [ids.setdefault(colours[i, j], len(ids)) if (i, j) in colours else -1
+             for j in range(m)]
+            for i in range(n)
+        ]
+        self._init(rows, tuple(ids))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _cells(self) -> dict:
+        cells = ((i, j, c) for i, row in enumerate(self.rows) for j, c in enumerate(row))
+        return {(i, j): self.palette[c] for i, j, c in cells if c >= 0}
+
+    def _filled(self, loops: bool = True):
+        """This graph with one fresh colour, the last id, on every edge it
+        lacks, loops (i, i) only when ``loops``; itself if it lacks none."""
+        fresh = len(self.palette)
+        rows = [
+            [fresh if c < 0 and (loops or i != j) else c for j, c in enumerate(row)]
+            for i, row in enumerate(self.rows)
+        ]
+        return self if rows == self.rows else self._of(rows, (*self.palette, ("_missing",)))
+
+    def __eq__(self, other):
+        if type(other) is not type(self) or (self.n, self.m) != (other.n, other.m):
+            return False
+        mine, theirs = self.palette, other.palette
+        return all(
+            a == b if a < 0 or b < 0 else mine[a] == theirs[b]
+            for row, other_row in zip(self.rows, other.rows)
+            for a, b in zip(row, other_row)
+        )
+
+
+class ColouredBipartiteGraph(_ColouredRows):
     """Directed bipartite graph, edges left->right, each with a colour.
 
     Used both for the finite-entry graph of a matrix (colours are scalar
@@ -58,122 +115,70 @@ class ColouredBipartiteGraph:
     orbit ids).  Not necessarily complete.
     """
 
-    __slots__ = ("n", "m", "edges")
+    __slots__ = ()
 
     def __init__(self, n: int, m: int, edges: Mapping[tuple[int, int], Hashable]):
         if n < 1 or m < 1:
             raise ValueError("both vertex sets must be nonempty")
         for (i, j) in edges:
-            if not (0 <= i < n and 0 <= j < m):
+            if not (i in range(n) and j in range(m)):  # a float end is in no cell
                 raise ValueError(f"edge ({i}, {j}) out of range")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "edges", dict(edges))
+        self._number(n, m, edges)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ColouredBipartiteGraph is immutable")
+    edges = property(_ColouredRows._cells, doc="A new dict of the colour of each edge (i, j).")
 
     def colour(self, i: int, j: int):
-        return self.edges.get((i, j))
+        """The colour of the edge (i, j), None where there is none."""
+        if not (0 <= i < self.n and 0 <= j < self.m):
+            raise KeyError((i, j))
+        c = self.rows[i][j]
+        return None if c < 0 else self.palette[c]
 
     def is_complete(self) -> bool:
-        return len(self.edges) == self.n * self.m
+        return all(-1 not in row for row in self.rows)
 
     def completed(self) -> "ColouredBipartiteGraph":
         """Fill missing edges with one fresh colour; keeps the automorphisms."""
-        if self.is_complete():
-            return self
-        fresh = ("_missing",)
-        full = dict(self.edges)
-        for i in range(self.n):
-            for j in range(self.m):
-                full.setdefault((i, j), fresh)
-        return ColouredBipartiteGraph(self.n, self.m, full)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ColouredBipartiteGraph)
-            and (self.n, self.m) == (other.n, other.m)
-            and self.edges == other.edges
-        )
+        return self._filled()
 
     def __repr__(self):
         return f"ColouredBipartiteGraph(n={self.n}, m={self.m}, edges={len(self.edges)})"
 
 
-class ColouredDigraph:
-    """Complete loopless digraph on n vertices with a colour per ordered pair.
+class ColouredDigraph(_ColouredRows):
+    """Complete loopless digraph on n vertices with a colour per ordered
+    pair, its rows -1 on the diagonal only."""
 
-    The colouring is held as n rows of int colour ids, ``rows[i][j]`` the
-    id of the pair (i, j) and -1 on the diagonal, and ``palette``, the
-    colour of each id.  A digraph built from a mapping numbers its colours
-    by first occurrence in row-major order; ``colours``, that mapping, and
-    ``colour(i, j)`` are read off the rows.
-    """
-
-    __slots__ = ("n", "rows", "palette")
+    __slots__ = ()
 
     def __init__(self, n: int, colours: Mapping[tuple[int, int], Hashable]):
+        self._hold(n, colours, n * (n - 1))
+
+    def _hold(self, n: int, colours, pairs: int) -> None:
+        """Hold ``colours``, a colouring of at least ``pairs`` of the
+        ordered pairs i != j, and -1 on the pairs it leaves out."""
         if n < 1:
             raise ValueError("need at least one vertex")
-        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        if len(colours) != len(pairs) or not all(map(colours.__contains__, pairs)):
+        self._number(n, n, colours)
+        held = sum(c >= 0 for row in self.rows for c in row)
+        if held != len(colours) or held < pairs or any(self.rows[v][v] >= 0 for v in range(n)):
             raise ValueError("colouring must cover exactly the ordered pairs i != j")
-        ids: dict = {}
-        rows = [
-            [-1 if i == j else ids.setdefault(colours[(i, j)], len(ids)) for j in range(n)]
-            for i in range(n)
-        ]
-        self._init(rows, tuple(ids))
-
-    @classmethod
-    def _of(cls, rows: list[list[int]], palette: Sequence[Hashable]) -> "ColouredDigraph":
-        """The digraph of colour id rows already known to be valid."""
-        out = object.__new__(cls)
-        out._init(rows, palette)
-        return out
-
-    def _init(self, rows, palette) -> None:
-        object.__setattr__(self, "n", len(rows))
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "palette", palette)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ColouredDigraph is immutable")
 
     @classmethod
     def from_partial(cls, n: int, colours: Mapping[tuple[int, int], Hashable]):
         """Complete a partial colouring with one fresh colour for the rest."""
-        fresh = ("_missing",)
-        full = dict(colours)
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    full.setdefault((i, j), fresh)
-        return cls(n, full)
+        partial = object.__new__(cls)
+        partial._hold(n, colours, 0)
+        return partial._filled(loops=False)
 
-    @property
-    def colours(self) -> dict:
-        """A new dict of the colour of each ordered pair (i, j), i != j."""
-        rows, palette = self.rows, self.palette
-        pairs = ((i, j) for i in range(self.n) for j in range(self.n) if i != j)
-        return {(i, j): palette[rows[i][j]] for i, j in pairs}
+    colours = property(
+        _ColouredRows._cells, doc="A new dict of the colour of each ordered pair (i, j), i != j."
+    )
 
     def colour(self, i: int, j: int):
         if i == j or not (0 <= i < self.n and 0 <= j < self.n):
             raise KeyError((i, j))
         return self.palette[self.rows[i][j]]
-
-    def __eq__(self, other):
-        if not isinstance(other, ColouredDigraph) or self.n != other.n:
-            return False
-        mine, theirs = self.palette, other.palette
-        return all(
-            mine[a] == theirs[b]
-            for row, other_row in zip(self.rows, other.rows)
-            for a, b in zip(row, other_row)
-            if a >= 0  # -1 only on both diagonals
-        )
 
     def __repr__(self):
         return f"ColouredDigraph(n={self.n}, colours={len(self.palette)})"

@@ -585,9 +585,10 @@ def paired_orbit_colouring(g: PairedPermGroup) -> ColouredBipartiteGraph:
     """Orbit colouring of the full product of the two vertex sets: the
     orbits of the pairs (i, n + j) under ``joint``."""
     n, m = g.degrees
-    label, _ = _orbital_labels(g.joint, n, m, n)
-    cells = ((i, j) for i in range(n) for j in range(m))
-    return ColouredBipartiteGraph(n, m, dict(zip(cells, label)))
+    if n < 1 or m < 1:
+        raise ValueError("both vertex sets must be nonempty")
+    label, count = _orbital_labels(g.joint, n, m, n)
+    return ColouredBipartiteGraph._of([label[i * m:(i + 1) * m] for i in range(n)], range(count))
 
 
 # -- coloured-graph automorphisms --
@@ -820,9 +821,6 @@ def _bit_sets(labels, bits) -> dict:
     return out
 
 
-_ABSENT = object()
-
-
 def _automorphisms(key: list[list[int]], init: list[int], known: Optional[PermGroup] = None):
     """Generators and order of the group of vertex permutations keeping
     the vertex colours `init` and the int keys ``key[v][u]``, one per
@@ -857,18 +855,13 @@ def coloured_bipartite_automorphisms(
     g: ColouredBipartiteGraph, *, known: Optional[PairedPermGroup] = None
 ) -> PairedPermGroup:
     """All side-preserving pair permutations preserving the edge colours;
-    ``known`` as for ``coloured_automorphisms``.  The n·m edge colours, an
-    absent edge one of them, are numbered once: the key of a left point to
-    a right one is its edge's number c, of a right point to a left one
-    c + k, for k colours, and of two points on one side 2k."""
-    n, m = g.n, g.m
-    ids: dict = {}
-    edge = [
-        [ids.setdefault(g.edges.get((i, j), _ABSENT), len(ids)) for j in range(m)] for i in range(n)
-    ]
-    k = len(ids)
-    key = [[2 * k] * n + row for row in edge]
-    key += ([k + c for c in col] + [2 * k] * m for col in zip(*edge))
+    ``known`` as for ``coloured_automorphisms``.  An edge of colour id c
+    is numbered c + 1, an absent edge 0: the key of a left point to a right
+    one is its edge's number e, of a right point to a left one e + k, for
+    k colours and the absent edge, and of two points on one side 2k."""
+    n, m, k = g.n, g.m, len(g.palette) + 1
+    key = [[2 * k] * n + [c + 1 for c in row] for row in g.rows]
+    key += ([k + 1 + c for c in col] + [2 * k] * m for col in zip(*g.rows))
     for v in range(n + m):
         key[v][v] = -1
     joint = None if known is None else known.joint
@@ -906,22 +899,11 @@ def is_paired_two_closed(g: PairedPermGroup) -> bool:
 
 def is_irreducible(g: ColouredBipartiteGraph) -> bool:
     """False iff some vertex is isolated or two same-side vertices have
-    identical coloured neighbourhoods."""
-    out_of = [dict() for _ in range(g.n)]
-    into = [dict() for _ in range(g.m)]
-    for (i, j), c in g.edges.items():
-        out_of[i][j] = c
-        into[j][i] = c
-    if any(not d for d in out_of) or any(not d for d in into):
-        return False
-    for i in range(g.n):
-        for i2 in range(i + 1, g.n):
-            if out_of[i] == out_of[i2]:
-                return False
-    for j in range(g.m):
-        for j2 in range(j + 1, g.m):
-            if into[j] == into[j2]:
-                return False
+    identical coloured neighbourhoods: some row or column of colour ids
+    is all -1, or two rows or two columns are equal."""
+    for lines in (list(map(tuple, g.rows)), list(zip(*g.rows))):
+        if len(set(lines)) < len(lines) or any(max(line) < 0 for line in lines):
+            return False
     return True
 
 

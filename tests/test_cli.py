@@ -159,6 +159,8 @@ def test_deeply_nested_json_exits_2_and_says_so(tmp_path, command, text, what):
             {"bidegree": [2, 2], "generators": [["(1,2)", "(1,2)"]], "edges": []},
             "unknown key 'edges': a 'bidegree' spec takes ['bidegree', 'generators']",
         ),
+        ({"vertices": 0, "edges": []}, "need at least one vertex"),
+        ({"omega": -1, "theta": 100000, "edges": []}, "both vertex sets must be nonempty"),
     ],
     ids=[
         "edges-not-list",
@@ -176,6 +178,8 @@ def test_deeply_nested_json_exits_2_and_says_so(tmp_path, command, text, what):
         "vertices-misspelt-key",
         "omega-foreign-key",
         "bidegree-foreign-key",
+        "no-vertices",
+        "negative-omega",
     ],
 )
 def test_bad_construction_spec_exits_2_without_traceback(tmp_path, spec, message):
@@ -303,6 +307,26 @@ def test_a_closure_too_large_for_the_budget_is_refused_before_its_set_up(capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "orbital colouring exceeded the budget of 2000000 nodes" in captured.err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"vertices": 100000, "edges": []}, {"omega": 100000, "theta": 100000, "edges": []}],
+    ids=["vertices", "omega"],
+)
+def test_a_spec_too_large_for_the_budget_is_refused_before_its_colouring(tmp_path, spec):
+    """A spec's colouring of about 10^10 cells spends them once its edges
+    are read and before it builds any row, so ``construct`` exits 3 at
+    once and names the spend."""
+    path = write(tmp_path, "spec.json", json.dumps(spec))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropgroups", "construct", path],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "spec colouring exceeded the budget of 2000000 nodes" in proc.stderr
 
 
 def test_readme_names_every_cli_option():

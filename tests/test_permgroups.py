@@ -167,10 +167,37 @@ def test_orbital_colourings_are_the_brute_force_pair_orbits(seed):
         assert got.edges == {(i, j - n): k for (i, j), k in want.items()}
 
 
+def _irreducible_by_neighbourhoods(g: ColouredBipartiteGraph) -> bool:
+    """Oracle: ``is_irreducible`` on the mapping of edges, with a dict of
+    each vertex's coloured neighbourhood compared pair by pair."""
+    out_of = [dict() for _ in range(g.n)]
+    into = [dict() for _ in range(g.m)]
+    for (i, j), c in g.edges.items():
+        out_of[i][j] = c
+        into[j][i] = c
+    if any(not d for d in out_of) or any(not d for d in into):
+        return False
+    return all(a != b for side in (out_of, into) for a, b in itertools.combinations(side, 2))
+
+
+def _same_search(monkeypatch, search, graphs):
+    """Whether ``search`` makes the same pushes and finds the same
+    generators and order on each of ``graphs``."""
+    found = []
+    pushes = {automorphism_pushes(monkeypatch, lambda g=g: found.append(search(g))) for g in graphs}
+    gens = {tuple(p.images for p in getattr(f, "joint", f).generators) for f in found}
+    return len(pushes) == 1 and len(gens) == 1 and len({f.order() for f in found}) == 1
+
+
 def test_a_digraph_from_rows_is_the_digraph_of_its_mapping(monkeypatch):
     """A colouring given as colour id rows and a palette equals the same
     colouring given as a mapping, reads the same colours, and has the same
-    automorphism search: the same pushes, so the same generators."""
+    automorphism search: the same pushes, so the same generators.  So does
+    a bipartite graph, whose rows hold -1 for an absent edge, with unequal
+    sides and with null colours, which are not absent edges: its edges
+    round-trip, its completion is the one of its mapping completed with a
+    fresh colour, and ``is_irreducible`` agrees with a neighbourhood
+    oracle."""
     rng = random.Random(4)
     palette = ["a", ("b",), 7, frozenset()]
     for _ in range(40):
@@ -191,23 +218,60 @@ def test_a_digraph_from_rows_is_the_digraph_of_its_mapping(monkeypatch):
                 from_rows.colour(i, j)
         if n > 1:
             assert from_rows != ColouredDigraph(n, {**mapping, (n - 1, 0): "fresh"})
-        found = []
-        pushes = [
-            automorphism_pushes(monkeypatch, lambda d=d: found.append(coloured_automorphisms(d)))
-            for d in (from_rows, from_mapping)
-        ]
-        a, b = found
-        assert pushes[0] == pushes[1]
-        assert a.order() == b.order()
-        assert [p.images for p in a.generators] == [p.images for p in b.generators]
+        partial = {pair: c for pair, c in mapping.items() if rng.random() < 0.7}
+        filled = {pair: partial.get(pair, ("_missing",)) for pair in mapping}
+        assert ColouredDigraph.from_partial(n, partial) == ColouredDigraph(n, filled)
+        assert _same_search(monkeypatch, coloured_automorphisms, (from_rows, from_mapping))
+
+    palette = ["a", None, ("b",), 7, frozenset()]  # None: a null colour
+    seen = set()
+    for _ in range(60):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        k = rng.randint(1, len(palette))
+        rows = [[rng.randrange(-1, k) for j in range(m)] for i in range(n)]
+        edges = {(i, j): palette[c] for i, row in enumerate(rows) for j, c in enumerate(row) if c >= 0}
+        from_rows = ColouredBipartiteGraph._of(rows, palette[:k])
+        from_mapping = ColouredBipartiteGraph(n, m, edges)
+        assert from_rows == from_mapping
+        assert from_rows.edges == from_mapping.edges == edges
+        assert ColouredBipartiteGraph(n, m, from_rows.edges) == from_rows
+        for i in range(n):
+            for j in range(m):  # None for an absent edge and a null colour alike
+                assert from_rows.colour(i, j) == from_mapping.colour(i, j) == edges.get((i, j))
+        for i, j in ((0, -1), (-1, 0), (0, m), (n, 0)):
+            with pytest.raises(KeyError):
+                from_rows.colour(i, j)
+        if edges:
+            (i, j), c = rng.choice(sorted(edges.items(), key=repr))
+            absent = {cell: x for cell, x in edges.items() if cell != (i, j)}
+            assert from_rows != ColouredBipartiteGraph(n, m, absent)
+            assert from_rows != ColouredBipartiteGraph(n, m, {**edges, (i, j): ("other", c)})
+        full = {(i, j): edges.get((i, j), ("_missing",)) for i in range(n) for j in range(m)}
+        completed = from_rows.completed()
+        assert completed == ColouredBipartiteGraph(n, m, full) and completed.is_complete()
+        assert (completed is from_rows) == from_rows.is_complete()
+        irreducible = is_irreducible(from_rows)
+        assert irreducible == is_irreducible(from_mapping) == _irreducible_by_neighbourhoods(from_rows)
+        assert _same_search(
+            monkeypatch, coloured_bipartite_automorphisms, (from_rows, from_mapping)
+        )
+        seen |= {
+            ("unequal", n != m), ("absent", len(edges) < n * m), ("irreducible", irreducible),
+            ("null", None in edges.values()),
+        }
+    assert all((what, flag) in seen for what in ("unequal", "absent", "irreducible", "null")
+               for flag in (True, False))
 
 
 def test_a_colouring_must_cover_exactly_the_ordered_pairs():
     full = {(i, j): 0 for i in range(3) for j in range(3) if i != j}
     short = {k: v for k, v in full.items() if k != (0, 1)}
-    for bad in (short, {**full, (1, 1): 0}, {**full, (0, 3): 0}):
+    for bad in (short, {**full, (1, 1): 0}, {**full, (0, 3): 0}, {**full, (0.5, 1): 0}):
         with pytest.raises(ValueError, match="exactly the ordered pairs"):
             ColouredDigraph(3, bad)
+    for bad in ({(0, 2): 0}, {(-1, 0): 0}, {(0.5, 0): 0}):
+        with pytest.raises(ValueError, match="out of range"):
+            ColouredBipartiteGraph(2, 2, bad)
 
 
 def test_coloured_automorphisms_single_colour():
