@@ -464,38 +464,30 @@ def _spec_list(value, what: str, length: Optional[int] = None) -> list:
     return value
 
 
-def _spec_graph(data: dict, n: int, m: Optional[int] = None):
-    """The graph of a spec's edges: from 1..n to 1..m, or between distinct
+def _spec_edges(data: dict, n: int, m: Optional[int] = None) -> dict:
+    """The 0-based edges of a spec: from 1..n to 1..m, or between distinct
     points of 1..n when m is None, each listed once; errors name an edge
     as the spec does.  Once the edges are read, the n·m cells, n(n - 1)
     without m, are spent from the search budget, as "spec colouring",
-    before any row is built.  Colours are numbered in the order the spec
-    first lists them, and a digraph's unlisted pairs get a fresh colour."""
-    width = n if m is None else m
-    listed, ids, edges = set(), {}, []
+    before any row is built."""
+    edges = {}
     for item in _spec_list(data.get("edges", []), "edges"):
         i, j, colour = _spec_list(item, "an edge", 3)
         if isinstance(colour, (list, dict)):
             raise ValueError("an edge colour must be a string, number, boolean or null")
         i, j = (_spec_int(x, "an edge end") for x in (i, j))
-        if not (1 <= i <= n and 1 <= j <= width):
+        if not (1 <= i <= n and 1 <= j <= (n if m is None else m)):
             raise ValueError(f"edge ({i}, {j}) out of range")
         if m is None and i == j:
             raise ValueError(f"edge ({i}, {j}) is a loop")
-        if (i, j) in listed:
+        if (i - 1, j - 1) in edges:
             raise ValueError(f"edge ({i}, {j}) is listed twice")
-        listed.add((i, j))
-        edges.append((i - 1, j - 1, ids.setdefault(colour, len(ids))))
-    if n < 1 or width < 1:
+        edges[(i - 1, j - 1)] = colour
+    if n < 1 or (m is not None and m < 1):
         empty = "need at least one vertex" if m is None else "both vertex sets must be nonempty"
         raise ValueError(empty)
     search_budget.current().spend("spec colouring", n * (n - 1 if m is None else m))
-    rows = [[-1] * width for _ in range(n)]
-    for i, j, c in edges:
-        rows[i][j] = c
-    if m is None:
-        return ColouredDigraph._of(rows, tuple(ids))._filled(loops=False)
-    return ColouredBipartiteGraph._of(rows, tuple(ids))
+    return edges
 
 
 def _spec_cycles(value, degree: int) -> Perm:
@@ -539,10 +531,10 @@ def parse_construction_spec(data: dict):
             raise ValueError(f"unknown key {key!r}: a {kind!r} spec takes {sorted(keys)}")
     if kind == "omega":
         n, m = _spec_int(data["omega"], "omega"), _spec_int(data.get("theta"), "theta")
-        return "bipartite", _spec_graph(data, n, m)
+        return "bipartite", ColouredBipartiteGraph(n, m, _spec_edges(data, n, m))
     if kind == "vertices":
         n = _spec_int(data["vertices"], "vertices")
-        return "idempotent", _spec_graph(data, n)
+        return "idempotent", ColouredDigraph.from_partial(n, _spec_edges(data, n))
     gens = _spec_list(data.get("generators", []), "generators")
     if kind == "bidegree":
         degrees = _spec_list(data["bidegree"], "bidegree", 2)

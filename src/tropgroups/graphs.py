@@ -66,8 +66,10 @@ class _ColouredRows:
         return out
 
     def _init(self, rows, palette) -> None:
-        for name, value in zip(_ColouredRows.__slots__, (len(rows), len(rows[0]), rows, palette)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "n", len(rows))
+        object.__setattr__(self, "m", len(rows[0]))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "palette", palette)
 
     def _number(self, n: int, m: int, colours: Mapping[tuple[int, int], Hashable]) -> None:
         """Hold the colours of the cells (i, j) of n x m in ``colours``."""
@@ -87,14 +89,18 @@ class _ColouredRows:
         return {(i, j): self.palette[c] for i, j, c in cells if c >= 0}
 
     def _filled(self, loops: bool = True):
-        """This graph with one fresh colour, the last id, on every edge it
-        lacks, loops (i, i) only when ``loops``; itself if it lacks none."""
-        fresh = len(self.palette)
+        """This graph with the colour ``("_missing",)`` on every edge it
+        lacks, loops (i, i) only when ``loops``; itself if it lacks none.
+        That colour keeps its id if the palette has it, else takes the
+        last one."""
+        missing = ("_missing",)
+        palette = self.palette if missing in self.palette else (*self.palette, missing)
+        fresh = palette.index(missing)
         rows = [
             [fresh if c < 0 and (loops or i != j) else c for j, c in enumerate(row)]
             for i, row in enumerate(self.rows)
         ]
-        return self if rows == self.rows else self._of(rows, (*self.palette, ("_missing",)))
+        return self if rows == self.rows else self._of(rows, palette)
 
     def __eq__(self, other):
         if type(other) is not type(self) or (self.n, self.m) != (other.n, other.m):

@@ -197,9 +197,11 @@ def test_a_digraph_from_rows_is_the_digraph_of_its_mapping(monkeypatch):
     sides and with null colours, which are not absent edges: its edges
     round-trip, its completion is the one of its mapping completed with a
     fresh colour, and ``is_irreducible`` agrees with a neighbourhood
-    oracle."""
+    oracle.  A completion whose colouring already has the fresh colour
+    ``("_missing",)`` keeps one id for it, so it searches as the mapping's
+    completion does."""
     rng = random.Random(4)
-    palette = ["a", ("b",), 7, frozenset()]
+    palette = ["a", ("_missing",), ("b",), 7, frozenset()]
     for _ in range(40):
         n = rng.randint(1, 7)
         k = rng.randint(1, len(palette))
@@ -220,10 +222,15 @@ def test_a_digraph_from_rows_is_the_digraph_of_its_mapping(monkeypatch):
             assert from_rows != ColouredDigraph(n, {**mapping, (n - 1, 0): "fresh"})
         partial = {pair: c for pair, c in mapping.items() if rng.random() < 0.7}
         filled = {pair: partial.get(pair, ("_missing",)) for pair in mapping}
-        assert ColouredDigraph.from_partial(n, partial) == ColouredDigraph(n, filled)
+        from_partial = ColouredDigraph.from_partial(n, partial)
+        assert from_partial == ColouredDigraph(n, filled)
+        assert len(set(from_partial.palette)) == len(from_partial.palette)
+        assert _same_search(
+            monkeypatch, coloured_automorphisms, (from_partial, ColouredDigraph(n, filled))
+        )
         assert _same_search(monkeypatch, coloured_automorphisms, (from_rows, from_mapping))
 
-    palette = ["a", None, ("b",), 7, frozenset()]  # None: a null colour
+    palette = ["a", None, ("_missing",), ("b",), 7, frozenset()]  # None: a null colour
     seen = set()
     for _ in range(60):
         n, m = rng.randint(1, 5), rng.randint(1, 5)
@@ -250,6 +257,11 @@ def test_a_digraph_from_rows_is_the_digraph_of_its_mapping(monkeypatch):
         completed = from_rows.completed()
         assert completed == ColouredBipartiteGraph(n, m, full) and completed.is_complete()
         assert (completed is from_rows) == from_rows.is_complete()
+        assert len(set(completed.palette)) == len(completed.palette)
+        assert _same_search(
+            monkeypatch, coloured_bipartite_automorphisms,
+            (completed, ColouredBipartiteGraph(n, m, full)),
+        )
         irreducible = is_irreducible(from_rows)
         assert irreducible == is_irreducible(from_mapping) == _irreducible_by_neighbourhoods(from_rows)
         assert _same_search(
@@ -258,9 +270,10 @@ def test_a_digraph_from_rows_is_the_digraph_of_its_mapping(monkeypatch):
         seen |= {
             ("unequal", n != m), ("absent", len(edges) < n * m), ("irreducible", irreducible),
             ("null", None in edges.values()),
+            ("missing", ("_missing",) in edges.values() and len(edges) < n * m),
         }
-    assert all((what, flag) in seen for what in ("unequal", "absent", "irreducible", "null")
-               for flag in (True, False))
+    kinds = ("unequal", "absent", "irreducible", "null", "missing")
+    assert all((what, flag) in seen for what in kinds for flag in (True, False))
 
 
 def test_a_colouring_must_cover_exactly_the_ordered_pairs():
